@@ -16,12 +16,9 @@ from .kernel import (
 from .pipeline import (
     EncodingPlan,
     InversionConstants,
-    PipelineConfig,
     PosteriorEstimate,
     PreparedPipeline,
     SpectralRegisters,
-    estimate_mean,
-    estimate_variance,
     invert_for_mean,
     invert_for_variance,
     plan_encoding,
@@ -48,7 +45,6 @@ __all__ = [
     "InversionConstants",
     "IoError",
     "KernelHyper",
-    "PipelineConfig",
     "Posterior",
     "PosteriorEstimate",
     "PostSelectionError",
@@ -56,8 +52,6 @@ __all__ = [
     "QrffError",
     "SpectralRegisters",
     "build_feature_model",
-    "estimate_mean",
-    "estimate_variance",
     "exact_posterior",
     "feature_map",
     "gram_matrix",

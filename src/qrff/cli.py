@@ -18,7 +18,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -53,7 +52,6 @@ class RunConfig:
     delta_r: float | None = None
     mode: str = "exact"
     input_layout: str = "uniform"
-    workers: int = 1
     out_dir: str = "results"
 
     def __post_init__(self):
@@ -71,8 +69,6 @@ class RunConfig:
             raise ConfigError(
                 f"input_layout must be 'uniform' or 'random', got {self.input_layout!r}"
             )
-        if self.workers < 1:
-            raise ConfigError("workers must be positive")
         try:
             KernelHyper(self.signal_std, self.length_scale, self.noise_std)
         except ValueError as exc:
@@ -157,9 +153,9 @@ def _run_stages(cfg: RunConfig, stages: tuple[str, ...]) -> ComparisonReport:
     timings["dataset"] = time.perf_counter() - t0
 
     grid = cfg.grid
-    nan = float("nan")
-    exact = rff = quantum = [(nan, nan)] * len(grid)
-    p1 = p2 = nan
+    nan = np.full(len(grid), np.nan)
+    exact = rff = quantum = (nan, nan)
+    p1 = p2 = float("nan")
 
     fm = None
     if "rff" in stages or "quantum" in stages:
@@ -170,18 +166,14 @@ def _run_stages(cfg: RunConfig, stages: tuple[str, ...]) -> ComparisonReport:
 
     if "exact" in stages:
         t0 = time.perf_counter()
-        exact = [
-            (post.mean, post.variance)
-            for post in (exact_posterior(ds, h, [x]) for x in grid)
-        ]
+        post = exact_posterior(ds, h, grid)
+        exact = (post.mean, post.variance)
         timings["exact_gpr"] = time.perf_counter() - t0
 
     if "rff" in stages:
         t0 = time.perf_counter()
-        rff = [
-            (post.mean, post.variance)
-            for post in (rff_posterior(fm, ds.targets, [x], h) for x in grid)
-        ]
+        post = rff_posterior(fm, ds.targets, grid, h)
+        rff = (post.mean, post.variance)
         timings["rff_gpr"] = time.perf_counter() - t0
 
     if "quantum" in stages:
@@ -191,59 +183,34 @@ def _run_stages(cfg: RunConfig, stages: tuple[str, ...]) -> ComparisonReport:
         p1, p2 = pipe.p1, pipe.p2
         shots = 0 if cfg.mode == "exact" else cfg.shots
         children = np.random.SeedSequence(cfg.seed_shots).spawn(len(grid))
-
-        def query(i: int) -> tuple[float, float]:
-            mean_seed, var_seed = children[i].spawn(2)
-            m = pipe.mean_estimate(ds.targets, [grid[i]], shots, mean_seed)
-            v = pipe.variance_estimate([grid[i]], shots, var_seed)
-            return m.mean, v.variance
-
+        mean_seeds, var_seeds = zip(*(child.spawn(2) for child in children))
         t0 = time.perf_counter()
-        if cfg.workers == 1:
-            quantum = [query(i) for i in range(len(grid))]
-        else:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                quantum = list(pool.map(query, range(len(grid))))
+        m = pipe.mean_estimate(ds.targets, grid, shots, mean_seeds)
+        v = pipe.variance_estimate(grid, shots, var_seeds)
+        quantum = (m.mean, v.variance)
         timings["quantum_queries"] = time.perf_counter() - t0
 
-    records = tuple(
-        GridRecord(
-            x=float(grid[i]),
-            mean_exact=exact[i][0],
-            var_exact=exact[i][1],
-            mean_rff=rff[i][0],
-            var_rff=rff[i][1],
-            mean_qrff=quantum[i][0],
-            var_qrff=quantum[i][1],
-            p1=p1,
-            p2=p2,
-        )
-        for i in range(len(grid))
+    columns = np.column_stack(
+        [grid, *exact, *rff, *quantum, np.full(len(grid), p1), np.full(len(grid), p2)]
     )
+    records = tuple(GridRecord(*map(float, row)) for row in columns)
     summary: dict[str, float] = {}
     if "quantum" in stages and "rff" in stages:
-        mean_rff_arr = np.array([r.mean_rff for r in records])
-        mean_q_arr = np.array([r.mean_qrff for r in records])
         summary["rmse_mean_qrff_vs_rff"] = float(
-            np.sqrt(np.mean((mean_q_arr - mean_rff_arr) ** 2))
+            np.sqrt(np.mean((quantum[0] - rff[0]) ** 2))
         )
         summary["max_abs_var_gap_qrff_vs_rff"] = float(
-            np.max(
-                np.abs(
-                    np.array([r.var_qrff for r in records])
-                    - np.array([r.var_rff for r in records])
-                )
-            )
+            np.max(np.abs(quantum[1] - rff[1]))
         )
     if "quantum" in stages and "exact" in stages:
-        mean_exact_arr = np.array([r.mean_exact for r in records])
-        mean_q_arr = np.array([r.mean_qrff for r in records])
         summary["rmse_mean_qrff_vs_exact"] = float(
-            np.sqrt(np.mean((mean_q_arr - mean_exact_arr) ** 2))
+            np.sqrt(np.mean((quantum[0] - exact[0]) ** 2))
         )
     if "quantum" in stages:
         summary["p1"] = p1
         summary["p2"] = p2
+        summary["uncompute_leakage_mean"] = pipe.uncompute_leakage_mean
+        summary["uncompute_leakage_variance"] = pipe.uncompute_leakage_variance
     summary.update({f"wall_clock_{k}_s": v for k, v in timings.items()})
     summary["wall_clock_total_s"] = sum(timings.values())
     return ComparisonReport(records=records, summary=summary)
@@ -373,7 +340,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed-shots", type=int, dest="seed_shots")
         sp.add_argument("--delta-r", type=float, dest="delta_r")
         sp.add_argument("--mode", choices=["exact", "sampled"], dest="mode")
-        sp.add_argument("--workers", type=int, dest="workers")
         sp.add_argument("--out", dest="out_dir")
     sub.add_parser("selftest", help="run the simulator invariant battery")
     return parser
@@ -393,7 +359,6 @@ def main(argv=None) -> int:
             "seed_shots",
             "delta_r",
             "mode",
-            "workers",
             "out_dir",
         )
     }

@@ -81,14 +81,14 @@ class Dataset:
 
 @dataclass(frozen=True)
 class Posterior:
-    """Predictive mean and variance at a single query point."""
+    """Predictive means and variances over a query grid, each of shape (G,)."""
 
-    mean: float
-    variance: float
+    mean: np.ndarray
+    variance: np.ndarray
 
     def __post_init__(self):
-        if self.variance < 0:
-            raise ValueError(f"negative posterior variance {self.variance}")
+        if np.any(np.asarray(self.variance) < 0):
+            raise ValueError(f"negative posterior variance {np.min(self.variance)}")
 
 
 def _as_point(x, name: str = "x") -> np.ndarray:
@@ -96,6 +96,16 @@ def _as_point(x, name: str = "x") -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValueError(f"{name} contains non-finite values")
     return x
+
+
+def _as_points(xs, dim: int, name: str = "xs") -> np.ndarray:
+    """Query grid as a (G, dim) array; a flat input lists the points one after another."""
+    pts = np.asarray(xs, dtype=float)
+    if pts.ndim > 2 or pts.size == 0 or pts.size % dim or pts.ndim == 2 and pts.shape[1] != dim:
+        raise ValueError(f"{name} of shape {pts.shape} is not a grid of {dim}-d points")
+    if not np.isfinite(pts).all():
+        raise ValueError(f"{name} contains non-finite values")
+    return pts.reshape(-1, dim)
 
 
 def rbf_kernel(xi, xj, h: KernelHyper) -> float:
@@ -112,6 +122,12 @@ def rbf_kernel(xi, xj, h: KernelHyper) -> float:
     return h.signal_std**2 * float(np.exp(-0.5 * sq / h.length_scale**2))
 
 
+def _cross_kernel(a: np.ndarray, b: np.ndarray, h: KernelHyper) -> np.ndarray:
+    """Kernel values between two point sets of shapes (A, d) and (B, d), shape (A, B)."""
+    sq = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
+    return h.signal_std**2 * np.exp(-0.5 * sq / h.length_scale**2)
+
+
 def gram_matrix(points, h: KernelHyper) -> np.ndarray:
     """Kernel matrix over a set of points, shape (N, N).
 
@@ -121,8 +137,7 @@ def gram_matrix(points, h: KernelHyper) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if not np.isfinite(pts).all():
         raise ValueError("points contain non-finite values")
-    sq = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-    K = h.signal_std**2 * np.exp(-0.5 * sq / h.length_scale**2)
+    K = _cross_kernel(pts, pts, h)
     # exact symmetry regardless of floating-point summation order
     return 0.5 * (K + K.T)
 
@@ -163,20 +178,20 @@ def _solve_spd(K: np.ndarray, h: KernelHyper, rhs: np.ndarray) -> np.ndarray:
     return cho_solve(factor, rhs)
 
 
-def exact_posterior(ds: Dataset, h: KernelHyper, x_star) -> Posterior:
-    """Dense GP posterior at ``x_star``.
+def exact_posterior(ds: Dataset, h: KernelHyper, xs) -> Posterior:
+    """Dense GP posterior over the query grid ``xs`` (see ``_as_points``).
 
-    mean = k*^T (K + noise_std^2 I)^{-1} y
-    variance = k(x*, x*) - k*^T (K + noise_std^2 I)^{-1} k*
+    mean = K*^T (K + noise_std^2 I)^{-1} y
+    variance = k(x*, x*) - diag(K*^T (K + noise_std^2 I)^{-1} K*)
+
+    One factorization of K + noise_std^2 I solves for the targets and every
+    cross-kernel column at once.
     """
-    xs = _as_point(x_star, "x_star")
-    if xs.size != ds.dim:
-        raise ValueError(f"query dimension {xs.size} != dataset dimension {ds.dim}")
-    K = gram_matrix(ds.inputs, h)
-    k_star = np.array([rbf_kernel(xs, xi, h) for xi in ds.inputs])
+    pts = _as_points(xs, ds.dim)
+    k_star = _cross_kernel(ds.inputs, pts, h)
     rhs = np.column_stack([ds.targets, k_star])
-    sol = _solve_spd(K, h, rhs)
-    mean = float(k_star @ sol[:, 0])
-    variance = float(rbf_kernel(xs, xs, h) - k_star @ sol[:, 1])
+    sol = _solve_spd(gram_matrix(ds.inputs, h), h, rhs)
+    mean = k_star.T @ sol[:, 0]
+    variance = h.signal_std**2 - np.einsum("ng,ng->g", k_star, sol[:, 1:])
     # numerical round-off can leave a tiny negative residue
-    return Posterior(mean=mean, variance=max(variance, 0.0))
+    return Posterior(mean=mean, variance=np.maximum(variance, 0.0))

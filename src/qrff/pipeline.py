@@ -5,7 +5,8 @@ registers, extract the squared normalized singular values by phase estimation
 of exp(i * rho * t) with rho the column-register reduced density operator,
 rotate a flag qubit by an eigenvalue-conditioned inversion profile,
 post-select, un-compute the phase register, and read posterior quantities off
-overlap circuits.
+the closed-form outcome probabilities of a Hadamard test (mean) and a SWAP
+test (variance), for a whole grid of query points at once.
 
 All amplitudes are normalized by the design's Frobenius norm, so classical
 scale recovery multiplies estimated overlaps back by the Frobenius norm, the
@@ -21,43 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qsim
-from .errors import ConfigError, PostSelectionError
-from .kernel import KernelHyper, _as_point
+from .errors import CapacityError, ConfigError, PostSelectionError
+from .kernel import KernelHyper, _as_points
 from .qsim import GateOp, Statevector
 from .rff import FeatureModel, scaled_feature_vector
 
 #: default headroom of the phase-window parameter over the top squared singular value
 DELTA_R_HEADROOM = 1.05
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Settings for one quantum posterior run.
-
-    ``shots=0`` (or mode "exact") reads exact amplitudes; in sampled mode the
-    accepted-shot count is drawn binomially from the exact acceptance
-    probability and the overlap tests are sampled with the accepted shots.
-    """
-
-    tau: int
-    shots: int = 0
-    mode: str = "exact"
-    delta_r: float | None = None
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("exact", "sampled"):
-            raise ConfigError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
-        if self.tau < 1:
-            raise ConfigError(f"tau must be >= 1, got {self.tau}")
-        if self.mode == "sampled" and self.shots < 1:
-            raise ConfigError("sampled mode requires shots >= 1")
-        if self.delta_r is not None and self.delta_r <= 0:
-            raise ConfigError(f"delta_r must be positive, got {self.delta_r}")
-
-    @property
-    def effective_shots(self) -> int:
-        return 0 if self.mode == "exact" else self.shots
 
 
 @dataclass(frozen=True)
@@ -159,13 +130,17 @@ class InversionConstants:
 
 @dataclass(frozen=True)
 class PosteriorEstimate:
-    """One branch of the quantum posterior with estimator bookkeeping."""
+    """One branch of the quantum posterior over a query grid.
 
-    mean: float | None
-    variance: float | None
+    ``mean`` or ``variance`` holds one value per grid point, and
+    ``shots_used`` the accepted shots per point (zero in exact mode).
+    """
+
+    mean: np.ndarray | None
+    variance: np.ndarray | None
     p1: float | None
     p2: float | None
-    shots_used: int
+    shots_used: np.ndarray
     mode: str
     diagnostics: dict = field(default_factory=dict)
 
@@ -308,20 +283,56 @@ def invert_for_variance(
 # ---------------------------------------------------------------------------
 
 
-def _padded_unit(vec: np.ndarray, width: int) -> np.ndarray:
-    out = np.zeros(1 << width, dtype=complex)
-    out[: vec.size] = vec
-    norm = np.linalg.norm(out)
-    if norm == 0:
-        raise ValueError("cannot normalize a zero vector")
-    return out / norm
+def _phase_zero_slice(sv: Statevector) -> np.ndarray:
+    """Amplitudes with the phase register at |0>, shape (col dim, row dim)."""
+    dims = [sv.register(name).dim for name in ("phase", "col", "row")]
+    return sv.amplitudes.reshape(dims)[0]
+
+
+def _leakage(sv: Statevector) -> float:
+    amps = _phase_zero_slice(sv)
+    return float(1.0 - np.vdot(amps, amps).real)
+
+
+def _sampled_overlaps(p_accept: float, p0: np.ndarray, shots: int, seeds):
+    """Draw, per point, the accepted shots and then the test-qubit readout.
+
+    Point i uses ``default_rng(seeds[i])``: first the accepted shots out of
+    ``shots`` at acceptance ``p_accept``, then the count of test-qubit 0
+    outcomes among them at probability ``p0[i]`` clamped to [0, 1]. This is
+    the draw order of ``qsim.hadamard_test``/``swap_test`` when handed the
+    same generator. Returns the sampled ``2 P(0) - 1`` and the accepted shots.
+    An acceptance that rounding puts a few ulps above 1 (a rank-one design
+    on an exact phase bin) is drawn as 1.
+    """
+    if seeds is None:
+        seeds = [None] * p0.size
+    if len(seeds) != p0.size:
+        raise ValueError(f"{len(seeds)} seeds for {p0.size} query points")
+    overlaps = np.empty(p0.size)
+    accepted = np.empty(p0.size, dtype=int)
+    for i, (seed, p) in enumerate(zip(seeds, p0)):
+        rng = np.random.default_rng(seed)
+        n = int(rng.binomial(shots, min(p_accept, 1.0)))
+        if n == 0:
+            raise PostSelectionError(
+                f"no accepted shots out of {shots} at acceptance probability {p_accept:.3e}"
+            )
+        overlaps[i] = 2.0 * (rng.binomial(n, min(max(p, 0.0), 1.0)) / n) - 1.0
+        accepted[i] = n
+    return overlaps, accepted
 
 
 class PreparedPipeline:
-    """Query-independent pipeline state, reusable across grid points.
+    """Query-independent pipeline state, reusable across query grids.
 
-    Runs encoding, phase estimation, and both inversion branches once; each
-    posterior query then only pays for an overlap circuit.
+    Runs encoding, phase estimation, and both inversion branches once. A
+    posterior call then answers a whole grid of G query points by reading
+    the Hadamard- and SWAP-test probabilities in closed form:
+    P(0) = 1/2 + Re<b|a>/2 for the mean, and P(0) = 1/2 + <q|rho_col|q>/2 for
+    the variance, with rho_col the column-register state of the variance
+    branch. ``qsim.hadamard_test`` and ``qsim.swap_test`` are the circuits
+    these values are tested against.
     """
 
     def __init__(
@@ -336,59 +347,48 @@ class PreparedPipeline:
         self.tau = tau
         self.delta_r = default_delta_r(fm) if delta_r is None else delta_r
         self.plan = plan_encoding(fm)
-        self.data_state = prepare_data_state(self.plan)
-        self.spectral = spectral_extraction(self.data_state, fm, tau, self.delta_r)
+        width = self.plan.n_row_qubits + self.plan.n_col_qubits + tau + 1
+        if width > qsim.MAX_QUBITS:
+            raise CapacityError(
+                f"pipeline needs {width} qubits (row + col + tau + flag), "
+                f"cap {qsim.MAX_QUBITS}"
+            )
         self.constants = InversionConstants.from_feature_model(
             fm, h.noise_std, self.delta_r, tau
         )
+        self.data_state = prepare_data_state(self.plan)
+        self.spectral = spectral_extraction(self.data_state, fm, tau, self.delta_r)
         self.mean_state, self.p1 = invert_for_mean(self.spectral, self.constants)
         self.variance_state, self.p2 = invert_for_variance(self.spectral, self.constants)
+        #: 1 - phase-register mass at |0> after the inverse QPE, per branch
+        self.uncompute_leakage_mean = _leakage(self.mean_state)
+        self.uncompute_leakage_variance = _leakage(self.variance_state)
 
-    # -- helpers -------------------------------------------------------------
+    def _grid_features(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        """Scaled query features (G, 2M) and their norms (G,)."""
+        freq = self.fm.freq
+        phi = scaled_feature_vector(_as_points(xs, freq.dim), freq, self.hyper)
+        return phi, np.linalg.norm(phi, axis=1)
 
-    def _query_features(self, x_star) -> tuple[np.ndarray, float]:
-        phi_star = scaled_feature_vector(
-            _as_point(x_star, "x_star"), self.fm.freq, self.hyper
-        )
-        norm = float(np.linalg.norm(phi_star))
-        if norm == 0:
-            raise ValueError("query feature vector has zero norm")
-        return phi_star, norm
-
-    def _accepted_shots(self, prob: float, shots: int, rng) -> int:
-        accepted = int(rng.binomial(shots, prob))
-        if accepted == 0:
-            raise PostSelectionError(
-                f"no accepted shots out of {shots} at acceptance probability {prob:.3e}"
-            )
-        return accepted
-
-    # -- queries --------------------------------------------------------------
-
-    def mean_estimate(self, y, x_star, shots: int = 0, seed=None) -> PosteriorEstimate:
+    def mean_estimate(self, y, xs, shots: int = 0, seeds=None) -> PosteriorEstimate:
+        """Posterior means over the grid ``xs``; ``seeds`` holds one seed per point."""
         y = np.asarray(y, dtype=float).ravel()
+        n_rows, n_cols = self.fm.design.shape
+        if y.shape[0] != n_rows:
+            raise ValueError(f"target length {y.shape[0]} != design rows {n_rows}")
         y_norm = float(np.linalg.norm(y))
         if y_norm == 0:
             raise ValueError("targets must not be identically zero")
-        phi_star, phi_norm = self._query_features(x_star)
-        regs = self.mean_state.registers
-        col_w = self.mean_state.register("col").width
-        row_w = self.mean_state.register("row").width
-        phase_dim = self.mean_state.register("phase").dim
-        col_vec = _padded_unit(phi_star, col_w)
-        row_vec = _padded_unit(y.astype(complex), row_w)
-        phase_vec = np.zeros(phase_dim, dtype=complex)
-        phase_vec[0] = 1.0
-        reference = Statevector(
-            amplitudes=np.kron(phase_vec, np.kron(col_vec, row_vec)), registers=regs
-        )
-        shots_used = 0
-        if shots == 0:
-            overlap = qsim.hadamard_test(self.mean_state, reference)
-        else:
-            rng = np.random.default_rng(seed)
-            shots_used = self._accepted_shots(self.p1, shots, rng)
-            overlap = qsim.hadamard_test(self.mean_state, reference, shots_used, rng)
+        phi, phi_norm = self._grid_features(xs)
+        amps = _phase_zero_slice(self.mean_state)[:n_cols, :n_rows]
+        overlap = np.einsum(
+            "cr,gc,r->g", amps, phi / phi_norm[:, None], y / y_norm
+        ).real
+        shots_used = np.zeros(overlap.size, dtype=int)
+        if shots:
+            overlap, shots_used = _sampled_overlaps(
+                self.p1, 0.5 + 0.5 * overlap, shots, seeds
+            )
         scale = (
             np.sqrt(self.p1)
             / self.constants.c1
@@ -397,40 +397,30 @@ class PreparedPipeline:
             / self.fm.frobenius_norm
         )
         return PosteriorEstimate(
-            mean=float(scale * overlap),
+            mean=scale * overlap,
             variance=None,
             p1=self.p1,
             p2=None,
             shots_used=shots_used,
             mode="exact" if shots == 0 else "sampled",
-            diagnostics={"overlap": float(overlap)},
+            diagnostics={"overlap": overlap},
         )
 
-    def variance_estimate(self, x_star, shots: int = 0, seed=None) -> PosteriorEstimate:
-        phi_star, phi_norm = self._query_features(x_star)
-        col_w = self.variance_state.register("col").width
-        query_state = Statevector.from_amplitudes(
-            _padded_unit(phi_star, col_w), [("query", col_w)]
+    def variance_estimate(self, xs, shots: int = 0, seeds=None) -> PosteriorEstimate:
+        """Posterior variances over the grid ``xs``; ``seeds`` holds one seed per point."""
+        phi, phi_norm = self._grid_features(xs)
+        n_cols = self.fm.design.shape[1]
+        rho = qsim.partial_trace(self.variance_state, "col").matrix[:n_cols, :n_cols]
+        q = phi / phi_norm[:, None]
+        raw = np.einsum("gk,km,gm->g", q, rho, q).real
+        shots_used = np.zeros(raw.size, dtype=int)
+        if shots:
+            raw, shots_used = _sampled_overlaps(self.p2, 0.5 + 0.5 * raw, shots, seeds)
+        overlap = np.clip(raw, 0.0, 1.0)
+        pv = phi @ self.fm.v
+        null_sq = np.maximum(
+            np.einsum("gk,gk->g", phi, phi) - np.einsum("gr,gr->g", pv, pv), 0.0
         )
-        shots_used = 0
-        if shots == 0:
-            raw = qsim.swap_test(
-                self.variance_state, query_state, subsystem="col", clamp=False
-            )
-        else:
-            rng = np.random.default_rng(seed)
-            shots_used = self._accepted_shots(self.p2, shots, rng)
-            raw = qsim.swap_test(
-                self.variance_state,
-                query_state,
-                subsystem="col",
-                shots=shots_used,
-                seed=rng,
-                clamp=False,
-            )
-        overlap = min(max(raw, 0.0), 1.0)
-        pv = self.fm.v.T @ phi_star
-        null_sq = max(float(phi_star @ phi_star - pv @ pv), 0.0)
         spectral_var = (
             self.hyper.noise_std**2
             * self.p2
@@ -441,26 +431,10 @@ class PreparedPipeline:
         )
         return PosteriorEstimate(
             mean=None,
-            variance=max(spectral_var + null_sq, 0.0),
+            variance=np.maximum(spectral_var + null_sq, 0.0),
             p1=None,
             p2=self.p2,
             shots_used=shots_used,
             mode="exact" if shots == 0 else "sampled",
-            diagnostics={"overlap_raw": float(raw), "null_space_variance": null_sq},
+            diagnostics={"overlap_raw": raw, "null_space_variance": null_sq},
         )
-
-
-def estimate_mean(
-    fm: FeatureModel, y, x_star, h: KernelHyper, cfg: PipelineConfig
-) -> PosteriorEstimate:
-    """Quantum estimate of the posterior mean at one query point."""
-    pipe = PreparedPipeline(fm, h, cfg.tau, cfg.delta_r)
-    return pipe.mean_estimate(y, x_star, cfg.effective_shots, cfg.seed)
-
-
-def estimate_variance(
-    fm: FeatureModel, x_star, h: KernelHyper, cfg: PipelineConfig
-) -> PosteriorEstimate:
-    """Quantum estimate of the posterior variance at one query point."""
-    pipe = PreparedPipeline(fm, h, cfg.tau, cfg.delta_r)
-    return pipe.variance_estimate(x_star, cfg.effective_shots, cfg.seed)

@@ -576,15 +576,12 @@ def swap_test(
     subsystem: str | None = None,
     shots: int = 0,
     seed=None,
-    clamp: bool = True,
 ) -> float:
     """Estimate |<a|b>|^2 via the controlled-swap circuit, clamped to [0, 1].
 
     With ``subsystem`` set, only that register of ``sv_a`` is swapped against
     the whole of ``sv_b``; the estimate is then Tr(rho_sub * rho_b), which for
-    pure product inputs reduces to the squared overlap. ``clamp=False``
-    returns the raw (possibly slightly negative) sampled value for
-    diagnostics.
+    pure product inputs reduces to the squared overlap.
     """
     if subsystem is None:
         if sv_a.n_qubits != sv_b.n_qubits:
@@ -623,8 +620,6 @@ def swap_test(
         raise ValueError("shots must be nonnegative")
     else:
         overlap = 2.0 * _binary_outcome(p0, shots, seed) - 1.0
-    if not clamp:
-        return overlap
     return min(max(overlap, 0.0), 1.0)
 
 

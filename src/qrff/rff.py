@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import Dataset, KernelHyper, Posterior, _as_point
+from .kernel import Dataset, KernelHyper, Posterior, _as_points
 
 #: singular values below this fraction of the largest are dropped from the rank
 RANK_CUTOFF = 1e-12
@@ -86,19 +86,25 @@ def sample_frequencies(M: int, h: KernelHyper, d: int, seed: int) -> FrequencySe
 
 
 def feature_map(x, freq: FrequencySet) -> np.ndarray:
-    """Unscaled feature vector (cos, sin interleaved), length 2M, norm sqrt(M)."""
-    xv = _as_point(x)
-    if xv.size != freq.dim:
-        raise ValueError(f"point dimension {xv.size} != frequency dimension {freq.dim}")
-    phase = 2.0 * np.pi * (freq.frequencies @ xv)
-    out = np.empty(2 * freq.n_frequencies)
-    out[0::2] = np.cos(phase)
-    out[1::2] = np.sin(phase)
+    """Unscaled features (cos, sin interleaved), norm sqrt(M) per point.
+
+    A single point of shape (d,) gives a vector of length 2M; a grid of shape
+    (G, d) gives one row per point, shape (G, 2M).
+    """
+    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    if xv.ndim > 2 or xv.shape[-1] != freq.dim:
+        raise ValueError(f"point shape {xv.shape} does not match frequency dimension {freq.dim}")
+    if not np.isfinite(xv).all():
+        raise ValueError("x contains non-finite values")
+    phase = 2.0 * np.pi * (xv @ freq.frequencies.T)
+    out = np.empty(phase.shape[:-1] + (2 * freq.n_frequencies,))
+    out[..., 0::2] = np.cos(phase)
+    out[..., 1::2] = np.sin(phase)
     return out
 
 
 def scaled_feature_vector(x, freq: FrequencySet, h: KernelHyper) -> np.ndarray:
-    """Feature vector carrying the kernel prefactor: sqrt(signal_std**2 / M) * phi(x)."""
+    """Features carrying the kernel prefactor: sqrt(signal_std**2 / M) * phi(x)."""
     return np.sqrt(h.signal_std**2 / freq.n_frequencies) * feature_map(x, freq)
 
 
@@ -106,7 +112,7 @@ def build_feature_model(ds: Dataset, freq: FrequencySet, h: KernelHyper) -> Feat
     """Assemble the scaled design matrix and its rank-truncated SVD."""
     if ds.dim != freq.dim:
         raise ValueError(f"dataset dimension {ds.dim} != frequency dimension {freq.dim}")
-    X = np.array([scaled_feature_vector(x, freq, h) for x in ds.inputs])
+    X = scaled_feature_vector(ds.inputs, freq, h)
     fro = float(np.linalg.norm(X))
     if fro == 0.0:
         # unreachable for cos-leading features; guards future kernels
@@ -123,8 +129,8 @@ def build_feature_model(ds: Dataset, freq: FrequencySet, h: KernelHyper) -> Feat
     )
 
 
-def rff_posterior(fm: FeatureModel, y, x_star, h: KernelHyper) -> Posterior:
-    """Reduced-rank posterior at ``x_star`` via the spectral sum.
+def rff_posterior(fm: FeatureModel, y, xs, h: KernelHyper) -> Posterior:
+    """Reduced-rank posterior over the query grid ``xs`` via the spectral sum.
 
     mean      = sum_r lam_r / (lam_r^2 + noise^2) * (phi*^T v_r) (u_r^T y)
     variance  = noise^2 * sum_r (phi*^T v_r)^2 / (lam_r^2 + noise^2)
@@ -140,12 +146,12 @@ def rff_posterior(fm: FeatureModel, y, x_star, h: KernelHyper) -> Posterior:
         raise np.linalg.LinAlgError(
             "rank-deficient design with zero noise_std: posterior is singular"
         )
-    phi_star = scaled_feature_vector(x_star, fm.freq, h)
-    pv = fm.v.T @ phi_star
+    phi_star = scaled_feature_vector(_as_points(xs, fm.freq.dim), fm.freq, h)
+    pv = phi_star @ fm.v
     uy = fm.u.T @ y
     lam = fm.singular_values
     denom = lam**2 + h.noise_std**2
-    mean = float(np.sum(lam / denom * pv * uy))
-    null_sq = float(phi_star @ phi_star - pv @ pv)
-    variance = float(h.noise_std**2 * np.sum(pv**2 / denom)) + max(null_sq, 0.0)
-    return Posterior(mean=mean, variance=max(variance, 0.0))
+    mean = np.sum(lam / denom * pv * uy, axis=1)
+    null_sq = np.einsum("gk,gk->g", phi_star, phi_star) - np.einsum("gr,gr->g", pv, pv)
+    variance = h.noise_std**2 * np.sum(pv**2 / denom, axis=1) + np.maximum(null_sq, 0.0)
+    return Posterior(mean=mean, variance=np.maximum(variance, 0.0))

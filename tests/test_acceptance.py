@@ -73,23 +73,15 @@ def test_criterion_2_variance_oracle_equivalence(paper_exact_report):
 def test_criterion_3_sampled_mode_statistics(
     paper_pipeline, paper_dataset, paper_feature_model, paper_hyper, grid50
 ):
-    rff_means = np.array(
-        [
-            rff_posterior(paper_feature_model, paper_dataset.targets, [x], paper_hyper).mean
-            for x in grid50
-        ]
-    )
+    rff_means = rff_posterior(
+        paper_feature_model, paper_dataset.targets, grid50, paper_hyper
+    ).mean
     rmses = []
     for shot_seed in range(5):
         children = np.random.SeedSequence(shot_seed).spawn(len(grid50))
-        sampled = np.array(
-            [
-                paper_pipeline.mean_estimate(
-                    paper_dataset.targets, [x], shots=1_000_000, seed=children[i]
-                ).mean
-                for i, x in enumerate(grid50)
-            ]
-        )
+        sampled = paper_pipeline.mean_estimate(
+            paper_dataset.targets, grid50, shots=1_000_000, seeds=children
+        ).mean
         rmse = float(np.sqrt(np.mean((sampled - rff_means) ** 2)))
         rmses.append(rmse)
         assert rmse <= 0.1
@@ -216,17 +208,13 @@ def test_criterion_7_rff_convergence(paper_dataset, paper_hyper, grid50):
     ratio = float(np.median(ratios))
     assert 0.35 <= ratio <= 0.70
 
-    exact_means = np.array(
-        [exact_posterior(paper_dataset, paper_hyper, [x]).mean for x in grid50]
-    )
+    exact_means = exact_posterior(paper_dataset, paper_hyper, grid50).mean
     curves = []
     for s in range(20):
         fm = build_feature_model(
             paper_dataset, sample_frequencies(256, paper_hyper, 1, seed=4000 + s), paper_hyper
         )
-        curves.append(
-            [rff_posterior(fm, paper_dataset.targets, [x], paper_hyper).mean for x in grid50]
-        )
+        curves.append(rff_posterior(fm, paper_dataset.targets, grid50, paper_hyper).mean)
     rmse = float(np.sqrt(np.mean((np.mean(curves, axis=0) - exact_means) ** 2)))
     assert rmse <= 0.05
     print(

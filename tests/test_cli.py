@@ -6,6 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from qrff import qsim
 from qrff.cli import (
     RunConfig,
     emit_outputs,
@@ -94,10 +95,10 @@ class TestRunExperiment:
         ds = generate_dataset(cfg)
         freq = sample_frequencies(cfg.n_frequencies, cfg.hyper, 1, cfg.seed_freq)
         fm = build_feature_model(ds, freq, cfg.hyper)
-        for rec in report.records:
-            post = rff_posterior(fm, ds.targets, [rec.x], cfg.hyper)
-            assert rec.mean_rff == pytest.approx(post.mean, abs=1e-8)
-            assert rec.var_rff == pytest.approx(post.variance, abs=1e-8)
+        post = rff_posterior(fm, ds.targets, [rec.x for rec in report.records], cfg.hyper)
+        for i, rec in enumerate(report.records):
+            assert rec.mean_rff == pytest.approx(post.mean[i], abs=1e-8)
+            assert rec.var_rff == pytest.approx(post.variance[i], abs=1e-8)
 
     def test_degenerate_single_point(self):
         cfg = RunConfig(n_points=1, n_frequencies=1, tau=6, grid_count=3, seed_freq=2)
@@ -105,14 +106,12 @@ class TestRunExperiment:
         assert len(report.records) == 3
         assert all(np.isfinite(r.mean_qrff) for r in report.records)
 
-    def test_worker_pool_matches_serial(self):
-        cfg1 = RunConfig(**SMALL, workers=1)
-        cfg4 = RunConfig(**SMALL, workers=4)
-        a = run_experiment(cfg1)
-        b = run_experiment(cfg4)
-        for ra, rb in zip(a.records, b.records):
-            assert ra.mean_qrff == rb.mean_qrff
-            assert ra.var_qrff == rb.var_qrff
+    def test_setup_width_is_the_whole_qubit_budget(self, monkeypatch):
+        # 4 row + 2 col + 6 phase + 1 flag = 13 qubits: setup fits the cap exactly,
+        # and the readout must not need a wider composite state
+        monkeypatch.setattr(qsim, "MAX_QUBITS", 13)
+        report = run_experiment(RunConfig(n_points=16, n_frequencies=2, tau=6, grid_count=3))
+        assert all(np.isfinite(r.var_qrff) for r in report.records)
 
 
 class TestEmitOutputs:
@@ -146,6 +145,18 @@ class TestEmitOutputs:
         for line in text.splitlines():
             key, sep, value = line.partition(" = ")
             assert sep and key and float(value) is not None
+
+    def test_summary_reports_uncompute_leakage(self, tmp_path):
+        cfg = RunConfig(**SMALL, out_dir=str(tmp_path / "out"))
+        emit_outputs(run_experiment(cfg), cfg)
+        summary = dict(
+            line.split(" = ")
+            for line in (pathlib.Path(cfg.out_dir) / "summary.txt").read_text().splitlines()
+        )
+        for key in ("uncompute_leakage_mean", "uncompute_leakage_variance"):
+            assert -1e-12 <= float(summary[key]) < 1.0
+        header = (pathlib.Path(cfg.out_dir) / "results.csv").read_text().splitlines()[0]
+        assert "leakage" not in header
 
     def test_io_error_exit_code(self, tmp_path, capsys):
         blocker = tmp_path / "file"

@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from qrff import qsim
-from qrff.errors import ConfigError
+from qrff.cli import RunConfig
+from qrff.errors import CapacityError, ConfigError
 from qrff.kernel import Dataset, KernelHyper
 from qrff.pipeline import (
     InversionConstants,
-    PipelineConfig,
     PreparedPipeline,
-    estimate_mean,
-    estimate_variance,
     plan_encoding,
     prepare_data_state,
     spectral_extraction,
@@ -229,6 +227,16 @@ class TestInversionBranches:
         assert pipe.p1 == pytest.approx(pred.p1(), abs=1e-10)
         assert pipe.p2 == pytest.approx(pred.p2(), abs=1e-10)
 
+    def test_uncompute_leakage_is_phase_register_mass(self, paper_pipeline):
+        for sv, leakage in (
+            (paper_pipeline.mean_state, paper_pipeline.uncompute_leakage_mean),
+            (paper_pipeline.variance_state, paper_pipeline.uncompute_leakage_variance),
+        ):
+            # the marginal renormalises; the state's norm drifts ~1e-12 over the circuits
+            mass0 = qsim._marginal_probabilities(sv, sv.register("phase"))[0]
+            assert leakage == pytest.approx(1.0 - mass0, abs=1e-10)
+            assert 0.0 < leakage < 1e-3
+
     def test_mean_state_matches_classical_target(self, paper_pipeline, paper_feature_model):
         fm = paper_feature_model
         ic = paper_pipeline.constants
@@ -268,7 +276,7 @@ class TestPosteriorEstimates:
             * float(phi_star @ (phi1 / np.linalg.norm(phi1)))
             * ds.targets[0]
         )
-        assert est.mean == pytest.approx(expected, abs=1e-10)
+        assert est.mean[0] == pytest.approx(expected, abs=1e-10)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_exact_mode_equals_binned_oracle(self, seed):
@@ -276,12 +284,13 @@ class TestPosteriorEstimates:
         h, ds, fm = resolved_small_model(tau, seed_data=seed + 7, seed_freq=seed + 40)
         pipe = PreparedPipeline(fm, h, tau)
         pred = BinnedPrediction(fm, h.noise_std, pipe.delta_r, tau)
-        for x in np.linspace(0.3, 5.9, 5):
+        grid = np.linspace(0.3, 5.9, 5)
+        m = pipe.mean_estimate(ds.targets, grid)
+        v = pipe.variance_estimate(grid)
+        for i, x in enumerate(grid):
             phi_star = scaled_feature_vector([x], fm.freq, h)
-            m = pipe.mean_estimate(ds.targets, [x])
-            v = pipe.variance_estimate([x])
-            assert m.mean == pytest.approx(pred.mean(phi_star, ds.targets), abs=1e-8)
-            assert v.variance == pytest.approx(pred.variance(phi_star), abs=1e-8)
+            assert m.mean[i] == pytest.approx(pred.mean(phi_star, ds.targets), abs=1e-8)
+            assert v.variance[i] == pytest.approx(pred.variance(phi_star), abs=1e-8)
 
     def test_orthogonal_query_leaves_null_space_variance(self):
         # engineered so the query features are exactly orthogonal to the design
@@ -291,53 +300,138 @@ class TestPosteriorEstimates:
         fm = build_feature_model(ds, freq, h)
         pipe = PreparedPipeline(fm, h, tau=5, delta_r=2.0)
         est = pipe.variance_estimate([1.0])  # phase = pi/2: features (0, sigma)
-        assert est.diagnostics["overlap_raw"] == pytest.approx(0.0, abs=1e-10)
-        assert est.variance == pytest.approx(h.signal_std**2, abs=1e-10)
+        assert est.diagnostics["overlap_raw"][0] == pytest.approx(0.0, abs=1e-10)
+        assert est.variance[0] == pytest.approx(h.signal_std**2, abs=1e-10)
         direct = rff_posterior(fm, ds.targets, [1.0], h)
-        assert est.variance == pytest.approx(direct.variance, abs=1e-10)
+        assert est.variance[0] == pytest.approx(direct.variance[0], abs=1e-10)
 
-    def test_zero_targets_rejected(self, paper_feature_model, paper_hyper):
-        pipe_cfg = PipelineConfig(tau=6)
+    def test_zero_targets_rejected(self, paper_pipeline):
         with pytest.raises(ValueError):
-            estimate_mean(
-                paper_feature_model, np.zeros(16), [1.0], paper_hyper, pipe_cfg
-            )
+            paper_pipeline.mean_estimate(np.zeros(16), [1.0])
 
     def test_sampled_mode_deterministic(self):
         h, ds, fm = resolved_small_model(6, seed_data=0, seed_freq=21)
         pipe = PreparedPipeline(fm, h, tau=6)
-        a = pipe.mean_estimate(ds.targets, [1.0], shots=10_000, seed=5)
-        b = pipe.mean_estimate(ds.targets, [1.0], shots=10_000, seed=5)
-        c = pipe.mean_estimate(ds.targets, [1.0], shots=10_000, seed=6)
-        assert a.mean == b.mean and a.shots_used == b.shots_used
-        assert c.mean != a.mean
-        va = pipe.variance_estimate([1.0], shots=10_000, seed=5)
-        vb = pipe.variance_estimate([1.0], shots=10_000, seed=5)
-        assert va.variance == vb.variance
+        a = pipe.mean_estimate(ds.targets, [1.0], shots=10_000, seeds=[5])
+        b = pipe.mean_estimate(ds.targets, [1.0], shots=10_000, seeds=[5])
+        c = pipe.mean_estimate(ds.targets, [1.0], shots=10_000, seeds=[6])
+        assert np.array_equal(a.mean, b.mean)
+        assert np.array_equal(a.shots_used, b.shots_used)
+        assert c.mean[0] != a.mean[0]
+        va = pipe.variance_estimate([1.0], shots=10_000, seeds=[5])
+        vb = pipe.variance_estimate([1.0], shots=10_000, seeds=[5])
+        assert np.array_equal(va.variance, vb.variance)
 
     def test_sampled_variance_nonnegative(self):
         h, ds, fm = resolved_small_model(6, seed_data=2, seed_freq=6)
         pipe = PreparedPipeline(fm, h, tau=6)
-        for seed in range(10):
-            est = pipe.variance_estimate([4.0], shots=200, seed=seed)
-            assert est.variance >= 0.0
+        est = pipe.variance_estimate([4.0] * 10, shots=200, seeds=range(10))
+        assert np.all(est.variance >= 0.0)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            PipelineConfig(tau=0)
+            RunConfig(tau=0)
         with pytest.raises(ConfigError):
-            PipelineConfig(tau=5, mode="sampled", shots=0)
+            RunConfig(tau=5, mode="sampled", shots=0)
         with pytest.raises(ConfigError):
-            PipelineConfig(tau=5, mode="nope")
+            RunConfig(tau=5, mode="nope")
 
-    def test_estimate_ops_single_call(self, paper_hyper):
+    def test_grid_estimates_shapes_and_acceptance(self):
         h, ds, fm = resolved_small_model(6, seed_data=1, seed_freq=21)
-        cfg = PipelineConfig(tau=6)
-        m = estimate_mean(fm, ds.targets, [2.0], h, cfg)
-        v = estimate_variance(fm, [2.0], h, cfg)
-        assert m.mean is not None and m.p1 is not None and m.variance is None
-        assert v.variance is not None and v.p2 is not None and v.mean is None
+        pipe = PreparedPipeline(fm, h, tau=6)
+        grid = np.linspace(0.0, 6.0, 7)
+        m = pipe.mean_estimate(ds.targets, grid)
+        v = pipe.variance_estimate(grid)
+        assert m.mean.shape == (7,) and m.variance is None and m.p2 is None
+        assert v.variance.shape == (7,) and v.mean is None and v.p1 is None
         assert 0 < m.p1 <= 1 and 0 < v.p2 <= 1
+        assert not m.shots_used.any() and not v.shots_used.any()
+
+
+def _oracle_designs():
+    """Small resolved designs, the N=1 (M > N) design and the orthogonal-query design."""
+    designs = []
+    for seed in range(3):
+        h, ds, fm = resolved_small_model(6, seed_data=seed, seed_freq=seed + 30)
+        designs.append((h, ds, fm, 6, None, np.linspace(0.0, 6.0, 5)))
+    h = KernelHyper(1.5, 1.0, 0.1)
+    ds = Dataset(np.array([[0.3]]), np.array([0.7]))
+    fm = build_feature_model(ds, sample_frequencies(2, h, 1, 2), h)
+    designs.append((h, ds, fm, 6, 2.0, np.array([0.0, 1.1, 4.0])))
+    freq = FrequencySet(frequencies=np.array([[0.25]]), seed=0)
+    ds = Dataset(np.array([[0.0]]), np.array([0.5]))
+    fm = build_feature_model(ds, freq, h)
+    designs.append((h, ds, fm, 5, 2.0, np.array([1.0, 0.4])))
+    return designs
+
+
+def _circuit_references(pipe, y, x):
+    """Reference states of the Hadamard test (mean) and SWAP test (variance) at one point."""
+    col_w = pipe.mean_state.register("col").width
+    row_w = pipe.mean_state.register("row").width
+    phase_dim = pipe.mean_state.register("phase").dim
+    phi = scaled_feature_vector([x], pipe.fm.freq, pipe.hyper)
+    col = np.zeros(1 << col_w)
+    col[: phi.size] = phi / np.linalg.norm(phi)
+    row = np.zeros(1 << row_w)
+    row[: y.size] = y / np.linalg.norm(y)
+    phase = np.zeros(phase_dim)
+    phase[0] = 1.0
+    reference = qsim.Statevector(
+        amplitudes=np.kron(phase, np.kron(col, row)), registers=pipe.mean_state.registers
+    )
+    query = qsim.Statevector.from_amplitudes(col, [("query", col_w)])
+    return reference, query
+
+
+class TestBatchedReadoutMatchesCircuits:
+    @pytest.mark.parametrize("design", range(5))
+    def test_exact_overlaps(self, design):
+        h, ds, fm, tau, delta_r, grid = _oracle_designs()[design]
+        pipe = PreparedPipeline(fm, h, tau, delta_r)
+        m = pipe.mean_estimate(ds.targets, grid)
+        v = pipe.variance_estimate(grid)
+        for i, x in enumerate(grid):
+            reference, query = _circuit_references(pipe, ds.targets, x)
+            hadamard = qsim.hadamard_test(pipe.mean_state, reference)
+            swap = qsim.swap_test(pipe.variance_state, query, subsystem="col")
+            assert abs(m.diagnostics["overlap"][i] - hadamard) <= 1e-12
+            assert abs(np.clip(v.diagnostics["overlap_raw"][i], 0, 1) - swap) <= 1e-12
+
+    @pytest.mark.parametrize("design", range(5))
+    def test_sampled_draws(self, design):
+        h, ds, fm, tau, delta_r, grid = _oracle_designs()[design]
+        pipe = PreparedPipeline(fm, h, tau, delta_r)
+        shots = 5_000
+        seeds = np.random.SeedSequence(design).spawn(2 * grid.size)
+        m = pipe.mean_estimate(ds.targets, grid, shots, seeds[: grid.size])
+        v = pipe.variance_estimate(grid, shots, seeds[grid.size :])
+        for i, x in enumerate(grid):
+            reference, query = _circuit_references(pipe, ds.targets, x)
+            rng = np.random.default_rng(seeds[i])
+            accepted = int(rng.binomial(shots, min(pipe.p1, 1.0)))
+            hadamard = qsim.hadamard_test(pipe.mean_state, reference, accepted, rng)
+            assert m.shots_used[i] == accepted
+            assert m.diagnostics["overlap"][i] == hadamard
+            rng = np.random.default_rng(seeds[grid.size + i])
+            accepted = int(rng.binomial(shots, min(pipe.p2, 1.0)))
+            swap = qsim.swap_test(
+                pipe.variance_state, query, subsystem="col", shots=accepted, seed=rng
+            )
+            assert v.shots_used[i] == accepted
+            assert np.clip(v.diagnostics["overlap_raw"][i], 0, 1) == swap
+
+
+class TestCapacityPlan:
+    def test_refused_before_encoding(self, monkeypatch):
+        # 4 row + 2 col + 6 phase + 1 flag = 13 qubits against a cap of 12
+        h, ds, fm = small_model(n_points=16, m_freq=2)
+        qpe_calls = []
+        monkeypatch.setattr(qsim, "MAX_QUBITS", 12)
+        monkeypatch.setattr(qsim, "qpe", lambda *args, **kw: qpe_calls.append(args))
+        with pytest.raises(CapacityError):
+            PreparedPipeline(fm, h, tau=6)
+        assert qpe_calls == []
 
 
 class TestGaugeInvariance:
@@ -369,17 +463,12 @@ class TestTauMonotonicity:
         self, paper_feature_model, paper_dataset, paper_hyper, paper_pipeline
     ):
         grid = np.linspace(0, 2 * np.pi, 10)
-        rff_means = np.array(
-            [
-                rff_posterior(paper_feature_model, paper_dataset.targets, [x], paper_hyper).mean
-                for x in grid
-            ]
-        )
+        rff_means = rff_posterior(
+            paper_feature_model, paper_dataset.targets, grid, paper_hyper
+        ).mean
 
         def max_dev(pipe):
-            q = np.array(
-                [pipe.mean_estimate(paper_dataset.targets, [x]).mean for x in grid]
-            )
+            q = pipe.mean_estimate(paper_dataset.targets, grid).mean
             return np.max(np.abs(q - rff_means))
 
         devs = []

@@ -103,9 +103,8 @@ class TestFeatureModel:
 
 class TestRffPosterior:
     def test_zero_targets_give_zero_mean(self, paper_feature_model, paper_hyper):
-        for x in (0.0, 1.0, 4.4):
-            post = rff_posterior(paper_feature_model, np.zeros(16), [x], paper_hyper)
-            assert post.mean == 0.0
+        post = rff_posterior(paper_feature_model, np.zeros(16), [0.0, 1.0, 4.4], paper_hyper)
+        assert np.all(post.mean == 0.0)
 
     def test_spectral_sum_matches_dense_solve(
         self, paper_feature_model, paper_dataset, paper_hyper, grid50
@@ -113,18 +112,16 @@ class TestRffPosterior:
         # independent oracle: direct weight-space solve
         X = paper_feature_model.design
         A = X.T @ X + paper_hyper.noise_std**2 * np.eye(X.shape[1])
-        for x in grid50:
+        post = rff_posterior(paper_feature_model, paper_dataset.targets, grid50, paper_hyper)
+        for i, x in enumerate(grid50):
             phi = scaled_feature_vector([x], paper_feature_model.freq, paper_hyper)
             w = np.linalg.solve(A, X.T @ paper_dataset.targets)
             mean_direct = float(phi @ w)
             var_direct = float(
                 paper_hyper.noise_std**2 * phi @ np.linalg.solve(A, phi)
             )
-            post = rff_posterior(
-                paper_feature_model, paper_dataset.targets, [x], paper_hyper
-            )
-            assert post.mean == pytest.approx(mean_direct, abs=1e-8)
-            assert post.variance == pytest.approx(var_direct, abs=1e-8)
+            assert post.mean[i] == pytest.approx(mean_direct, abs=1e-8)
+            assert post.variance[i] == pytest.approx(var_direct, abs=1e-8)
 
     def test_permutation_invariance(self, paper_dataset, paper_hyper):
         freq = sample_frequencies(2, paper_hyper, 1, seed=21)
@@ -133,20 +130,18 @@ class TestRffPosterior:
         perm = rng.permutation(16)
         shuffled = Dataset(paper_dataset.inputs[perm], paper_dataset.targets[perm])
         fm_perm = build_feature_model(shuffled, freq, paper_hyper)
-        for x in (0.7, 3.1):
-            a = rff_posterior(fm, paper_dataset.targets, [x], paper_hyper)
-            b = rff_posterior(fm_perm, shuffled.targets, [x], paper_hyper)
-            assert a.mean == pytest.approx(b.mean, abs=1e-10)
-            assert a.variance == pytest.approx(b.variance, abs=1e-10)
+        a = rff_posterior(fm, paper_dataset.targets, [0.7, 3.1], paper_hyper)
+        b = rff_posterior(fm_perm, shuffled.targets, [0.7, 3.1], paper_hyper)
+        assert a.mean == pytest.approx(b.mean, abs=1e-10)
+        assert a.variance == pytest.approx(b.variance, abs=1e-10)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_variance_nonnegative(self, seed, paper_dataset, paper_hyper):
         freq = sample_frequencies(3, paper_hyper, 1, seed=seed)
         fm = build_feature_model(paper_dataset, freq, paper_hyper)
         rng = np.random.default_rng(seed)
-        for x in rng.uniform(-2, 9, size=8):
-            post = rff_posterior(fm, paper_dataset.targets, [x], paper_hyper)
-            assert post.variance >= 0.0
+        post = rff_posterior(fm, paper_dataset.targets, rng.uniform(-2, 9, size=8), paper_hyper)
+        assert np.all(post.variance >= 0.0)
 
     def test_zero_noise_rank_deficient_raises(self, paper_dataset):
         h = KernelHyper(1.5, 1.0, 0.0)
