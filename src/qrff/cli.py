@@ -263,7 +263,8 @@ def _run_selftest() -> int:
         print(f"{'PASS' if ok else 'FAIL'}: {name}")
         failures += 0 if ok else 1
 
-    gate = GateOp.multi_controlled_ry(0.7, 0, [1, 2], [1, 0])
+    # Ry(0.7) where qubits 1, 2 read 1, 0 (control value 1), identity elsewhere
+    gate = GateOp.ry([0.0, 0.7, 0.0, 0.0], 0, [1, 2])
     mat = qsim.realized_matrix(gate, 3)
     check("gate unitarity", np.max(np.abs(mat.conj().T @ mat - np.eye(8))) < 1e-10)
 

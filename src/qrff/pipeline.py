@@ -3,8 +3,9 @@
 Stages: encode the scaled design matrix as amplitudes over (column, row)
 registers, extract the squared normalized singular values by phase estimation
 of exp(i * rho * t) with rho the column-register reduced density operator,
-rotate a flag qubit by an eigenvalue-conditioned inversion profile,
-post-select, un-compute the phase register, and read posterior quantities off
+apply an eigenvalue-conditioned inversion profile with post-selection (the
+flag qubit's rotation and projection folded into a per-bin weight),
+un-compute the phase register, and read posterior quantities off
 the closed-form outcome probabilities of a Hadamard test (mean) and a SWAP
 test (variance), for a whole grid of query points at once.
 
@@ -33,11 +34,10 @@ DELTA_R_HEADROOM = 1.05
 
 @dataclass(frozen=True)
 class EncodingPlan:
-    """Angle schedule turning a design matrix into register amplitudes.
+    """Rotation angles turning a design matrix into register amplitudes.
 
-    One rotation per (row, frequency) pair; the pattern runs over the row
-    qubits then the frequency-pair qubits, and the rotation targets the
-    cos/sin qubit (lowest column bit).
+    ``angles[j, r]`` rotates the cos/sin qubit (lowest column bit) where the
+    row register reads ``j`` and the frequency-pair qubits read ``r``.
     """
 
     n_row_qubits: int
@@ -46,7 +46,7 @@ class EncodingPlan:
     padded_cols: int
     row_count: int
     freq_count: int
-    angle_schedule: tuple[tuple[tuple[int, ...], float], ...]
+    angles: np.ndarray = field(repr=False)
     frobenius_norm: float
 
 
@@ -89,10 +89,12 @@ class InversionConstants:
             )
         st2 = noise_std**2 / fm.frobenius_norm**2
         bins = np.round(lam_t2 / delta_r * (1 << tau)).astype(int)
-        if (bins == 0).any():
+        # bin 2^tau wraps: the tau-qubit phase register reads it as bin 0
+        if (bins % (1 << tau) == 0).any():
             raise ConfigError(
-                "a retained singular value decodes to eigenvalue bin 0; "
-                "increase tau or decrease delta_r"
+                "a retained singular value decodes to eigenvalue bin 0 "
+                f"(or rounds up to 2^tau = {1 << tau}, which wraps to 0); "
+                "increase tau or change delta_r"
             )
         lam_hat2 = bins * delta_r / (1 << tau)
         c1 = float(np.min(lam_hat2 + st2))
@@ -151,7 +153,7 @@ class PosteriorEstimate:
 
 
 def plan_encoding(fm: FeatureModel) -> EncodingPlan:
-    """Derive the rotation schedule from the design matrix.
+    """Derive the rotation angles from the design matrix.
 
     Angles are read back from each (cos, sin) pair, which reproduces the
     original feature phases modulo 2*pi and keeps the plan self-contained.
@@ -160,14 +162,6 @@ def plan_encoding(fm: FeatureModel) -> EncodingPlan:
     m_freq = fm.freq.n_frequencies
     n_row_qubits = max(int(np.ceil(np.log2(n_rows))), 0)
     n_col_qubits = int(np.ceil(np.log2(n_cols)))
-    pair_qubits = n_col_qubits - 1
-    schedule = []
-    for j in range(n_rows):
-        for r in range(m_freq):
-            theta = float(np.arctan2(fm.design[j, 2 * r + 1], fm.design[j, 2 * r]))
-            pattern = [(j >> b) & 1 for b in range(n_row_qubits)]
-            pattern += [(r >> b) & 1 for b in range(pair_qubits)]
-            schedule.append((tuple(pattern), theta))
     return EncodingPlan(
         n_row_qubits=n_row_qubits,
         n_col_qubits=n_col_qubits,
@@ -175,7 +169,7 @@ def plan_encoding(fm: FeatureModel) -> EncodingPlan:
         padded_cols=1 << n_col_qubits,
         row_count=n_rows,
         freq_count=m_freq,
-        angle_schedule=tuple(schedule),
+        angles=np.arctan2(fm.design[:, 1::2], fm.design[:, 0::2]),
         frobenius_norm=fm.frobenius_norm,
     )
 
@@ -195,11 +189,10 @@ def prepare_data_state(plan: EncodingPlan) -> Statevector:
     pair_qubits = col.qubits()[1:]
     ops = qsim.uniform_prep_ops(plan.row_count, row_qubits)
     ops += qsim.uniform_prep_ops(plan.freq_count, pair_qubits)
-    controls = row_qubits + pair_qubits
-    for pattern, theta in plan.angle_schedule:
-        if theta == 0.0:
-            continue
-        ops.append(GateOp.multi_controlled_ry(theta, trig_qubit, controls, pattern))
+    # control value v = row + padded_rows * pair, zero angles on padding
+    theta = np.zeros((1 << len(pair_qubits), plan.padded_rows))
+    theta[: plan.freq_count, : plan.row_count] = plan.angles.T
+    ops.append(GateOp.ry(theta.ravel(), trig_qubit, row_qubits + pair_qubits))
     return qsim.apply_circuit(sv, ops)
 
 
@@ -238,28 +231,16 @@ def spectral_extraction(
 def _conditional_inversion(
     sr: SpectralRegisters, profile: np.ndarray
 ) -> tuple[Statevector, float]:
-    """Rotate a flag qubit by the per-bin profile, post-select |1>, un-compute.
+    """Post-select on the per-bin profile, then un-compute the phase register.
 
-    Returns the renormalized state (still carrying the phase register, which
-    the un-computation leaves approximately at |0>) and the exact acceptance
-    probability.
+    The paper's circuit rotates a flag qubit by Ry(arcsin profile[b]) where
+    the phase register reads b and post-selects the flag on |1>; that equals
+    scaling each bin's slice by ``profile[b]`` and renormalizing, which
+    ``qsim.postselect`` does without the flag. Returns the renormalized state
+    (still carrying the phase register, which the un-computation leaves
+    approximately at |0>) and the exact acceptance probability.
     """
-    sv = qsim.append_register(sr.sv, "flag", 1)
-    flag = sv.register("flag").offset
-    phase_qubits = sv.register("phase").qubits()
-    tau = len(phase_qubits)
-    ops = []
-    for b in range(1 << tau):
-        amp = profile[b]
-        if amp == 0.0:
-            continue
-        pattern = [(b >> k) & 1 for k in range(tau)]
-        ops.append(
-            GateOp.multi_controlled_ry(float(np.arcsin(amp)), flag, phase_qubits, pattern)
-        )
-    sv = qsim.apply_circuit(sv, ops)
-    sv, prob = qsim.postselect(sv, flag, 1)
-    sv = qsim.drop_register(sv, "flag", 1)
+    sv, prob = qsim.postselect(sr.sv, "phase", profile)
     sv = qsim.inverse_qpe(sv, sr.unitary, "col", "phase")
     return sv, prob
 
@@ -302,8 +283,6 @@ def _sampled_overlaps(p_accept: float, p0: np.ndarray, shots: int, seeds):
     outcomes among them at probability ``p0[i]`` clamped to [0, 1]. This is
     the draw order of ``qsim.hadamard_test``/``swap_test`` when handed the
     same generator. Returns the sampled ``2 P(0) - 1`` and the accepted shots.
-    An acceptance that rounding puts a few ulps above 1 (a rank-one design
-    on an exact phase bin) is drawn as 1.
     """
     if seeds is None:
         seeds = [None] * p0.size
@@ -313,7 +292,7 @@ def _sampled_overlaps(p_accept: float, p0: np.ndarray, shots: int, seeds):
     accepted = np.empty(p0.size, dtype=int)
     for i, (seed, p) in enumerate(zip(seeds, p0)):
         rng = np.random.default_rng(seed)
-        n = int(rng.binomial(shots, min(p_accept, 1.0)))
+        n = int(rng.binomial(shots, p_accept))
         if n == 0:
             raise PostSelectionError(
                 f"no accepted shots out of {shots} at acceptance probability {p_accept:.3e}"

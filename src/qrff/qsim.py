@@ -1,5 +1,8 @@
 """Dense statevector simulator with named registers.
 
+Every gate is one uniformly controlled ``GateOp``, a stack of unitaries
+indexed by the control value, applied by one batched matmul.
+
 Basis convention: qubit ``q`` carries weight ``2**q`` in the amplitude index,
 registers are contiguous qubit ranges, and the first-listed register occupies
 the lowest bits. A register's value is read little-endian within the register.
@@ -7,7 +10,7 @@ the lowest bits. A register's value is read little-endian within the register.
 Ry convention: ``Ry(theta)`` rotates by the full angle,
 ``[[cos t, -sin t], [sin t, cos t]]`` (equal to the half-angle convention at
 ``2*theta``), so circuit angles can be used directly as written in the
-encoding schedule.
+encoding plan.
 """
 
 from __future__ import annotations
@@ -31,24 +34,6 @@ _SWAP_MATRIX = np.array(
 )
 
 
-def _ry_matrix(theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def _check_unitary(mat: np.ndarray, what: str) -> np.ndarray:
-    mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{what}: matrix must be square, got shape {mat.shape}")
-    dim = mat.shape[0]
-    if dim & (dim - 1) or dim == 0:
-        raise ValueError(f"{what}: dimension {dim} is not a power of two")
-    err = np.max(np.abs(mat.conj().T @ mat - np.eye(dim)))
-    if err > _UNITARY_TOL:
-        raise ValueError(f"{what}: matrix is not unitary (deviation {err:.2e})")
-    return mat
-
-
 class Register(NamedTuple):
     name: str
     offset: int
@@ -64,131 +49,68 @@ class Register(NamedTuple):
 
 @dataclass(frozen=True)
 class GateOp:
-    """A single gate: targets, optional controls with a 0/1 pattern, parameters.
+    """A uniformly controlled gate: one unitary on the targets per control value.
 
-    Target ``targets[m]`` carries weight ``2**m`` in the gate's local index.
+    ``matrices`` has shape (2^c, 2^k, 2^k) for c controls and k targets, and
+    ``matrices[v]`` acts on the targets where the controls read ``v``.
+    Control ``controls[i]`` carries weight ``2**i`` in ``v`` and target
+    ``targets[m]`` weight ``2**m`` in the matrix index. An uncontrolled gate
+    is a stack of one matrix; a gate controlled on a single pattern is an
+    identity stack with that one entry set.
     """
 
-    kind: str
+    matrices: np.ndarray = field(repr=False)
     targets: tuple[int, ...]
     controls: tuple[int, ...] = ()
-    control_pattern: tuple[int, ...] = ()
-    theta: float = 0.0
-    matrix: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if len(self.controls) != len(self.control_pattern):
-            raise ValueError("control pattern length must match control count")
-        if any(b not in (0, 1) for b in self.control_pattern):
-            raise ValueError("control pattern bits must be 0 or 1")
-        if set(self.targets) & set(self.controls):
+        targets = tuple(int(q) for q in self.targets)
+        controls = tuple(int(q) for q in self.controls)
+        if set(targets) & set(controls):
             raise ValueError("targets and controls overlap")
-        if len(set(self.targets)) != len(self.targets):
+        if len(set(targets)) != len(targets):
             raise ValueError("duplicate target qubits")
-        if self.matrix is not None:
-            mat = _check_unitary(self.matrix, self.kind)
-            if mat.shape[0] != 1 << len(self.targets):
-                raise ValueError(
-                    f"{self.kind}: matrix dim {mat.shape[0]} does not fit "
-                    f"{len(self.targets)} target qubits"
-                )
-            object.__setattr__(self, "matrix", mat)
-
-    # -- constructors -------------------------------------------------------
+        if len(set(controls)) != len(controls):
+            raise ValueError("duplicate control qubits")
+        mats = np.asarray(self.matrices, dtype=complex)
+        dim = 1 << len(targets)
+        if mats.shape != (1 << len(controls), dim, dim):
+            raise ValueError(
+                f"matrix stack shape {mats.shape} does not fit {len(controls)} "
+                f"controls and {len(targets)} targets"
+            )
+        err = np.max(np.abs(mats.conj().transpose(0, 2, 1) @ mats - np.eye(dim)))
+        if err > _UNITARY_TOL:
+            raise ValueError(f"matrix stack is not unitary (deviation {err:.2e})")
+        object.__setattr__(self, "matrices", mats)
+        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "controls", controls)
 
     @classmethod
     def h(cls, qubit: int) -> GateOp:
-        return cls(kind="h", targets=(qubit,))
+        return cls(_H_MATRIX[None], (qubit,))
 
     @classmethod
     def x(cls, qubit: int) -> GateOp:
-        return cls(kind="x", targets=(qubit,))
-
-    @classmethod
-    def ry(cls, theta: float, qubit: int) -> GateOp:
-        return cls(kind="ry", targets=(qubit,), theta=float(theta))
+        return cls(_X_MATRIX[None], (qubit,))
 
     @classmethod
     def swap(cls, q1: int, q2: int) -> GateOp:
-        return cls(kind="swap", targets=(q1, q2))
+        return cls(_SWAP_MATRIX[None], (q1, q2))
 
     @classmethod
-    def unitary(cls, matrix: np.ndarray, targets: Sequence[int]) -> GateOp:
-        return cls(kind="unitary", targets=tuple(targets), matrix=matrix)
+    def ry(cls, theta, target: int, controls: Sequence[int] = ()) -> GateOp:
+        """Uniformly controlled Ry: angle ``theta[v]`` where the controls read ``v``.
 
-    @classmethod
-    def controlled_unitary(
-        cls,
-        matrix: np.ndarray,
-        targets: Sequence[int],
-        controls: Sequence[int],
-        pattern: Sequence[int] | None = None,
-    ) -> GateOp:
-        controls = tuple(controls)
-        if pattern is None:
-            pattern = (1,) * len(controls)
-        return cls(
-            kind="controlled_unitary",
-            targets=tuple(targets),
-            controls=controls,
-            control_pattern=tuple(int(b) for b in pattern),
-            matrix=matrix,
-        )
+        ``theta`` is a scalar for an uncontrolled rotation.
+        """
+        t = np.ravel(np.asarray(theta, dtype=float))
+        c, s = np.cos(t), np.sin(t)
+        mats = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
+        return cls(mats, (target,), tuple(controls))
 
-    @classmethod
-    def controlled_phase(cls, phi: float, control: int, target: int) -> GateOp:
-        mat = np.diag([1.0, np.exp(1j * phi)])
-        return cls(
-            kind="controlled_phase",
-            targets=(target,),
-            controls=(control,),
-            control_pattern=(1,),
-            matrix=mat,
-            theta=float(phi),
-        )
-
-    @classmethod
-    def multi_controlled_ry(
-        cls,
-        theta: float,
-        target: int,
-        controls: Sequence[int],
-        pattern: Sequence[int],
-    ) -> GateOp:
-        return cls(
-            kind="multi_controlled_ry",
-            targets=(target,),
-            controls=tuple(controls),
-            control_pattern=tuple(int(b) for b in pattern),
-            theta=float(theta),
-        )
-
-    @classmethod
-    def controlled_swap(cls, control: int, q1: int, q2: int) -> GateOp:
-        return cls(
-            kind="controlled_swap",
-            targets=(q1, q2),
-            controls=(control,),
-            control_pattern=(1,),
-        )
-
-    # -- realization --------------------------------------------------------
-
-    def local_matrix(self) -> np.ndarray:
-        if self.kind == "h":
-            return _H_MATRIX
-        if self.kind == "x":
-            return _X_MATRIX
-        if self.kind in ("ry", "multi_controlled_ry"):
-            return _ry_matrix(self.theta)
-        if self.kind in ("swap", "controlled_swap"):
-            return _SWAP_MATRIX
-        if self.matrix is not None:
-            return self.matrix
-        raise ValueError(f"unknown gate kind {self.kind!r}")
-
-    def all_qubits(self) -> tuple[int, ...]:
-        return self.targets + self.controls
+    def adjoint(self) -> GateOp:
+        return GateOp(self.matrices.conj().transpose(0, 2, 1), self.targets, self.controls)
 
 
 @dataclass(frozen=True)
@@ -285,21 +207,16 @@ class DensityOperator:
 
 
 def _apply_inplace(amps: np.ndarray, n: int, gate: GateOp) -> None:
-    for q in gate.all_qubits():
+    for q in gate.targets + gate.controls:
         if not 0 <= q < n:
             raise ValueError(f"qubit index {q} out of range for {n} qubits")
-    mat = gate.local_matrix()
     view = amps.reshape((2,) * n)  # axis n-1-q holds qubit q
-    idx: list = [slice(None)] * n
-    for c, p in zip(gate.controls, gate.control_pattern):
-        idx[n - 1 - c] = p
-    sub = view[tuple(idx)]
-    remaining = [q for q in reversed(range(n)) if q not in gate.controls]
-    k = len(gate.targets)
-    src = [remaining.index(t) for t in reversed(gate.targets)]
-    moved = np.moveaxis(sub, src, range(k))
-    flat = moved.reshape(1 << k, -1)
-    moved[...] = (mat @ flat).reshape(moved.shape)
+    # highest-weight qubit first, so the moved axes flatten to (v, target index)
+    axes = [n - 1 - q for q in reversed(gate.targets + gate.controls)]
+    moved = np.moveaxis(view, axes, range(len(axes)))
+    dim = gate.matrices.shape[1]
+    block = moved.reshape(len(gate.matrices), dim, -1)
+    moved[...] = (gate.matrices @ block).reshape(moved.shape)
 
 
 def apply_gate(sv: Statevector, gate: GateOp) -> Statevector:
@@ -395,29 +312,33 @@ def measure_register(
     return {int(v): int(c) for v, c in enumerate(counts) if c > 0}
 
 
-def postselect(sv: Statevector, qubit: int, outcome: int) -> tuple[Statevector, float]:
-    """Project a qubit onto ``outcome`` and renormalize.
+def postselect(
+    sv: Statevector, register: str, weights: Sequence[float]
+) -> tuple[Statevector, float]:
+    """Scale the slice where ``register`` reads ``b`` by ``weights[b]`` and renormalize.
 
-    Returns the projected state and the exact branch probability. Raises
-    ``PostSelectionError`` when the branch probability is below 1e-12.
+    This equals rotating a fresh flag qubit by Ry(arcsin weights[b]) controlled
+    on the register reading ``b``, projecting the flag onto |1> and dropping
+    it; one-hot weights on a one-qubit register project that qubit. Returns
+    the scaled state and the branch probability, clamped to 1 against
+    rounding. Raises ``PostSelectionError`` when the probability is below
+    1e-12.
     """
-    n = sv.n_qubits
-    if not 0 <= qubit < n:
-        raise ValueError(f"qubit index {qubit} out of range")
-    if outcome not in (0, 1):
-        raise ValueError("outcome must be 0 or 1")
-    view = sv.amplitudes.reshape((2,) * n)
-    idx: list = [slice(None)] * n
-    idx[n - 1 - qubit] = outcome
-    branch = view[tuple(idx)]
-    prob = float(np.sum(np.abs(branch) ** 2))
+    reg = sv.register(register)
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (reg.dim,):
+        raise ValueError(f"{w.size} weights for register {register!r} of dim {reg.dim}")
+    if np.any(np.abs(w) > 1.0):
+        raise ValueError("weights must lie in [-1, 1]")
+    high = 1 << (sv.n_qubits - reg.offset - reg.width)
+    branch = sv.amplitudes.reshape(high, reg.dim, -1) * w[:, None]
+    prob = float(np.vdot(branch, branch).real)
     if prob < 1e-12:
         raise PostSelectionError(
-            f"post-selection on qubit {qubit}={outcome} has probability {prob:.3e}"
+            f"post-selection on register {register!r} has probability {prob:.3e}"
         )
-    amps = np.zeros_like(sv.amplitudes).reshape((2,) * n)
-    amps[tuple(idx)] = branch / np.sqrt(prob)
-    return Statevector(amplitudes=amps.reshape(-1), registers=sv.registers), prob
+    branch /= np.sqrt(prob)
+    return Statevector(amplitudes=branch.reshape(-1), registers=sv.registers), min(prob, 1.0)
 
 
 def partial_trace(sv: Statevector, keep: str) -> DensityOperator:
@@ -447,42 +368,54 @@ def hermitian_exponential_unitary(rho, t: float) -> np.ndarray:
 
 
 def qft_ops(qubits: Sequence[int]) -> list[GateOp]:
-    """Exact quantum Fourier transform on a little-endian qubit list."""
+    """Exact quantum Fourier transform on a little-endian qubit list.
+
+    One op per qubit, highest first: its Hadamard fused with the controlled
+    phases from every lower qubit, diag(1, exp(i*pi*v / 2^j)) @ H where the
+    lower qubits read ``v``; then the bit-reversal swaps.
+    """
     qubits = list(qubits)
     n = len(qubits)
-    ops: list[GateOp] = []
+    ops = []
     for j in reversed(range(n)):
-        ops.append(GateOp.h(qubits[j]))
-        for m in reversed(range(j)):
-            ops.append(GateOp.controlled_phase(np.pi / (1 << (j - m)), qubits[m], qubits[j]))
+        phase = np.exp(1j * np.pi * np.arange(1 << j) / (1 << j))
+        mats = np.ones((1 << j, 2, 1), dtype=complex)
+        mats[:, 1, 0] = phase
+        ops.append(GateOp(mats * _H_MATRIX, (qubits[j],), qubits[:j]))
     for k in range(n // 2):
         ops.append(GateOp.swap(qubits[k], qubits[n - 1 - k]))
     return ops
 
 
-def inverse_qft_ops(qubits: Sequence[int]) -> list[GateOp]:
-    """Exact inverse QFT: reversed sequence of inverted gates."""
-    ops = []
-    for gate in reversed(qft_ops(qubits)):
-        if gate.kind == "controlled_phase":
-            ops.append(
-                GateOp.controlled_phase(-gate.theta, gate.controls[0], gate.targets[0])
-            )
-        else:
-            ops.append(gate)  # H and SWAP are self-inverse
-    return ops
-
-
-def _controlled_power_ops(
+def _power_ladder(
     unitary: np.ndarray, target_qubits: Sequence[int], phase_qubits: Sequence[int]
-) -> list[GateOp]:
-    """Controlled-U^(2^k) ladder, phase qubit k controlling the k-th power."""
-    ops = []
-    power = np.asarray(unitary, dtype=complex)
-    for k, ctrl in enumerate(phase_qubits):
+) -> GateOp:
+    """U^v on the targets where the phase qubits read ``v``, as one gate.
+
+    The stack is built by doubling from the repeated squares U^(2^k), so it
+    equals the ladder of phase qubit k controlling U^(2^k).
+    """
+    stack = np.eye(len(unitary), dtype=complex)[None]
+    power = unitary
+    for k in range(len(phase_qubits)):
         if k > 0:
             power = power @ power
-        ops.append(GateOp.controlled_unitary(power, target_qubits, [ctrl]))
+        stack = np.concatenate([stack, power @ stack])
+    return GateOp(stack, tuple(target_qubits), tuple(phase_qubits))
+
+
+def _qpe_ops(sv: Statevector, unitary, target: str, phase_register: str) -> list[GateOp]:
+    """Hadamards on the phase register, the U^v ladder, then the inverse QFT."""
+    treg = sv.register(target)
+    preg = sv.register(phase_register)
+    unitary = np.asarray(unitary, dtype=complex)
+    if unitary.shape != (treg.dim, treg.dim):
+        raise ValueError(
+            f"unitary shape {unitary.shape} does not match register {target!r} ({treg.dim})"
+        )
+    ops = [GateOp.h(q) for q in preg.qubits()]
+    ops.append(_power_ladder(unitary, treg.qubits(), preg.qubits()))
+    ops += [op.adjoint() for op in reversed(qft_ops(preg.qubits()))]
     return ops
 
 
@@ -500,18 +433,8 @@ def qpe(
     """
     if tau < 1:
         raise ValueError(f"tau must be >= 1, got {tau}")
-    treg = sv.register(target)
-    unitary = _check_unitary(unitary, "qpe unitary")
-    if unitary.shape[0] != treg.dim:
-        raise ValueError(
-            f"unitary dim {unitary.shape[0]} does not match register {target!r} ({treg.dim})"
-        )
     out = append_register(sv, phase_register, tau)
-    preg = out.register(phase_register)
-    ops = [GateOp.h(q) for q in preg.qubits()]
-    ops += _controlled_power_ops(unitary, treg.qubits(), preg.qubits())
-    ops += inverse_qft_ops(preg.qubits())
-    return apply_circuit(out, ops)
+    return apply_circuit(out, _qpe_ops(out, unitary, target, phase_register))
 
 
 def inverse_qpe(
@@ -521,16 +444,8 @@ def inverse_qpe(
     phase_register: str = "phase",
 ) -> Statevector:
     """Exactly undo ``qpe`` (the phase register is kept, approximately |0>)."""
-    treg = sv.register(target)
-    preg = sv.register(phase_register)
-    unitary = _check_unitary(unitary, "qpe unitary")
-    ops = qft_ops(preg.qubits())
-    inverse_ladder = _controlled_power_ops(
-        unitary.conj().T, treg.qubits(), preg.qubits()
-    )
-    ops += list(reversed(inverse_ladder))
-    ops += [GateOp.h(q) for q in preg.qubits()]
-    return apply_circuit(sv, ops)
+    ops = _qpe_ops(sv, unitary, target, phase_register)
+    return apply_circuit(sv, [op.adjoint() for op in reversed(ops)])
 
 
 # ---------------------------------------------------------------------------
@@ -607,10 +522,9 @@ def swap_test(
         amps, [("a", n_a), ("b", n_b), ("test", 1)]
     )
     anc = n_a + n_b
+    cswap = np.stack([np.eye(4, dtype=complex), _SWAP_MATRIX])
     gates = [GateOp.h(anc)]
-    gates += [
-        GateOp.controlled_swap(anc, qa, n_a + k) for k, qa in enumerate(swap_qubits)
-    ]
+    gates += [GateOp(cswap, (qa, n_a + k), (anc,)) for k, qa in enumerate(swap_qubits)]
     gates.append(GateOp.h(anc))
     composite = apply_circuit(composite, gates)
     p0 = float(_marginal_probabilities(composite, composite.register("test"))[0])
@@ -631,8 +545,8 @@ def swap_test(
 def real_amplitude_prep_ops(vector: np.ndarray, qubits: Sequence[int]) -> list[GateOp]:
     """Gate sequence preparing a real vector on a register starting from |0...0>.
 
-    Binary-tree construction: one (multi-controlled) Ry per tree node, with
-    branch norms above the leaves and signed leaf pairs fixing the signs.
+    Binary-tree construction: one uniformly controlled Ry per tree level,
+    with branch norms above the leaves and signed leaf pairs fixing the signs.
     """
     qubits = list(qubits)
     w = len(qubits)
@@ -647,23 +561,12 @@ def real_amplitude_prep_ops(vector: np.ndarray, qubits: Sequence[int]) -> list[G
         pairs = levels[-1].reshape(-1, 2)
         levels.append(np.sqrt(np.sum(pairs**2, axis=1)))
     levels.reverse()  # levels[dd] has 2**dd nodes
-    ops: list[GateOp] = []
+    ops = []
     for dd in range(w):
-        target = qubits[w - 1 - dd]
-        controls = [qubits[w - 1 - j] for j in range(dd)]
-        children = levels[dd + 1]
-        for node in range(1 << dd):
-            c0, c1 = children[2 * node], children[2 * node + 1]
-            if np.hypot(c0, c1) == 0.0:
-                continue
-            theta = np.arctan2(c1, c0)
-            if theta == 0.0:
-                continue
-            pattern = [(node >> (dd - 1 - j)) & 1 for j in range(dd)]
-            if dd == 0:
-                ops.append(GateOp.ry(theta, target))
-            else:
-                ops.append(GateOp.multi_controlled_ry(theta, target, controls, pattern))
+        # node index ``v`` of level dd is read from the dd qubits above the target
+        children = levels[dd + 1].reshape(-1, 2)
+        theta = np.arctan2(children[:, 1], children[:, 0])
+        ops.append(GateOp.ry(theta, qubits[w - 1 - dd], qubits[w - dd :]))
     return ops
 
 

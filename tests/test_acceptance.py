@@ -36,6 +36,13 @@ from qrff.rff import (
 from spectral_oracle import BinnedPrediction
 
 
+def one_pattern_ry(theta, target, control, bit):
+    """Ry(theta) on ``target`` where ``control`` reads ``bit``, identity otherwise."""
+    angles = np.zeros(2)
+    angles[bit] = theta
+    return GateOp.ry(angles, target, [control])
+
+
 @pytest.fixture(scope="module")
 def paper_exact_report(paper_config):
     """The reference comparison in exact-amplitude mode, with its wall time."""
@@ -251,8 +258,8 @@ def test_criterion_8_simulator_micro_contracts():
                 gate = (
                     GateOp.x(q)
                     if ctrl == q
-                    else GateOp.multi_controlled_ry(
-                        float(rng.uniform(0, np.pi)), q, [ctrl], [int(rng.integers(2))]
+                    else one_pattern_ry(
+                        float(rng.uniform(0, np.pi)), q, ctrl, int(rng.integers(2))
                     )
                 )
             mat = qsim.realized_matrix(gate, 5)

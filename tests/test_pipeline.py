@@ -67,8 +67,8 @@ class TestEncoding:
         plan = plan_encoding(fm)
         assert plan.n_row_qubits == 0
         assert plan.n_col_qubits == 1
-        assert len(plan.angle_schedule) == 1
-        assert plan.angle_schedule[0][1] == pytest.approx(0.0, abs=1e-15)
+        assert plan.angles.shape == (1, 1)
+        assert plan.angles[0, 0] == pytest.approx(0.0, abs=1e-15)
         sv = prepare_data_state(plan)
         assert np.allclose(sv.amplitudes, [1.0, 0.0], atol=1e-12)
 
@@ -93,7 +93,7 @@ class TestEncoding:
 
     def test_schedule_enumerates_all_pairs(self, paper_feature_model):
         plan = plan_encoding(paper_feature_model)
-        assert len(plan.angle_schedule) == 16 * 2
+        assert plan.angles.shape == (16, 2)
         assert plan.padded_rows == 16 and plan.padded_cols == 4
 
     def test_preparation_is_deterministic(self, paper_feature_model):
@@ -197,6 +197,18 @@ class TestInversionConstants:
         with pytest.raises(ConfigError):
             InversionConstants.from_feature_model(fm, h.noise_std, 1.05, 6)
 
+    @pytest.mark.parametrize("tau", [1, 2, 3])
+    def test_top_bin_wrapping_to_zero_raises(self, tau, paper_feature_model, paper_hyper):
+        # default delta_r = 1.05 lam~0^2 rounds the top component to bin 2^tau
+        # for tau <= 3, which the tau-qubit phase register reads as bin 0
+        with pytest.raises(ConfigError):
+            PreparedPipeline(paper_feature_model, paper_hyper, tau)
+
+    def test_tau_four_resolves_paper_config(self, paper_feature_model, paper_hyper):
+        pipe = PreparedPipeline(paper_feature_model, paper_hyper, 4)
+        assert max(pipe.constants.bins) < 1 << 4
+        assert min(pipe.constants.bins) > 0
+
     def test_profile_excludes_bin_zero(self, paper_feature_model, paper_hyper):
         ic = InversionConstants.from_feature_model(
             paper_feature_model, paper_hyper.noise_std, 0.4, 6
@@ -226,6 +238,16 @@ class TestInversionBranches:
         pred = BinnedPrediction(fm, h.noise_std, pipe.delta_r, tau)
         assert pipe.p1 == pytest.approx(pred.p1(), abs=1e-10)
         assert pipe.p2 == pytest.approx(pred.p2(), abs=1e-10)
+
+    def test_acceptance_never_exceeds_one(self):
+        # rank-one design on an exact bin: the raw branch mass rounds above 1
+        h = KernelHyper(1.5, 1.0, 0.1)
+        ds = Dataset(np.array([[0.3]]), np.array([0.7]))
+        fm = build_feature_model(ds, sample_frequencies(2, h, 1, 2), h)
+        pipe = PreparedPipeline(fm, h, tau=6, delta_r=2.0)
+        assert 0 < pipe.p1 <= 1.0 and 0 < pipe.p2 <= 1.0
+        est = pipe.mean_estimate(ds.targets, [1.1], shots=1000, seeds=[3])
+        assert est.shots_used[0] == 1000
 
     def test_uncompute_leakage_is_phase_register_mass(self, paper_pipeline):
         for sv, leakage in (

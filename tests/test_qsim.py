@@ -17,23 +17,59 @@ def random_state(n_qubits: int, seed: int, complex_amps: bool = True) -> Stateve
     return Statevector.from_amplitudes(amps, [("r", n_qubits)])
 
 
-def dense_multi_controlled_ry(theta, target, controls, pattern, n):
-    """Independent dense construction: loop over basis states."""
+def dense_uniformly_controlled(matrices, targets, controls, n):
+    """Independent dense construction: loop over basis states.
+
+    Basis state ``i`` is mapped by ``matrices[v]``, with ``v`` read from the
+    control bits of ``i`` (control b has weight 2**b) and the column index
+    from its target bits (target m has weight 2**m).
+    """
     dim = 1 << n
     mat = np.zeros((dim, dim), dtype=complex)
-    c, s = np.cos(theta), np.sin(theta)
+    target_mask = sum(1 << q for q in targets)
     for i in range(dim):
-        if all((i >> q) & 1 == p for q, p in zip(controls, pattern)):
-            j = i ^ (1 << target)
-            if (i >> target) & 1 == 0:
-                mat[i, i] += c
-                mat[j, i] += s
-            else:
-                mat[i, i] += c
-                mat[j, i] += -s
-        else:
-            mat[i, i] = 1.0
+        v = sum(((i >> q) & 1) << b for b, q in enumerate(controls))
+        col = sum(((i >> q) & 1) << m for m, q in enumerate(targets))
+        for row in range(1 << len(targets)):
+            j = (i & ~target_mask) | sum(((row >> m) & 1) << q for m, q in enumerate(targets))
+            mat[j, i] += matrices[v][row, col]
     return mat
+
+
+def ry_matrix(theta):
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def random_unitary(dim, rng):
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def one_pattern_gate(matrix, targets, controls, value):
+    """Identity stack with ``matrix`` where the controls read ``value``."""
+    dim = len(matrix)
+    stack = np.tile(np.eye(dim, dtype=complex), (1 << len(controls), 1, 1))
+    stack[value] = matrix
+    return GateOp(stack, tuple(targets), tuple(controls))
+
+
+def circuit_matrix(ops, n):
+    mat = np.eye(1 << n, dtype=complex)
+    for op in ops:
+        mat = qsim.realized_matrix(op, n) @ mat
+    return mat
+
+
+def flag_circuit_postselect(sv, register, weights):
+    """The circuit ``postselect`` replaces: flag, controlled Ry(arcsin w), project |1>, drop."""
+    ext = qsim.append_register(sv, "flag", 1)
+    flag = ext.register("flag").offset
+    gate = GateOp.ry(np.arcsin(weights), flag, ext.register(register).qubits())
+    branch = qsim.apply_gate(ext, gate).amplitudes.reshape(2, -1)[1]
+    prob = float(np.sum(np.abs(branch) ** 2))
+    return branch / np.sqrt(prob), prob
 
 
 class TestGates:
@@ -56,15 +92,19 @@ class TestGates:
         controls = list(rng.choice(others, size=k, replace=False))
         pattern = [int(b) for b in rng.integers(0, 2, size=k)]
         theta = float(rng.uniform(-np.pi, np.pi))
-        gate = GateOp.multi_controlled_ry(theta, target, controls, pattern)
-        got = qsim.realized_matrix(gate, n)
-        want = dense_multi_controlled_ry(theta, target, controls, pattern, n)
+        value = sum(b << i for i, b in enumerate(pattern))
+        angles = np.zeros(1 << k)
+        angles[value] = theta
+        got = qsim.realized_matrix(GateOp.ry(angles, target, controls), n)
+        stack = np.tile(np.eye(2, dtype=complex), (1 << k, 1, 1))
+        stack[value] = ry_matrix(theta)
+        want = dense_uniformly_controlled(stack, [target], controls, n)
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_multi_controlled_ry_all_zero_pattern_on_basis_zero(self):
         theta = 0.4
         sv = Statevector.zero([("c", 3), ("t", 1)])
-        gate = GateOp.multi_controlled_ry(theta, 3, [0, 1, 2], [0, 0, 0])
+        gate = GateOp.ry([theta] + [0.0] * 7, 3, [0, 1, 2])
         out = qsim.apply_gate(sv, gate)
         expected = np.zeros(16, dtype=complex)
         expected[0] = np.cos(theta)
@@ -78,16 +118,16 @@ class TestGates:
             "h": GateOp.h(1),
             "x": GateOp.x(0),
             "swap": GateOp.swap(0, 2),
-            "mcry": GateOp.multi_controlled_ry(1.1, 2, [0, 1], [1, 0]),
-            "cphase": GateOp.controlled_phase(0.3, 0, 2),
-            "unitary": GateOp.unitary(np.linalg.qr(rng.normal(size=(4, 4)))[0], [0, 2]),
+            "mcry": GateOp.ry([0.0, 1.1, 0.0, 0.0], 2, [0, 1]),
+            "cphase": one_pattern_gate(np.diag([1.0, np.exp(0.3j)]), [2], [0], 1),
+            "unitary": GateOp(np.linalg.qr(rng.normal(size=(4, 4)))[0][None], (0, 2)),
         }[kind]
         mat = qsim.realized_matrix(gate, 3)
         assert np.max(np.abs(mat.conj().T @ mat - np.eye(8))) <= 1e-10
 
     def test_non_unitary_matrix_rejected_at_construction(self):
         with pytest.raises(ValueError):
-            GateOp.unitary(np.array([[1.0, 0.0], [1.0, 1.0]]), [0])
+            GateOp(np.array([[[1.0, 0.0], [1.0, 1.0]]]), (0,))
 
     def test_index_out_of_range(self):
         sv = Statevector.zero([("q", 2)])
@@ -114,14 +154,12 @@ class TestGates:
                 if ctrl == q:
                     gate = GateOp.x(q)
                 else:
-                    gate = GateOp.multi_controlled_ry(
-                        float(rng.uniform(0, np.pi)), q, [ctrl], [1]
-                    )
+                    gate = GateOp.ry([0.0, float(rng.uniform(0, np.pi))], q, [ctrl])
             qsim._apply_inplace(amps, 5, gate)
         assert abs(np.linalg.norm(amps) - 1.0) <= 1e-10
 
     def test_linearity(self):
-        gate = GateOp.multi_controlled_ry(0.9, 0, [2], [1])
+        gate = GateOp.ry([0.0, 0.9], 0, [2])
         a = random_state(3, 1).amplitudes
         b = random_state(3, 2).amplitudes
         mixed = (a + b) / np.linalg.norm(a + b)
@@ -129,6 +167,87 @@ class TestGates:
         for arr in (ga, gb, gm):
             qsim._apply_inplace(arr, 3, gate)
         assert np.allclose(gm, (ga + gb) / np.linalg.norm(a + b), atol=1e-12)
+
+
+class TestUniformlyControlled:
+    # (targets, controls) on 5 qubits; the last three put controls on both
+    # sides of the target, like the row | cos/sin | pair encoding layout
+    LAYOUTS = [
+        ((2,), ()),
+        ((0,), (3,)),
+        ((4,), (1, 0)),
+        ((1,), (4, 2, 0)),
+        ((1, 3), ()),
+        ((0, 4), (2,)),
+        ((3, 1), (4, 0)),
+        ((2, 0), (4, 1, 3)),
+        ((2,), (0, 1, 3, 4)),
+        ((2,), (3, 0)),
+        ((1, 2), (0, 3, 4)),
+    ]
+
+    @pytest.mark.parametrize("layout", range(len(LAYOUTS)))
+    def test_matches_dense_oracle(self, layout):
+        targets, controls = self.LAYOUTS[layout]
+        rng = np.random.default_rng(layout)
+        stack = np.array(
+            [random_unitary(1 << len(targets), rng) for _ in range(1 << len(controls))]
+        )
+        got = qsim.realized_matrix(GateOp(stack, targets, controls), 5)
+        want = dense_uniformly_controlled(stack, targets, controls, 5)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_uniformly_controlled_ry_angles(self):
+        rng = np.random.default_rng(4)
+        angles = rng.uniform(-np.pi, np.pi, size=8)
+        gate = GateOp.ry(angles, 2, [0, 3, 1])
+        want = dense_uniformly_controlled(
+            [ry_matrix(t) for t in angles], [2], [0, 3, 1], 4
+        )
+        assert np.max(np.abs(qsim.realized_matrix(gate, 4) - want)) <= 1e-12
+
+    def test_adjoint_inverts(self):
+        rng = np.random.default_rng(5)
+        stack = np.array([random_unitary(4, rng) for _ in range(4)])
+        gate = GateOp(stack, (3, 0), (1, 2))
+        mat = circuit_matrix([gate, gate.adjoint()], 4)
+        assert np.max(np.abs(mat - np.eye(16))) <= 1e-12
+
+    def test_stack_shape_and_qubits_checked(self):
+        with pytest.raises(ValueError):
+            GateOp(np.tile(np.eye(2), (3, 1, 1)), (0,), (1,))  # 3 entries for 1 control
+        with pytest.raises(ValueError):
+            GateOp(np.eye(2)[None], (0, 1))  # 2x2 matrix on two targets
+        with pytest.raises(ValueError):
+            GateOp(np.tile(np.eye(2), (2, 1, 1)), (0,), (0,))  # overlap
+        with pytest.raises(ValueError):
+            GateOp(np.tile(np.eye(2), (4, 1, 1)), (0,), (1, 1))  # duplicate control
+        stack = np.tile(np.eye(2, dtype=complex), (2, 1, 1))
+        stack[1] = [[1.0, 0.0], [1.0, 1.0]]
+        with pytest.raises(ValueError):
+            GateOp(stack, (0,), (1,))  # one non-unitary entry
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_qft_is_normalized_dft(self, n):
+        dim = 1 << n
+        k = np.arange(dim)
+        dft = np.exp(2j * np.pi * np.outer(k, k) / dim) / np.sqrt(dim)
+        ops = qsim.qft_ops(range(n))
+        assert np.max(np.abs(circuit_matrix(ops, n) - dft)) <= 1e-12
+        inverse = [op.adjoint() for op in reversed(ops)]
+        assert np.max(np.abs(circuit_matrix(inverse, n) - dft.conj().T)) <= 1e-12
+
+    @pytest.mark.parametrize("tau", [1, 2, 3, 4])
+    def test_power_ladder_matches_one_control_product(self, tau):
+        rng = np.random.default_rng(tau)
+        U = random_unitary(4, rng)
+        targets, phase = [0, 1], list(range(2, 2 + tau))
+        got = qsim.realized_matrix(qsim._power_ladder(U, targets, phase), 2 + tau)
+        ladder = [
+            one_pattern_gate(np.linalg.matrix_power(U, 1 << k), targets, [q], 1)
+            for k, q in enumerate(phase)
+        ]
+        assert np.max(np.abs(got - circuit_matrix(ladder, 2 + tau))) <= 1e-12
 
 
 class TestRegisters:
@@ -308,8 +427,8 @@ class TestPostselect:
     def test_definite_outcome_probability_one(self):
         amps = np.zeros(4, dtype=complex)
         amps[1] = 1.0  # qubit 0 = 1
-        sv = Statevector.from_amplitudes(amps, [("r", 2)])
-        out, p = qsim.postselect(sv, 0, 1)
+        sv = Statevector.from_amplitudes(amps, [("q0", 1), ("q1", 1)])
+        out, p = qsim.postselect(sv, "q0", [0.0, 1.0])
         assert p == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(out.amplitudes, sv.amplitudes)
 
@@ -317,15 +436,45 @@ class TestPostselect:
         phi = random_state(2, 9).amplitudes
         anc = np.array([np.sqrt(0.36), np.sqrt(0.64)])
         sv = Statevector.from_amplitudes(np.kron(anc, phi), [("phi", 2), ("a", 1)])
-        out, p = qsim.postselect(sv, 2, 1)
+        out, p = qsim.postselect(sv, "a", [0.0, 1.0])
         assert p == pytest.approx(0.64, abs=1e-12)
+        assert np.max(np.abs(out.amplitudes[:4])) == 0.0
         tail = out.amplitudes[4:]
         assert np.max(np.abs(tail - phi)) < 1e-12
 
     def test_vanishing_branch_raises(self):
-        sv = Statevector.zero([("r", 2)])
+        sv = Statevector.zero([("r", 1), ("q", 1)])
         with pytest.raises(PostSelectionError):
-            qsim.postselect(sv, 1, 1)
+            qsim.postselect(sv, "q", [0.0, 1.0])
+
+    def test_weights_checked(self):
+        sv = Statevector.zero([("r", 2)])
+        with pytest.raises(ValueError):
+            qsim.postselect(sv, "r", [1.0, 0.5])  # wrong length
+        with pytest.raises(ValueError):
+            qsim.postselect(sv, "r", [1.0, 0.5, 1.5, 0.0])  # not an amplitude
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_flag_circuit_on_random_state(self, seed):
+        rng = np.random.default_rng(seed)
+        sv = Statevector.from_amplitudes(
+            random_state(6, seed).amplitudes, [("a", 2), ("phase", 3), ("b", 1)]
+        )
+        weights = rng.uniform(0.0, 1.0, size=8)
+        weights[0] = 0.0
+        out, p = qsim.postselect(sv, "phase", weights)
+        want, p_want = flag_circuit_postselect(sv, "phase", weights)
+        assert abs(p - p_want) <= 1e-12
+        assert np.max(np.abs(out.amplitudes - want)) <= 1e-12
+
+    def test_matches_flag_circuit_on_paper_spectral_state(self, paper_pipeline):
+        sv = paper_pipeline.spectral.sv
+        weights = paper_pipeline.constants.mean_rotation_profile()
+        out, p = qsim.postselect(sv, "phase", weights)
+        want, p_want = flag_circuit_postselect(sv, "phase", weights)
+        assert abs(p - p_want) <= 1e-12
+        assert p == paper_pipeline.p1
+        assert np.max(np.abs(out.amplitudes - want)) <= 1e-12
 
 
 class TestOverlapCircuits:
