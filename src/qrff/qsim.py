@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .errors import CapacityError, PostSelectionError
 
@@ -387,25 +388,33 @@ def qft_ops(qubits: Sequence[int]) -> list[GateOp]:
     return ops
 
 
-def _power_ladder(
+def _phase_kickback_ops(
     unitary: np.ndarray, target_qubits: Sequence[int], phase_qubits: Sequence[int]
-) -> GateOp:
-    """U^v on the targets where the phase qubits read ``v``, as one gate.
+) -> list[GateOp]:
+    """Hadamards on the phase qubits, then U^v on the targets where they read ``v``.
 
-    The stack is built by doubling from the repeated squares U^(2^k), so it
-    equals the ladder of phase qubit k controlling U^(2^k).
+    Built in U's eigenbasis (complex Schur form, diagonal for a unitary):
+    rotate the targets into it, give phase qubit k its Hadamard fused with the
+    kick diag(1, exp(i*phi_j*2^k)) where the targets read eigenvector j, and
+    rotate back. Besides the two d x d basis changes this takes O(tau * d)
+    memory, where a stack of every power U^v would take 2^tau * d^2.
     """
-    stack = np.eye(len(unitary), dtype=complex)[None]
-    power = unitary
-    for k in range(len(phase_qubits)):
-        if k > 0:
-            power = power @ power
-        stack = np.concatenate([stack, power @ stack])
-    return GateOp(stack, tuple(target_qubits), tuple(phase_qubits))
+    schur, basis = scipy.linalg.schur(unitary, output="complex")
+    angles = np.angle(np.diag(schur))
+    if np.max(np.abs(schur - np.diag(np.exp(1j * angles)))) > _UNITARY_TOL:
+        raise ValueError("matrix is not unitary")
+    targets = tuple(target_qubits)
+    ops = [GateOp(basis.conj().T[None], targets)]
+    for k, q in enumerate(phase_qubits):
+        mats = np.ones((len(angles), 2, 1), dtype=complex)
+        mats[:, 1, 0] = np.exp(1j * angles * (1 << k))
+        ops.append(GateOp(mats * _H_MATRIX, (q,), targets))
+    ops.append(GateOp(basis[None], targets))
+    return ops
 
 
 def _qpe_ops(sv: Statevector, unitary, target: str, phase_register: str) -> list[GateOp]:
-    """Hadamards on the phase register, the U^v ladder, then the inverse QFT."""
+    """The controlled-power ladder (with the phase Hadamards), then the inverse QFT."""
     treg = sv.register(target)
     preg = sv.register(phase_register)
     unitary = np.asarray(unitary, dtype=complex)
@@ -413,8 +422,7 @@ def _qpe_ops(sv: Statevector, unitary, target: str, phase_register: str) -> list
         raise ValueError(
             f"unitary shape {unitary.shape} does not match register {target!r} ({treg.dim})"
         )
-    ops = [GateOp.h(q) for q in preg.qubits()]
-    ops.append(_power_ladder(unitary, treg.qubits(), preg.qubits()))
+    ops = _phase_kickback_ops(unitary, treg.qubits(), preg.qubits())
     ops += [op.adjoint() for op in reversed(qft_ops(preg.qubits()))]
     return ops
 
@@ -443,7 +451,11 @@ def inverse_qpe(
     target: str,
     phase_register: str = "phase",
 ) -> Statevector:
-    """Exactly undo ``qpe`` (the phase register is kept, approximately |0>)."""
+    """Exactly undo ``qpe`` (the phase register is kept, approximately |0>).
+
+    Rebuilding the circuit costs one d x d Schur form and O(tau * d + 2^tau)
+    of gate stacks, small next to applying it.
+    """
     ops = _qpe_ops(sv, unitary, target, phase_register)
     return apply_circuit(sv, [op.adjoint() for op in reversed(ops)])
 

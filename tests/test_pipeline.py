@@ -455,6 +455,26 @@ class TestCapacityPlan:
             PreparedPipeline(fm, h, tau=6)
         assert qpe_calls == []
 
+    def test_wide_column_register_keeps_the_ladder_small(self):
+        # M >> N: a 7-qubit col register (d = 128) under a 10-qubit phase
+        # register; a stack of every power U^v would take 2^10 * 128^2 * 16 B
+        h, ds, fm = small_model(n_points=2, m_freq=64)
+        tau = 10
+        pipe = PreparedPipeline(fm, h, tau)
+        sv = pipe.spectral.sv
+        ops = qsim._qpe_ops(sv, pipe.spectral.unitary, "col", "phase")
+        ladder_bytes = sum(op.matrices.nbytes for op in ops)
+        assert ladder_bytes <= sv.amplitudes.nbytes // 4
+        pred = BinnedPrediction(fm, h.noise_std, pipe.delta_r, tau)
+        grid = np.array([0.5, 2.0])
+        m = pipe.mean_estimate(ds.targets, grid)
+        v = pipe.variance_estimate(grid)
+        assert 0 < pipe.p1 <= 1 and 0 < pipe.p2 <= 1
+        for i, x in enumerate(grid):
+            phi_star = scaled_feature_vector([x], fm.freq, h)
+            assert m.mean[i] == pytest.approx(pred.mean(phi_star, ds.targets), abs=1e-8)
+            assert v.variance[i] == pytest.approx(pred.variance(phi_star), abs=1e-8)
+
 
 class TestGaugeInvariance:
     def test_svd_sign_flip_does_not_change_predictions(self):

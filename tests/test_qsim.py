@@ -238,12 +238,15 @@ class TestUniformlyControlled:
         assert np.max(np.abs(circuit_matrix(inverse, n) - dft.conj().T)) <= 1e-12
 
     @pytest.mark.parametrize("tau", [1, 2, 3, 4])
-    def test_power_ladder_matches_one_control_product(self, tau):
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_kickback_matches_one_control_product(self, tau, degenerate):
         rng = np.random.default_rng(tau)
         U = random_unitary(4, rng)
+        if degenerate:  # a repeated eigenvalue must still give an orthonormal eigenbasis
+            U = (U * np.exp(2j * np.pi * np.array([0.3, 0.3, 0.3, 0.8]))) @ U.conj().T
         targets, phase = [0, 1], list(range(2, 2 + tau))
-        got = qsim.realized_matrix(qsim._power_ladder(U, targets, phase), 2 + tau)
-        ladder = [
+        got = circuit_matrix(qsim._phase_kickback_ops(U, targets, phase), 2 + tau)
+        ladder = [GateOp.h(q) for q in phase] + [
             one_pattern_gate(np.linalg.matrix_power(U, 1 << k), targets, [q], 1)
             for k, q in enumerate(phase)
         ]
@@ -389,6 +392,13 @@ class TestQpe:
         sv = Statevector.zero([("t", 2)])
         with pytest.raises(ValueError):
             qsim.qpe(sv, np.eye(2, dtype=complex), "t", 3)
+
+    def test_non_unitary_rejected(self):
+        sv = Statevector.zero([("t", 1)])
+        with pytest.raises(ValueError):
+            qsim.qpe(sv, np.array([[1.0, 1.0], [0.0, 1.0]]), "t", 3)
+        with pytest.raises(ValueError):
+            qsim.qpe(sv, np.diag([1.0, 0.5]), "t", 3)
 
 
 class TestMeasurement:
