@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -55,6 +56,22 @@ class RunConfig:
     out_dir: str = "results"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if f.type.startswith("float") and value is not None and (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not math.isfinite(value)
+            ):
+                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
+            if f.type == "str" and not isinstance(value, str):
+                raise ConfigError(f"{f.name} must be a string, got {value!r}")
+        if min(self.seed_data, self.seed_freq, self.seed_shots) < 0:
+            raise ConfigError("seed_data, seed_freq, and seed_shots must be non-negative")
+        if self.delta_r is not None and self.delta_r <= 0:
+            raise ConfigError(f"delta_r must be positive, got {self.delta_r!r}")
         if self.n_points < 1 or self.n_frequencies < 1 or self.tau < 1:
             raise ConfigError("n_points, n_frequencies, and tau must be positive")
         if self.dim != 1:
@@ -292,9 +309,9 @@ def _run_selftest() -> int:
     )
     check("swap test exact", abs(qsim.swap_test(sa, sb) - float(b @ a) ** 2) < 1e-10)
 
-    U = np.diag([np.exp(2j * np.pi * 0.25), 1.0])
-    out = qsim.qpe(Statevector.zero([("t", 1)]), U, "t", 3)
-    probs = np.abs(out.amplitudes) ** 2
+    sv = Statevector.zero([("t", 1)])
+    ops = qsim.qpe_circuit(sv, np.diag([0.25, 0.0]), 2 * np.pi, "t", 3)
+    probs = np.abs(qsim.qpe(sv, ops, 3).amplitudes) ** 2
     check("qpe exact dyadic phase", abs(probs[2 * 2] - 1.0) < 1e-10)
 
     h1 = qsim.measure_register(sa, "r", 1000, 7)
@@ -370,6 +387,9 @@ def main(argv=None) -> int:
     except QrffError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code
+    except np.linalg.LinAlgError as exc:  # a baseline's posterior is singular
+        print(f"error: LinAlgError: {exc}", file=sys.stderr)
+        return ConfigError.exit_code
     for path in paths:
         print(f"wrote {path}")
     for key, value in report.summary.items():

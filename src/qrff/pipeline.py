@@ -52,10 +52,11 @@ class EncodingPlan:
 
 @dataclass(frozen=True)
 class SpectralRegisters:
-    """Statevector after phase estimation, plus the parameters that shaped it."""
+    """Statevector after phase estimation, the QPE ops that made it (which
+    ``qsim.inverse_qpe`` un-computes), and the parameters that shaped them."""
 
     sv: Statevector
-    unitary: np.ndarray = field(repr=False)
+    circuit: tuple[GateOp, ...] = field(repr=False)
     tau: int
     delta_r: float
     t: float
@@ -223,9 +224,9 @@ def spectral_extraction(
     t = 2.0 * np.pi / delta_r
     # exp(+i*rho*t): eigenphases lam~^2/delta_r grow with the eigenvalue, so
     # the phase register decodes directly as lam_hat^2 = b * delta_r / 2^tau
-    unitary = qsim.hermitian_exponential_unitary(rho, -t)
-    out = qsim.qpe(sv, unitary, "col", tau, phase_register="phase")
-    return SpectralRegisters(sv=out, unitary=unitary, tau=tau, delta_r=delta_r, t=t)
+    circuit = tuple(qsim.qpe_circuit(sv, rho.matrix, t, "col", tau))
+    out = qsim.qpe(sv, circuit, tau, phase_register="phase")
+    return SpectralRegisters(sv=out, circuit=circuit, tau=tau, delta_r=delta_r, t=t)
 
 
 def _conditional_inversion(
@@ -241,7 +242,7 @@ def _conditional_inversion(
     approximately at |0>) and the exact acceptance probability.
     """
     sv, prob = qsim.postselect(sr.sv, "phase", profile)
-    sv = qsim.inverse_qpe(sv, sr.unitary, "col", "phase")
+    sv = qsim.inverse_qpe(sv, sr.circuit)
     return sv, prob
 
 
@@ -326,11 +327,18 @@ class PreparedPipeline:
         self.tau = tau
         self.delta_r = default_delta_r(fm) if delta_r is None else delta_r
         self.plan = plan_encoding(fm)
-        width = self.plan.n_row_qubits + self.plan.n_col_qubits + tau + 1
+        col = self.plan.n_col_qubits
+        width = self.plan.n_row_qubits + col + tau + 1
         if width > qsim.MAX_QUBITS:
             raise CapacityError(
                 f"pipeline needs {width} qubits (row + col + tau + flag), "
                 f"cap {qsim.MAX_QUBITS}"
+            )
+        # rho and its eigenbasis are d x d with d = 2^col: no bigger than a state
+        if 2 * col > qsim.MAX_QUBITS:
+            raise CapacityError(
+                f"the {1 << col} x {1 << col} matrices of the col register hold "
+                f"2^{2 * col} entries, more than a state at the cap of {qsim.MAX_QUBITS} qubits"
             )
         self.constants = InversionConstants.from_feature_model(
             fm, h.noise_std, self.delta_r, tau

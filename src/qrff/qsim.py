@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import CapacityError, PostSelectionError
 
@@ -94,10 +93,6 @@ class GateOp:
     @classmethod
     def x(cls, qubit: int) -> GateOp:
         return cls(_X_MATRIX[None], (qubit,))
-
-    @classmethod
-    def swap(cls, q1: int, q2: int) -> GateOp:
-        return cls(_SWAP_MATRIX[None], (q1, q2))
 
     @classmethod
     def ry(cls, theta, target: int, controls: Sequence[int] = ()) -> GateOp:
@@ -176,9 +171,6 @@ class Statevector:
             if reg.name == name:
                 return reg
         raise KeyError(f"unknown register {name!r}")
-
-    def copy(self) -> Statevector:
-        return Statevector(amplitudes=self.amplitudes.copy(), registers=self.registers)
 
 
 @dataclass(frozen=True)
@@ -355,108 +347,85 @@ def partial_trace(sv: Statevector, keep: str) -> DensityOperator:
 
 
 # ---------------------------------------------------------------------------
-# spectral primitives
+# phase estimation
 # ---------------------------------------------------------------------------
 
 
-def hermitian_exponential_unitary(rho, t: float) -> np.ndarray:
-    """exp(-i * rho * t) via eigendecomposition; exact for Hermitian input."""
-    mat = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
-    if np.max(np.abs(mat - mat.conj().T)) > 1e-10:
-        raise ValueError("matrix is not Hermitian")
-    evals, evecs = np.linalg.eigh(mat)
-    return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
-
-
 def qft_ops(qubits: Sequence[int]) -> list[GateOp]:
-    """Exact quantum Fourier transform on a little-endian qubit list.
+    """Quantum Fourier transform ladder on a little-endian qubit list.
 
     One op per qubit, highest first: its Hadamard fused with the controlled
     phases from every lower qubit, diag(1, exp(i*pi*v / 2^j)) @ H where the
-    lower qubits read ``v``; then the bit-reversal swaps.
+    lower qubits read ``v``. There are no final bit-reversal swaps, so the
+    ladder is the normalized DFT with bit-reversed rows.
     """
     qubits = list(qubits)
-    n = len(qubits)
     ops = []
-    for j in reversed(range(n)):
+    for j in reversed(range(len(qubits))):
         phase = np.exp(1j * np.pi * np.arange(1 << j) / (1 << j))
         mats = np.ones((1 << j, 2, 1), dtype=complex)
         mats[:, 1, 0] = phase
         ops.append(GateOp(mats * _H_MATRIX, (qubits[j],), qubits[:j]))
-    for k in range(n // 2):
-        ops.append(GateOp.swap(qubits[k], qubits[n - 1 - k]))
     return ops
 
 
-def _phase_kickback_ops(
-    unitary: np.ndarray, target_qubits: Sequence[int], phase_qubits: Sequence[int]
+def qpe_circuit(
+    sv: Statevector, generator, t: float, target: str, tau: int
 ) -> list[GateOp]:
-    """Hadamards on the phase qubits, then U^v on the targets where they read ``v``.
+    """Phase-estimation ops of exp(i * generator * t) on register ``target``.
 
-    Built in U's eigenbasis (complex Schur form, diagonal for a unitary):
-    rotate the targets into it, give phase qubit k its Hadamard fused with the
-    kick diag(1, exp(i*phi_j*2^k)) where the targets read eigenvector j, and
-    rotate back. Besides the two d x d basis changes this takes O(tau * d)
-    memory, where a stack of every power U^v would take 2^tau * d^2.
+    The phase register is the ``tau`` qubits that ``qpe`` appends above ``sv``.
+    With generator = V diag(lam) V^dagger (one ``eigh``): V^dagger on the
+    targets; per phase qubit k one op controlled by the targets, its Hadamard
+    fused with the kick diag(1, exp(i*lam_j*t*2^(tau-1-k))) for eigenvector j,
+    the reversed powers standing in for the QFT's bit-reversal swaps; V on the
+    targets; the adjoint QFT ladder. Besides the two d x d basis changes the
+    ops take O(tau * d) memory.
     """
-    schur, basis = scipy.linalg.schur(unitary, output="complex")
-    angles = np.angle(np.diag(schur))
-    if np.max(np.abs(schur - np.diag(np.exp(1j * angles)))) > _UNITARY_TOL:
-        raise ValueError("matrix is not unitary")
-    targets = tuple(target_qubits)
+    treg = sv.register(target)
+    if tau < 1:
+        raise ValueError(f"tau must be >= 1, got {tau}")
+    gen = np.asarray(generator, dtype=complex)
+    if gen.shape != (treg.dim, treg.dim):
+        raise ValueError(
+            f"generator shape {gen.shape} does not match register {target!r} ({treg.dim})"
+        )
+    if np.max(np.abs(gen - gen.conj().T)) > 1e-10:
+        raise ValueError("generator is not Hermitian")
+    evals, basis = np.linalg.eigh(gen)
+    targets = tuple(treg.qubits())
+    phase = range(sv.n_qubits, sv.n_qubits + tau)
     ops = [GateOp(basis.conj().T[None], targets)]
-    for k, q in enumerate(phase_qubits):
-        mats = np.ones((len(angles), 2, 1), dtype=complex)
-        mats[:, 1, 0] = np.exp(1j * angles * (1 << k))
+    for k, q in enumerate(phase):
+        mats = np.ones((treg.dim, 2, 1), dtype=complex)
+        mats[:, 1, 0] = np.exp(1j * evals * t * (1 << (tau - 1 - k)))
         ops.append(GateOp(mats * _H_MATRIX, (q,), targets))
     ops.append(GateOp(basis[None], targets))
-    return ops
-
-
-def _qpe_ops(sv: Statevector, unitary, target: str, phase_register: str) -> list[GateOp]:
-    """The controlled-power ladder (with the phase Hadamards), then the inverse QFT."""
-    treg = sv.register(target)
-    preg = sv.register(phase_register)
-    unitary = np.asarray(unitary, dtype=complex)
-    if unitary.shape != (treg.dim, treg.dim):
-        raise ValueError(
-            f"unitary shape {unitary.shape} does not match register {target!r} ({treg.dim})"
-        )
-    ops = _phase_kickback_ops(unitary, treg.qubits(), preg.qubits())
-    ops += [op.adjoint() for op in reversed(qft_ops(preg.qubits()))]
+    ops += [op.adjoint() for op in reversed(qft_ops(phase))]
     return ops
 
 
 def qpe(
-    sv: Statevector,
-    unitary: np.ndarray,
-    target: str,
-    tau: int,
-    phase_register: str = "phase",
+    sv: Statevector, ops: Sequence[GateOp], tau: int, phase_register: str = "phase"
 ) -> Statevector:
-    """Quantum phase estimation of ``unitary`` acting on register ``target``.
+    """Quantum phase estimation: append a ``tau``-qubit phase register, apply ``ops``.
 
-    Appends a ``tau``-qubit phase register; an eigenstate with eigenphase
-    exactly ``j / 2**tau`` leaves the register reading ``j`` with certainty.
+    ``ops`` come from ``qpe_circuit``; an eigenphase lam*t/(2*pi) of exactly
+    ``j / 2**tau`` leaves the register reading ``j``. From the |0...0> phase
+    input this is the textbook QPE state, but the circuit equals the textbook
+    one (Hadamards, controlled U^(2^k), inverse DFT) times a bit reversal of
+    the phase input. So after post-selection and ``inverse_qpe`` a branch is
+    the textbook one with the phase qubits in reverse order; the reversal
+    fixes |0...0>, so the phase-0 slice and the leakage are unchanged.
     """
-    if tau < 1:
-        raise ValueError(f"tau must be >= 1, got {tau}")
-    out = append_register(sv, phase_register, tau)
-    return apply_circuit(out, _qpe_ops(out, unitary, target, phase_register))
+    return apply_circuit(append_register(sv, phase_register, tau), ops)
 
 
-def inverse_qpe(
-    sv: Statevector,
-    unitary: np.ndarray,
-    target: str,
-    phase_register: str = "phase",
-) -> Statevector:
-    """Exactly undo ``qpe`` (the phase register is kept, approximately |0>).
+def inverse_qpe(sv: Statevector, ops: Sequence[GateOp]) -> Statevector:
+    """Undo ``qpe`` with the adjoints of its ``ops`` in reverse order.
 
-    Rebuilding the circuit costs one d x d Schur form and O(tau * d + 2^tau)
-    of gate stacks, small next to applying it.
+    The phase register is kept, approximately at |0...0>.
     """
-    ops = _qpe_ops(sv, unitary, target, phase_register)
     return apply_circuit(sv, [op.adjoint() for op in reversed(ops)])
 
 

@@ -216,6 +216,48 @@ class TestMainExitCodes:
             )
         assert 4 in rc_by_seed
 
+    @pytest.mark.parametrize(
+        "command, flags, config",
+        [
+            ("compare", ["--seed-data", "-1"], None),
+            ("compare", ["--seed-freq", "-3"], None),
+            ("compare", ["--seed-shots", "-2"], None),
+            ("compare", ["--delta-r", "nan"], None),
+            ("compare", ["--delta-r", "-0.5"], None),
+            ("compare", [], {"seed_data": 1.5}),
+            ("compare", [], {"tau": 6.5}),
+            ("compare", [], {"shots": True}),
+            ("compare", [], {"out_dir": 5}),
+            ("fit-exact", [], {"grid_lo": float("nan")}),
+            ("compare", [], {"noise_std": 0.0, "n_points": 1}),
+        ],
+        ids=[
+            "negative-seed-data",
+            "negative-seed-freq",
+            "negative-seed-shots",
+            "nan-delta-r",
+            "negative-delta-r",
+            "fractional-seed",
+            "fractional-tau",
+            "bool-shots",
+            "numeric-out-dir",
+            "nan-grid-lo",
+            "singular-rff-posterior",
+        ],
+    )
+    def test_bad_values_exit_2(self, tmp_path, capsys, command, flags, config):
+        args = [command, *flags]
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            args += ["--config", str(path)]
+        if "out_dir" not in (config or {}):
+            args += ["--out", str(tmp_path / "out")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == 0
         assert "FAIL" not in capsys.readouterr().out

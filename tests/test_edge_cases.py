@@ -61,3 +61,48 @@ def test_pipeline_refuses_or_matches_binned_oracle(
         phi_star = scaled_feature_vector([x_star], fm.freq, h)
         assert m.mean[i] == pytest.approx(pred.mean(phi_star, y), abs=1e-8)
         assert v.variance[i] == pytest.approx(pred.variance(phi_star), abs=1e-8)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    xs=st.lists(st.sampled_from(INPUTS), min_size=1, max_size=6),
+    m_freq=st.integers(1, 3),
+    tau=st.integers(4, 6),
+    shots=st.integers(1, 64),
+    seed_freq=st.integers(0, 20),
+    seeds=st.lists(
+        st.integers(0, 2**32 - 1), min_size=2 * GRID.size, max_size=2 * GRID.size
+    ),
+)
+def test_sampled_mode_with_few_shots(xs, m_freq, tau, shots, seed_freq, seeds):
+    h = KernelHyper(1.5, 1.0, 0.1)
+    x = np.array(xs)
+    y = np.sin(x) + 0.5
+    fm = build_feature_model(
+        Dataset(x[:, None], y), sample_frequencies(m_freq, h, 1, seed_freq), h
+    )
+
+    def estimate():
+        pipe = PreparedPipeline(fm, h, tau)
+        return (
+            pipe.mean_estimate(y, GRID, shots, seeds[: GRID.size]),
+            pipe.variance_estimate(GRID, shots, seeds[GRID.size :]),
+        )
+
+    try:
+        m, v = estimate()
+    except (ConfigError, PostSelectionError) as exc:
+        event(f"refused: {type(exc).__name__}")
+        return
+    event("estimated")
+    for est, overlap in ((m, m.diagnostics["overlap"]), (v, v.diagnostics["overlap_raw"])):
+        n = est.shots_used
+        assert np.all((1 <= n) & (n <= shots))
+        # 2k/n - 1 for k test-qubit zeros out of n accepted shots
+        k = (overlap + 1.0) * n / 2.0
+        assert np.max(np.abs(k - np.round(k))) <= 1e-9
+        assert np.all(np.abs(overlap) <= 1.0)
+    assert np.all(v.variance >= 0.0)
+    m2, v2 = estimate()
+    assert np.array_equal(m.mean, m2.mean) and np.array_equal(m.shots_used, m2.shots_used)
+    assert np.array_equal(v.variance, v2.variance) and np.array_equal(v.shots_used, v2.shots_used)

@@ -455,6 +455,25 @@ class TestCapacityPlan:
             PreparedPipeline(fm, h, tau=6)
         assert qpe_calls == []
 
+    def test_column_matrices_refused_before_encoding(self, monkeypatch):
+        # N=1, M=64: 0 row + 7 col + 4 phase + 1 flag = 12 qubits fit a cap of
+        # 12, but rho and its eigenbasis are 128 x 128, 2^14 entries each
+        h, ds, fm = small_model(n_points=1, m_freq=64)
+        qpe_calls = []
+        monkeypatch.setattr(qsim, "MAX_QUBITS", 12)
+        monkeypatch.setattr(qsim, "qpe", lambda *args, **kw: qpe_calls.append(args))
+        with pytest.raises(CapacityError):
+            PreparedPipeline(fm, h, tau=4)
+        assert qpe_calls == []
+
+    def test_column_matrices_at_the_cap_fit(self, monkeypatch):
+        # N=1, M=32: rho and its eigenbasis are 64 x 64, 2^12 entries each
+        h, ds, fm = small_model(n_points=1, m_freq=32)
+        monkeypatch.setattr(qsim, "MAX_QUBITS", 12)
+        pipe = PreparedPipeline(fm, h, tau=4)
+        assert pipe.spectral.sv.register("col").width == 6
+        assert 0 < pipe.p1 <= 1 and 0 < pipe.p2 <= 1
+
     def test_wide_column_register_keeps_the_ladder_small(self):
         # M >> N: a 7-qubit col register (d = 128) under a 10-qubit phase
         # register; a stack of every power U^v would take 2^10 * 128^2 * 16 B
@@ -462,8 +481,7 @@ class TestCapacityPlan:
         tau = 10
         pipe = PreparedPipeline(fm, h, tau)
         sv = pipe.spectral.sv
-        ops = qsim._qpe_ops(sv, pipe.spectral.unitary, "col", "phase")
-        ladder_bytes = sum(op.matrices.nbytes for op in ops)
+        ladder_bytes = sum(op.matrices.nbytes for op in pipe.spectral.circuit)
         assert ladder_bytes <= sv.amplitudes.nbytes // 4
         pred = BinnedPrediction(fm, h.noise_std, pipe.delta_r, tau)
         grid = np.array([0.5, 2.0])

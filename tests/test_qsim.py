@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qrff import qsim
 from qrff.errors import CapacityError, PostSelectionError
@@ -45,6 +46,20 @@ def random_unitary(dim, rng):
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_hermitian(dim, rng):
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return (z + z.conj().T) / 2
+
+
+def swap_gate(q1, q2):
+    return GateOp(np.eye(4, dtype=complex)[[0, 2, 1, 3]][None], (q1, q2))
+
+
+def bit_reversal(n):
+    """Index permutation reversing the order of n bits."""
+    return np.array([int(format(i, f"0{n}b")[::-1], 2) for i in range(1 << n)])
 
 
 def one_pattern_gate(matrix, targets, controls, value):
@@ -117,7 +132,7 @@ class TestGates:
         gate = {
             "h": GateOp.h(1),
             "x": GateOp.x(0),
-            "swap": GateOp.swap(0, 2),
+            "swap": swap_gate(0, 2),
             "mcry": GateOp.ry([0.0, 1.1, 0.0, 0.0], 2, [0, 1]),
             "cphase": one_pattern_gate(np.diag([1.0, np.exp(0.3j)]), [2], [0], 1),
             "unitary": GateOp(np.linalg.qr(rng.normal(size=(4, 4)))[0][None], (0, 2)),
@@ -148,7 +163,7 @@ class TestGates:
                 gate = GateOp.ry(float(rng.uniform(0, 2 * np.pi)), q)
             elif choice == 2:
                 q2 = int(rng.integers(5))
-                gate = GateOp.swap(q, q2) if q2 != q else GateOp.x(q)
+                gate = swap_gate(q, q2) if q2 != q else GateOp.x(q)
             else:
                 ctrl = int(rng.integers(5))
                 if ctrl == q:
@@ -229,28 +244,46 @@ class TestUniformlyControlled:
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_qft_is_normalized_dft(self, n):
+        # the swap-free ladder is the normalized DFT with bit-reversed rows;
+        # reversing the bits of its output completes the QFT
         dim = 1 << n
         k = np.arange(dim)
         dft = np.exp(2j * np.pi * np.outer(k, k) / dim) / np.sqrt(dim)
         ops = qsim.qft_ops(range(n))
-        assert np.max(np.abs(circuit_matrix(ops, n) - dft)) <= 1e-12
+        ladder = dft[bit_reversal(n)]
+        assert np.max(np.abs(circuit_matrix(ops, n) - ladder)) <= 1e-12
         inverse = [op.adjoint() for op in reversed(ops)]
-        assert np.max(np.abs(circuit_matrix(inverse, n) - dft.conj().T)) <= 1e-12
+        assert np.max(np.abs(circuit_matrix(inverse, n) - ladder.conj().T)) <= 1e-12
 
     @pytest.mark.parametrize("tau", [1, 2, 3, 4])
     @pytest.mark.parametrize("degenerate", [False, True])
     def test_kickback_matches_one_control_product(self, tau, degenerate):
+        # qpe_circuit equals the textbook circuit (Hadamards, a product of
+        # one-control U^(2^k) on phase qubit k, inverse DFT) times a bit
+        # reversal of the phase input, with U = expm(i*H*t)
         rng = np.random.default_rng(tau)
-        U = random_unitary(4, rng)
+        H = random_hermitian(4, rng)
         if degenerate:  # a repeated eigenvalue must still give an orthonormal eigenbasis
-            U = (U * np.exp(2j * np.pi * np.array([0.3, 0.3, 0.3, 0.8]))) @ U.conj().T
+            basis = np.linalg.eigh(H)[1]
+            H = (basis * np.array([0.3, 0.3, 0.3, 0.8])) @ basis.conj().T
+        t = 1.7
+        got = circuit_matrix(
+            qsim.qpe_circuit(Statevector.zero([("t", 2)]), H, t, "t", tau), 2 + tau
+        )
+        U = scipy.linalg.expm(1j * H * t)
         targets, phase = [0, 1], list(range(2, 2 + tau))
-        got = circuit_matrix(qsim._phase_kickback_ops(U, targets, phase), 2 + tau)
         ladder = [GateOp.h(q) for q in phase] + [
             one_pattern_gate(np.linalg.matrix_power(U, 1 << k), targets, [q], 1)
             for k, q in enumerate(phase)
         ]
-        assert np.max(np.abs(got - circuit_matrix(ladder, 2 + tau))) <= 1e-12
+        dim = 1 << tau
+        k = np.arange(dim)
+        inverse_dft = np.exp(-2j * np.pi * np.outer(k, k) / dim) / np.sqrt(dim)
+        textbook = np.kron(inverse_dft, np.eye(4)) @ circuit_matrix(ladder, 2 + tau)
+        reversal = np.kron(np.eye(dim)[:, bit_reversal(tau)], np.eye(4))
+        assert np.max(np.abs(got - textbook @ reversal)) <= 1e-12
+        # with the phase input at 0 the columns are the textbook ones
+        assert np.max(np.abs(got[:, :4] - textbook[:, :4])) <= 1e-12
 
 
 class TestRegisters:
@@ -307,66 +340,34 @@ class TestPartialTrace:
         assert np.linalg.eigvalsh(rho.matrix).min() >= -1e-10
 
 
-class TestHermitianExponential:
-    def test_zero_time_is_identity(self):
-        rng = np.random.default_rng(0)
-        A = rng.normal(size=(4, 4))
-        A = A + A.T
-        U = qsim.hermitian_exponential_unitary(A, 0.0)
-        assert np.max(np.abs(U - np.eye(4))) < 1e-12
-
-    def test_diagonal_case(self):
-        U = qsim.hermitian_exponential_unitary(np.diag([1.0, 0.0]), np.pi)
-        assert np.allclose(U, np.diag([np.exp(-1j * np.pi), 1.0]), atol=1e-12)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_semigroup_property(self, seed):
-        rng = np.random.default_rng(seed)
-        A = rng.normal(size=(8, 8))
-        A = A + A.T
-        t1, t2 = rng.uniform(0.1, 2.0, size=2)
-        U1 = qsim.hermitian_exponential_unitary(A, t1)
-        U2 = qsim.hermitian_exponential_unitary(A, t2)
-        U12 = qsim.hermitian_exponential_unitary(A, t1 + t2)
-        assert np.max(np.abs(U1 @ U2 - U12)) < 1e-10
-
-    def test_unitarity(self):
-        rng = np.random.default_rng(9)
-        A = rng.normal(size=(8, 8))
-        A = A + A.T
-        U = qsim.hermitian_exponential_unitary(A, 1.7)
-        assert np.max(np.abs(U.conj().T @ U - np.eye(8))) < 1e-10
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError):
-            qsim.hermitian_exponential_unitary(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+def run_qpe(sv, generator, t, target, tau):
+    ops = qsim.qpe_circuit(sv, generator, t, target, tau)
+    return qsim.qpe(sv, ops, tau), ops
 
 
 class TestQpe:
     def test_exact_dyadic_phase(self):
-        U = np.diag([np.exp(2j * np.pi * 0.25), 1.0])
-        out = qsim.qpe(Statevector.zero([("t", 1)]), U, "t", 3)
+        out, _ = run_qpe(Statevector.zero([("t", 1)]), np.diag([0.25, 0.0]), 2 * np.pi, "t", 3)
         probs = qsim._marginal_probabilities(out, out.register("phase"))
         assert probs[2] == pytest.approx(1.0, abs=1e-12)  # binary 010
 
     def test_zero_phase_reads_zero(self):
-        U = np.eye(2, dtype=complex)
         for tau in (2, 5):
-            out = qsim.qpe(Statevector.zero([("t", 1)]), U, "t", tau)
+            out, _ = run_qpe(Statevector.zero([("t", 1)]), np.zeros((2, 2)), 1.0, "t", tau)
             probs = qsim._marginal_probabilities(out, out.register("phase"))
             assert probs[0] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_unitary_eigenstate_modal_bin(self, seed):
+        # an eigenstate of the random unitary expm(i*A*t), A Hermitian
         rng = np.random.default_rng(seed)
-        z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        U, _ = np.linalg.qr(z)
-        evals, evecs = np.linalg.eig(U)
+        A = random_hermitian(4, rng)
+        t = 1.3
+        evals, evecs = np.linalg.eigh(A)
         idx = int(rng.integers(4))
-        phase = float(np.angle(evals[idx]) / (2 * np.pi) % 1.0)
-        vec = evecs[:, idx] / np.linalg.norm(evecs[:, idx])
-        sv = Statevector.from_amplitudes(vec, [("t", 2)])
-        out = qsim.qpe(sv, U, "t", 8)
+        phase = float(evals[idx] * t / (2 * np.pi) % 1.0)
+        sv = Statevector.from_amplitudes(evecs[:, idx], [("t", 2)])
+        out, _ = run_qpe(sv, A, t, "t", 8)
         probs = qsim._marginal_probabilities(out, out.register("phase"))
         modal = int(np.argmax(probs))
         target = int(round(phase * 256)) % 256
@@ -376,14 +377,13 @@ class TestQpe:
     @pytest.mark.parametrize("tau", [3, 4])
     def test_qpe_inverse_qpe_roundtrip(self, tau):
         # exact-phase case: eigenphases are dyadic, phase register returns to 0
-        phases = np.array([1, 5]) / (1 << tau)
-        U = np.diag(np.exp(2j * np.pi * phases))
+        generator = np.diag([1.0, 5.0]) / (1 << tau)
         rng = np.random.default_rng(1)
         amps = rng.normal(size=2)
         amps = amps / np.linalg.norm(amps)
         sv = Statevector.from_amplitudes(amps, [("t", 1)])
-        fwd = qsim.qpe(sv, U, "t", tau)
-        back = qsim.inverse_qpe(fwd, U, "t", "phase")
+        fwd, ops = run_qpe(sv, generator, 2 * np.pi, "t", tau)
+        back = qsim.inverse_qpe(fwd, ops)
         restored = qsim.drop_register(back, "phase", 0)
         fidelity = abs(np.vdot(restored.amplitudes, sv.amplitudes)) ** 2
         assert fidelity >= 1 - 1e-9
@@ -391,14 +391,14 @@ class TestQpe:
     def test_dimension_mismatch(self):
         sv = Statevector.zero([("t", 2)])
         with pytest.raises(ValueError):
-            qsim.qpe(sv, np.eye(2, dtype=complex), "t", 3)
+            qsim.qpe_circuit(sv, np.eye(2, dtype=complex), 1.0, "t", 3)
 
-    def test_non_unitary_rejected(self):
+    def test_non_hermitian_rejected(self):
         sv = Statevector.zero([("t", 1)])
         with pytest.raises(ValueError):
-            qsim.qpe(sv, np.array([[1.0, 1.0], [0.0, 1.0]]), "t", 3)
+            qsim.qpe_circuit(sv, np.array([[1.0, 1.0], [0.0, 1.0]]), 1.0, "t", 3)
         with pytest.raises(ValueError):
-            qsim.qpe(sv, np.diag([1.0, 0.5]), "t", 3)
+            qsim.qpe_circuit(sv, np.diag([1.0, 0.5j]), 1.0, "t", 3)
 
 
 class TestMeasurement:
