@@ -1,4 +1,4 @@
-"""Property test over the pipeline's edge cases.
+"""Property tests over the pipeline's edge cases.
 
 Draws tiny designs with duplicate inputs, more frequencies than points
 (M > N, including N = 1 with a width-0 row register), one-qubit phase
@@ -6,6 +6,11 @@ registers and zero noise, at the default phase window and at twice the top
 squared singular value (where tau = 1 can resolve a rank-one design). Each must either be refused with ``ConfigError``
 or ``PostSelectionError`` before any estimate is made, or give exact-mode
 means and variances equal to the binned spectral-sum oracle.
+
+The sampled-mode test draws the same kind of designs with 1 to 64 shots and
+a seed per query point: each is refused, or gives accepted shots in
+[1, shots], overlaps on the 2k/n - 1 grid of n accepted shots, non-negative
+variances, and the same arrays again for the same seeds.
 """
 
 from __future__ import annotations
