@@ -340,6 +340,15 @@ class TestPartialTrace:
         assert np.linalg.eigvalsh(rho.matrix).min() >= -1e-10
 
 
+class TestHermitianExponential:
+    """qpe_circuit exponentiates its generator from one eigh; it must be Hermitian."""
+
+    def test_non_hermitian_rejected(self):
+        sv = Statevector.zero([("t", 1)])
+        with pytest.raises(ValueError):
+            qsim.qpe_circuit(sv, np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0, "t", 3)
+
+
 def run_qpe(sv, generator, t, target, tau):
     ops = qsim.qpe_circuit(sv, generator, t, target, tau)
     return qsim.qpe(sv, ops, tau), ops
@@ -393,7 +402,8 @@ class TestQpe:
         with pytest.raises(ValueError):
             qsim.qpe_circuit(sv, np.eye(2, dtype=complex), 1.0, "t", 3)
 
-    def test_non_hermitian_rejected(self):
+    def test_non_unitary_rejected(self):
+        # exp(i*generator*t) is not unitary for these non-Hermitian generators
         sv = Statevector.zero([("t", 1)])
         with pytest.raises(ValueError):
             qsim.qpe_circuit(sv, np.array([[1.0, 1.0], [0.0, 1.0]]), 1.0, "t", 3)
