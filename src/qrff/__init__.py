@@ -19,10 +19,12 @@ from .pipeline import (
     PosteriorEstimate,
     PreparedPipeline,
     SpectralRegisters,
+    expand_rows,
     invert_for_mean,
     invert_for_variance,
     plan_encoding,
     prepare_data_state,
+    schmidt_rows,
     spectral_extraction,
 )
 from .rff import (
@@ -53,6 +55,7 @@ __all__ = [
     "SpectralRegisters",
     "build_feature_model",
     "exact_posterior",
+    "expand_rows",
     "feature_map",
     "gram_matrix",
     "invert_for_mean",
@@ -62,6 +65,7 @@ __all__ = [
     "rbf_kernel",
     "rff_posterior",
     "sample_frequencies",
+    "schmidt_rows",
     "scaled_feature_vector",
     "spectral_density",
     "spectral_extraction",

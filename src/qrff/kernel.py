@@ -14,6 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
+from . import qsim
+from .errors import CapacityError
+
 logger = logging.getLogger(__name__)
 
 
@@ -185,8 +188,16 @@ def exact_posterior(ds: Dataset, h: KernelHyper, xs) -> Posterior:
     variance = k(x*, x*) - diag(K*^T (K + noise_std^2 I)^{-1} K*)
 
     One factorization of K + noise_std^2 I solves for the targets and every
-    cross-kernel column at once.
+    cross-kernel column at once. Raises ``CapacityError`` before allocating
+    when the N x N Gram matrix would take more bytes than one statevector at
+    the simulator cap, 16 * 2^qsim.MAX_QUBITS.
     """
+    gram_bytes, cap_bytes = 8 * ds.n_points**2, 16 << qsim.MAX_QUBITS
+    if gram_bytes > cap_bytes:
+        raise CapacityError(
+            f"the exact baseline's {ds.n_points} x {ds.n_points} Gram matrix takes "
+            f"{gram_bytes} bytes, more than a {qsim.MAX_QUBITS}-qubit state ({cap_bytes})"
+        )
     pts = _as_points(xs, ds.dim)
     k_star = _cross_kernel(ds.inputs, pts, h)
     rhs = np.column_stack([ds.targets, k_star])

@@ -1,7 +1,9 @@
 """End-to-end quantum estimation of the reduced-rank GP posterior.
 
 Stages: encode the scaled design matrix as amplitudes over (column, row)
-registers, extract the squared normalized singular values by phase estimation
+registers, carry that state with its row register in the Schmidt basis (one
+SVD; rho and everything after it act on the column and phase registers only),
+extract the squared normalized singular values by phase estimation
 of exp(i * rho * t) with rho the column-register reduced density operator,
 apply an eigenvalue-conditioned inversion profile with post-selection (the
 flag qubit's rotation and projection folded into a per-bin weight),
@@ -197,6 +199,33 @@ def prepare_data_state(plan: EncodingPlan) -> Statevector:
     return qsim.apply_circuit(sv, ops)
 
 
+def schmidt_rows(sv: Statevector) -> tuple[Statevector, np.ndarray]:
+    """Carry an encoded state with its ``row`` register in the Schmidt basis.
+
+    The amplitudes over (col, row) form a matrix A = W diag(s) Vh (one SVD).
+    Returns the state sum_k s_k |w_k>_col |k>_row on a row register of
+    min(row, col) qubits, and Vh, the isometry from it back to the original
+    rows. Phase estimation, inversion and un-compute act on the col and phase
+    registers only, so they commute with Vh, and ``expand_rows`` of their
+    output is what the same steps make of ``sv`` itself.
+    """
+    col, row = sv.register("col"), sv.register("row")
+    w, s, vh = np.linalg.svd(sv.amplitudes.reshape(col.dim, row.dim), full_matrices=False)
+    spec = [("row", min(row.width, col.width)), ("col", col.width)]
+    return Statevector.from_amplitudes((w * s).ravel(), spec), vh
+
+
+def expand_rows(sv: Statevector, row_basis: np.ndarray) -> Statevector:
+    """Map the Schmidt-basis ``row`` register (the lowest) back through ``row_basis``."""
+    row = sv.register("row")
+    if row.offset != 0 or row.dim != row_basis.shape[0]:
+        raise ValueError("row register is not the lowest or does not match the basis")
+    amps = sv.amplitudes.reshape(-1, row.dim) @ row_basis
+    width = row_basis.shape[1].bit_length() - 1
+    spec = [(r.name, width if r.name == "row" else r.width) for r in sv.registers]
+    return Statevector.from_amplitudes(amps.ravel(), spec)
+
+
 # ---------------------------------------------------------------------------
 # spectral extraction and inversion
 # ---------------------------------------------------------------------------
@@ -306,13 +335,17 @@ def _sampled_overlaps(p_accept: float, p0: np.ndarray, shots: int, seeds):
 class PreparedPipeline:
     """Query-independent pipeline state, reusable across query grids.
 
-    Runs encoding, phase estimation, and both inversion branches once. A
-    posterior call then answers a whole grid of G query points by reading
-    the Hadamard- and SWAP-test probabilities in closed form:
-    P(0) = 1/2 + Re<b|a>/2 for the mean, and P(0) = 1/2 + <q|rho_col|q>/2 for
-    the variance, with rho_col the column-register state of the variance
-    branch. ``qsim.hadamard_test`` and ``qsim.swap_test`` are the circuits
-    these values are tested against.
+    Runs encoding, phase estimation, and both inversion branches once. The
+    encoded ``data_state`` is carried with its row register in the Schmidt
+    basis (``schmidt_rows``), so every later state has min(row, col) row
+    qubits; ``row_basis`` maps them back (``expand_rows``), and the same
+    steps applied to ``data_state`` are the dense oracle. A posterior call
+    then answers a whole grid of G query points by reading the Hadamard- and
+    SWAP-test probabilities in closed form: P(0) = 1/2 + Re<b|a>/2 for the
+    mean, with the targets mapped through ``row_basis``, and
+    P(0) = 1/2 + <q|rho_col|q>/2 for the variance, with rho_col the
+    column-register state of the variance branch. ``qsim.hadamard_test`` and
+    ``qsim.swap_test`` are the circuits these values are tested against.
     """
 
     def __init__(
@@ -327,12 +360,16 @@ class PreparedPipeline:
         self.tau = tau
         self.delta_r = default_delta_r(fm) if delta_r is None else delta_r
         self.plan = plan_encoding(fm)
-        col = self.plan.n_col_qubits
-        width = self.plan.n_row_qubits + col + tau + 1
+        row, col = self.plan.n_row_qubits, self.plan.n_col_qubits
+        if row + col > qsim.MAX_QUBITS:
+            raise CapacityError(
+                f"encoding needs {row + col} qubits (row + col), cap {qsim.MAX_QUBITS}"
+            )
+        width = min(row, col) + col + tau + 1
         if width > qsim.MAX_QUBITS:
             raise CapacityError(
-                f"pipeline needs {width} qubits (row + col + tau + flag), "
-                f"cap {qsim.MAX_QUBITS}"
+                f"phase estimation needs {width} qubits (min(row, col) + col + tau "
+                f"+ flag), cap {qsim.MAX_QUBITS}"
             )
         # rho and its eigenbasis are d x d with d = 2^col: no bigger than a state
         if 2 * col > qsim.MAX_QUBITS:
@@ -344,7 +381,8 @@ class PreparedPipeline:
             fm, h.noise_std, self.delta_r, tau
         )
         self.data_state = prepare_data_state(self.plan)
-        self.spectral = spectral_extraction(self.data_state, fm, tau, self.delta_r)
+        schmidt_state, self.row_basis = schmidt_rows(self.data_state)
+        self.spectral = spectral_extraction(schmidt_state, fm, tau, self.delta_r)
         self.mean_state, self.p1 = invert_for_mean(self.spectral, self.constants)
         self.variance_state, self.p2 = invert_for_variance(self.spectral, self.constants)
         #: 1 - phase-register mass at |0> after the inverse QPE, per branch
@@ -367,10 +405,9 @@ class PreparedPipeline:
         if y_norm == 0:
             raise ValueError("targets must not be identically zero")
         phi, phi_norm = self._grid_features(xs)
-        amps = _phase_zero_slice(self.mean_state)[:n_cols, :n_rows]
-        overlap = np.einsum(
-            "cr,gc,r->g", amps, phi / phi_norm[:, None], y / y_norm
-        ).real
+        amps = _phase_zero_slice(self.mean_state)[:n_cols]
+        y_rows = self.row_basis[:, :n_rows] @ (y / y_norm)
+        overlap = np.einsum("ck,gc,k->g", amps, phi / phi_norm[:, None], y_rows).real
         shots_used = np.zeros(overlap.size, dtype=int)
         if shots:
             overlap, shots_used = _sampled_overlaps(

@@ -107,10 +107,11 @@ class TestRunExperiment:
         assert all(np.isfinite(r.mean_qrff) for r in report.records)
 
     def test_setup_width_is_the_whole_qubit_budget(self, monkeypatch):
-        # 4 row + 2 col + 6 phase + 1 flag = 13 qubits: setup fits the cap exactly,
-        # and the readout must not need a wider composite state
+        # min(4 row, 2 col) + 2 col + 8 phase + 1 flag = 13 qubits: phase
+        # estimation fits the cap exactly, and the readout must not need a
+        # wider composite state
         monkeypatch.setattr(qsim, "MAX_QUBITS", 13)
-        report = run_experiment(RunConfig(n_points=16, n_frequencies=2, tau=6, grid_count=3))
+        report = run_experiment(RunConfig(n_points=16, n_frequencies=2, tau=8, grid_count=3))
         assert all(np.isfinite(r.var_qrff) for r in report.records)
 
 
@@ -258,9 +259,25 @@ class TestMainExitCodes:
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_exact_baseline_larger_than_a_state_is_3(self, tmp_path, capsys, monkeypatch):
+        # cap 10: the 8 N^2 bytes of the Gram matrix fit 16 * 2^10 up to N = 45
+        monkeypatch.setattr(qsim, "MAX_QUBITS", 10)
+        for n_points, code in ((46, 3), (45, 0)):
+            path = tmp_path / f"cfg{n_points}.json"
+            path.write_text(json.dumps({"n_points": n_points, "grid_count": 2}))
+            out = str(tmp_path / f"out{n_points}")
+            assert main(["fit-exact", "--config", str(path), "--out", out]) == code
+            err = capsys.readouterr().err
+            if code:
+                assert err.startswith("error: CapacityError: ") and err.count("\n") == 1
+            else:
+                assert err == ""
+
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == 0
-        assert "FAIL" not in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "FAIL" not in out
+        assert "PASS: Schmidt-basis rows match the dense pipeline" in out
 
 
 class TestDeterminism:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,10 @@ from qrff.kernel import Dataset, KernelHyper
 from qrff.pipeline import (
     InversionConstants,
     PreparedPipeline,
+    _leakage,
+    expand_rows,
+    invert_for_mean,
+    invert_for_variance,
     plan_encoding,
     prepare_data_state,
     spectral_extraction,
@@ -50,6 +56,22 @@ def resolved_small_model(tau, n_points=4, m_freq=2, seed_data=3, seed_freq=5, no
         if bins.min() >= 2:
             return h, ds, fm
     raise AssertionError("no resolvable design found")
+
+
+def dense_twin(pipe: PreparedPipeline) -> PreparedPipeline:
+    """The pipeline run densely: every step applied to ``data_state`` itself.
+
+    The copy carries the dense branch states, their acceptances and leakages,
+    and an identity ``row_basis``, so its estimates are the dense-path readout.
+    """
+    twin = copy.copy(pipe)
+    twin.spectral = spectral_extraction(pipe.data_state, pipe.fm, pipe.tau, pipe.delta_r)
+    twin.mean_state, twin.p1 = invert_for_mean(twin.spectral, pipe.constants)
+    twin.variance_state, twin.p2 = invert_for_variance(twin.spectral, pipe.constants)
+    twin.uncompute_leakage_mean = _leakage(twin.mean_state)
+    twin.uncompute_leakage_variance = _leakage(twin.variance_state)
+    twin.row_basis = np.eye(pipe.data_state.register("row").dim)
+    return twin
 
 
 def vectorized_design(fm: FeatureModel, plan) -> np.ndarray:
@@ -265,8 +287,9 @@ class TestInversionBranches:
         lam_t = fm.normalized_singular_values
         lam_hat2 = np.array([ic.decoded_eigenvalue_sq(b) for b in ic.bins])
         weights = lam_t * ic.c1 / (lam_hat2 + ic.sigma_tilde_sq)
-        nr = paper_pipeline.mean_state.register("row").width
-        nc = paper_pipeline.mean_state.register("col").width
+        mean_state = expand_rows(paper_pipeline.mean_state, paper_pipeline.row_basis)
+        nr = mean_state.register("row").width
+        nc = mean_state.register("col").width
         target = np.zeros((1 << nc, 1 << nr))
         for r in range(fm.rank):
             v = np.zeros(1 << nc)
@@ -275,9 +298,9 @@ class TestInversionBranches:
             u[: fm.u.shape[0]] = fm.u[:, r]
             target += weights[r] * np.outer(v, u)
         target = target.ravel() / np.linalg.norm(target)
-        full = np.zeros_like(paper_pipeline.mean_state.amplitudes)
+        full = np.zeros_like(mean_state.amplitudes)
         full[: target.size] = target
-        fidelity = abs(np.vdot(full, paper_pipeline.mean_state.amplitudes)) ** 2
+        fidelity = abs(np.vdot(full, mean_state.amplitudes)) ** 2
         assert fidelity >= 0.99
 
 
@@ -411,12 +434,13 @@ class TestBatchedReadoutMatchesCircuits:
     def test_exact_overlaps(self, design):
         h, ds, fm, tau, delta_r, grid = _oracle_designs()[design]
         pipe = PreparedPipeline(fm, h, tau, delta_r)
+        dense = dense_twin(pipe)
         m = pipe.mean_estimate(ds.targets, grid)
         v = pipe.variance_estimate(grid)
         for i, x in enumerate(grid):
-            reference, query = _circuit_references(pipe, ds.targets, x)
-            hadamard = qsim.hadamard_test(pipe.mean_state, reference)
-            swap = qsim.swap_test(pipe.variance_state, query, subsystem="col")
+            reference, query = _circuit_references(dense, ds.targets, x)
+            hadamard = qsim.hadamard_test(dense.mean_state, reference)
+            swap = qsim.swap_test(dense.variance_state, query, subsystem="col")
             assert abs(m.diagnostics["overlap"][i] - hadamard) <= 1e-12
             assert abs(np.clip(v.diagnostics["overlap_raw"][i], 0, 1) - swap) <= 1e-12
 
@@ -424,35 +448,101 @@ class TestBatchedReadoutMatchesCircuits:
     def test_sampled_draws(self, design):
         h, ds, fm, tau, delta_r, grid = _oracle_designs()[design]
         pipe = PreparedPipeline(fm, h, tau, delta_r)
+        dense = dense_twin(pipe)
         shots = 5_000
         seeds = np.random.SeedSequence(design).spawn(2 * grid.size)
         m = pipe.mean_estimate(ds.targets, grid, shots, seeds[: grid.size])
         v = pipe.variance_estimate(grid, shots, seeds[grid.size :])
         for i, x in enumerate(grid):
-            reference, query = _circuit_references(pipe, ds.targets, x)
+            reference, query = _circuit_references(dense, ds.targets, x)
             rng = np.random.default_rng(seeds[i])
             accepted = int(rng.binomial(shots, min(pipe.p1, 1.0)))
-            hadamard = qsim.hadamard_test(pipe.mean_state, reference, accepted, rng)
+            hadamard = qsim.hadamard_test(dense.mean_state, reference, accepted, rng)
             assert m.shots_used[i] == accepted
             assert m.diagnostics["overlap"][i] == hadamard
             rng = np.random.default_rng(seeds[grid.size + i])
             accepted = int(rng.binomial(shots, min(pipe.p2, 1.0)))
             swap = qsim.swap_test(
-                pipe.variance_state, query, subsystem="col", shots=accepted, seed=rng
+                dense.variance_state, query, subsystem="col", shots=accepted, seed=rng
             )
             assert v.shots_used[i] == accepted
             assert np.clip(v.diagnostics["overlap_raw"][i], 0, 1) == swap
 
 
+def _schmidt_designs():
+    """Designs with more rows than features, fewer (N=3, M=4) and a single row."""
+    designs = []
+    for n_points, m_freq, tau in ((64, 2, 6), (5, 1, 6), (3, 4, 6), (1, 3, 6), (1, 1, 5)):
+        h, ds, fm = resolved_small_model(tau, n_points=n_points, m_freq=m_freq)
+        designs.append((h, ds, fm, tau))
+    return designs
+
+
+class TestSchmidtRowsMatchDense:
+    """The compressed row register against every step applied to ``data_state``."""
+
+    def check(self, pipe, targets, grid):
+        dense = dense_twin(pipe)
+        row, col = (pipe.data_state.register(r).width for r in ("row", "col"))
+        assert pipe.mean_state.register("row").width == min(row, col)
+        for compressed, full in (
+            (pipe.mean_state, dense.mean_state),
+            (pipe.variance_state, dense.variance_state),
+        ):
+            expanded = expand_rows(compressed, pipe.row_basis)
+            assert expanded.registers == full.registers
+            assert np.max(np.abs(expanded.amplitudes - full.amplitudes)) <= 1e-12
+        for name in ("p1", "p2", "uncompute_leakage_mean", "uncompute_leakage_variance"):
+            assert abs(getattr(pipe, name) - getattr(dense, name)) <= 1e-12
+        m, m_dense = pipe.mean_estimate(targets, grid), dense.mean_estimate(targets, grid)
+        v, v_dense = pipe.variance_estimate(grid), dense.variance_estimate(grid)
+        assert np.max(np.abs(m.mean - m_dense.mean)) <= 1e-12
+        assert np.max(np.abs(v.variance - v_dense.variance)) <= 1e-12
+
+    def test_paper_config(self, paper_pipeline, paper_dataset, grid50):
+        self.check(paper_pipeline, paper_dataset.targets, grid50)
+
+    @pytest.mark.parametrize("design", range(5))
+    def test_small_designs(self, design):
+        h, ds, fm, tau = _schmidt_designs()[design]
+        self.check(PreparedPipeline(fm, h, tau), ds.targets, np.linspace(0.0, 6.0, 7))
+
+
 class TestCapacityPlan:
+    def test_phase_estimation_counts_the_schmidt_rows(self, monkeypatch):
+        # N=64, M=2: min(6 row, 2 col) + 2 col + 6 phase + 1 flag = 11 qubits fit
+        # a cap of 13, which the 6 + 2 + 6 + 1 = 15 of the full row register would not
+        tau = 6
+        h, ds, fm = resolved_small_model(tau, n_points=64, m_freq=2)
+        monkeypatch.setattr(qsim, "MAX_QUBITS", 13)
+        pipe = PreparedPipeline(fm, h, tau)
+        pred = BinnedPrediction(fm, h.noise_std, pipe.delta_r, tau)
+        grid = np.linspace(0.0, 6.0, 4)
+        m = pipe.mean_estimate(ds.targets, grid)
+        v = pipe.variance_estimate(grid)
+        for i, x in enumerate(grid):
+            phi_star = scaled_feature_vector([x], fm.freq, h)
+            assert m.mean[i] == pytest.approx(pred.mean(phi_star, ds.targets), abs=1e-8)
+            assert v.variance[i] == pytest.approx(pred.variance(phi_star), abs=1e-8)
+
+    def test_encoding_refused_before_encoding(self, monkeypatch):
+        # N=16, M=2: 4 row + 2 col = 6 qubits to encode against a cap of 5
+        h, ds, fm = small_model(n_points=16, m_freq=2)
+        prep_calls = []
+        monkeypatch.setattr(qsim, "MAX_QUBITS", 5)
+        monkeypatch.setattr(qsim, "apply_circuit", lambda *args: prep_calls.append(args))
+        with pytest.raises(CapacityError, match="encoding"):
+            PreparedPipeline(fm, h, tau=1)
+        assert prep_calls == []
+
     def test_refused_before_encoding(self, monkeypatch):
-        # 4 row + 2 col + 6 phase + 1 flag = 13 qubits against a cap of 12
+        # min(4 row, 2 col) + 2 col + 8 phase + 1 flag = 13 qubits against a cap of 12
         h, ds, fm = small_model(n_points=16, m_freq=2)
         qpe_calls = []
         monkeypatch.setattr(qsim, "MAX_QUBITS", 12)
         monkeypatch.setattr(qsim, "qpe", lambda *args, **kw: qpe_calls.append(args))
         with pytest.raises(CapacityError):
-            PreparedPipeline(fm, h, tau=6)
+            PreparedPipeline(fm, h, tau=8)
         assert qpe_calls == []
 
     def test_column_matrices_refused_before_encoding(self, monkeypatch):
