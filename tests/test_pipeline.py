@@ -526,13 +526,14 @@ class TestCapacityPlan:
             assert v.variance[i] == pytest.approx(pred.variance(phi_star), abs=1e-8)
 
     def test_encoding_refused_before_encoding(self, monkeypatch):
-        # N=16, M=2: 4 row + 2 col = 6 qubits to encode against a cap of 5
-        h, ds, fm = small_model(n_points=16, m_freq=2)
+        # N=64, M=1: 6 row + 1 col = 7 qubits to encode against a cap of 6, while
+        # phase estimation would need only min(6, 1) + 1 col + 2 phase + 1 flag = 5
+        h, ds, fm = small_model(n_points=64, m_freq=1)
         prep_calls = []
-        monkeypatch.setattr(qsim, "MAX_QUBITS", 5)
+        monkeypatch.setattr(qsim, "MAX_QUBITS", 6)
         monkeypatch.setattr(qsim, "apply_circuit", lambda *args: prep_calls.append(args))
         with pytest.raises(CapacityError, match="encoding"):
-            PreparedPipeline(fm, h, tau=1)
+            PreparedPipeline(fm, h, tau=2)
         assert prep_calls == []
 
     def test_refused_before_encoding(self, monkeypatch):
