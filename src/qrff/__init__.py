@@ -18,14 +18,10 @@ from .pipeline import (
     InversionConstants,
     PosteriorEstimate,
     PreparedPipeline,
-    SpectralRegisters,
-    expand_rows,
-    invert_for_mean,
-    invert_for_variance,
+    dense_oracle,
+    phase_table,
     plan_encoding,
     prepare_data_state,
-    schmidt_rows,
-    spectral_extraction,
 )
 from .rff import (
     FeatureModel,
@@ -52,21 +48,17 @@ __all__ = [
     "PostSelectionError",
     "PreparedPipeline",
     "QrffError",
-    "SpectralRegisters",
     "build_feature_model",
+    "dense_oracle",
     "exact_posterior",
-    "expand_rows",
     "feature_map",
     "gram_matrix",
-    "invert_for_mean",
-    "invert_for_variance",
+    "phase_table",
     "plan_encoding",
     "prepare_data_state",
     "rbf_kernel",
     "rff_posterior",
     "sample_frequencies",
-    "schmidt_rows",
     "scaled_feature_vector",
     "spectral_density",
-    "spectral_extraction",
 ]

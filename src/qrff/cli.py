@@ -26,13 +26,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, IoError, QrffError
 from .kernel import Dataset, KernelHyper, exact_posterior
-from .pipeline import (
-    PreparedPipeline,
-    expand_rows,
-    invert_for_mean,
-    invert_for_variance,
-    spectral_extraction,
-)
+from .pipeline import PreparedPipeline, dense_oracle
 from .rff import build_feature_model, rff_posterior, sample_frequencies
 
 _CSV_HEADER = "x,mean_exact,var_exact,mean_rff,var_rff,mean_qrff,var_qrff,p1,p2"
@@ -324,22 +318,27 @@ def _run_selftest() -> int:
     h2 = qsim.measure_register(sa, "r", 1000, 7)
     check("measurement determinism", h1 == h2)
 
-    # 8 points and 2 frequencies: 3 row qubits carried as 2, bins 61, 55, 22, 13 of 64
+    # 8 points and 2 frequencies: 4 Schmidt components, bins 61, 55, 22, 13 of 64
     hyper = KernelHyper(1.5, 1.0, 0.1)
     x = np.linspace(0.0, 2.0 * np.pi, 8)
     fm = build_feature_model(
         Dataset(x[:, None], np.sin(x)), sample_frequencies(2, hyper, 1, 3), hyper
     )
     pipe = PreparedPipeline(fm, hyper, 6)
-    dense = spectral_extraction(pipe.data_state, fm, 6, pipe.delta_r)
-    gap = max(
-        np.max(np.abs(expand_rows(state, pipe.row_basis).amplitudes - want.amplitudes))
-        for state, (want, _) in (
-            (pipe.mean_state, invert_for_mean(dense, pipe.constants)),
-            (pipe.variance_state, invert_for_variance(dense, pipe.constants)),
-        )
+    _, _, ((mean, p1), (variance, p2)) = dense_oracle(pipe.data_state, pipe.constants)
+    # the phase register is the highest, so its |0> slice leads the amplitudes
+    size = pipe.data_state.amplitudes.size
+    mean0, variance0 = mean.amplitudes[:size], variance.amplitudes[:size]
+    rho = (pipe.col_basis * pipe.variance_weights) @ pipe.col_basis.conj().T
+    gaps = (
+        np.abs(mean0 - (pipe.mean_slice @ pipe.row_basis).ravel()).max(),
+        np.abs(qsim.partial_trace(variance, "col").matrix - rho).max(),
+        abs(pipe.p1 - p1),
+        abs(pipe.p2 - p2),
+        abs(pipe.uncompute_leakage_mean - 1 + np.vdot(mean0, mean0).real),
+        abs(pipe.uncompute_leakage_variance - 1 + np.vdot(variance0, variance0).real),
     )
-    check("Schmidt-basis rows match the dense pipeline", gap <= 1e-12)
+    check("phase table matches the dense pipeline", max(gaps) <= 1e-12)
 
     print("selftest:", "OK" if failures == 0 else f"{failures} failure(s)")
     return 0 if failures == 0 else 1

@@ -126,9 +126,21 @@ def rbf_kernel(xi, xj, h: KernelHyper) -> float:
 
 
 def _cross_kernel(a: np.ndarray, b: np.ndarray, h: KernelHyper) -> np.ndarray:
-    """Kernel values between two point sets of shapes (A, d) and (B, d), shape (A, B)."""
-    sq = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
-    return h.signal_std**2 * np.exp(-0.5 * sq / h.length_scale**2)
+    """Kernel values between two point sets of shapes (A, d) and (B, d), shape (A, B).
+
+    Built in place in the (A, B) result (for d = 1 no other (A, B) array).
+    Between a point set and itself the result is exactly symmetric:
+    a_i - a_j is exactly -(a_j - a_i).
+    """
+    K = np.subtract.outer(a[:, 0], b[:, 0])
+    np.square(K, out=K)
+    for j in range(1, a.shape[1]):
+        K += np.subtract.outer(a[:, j], b[:, j]) ** 2
+    K *= -0.5
+    K /= h.length_scale**2
+    np.exp(K, out=K)
+    K *= h.signal_std**2
+    return K
 
 
 def gram_matrix(points, h: KernelHyper) -> np.ndarray:
@@ -140,9 +152,7 @@ def gram_matrix(points, h: KernelHyper) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if not np.isfinite(pts).all():
         raise ValueError("points contain non-finite values")
-    K = _cross_kernel(pts, pts, h)
-    # exact symmetry regardless of floating-point summation order
-    return 0.5 * (K + K.T)
+    return _cross_kernel(pts, pts, h)
 
 
 def spectral_density(omega, h: KernelHyper) -> float:
@@ -161,24 +171,38 @@ def spectral_density(omega, h: KernelHyper) -> float:
     )
 
 
-def _solve_spd(K: np.ndarray, h: KernelHyper, rhs: np.ndarray) -> np.ndarray:
-    """Solve (K + noise) system via Cholesky, with a logged one-shot jitter retry."""
-    A = K + h.noise_std**2 * np.eye(K.shape[0])
+def _solve_spd(points: np.ndarray, h: KernelHyper, rhs: np.ndarray) -> np.ndarray:
+    """Solve (K + noise) X = rhs via Cholesky, with a logged one-shot jitter retry.
+
+    K + noise is built and factored in one N x N array: the transpose of the
+    symmetric C-ordered matrix is its Fortran-ordered view, which LAPACK
+    overwrites without a copy. A failed factorization leaves that array
+    overwritten, so the retry builds it again.
+    """
+
+    def factor(jitter: float):
+        A = gram_matrix(points, h)
+        diagonal = A.reshape(-1)[:: A.shape[0] + 1]
+        diagonal += h.noise_std**2
+        if jitter:
+            diagonal += jitter
+        return cho_factor(A.T, lower=True, overwrite_a=True)
+
     try:
-        factor = cho_factor(A, lower=True)
+        chol = factor(0.0)
     except LinAlgError:
         jitter = 1e-10 * h.signal_std**2
         logger.warning(
             "Cholesky of (K + noise) failed; retrying with diagonal jitter %.3e", jitter
         )
         try:
-            factor = cho_factor(A + jitter * np.eye(K.shape[0]), lower=True)
+            chol = factor(jitter)
         except LinAlgError as exc:
             raise np.linalg.LinAlgError(
                 "kernel system is singular even after jitter; "
                 "duplicate inputs with zero noise_std?"
             ) from exc
-    return cho_solve(factor, rhs)
+    return cho_solve(chol, rhs)
 
 
 def exact_posterior(ds: Dataset, h: KernelHyper, xs) -> Posterior:
@@ -201,7 +225,7 @@ def exact_posterior(ds: Dataset, h: KernelHyper, xs) -> Posterior:
     pts = _as_points(xs, ds.dim)
     k_star = _cross_kernel(ds.inputs, pts, h)
     rhs = np.column_stack([ds.targets, k_star])
-    sol = _solve_spd(gram_matrix(ds.inputs, h), h, rhs)
+    sol = _solve_spd(ds.inputs, h, rhs)
     mean = k_star.T @ sol[:, 0]
     variance = h.signal_std**2 - np.einsum("ng,ng->g", k_star, sol[:, 1:])
     # numerical round-off can leave a tiny negative residue

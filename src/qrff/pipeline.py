@@ -1,15 +1,17 @@
 """End-to-end quantum estimation of the reduced-rank GP posterior.
 
 Stages: encode the scaled design matrix as amplitudes over (column, row)
-registers, carry that state with its row register in the Schmidt basis (one
-SVD; rho and everything after it act on the column and phase registers only),
-extract the squared normalized singular values by phase estimation
-of exp(i * rho * t) with rho the column-register reduced density operator,
-apply an eigenvalue-conditioned inversion profile with post-selection (the
-flag qubit's rotation and projection folded into a per-bin weight),
-un-compute the phase register, and read posterior quantities off
-the closed-form outcome probabilities of a Hadamard test (mean) and a SWAP
-test (variance), for a whole grid of query points at once.
+registers, simulated gate by gate; extract the squared normalized singular
+values by phase estimation of exp(i * rho * t) with rho the column-register
+reduced density operator; apply an eigenvalue-conditioned inversion profile
+with post-selection (the flag qubit's rotation and projection folded into a
+per-bin weight); un-compute the phase register; and read posterior
+quantities off the closed-form outcome probabilities of a Hadamard test
+(mean) and a SWAP test (variance), for a whole grid of query points at once.
+Everything after the encoding is block-diagonal in rho's eigenbasis, so it is
+evaluated exactly there, from one SVD of the encoded amplitudes and the QPE
+outcome distribution per eigenvalue (``phase_table``); ``dense_oracle`` runs
+the same steps as circuits for the tests.
 
 All amplitudes are normalized by the design's Frobenius norm, so classical
 scale recovery multiplies estimated overlaps back by the Frobenius norm, the
@@ -50,18 +52,6 @@ class EncodingPlan:
     freq_count: int
     angles: np.ndarray = field(repr=False)
     frobenius_norm: float
-
-
-@dataclass(frozen=True)
-class SpectralRegisters:
-    """Statevector after phase estimation, the QPE ops that made it (which
-    ``qsim.inverse_qpe`` un-computes), and the parameters that shaped them."""
-
-    sv: Statevector
-    circuit: tuple[GateOp, ...] = field(repr=False)
-    tau: int
-    delta_r: float
-    t: float
 
 
 @dataclass(frozen=True)
@@ -199,35 +189,8 @@ def prepare_data_state(plan: EncodingPlan) -> Statevector:
     return qsim.apply_circuit(sv, ops)
 
 
-def schmidt_rows(sv: Statevector) -> tuple[Statevector, np.ndarray]:
-    """Carry an encoded state with its ``row`` register in the Schmidt basis.
-
-    The amplitudes over (col, row) form a matrix A = W diag(s) Vh (one SVD).
-    Returns the state sum_k s_k |w_k>_col |k>_row on a row register of
-    min(row, col) qubits, and Vh, the isometry from it back to the original
-    rows. Phase estimation, inversion and un-compute act on the col and phase
-    registers only, so they commute with Vh, and ``expand_rows`` of their
-    output is what the same steps make of ``sv`` itself.
-    """
-    col, row = sv.register("col"), sv.register("row")
-    w, s, vh = np.linalg.svd(sv.amplitudes.reshape(col.dim, row.dim), full_matrices=False)
-    spec = [("row", min(row.width, col.width)), ("col", col.width)]
-    return Statevector.from_amplitudes((w * s).ravel(), spec), vh
-
-
-def expand_rows(sv: Statevector, row_basis: np.ndarray) -> Statevector:
-    """Map the Schmidt-basis ``row`` register (the lowest) back through ``row_basis``."""
-    row = sv.register("row")
-    if row.offset != 0 or row.dim != row_basis.shape[0]:
-        raise ValueError("row register is not the lowest or does not match the basis")
-    amps = sv.amplitudes.reshape(-1, row.dim) @ row_basis
-    width = row_basis.shape[1].bit_length() - 1
-    spec = [(r.name, width if r.name == "row" else r.width) for r in sv.registers]
-    return Statevector.from_amplitudes(amps.ravel(), spec)
-
-
 # ---------------------------------------------------------------------------
-# spectral extraction and inversion
+# phase estimation and inversion
 # ---------------------------------------------------------------------------
 
 
@@ -235,74 +198,59 @@ def default_delta_r(fm: FeatureModel) -> float:
     return DELTA_R_HEADROOM * float(fm.normalized_singular_values[0] ** 2)
 
 
-def spectral_extraction(
-    sv: Statevector, fm: FeatureModel, tau: int, delta_r: float
-) -> SpectralRegisters:
-    """Phase-estimate the column-register density operator.
+def phase_table(theta: np.ndarray, tau: int) -> np.ndarray:
+    """Phase-register distribution |a_k(b)|^2 after QPE of eigenphase ``theta[k]``.
 
-    Appends the ``phase`` register; eigenvalue mass concentrates on bins near
-    ``round(lam_tilde^2 * 2^tau / delta_r)``.
+    The Fejer kernel sin^2(pi T theta) / (T sin(pi (theta - b/T)))^2 with
+    T = 2^tau, one row per eigenphase in [0, 1) and one column per bin b; a
+    row whose phase sits on a bin is one-hot there. Built in place in one
+    float64 array of shape (len(theta), T).
     """
-    lam_max2 = float(fm.normalized_singular_values[0] ** 2)
-    if delta_r <= lam_max2:
-        raise ConfigError(
-            f"delta_r={delta_r:.6g} must exceed the top squared normalized "
-            f"singular value {lam_max2:.6g} (phase wraparound)"
-        )
+    T = 1 << tau
+    u = np.asarray(theta, dtype=float) * T
+    nearest = np.round(u)
+    # sin^2(pi (u - b)) is the same for every integer b
+    num = np.sin(np.pi * (u - nearest)) ** 2
+    table = np.subtract.outer(u, np.arange(T, dtype=float))
+    table *= np.pi / T
+    np.sin(table, out=table)
+    table *= T
+    np.square(table, out=table)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(num[:, None], table, out=table)
+    # 0/0 where u sits on bin b (or its square underflows): every other entry is 0
+    on_bin = np.flatnonzero(num == 0)
+    table[on_bin, nearest[on_bin].astype(int) % T] = 1.0
+    return table
+
+
+def dense_oracle(
+    sv: Statevector, ic: InversionConstants
+) -> tuple[Statevector, list[GateOp], list[tuple[Statevector, float]]]:
+    """The spectral steps as circuits on an encoded state: the test oracle.
+
+    Phase-estimates exp(i * rho * t), t = 2 pi / delta_r, with rho the
+    ``col`` register's reduced state (``qsim.qpe_circuit``, ``qsim.qpe``);
+    then per branch post-selects on the rotation profile (``qsim.postselect``,
+    the flag qubit folded into per-bin weights) and un-computes the phase
+    register (``qsim.inverse_qpe``). Returns the post-QPE state, the QPE ops,
+    and ``[(mean_state, p1), (variance_state, p2)]``.
+    """
     rho = qsim.partial_trace(sv, "col")
-    t = 2.0 * np.pi / delta_r
     # exp(+i*rho*t): eigenphases lam~^2/delta_r grow with the eigenvalue, so
     # the phase register decodes directly as lam_hat^2 = b * delta_r / 2^tau
-    circuit = tuple(qsim.qpe_circuit(sv, rho.matrix, t, "col", tau))
-    out = qsim.qpe(sv, circuit, tau, phase_register="phase")
-    return SpectralRegisters(sv=out, circuit=circuit, tau=tau, delta_r=delta_r, t=t)
-
-
-def _conditional_inversion(
-    sr: SpectralRegisters, profile: np.ndarray
-) -> tuple[Statevector, float]:
-    """Post-select on the per-bin profile, then un-compute the phase register.
-
-    The paper's circuit rotates a flag qubit by Ry(arcsin profile[b]) where
-    the phase register reads b and post-selects the flag on |1>; that equals
-    scaling each bin's slice by ``profile[b]`` and renormalizing, which
-    ``qsim.postselect`` does without the flag. Returns the renormalized state
-    (still carrying the phase register, which the un-computation leaves
-    approximately at |0>) and the exact acceptance probability.
-    """
-    sv, prob = qsim.postselect(sr.sv, "phase", profile)
-    sv = qsim.inverse_qpe(sv, sr.circuit)
-    return sv, prob
-
-
-def invert_for_mean(
-    sr: SpectralRegisters, ic: InversionConstants
-) -> tuple[Statevector, float]:
-    """Apply the mean-branch inversion ``c1 / (lam_hat^2 + sigma~^2)``."""
-    return _conditional_inversion(sr, ic.mean_rotation_profile())
-
-
-def invert_for_variance(
-    sr: SpectralRegisters, ic: InversionConstants
-) -> tuple[Statevector, float]:
-    """Apply the variance-branch inversion ``c2 / (lam_hat * sqrt(lam_hat^2 + sigma~^2))``."""
-    return _conditional_inversion(sr, ic.variance_rotation_profile())
+    circuit = qsim.qpe_circuit(sv, rho.matrix, 2.0 * np.pi / ic.delta_r, "col", ic.tau)
+    spectral = qsim.qpe(sv, circuit, ic.tau, phase_register="phase")
+    branches = []
+    for profile in (ic.mean_rotation_profile(), ic.variance_rotation_profile()):
+        state, prob = qsim.postselect(spectral, "phase", profile)
+        branches.append((qsim.inverse_qpe(state, circuit), prob))
+    return spectral, circuit, branches
 
 
 # ---------------------------------------------------------------------------
 # posterior estimation
 # ---------------------------------------------------------------------------
-
-
-def _phase_zero_slice(sv: Statevector) -> np.ndarray:
-    """Amplitudes with the phase register at |0>, shape (col dim, row dim)."""
-    dims = [sv.register(name).dim for name in ("phase", "col", "row")]
-    return sv.amplitudes.reshape(dims)[0]
-
-
-def _leakage(sv: Statevector) -> float:
-    amps = _phase_zero_slice(sv)
-    return float(1.0 - np.vdot(amps, amps).real)
 
 
 def _sampled_overlaps(p_accept: float, p0: np.ndarray, shots: int, seeds):
@@ -335,17 +283,24 @@ def _sampled_overlaps(p_accept: float, p0: np.ndarray, shots: int, seeds):
 class PreparedPipeline:
     """Query-independent pipeline state, reusable across query grids.
 
-    Runs encoding, phase estimation, and both inversion branches once. The
-    encoded ``data_state`` is carried with its row register in the Schmidt
-    basis (``schmidt_rows``), so every later state has min(row, col) row
-    qubits; ``row_basis`` maps them back (``expand_rows``), and the same
-    steps applied to ``data_state`` are the dense oracle. A posterior call
-    then answers a whole grid of G query points by reading the Hadamard- and
-    SWAP-test probabilities in closed form: P(0) = 1/2 + Re<b|a>/2 for the
-    mean, with the targets mapped through ``row_basis``, and
-    P(0) = 1/2 + <q|rho_col|q>/2 for the variance, with rho_col the
-    column-register state of the variance branch. ``qsim.hadamard_test`` and
-    ``qsim.swap_test`` are the circuits these values are tested against.
+    Simulates the encoding gate by gate (``data_state``), then takes one SVD
+    of the encoded amplitudes over (col, row), A = W diag(s) Vh. So rho_col =
+    W diag(s^2) W^dagger, and phase estimation, both inversion branches and
+    the un-compute act on each Schmidt component k alone: QPE leaves its
+    phase register with the distribution ``phase_table`` gives for
+    theta_k = s_k^2 / delta_r, and a branch with rotation profile w keeps
+    c_k = sum_b w_b |a_k(b)|^2 of it at phase 0 and g_k = sum_b w_b^2 |a_k(b)|^2
+    in all. Hence p = sum_k s_k^2 g_k, the mean branch's phase-0 slice
+    W diag(s c) / sqrt(p), the variance branch's rho_col
+    W diag(s^2 g / p) W^dagger, and the leakage 1 - sum_k s_k^2 c_k^2 / p;
+    ``dense_oracle`` on ``data_state`` is what these are tested against.
+
+    A posterior call answers a whole grid of G query points by reading the
+    Hadamard- and SWAP-test probabilities in closed form: P(0) = 1/2 +
+    Re<b|a>/2 for the mean, with the targets mapped through ``row_basis``
+    (Vh), and P(0) = 1/2 + <q|rho_col|q>/2 for the variance.
+    ``qsim.hadamard_test`` and ``qsim.swap_test`` are the circuits these
+    values are tested against.
     """
 
     def __init__(
@@ -365,29 +320,39 @@ class PreparedPipeline:
             raise CapacityError(
                 f"encoding needs {row + col} qubits (row + col), cap {qsim.MAX_QUBITS}"
             )
-        width = min(row, col) + col + tau + 1
-        if width > qsim.MAX_QUBITS:
+        # the phase table has one row per Schmidt component, at most 2^min(row, col)
+        if min(row, col) + tau > qsim.MAX_QUBITS:
             raise CapacityError(
-                f"phase estimation needs {width} qubits (min(row, col) + col + tau "
-                f"+ flag), cap {qsim.MAX_QUBITS}"
+                f"the phase table holds 2^{min(row, col) + tau} entries "
+                f"(min(row, col) + tau), cap {qsim.MAX_QUBITS}"
             )
-        # rho and its eigenbasis are d x d with d = 2^col: no bigger than a state
-        if 2 * col > qsim.MAX_QUBITS:
-            raise CapacityError(
-                f"the {1 << col} x {1 << col} matrices of the col register hold "
-                f"2^{2 * col} entries, more than a state at the cap of {qsim.MAX_QUBITS} qubits"
-            )
-        self.constants = InversionConstants.from_feature_model(
+        ic = self.constants = InversionConstants.from_feature_model(
             fm, h.noise_std, self.delta_r, tau
         )
         self.data_state = prepare_data_state(self.plan)
-        schmidt_state, self.row_basis = schmidt_rows(self.data_state)
-        self.spectral = spectral_extraction(schmidt_state, fm, tau, self.delta_r)
-        self.mean_state, self.p1 = invert_for_mean(self.spectral, self.constants)
-        self.variance_state, self.p2 = invert_for_variance(self.spectral, self.constants)
+        w, s, self.row_basis = np.linalg.svd(
+            self.data_state.amplitudes.reshape(1 << col, -1), full_matrices=False
+        )
+        s2 = s**2
+        table = phase_table(s2 / self.delta_r, tau)
+        (c1, g1), (c2, g2) = (
+            (table @ prof, table @ prof**2)
+            for prof in (ic.mean_rotation_profile(), ic.variance_rotation_profile())
+        )
+        p1, p2 = float(s2 @ g1), float(s2 @ g2)
+        for branch, prob in (("mean", p1), ("variance", p2)):
+            if prob < 1e-12:
+                raise PostSelectionError(
+                    f"post-selection of the {branch} branch has probability {prob:.3e}"
+                )
+        #: phase-0 slice of the mean branch after un-compute, over (col, Schmidt row)
+        self.mean_slice = w * (s * c1 / np.sqrt(p1))
+        #: the variance branch's rho_col is col_basis diag(variance_weights) col_basis^dagger
+        self.col_basis, self.variance_weights = w, s2 * g2 / p2
+        self.p1, self.p2 = min(p1, 1.0), min(p2, 1.0)
         #: 1 - phase-register mass at |0> after the inverse QPE, per branch
-        self.uncompute_leakage_mean = _leakage(self.mean_state)
-        self.uncompute_leakage_variance = _leakage(self.variance_state)
+        self.uncompute_leakage_mean = 1.0 - float(s2 @ c1**2) / p1
+        self.uncompute_leakage_variance = 1.0 - float(s2 @ c2**2) / p2
 
     def _grid_features(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """Scaled query features (G, 2M) and their norms (G,)."""
@@ -405,7 +370,7 @@ class PreparedPipeline:
         if y_norm == 0:
             raise ValueError("targets must not be identically zero")
         phi, phi_norm = self._grid_features(xs)
-        amps = _phase_zero_slice(self.mean_state)[:n_cols]
+        amps = self.mean_slice[:n_cols]
         y_rows = self.row_basis[:, :n_rows] @ (y / y_norm)
         overlap = np.einsum("ck,gc,k->g", amps, phi / phi_norm[:, None], y_rows).real
         shots_used = np.zeros(overlap.size, dtype=int)
@@ -434,9 +399,8 @@ class PreparedPipeline:
         """Posterior variances over the grid ``xs``; ``seeds`` holds one seed per point."""
         phi, phi_norm = self._grid_features(xs)
         n_cols = self.fm.design.shape[1]
-        rho = qsim.partial_trace(self.variance_state, "col").matrix[:n_cols, :n_cols]
-        q = phi / phi_norm[:, None]
-        raw = np.einsum("gk,km,gm->g", q, rho, q).real
+        q_w = (phi / phi_norm[:, None]) @ self.col_basis[:n_cols]
+        raw = (q_w.real**2 + q_w.imag**2) @ self.variance_weights
         shots_used = np.zeros(raw.size, dtype=int)
         if shots:
             raw, shots_used = _sampled_overlaps(self.p2, 0.5 + 0.5 * raw, shots, seeds)

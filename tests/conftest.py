@@ -5,7 +5,7 @@ import pytest
 
 from qrff.cli import RunConfig, generate_dataset
 from qrff.kernel import KernelHyper
-from qrff.pipeline import PreparedPipeline
+from qrff.pipeline import PreparedPipeline, dense_oracle
 from qrff.rff import build_feature_model, sample_frequencies
 
 
@@ -35,6 +35,13 @@ def paper_feature_model(paper_dataset, paper_hyper, paper_config):
 @pytest.fixture(scope="session")
 def paper_pipeline(paper_feature_model, paper_hyper, paper_config):
     return PreparedPipeline(paper_feature_model, paper_hyper, paper_config.tau)
+
+
+@pytest.fixture(scope="session")
+def paper_oracle(paper_pipeline):
+    """``dense_oracle`` on the paper pipeline's encoded state: the post-QPE
+    state, the QPE ops, and each branch's un-computed state with its p."""
+    return dense_oracle(paper_pipeline.data_state, paper_pipeline.constants)
 
 
 @pytest.fixture(scope="session")

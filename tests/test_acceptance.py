@@ -20,10 +20,11 @@ from qrff.cli import RunConfig, emit_outputs, run_experiment
 from qrff.errors import ConfigError
 from qrff.kernel import Dataset, KernelHyper, exact_posterior, rbf_kernel
 from qrff.pipeline import (
+    InversionConstants,
     PreparedPipeline,
+    dense_oracle,
     plan_encoding,
     prepare_data_state,
-    spectral_extraction,
 )
 from qrff.qsim import GateOp, Statevector
 from qrff.rff import (
@@ -122,12 +123,12 @@ def test_criterion_4_state_preparation_exactness():
     print(f"\nPASS criterion 4: 100 random designs, min fidelity = {1 - worst:.1e} below 1")
 
 
-def _per_component_bin_mass(sr, fm):
+def _per_component_bin_mass(sv, fm):
     """Phase-register distribution conditioned on each right singular vector."""
-    preg = sr.sv.register("phase")
-    nc = sr.sv.register("col").width
-    nr = sr.sv.register("row").width
-    cube = sr.sv.amplitudes.reshape(preg.dim, 1 << nc, 1 << nr)
+    preg = sv.register("phase")
+    nc = sv.register("col").width
+    nr = sv.register("row").width
+    cube = sv.amplitudes.reshape(preg.dim, 1 << nc, 1 << nr)
     masses = []
     for r in range(fm.rank):
         v = np.zeros(1 << nc)
@@ -138,24 +139,29 @@ def _per_component_bin_mass(sr, fm):
     return masses
 
 
-def _worst_windowed_mass(sr, fm):
+def _worst_windowed_mass(sv, fm, delta_r):
+    """Worst mass within +-1 bin of the modal bin, over the components of the
+    post-QPE state ``sv``."""
     lam_t2 = fm.normalized_singular_values**2
-    masses = _per_component_bin_mass(sr, fm)
-    dim = 1 << sr.tau
+    masses = _per_component_bin_mass(sv, fm)
+    dim = sv.register("phase").dim
     worst = 1.0
     for r, mass in enumerate(masses):
-        center = int(round(float(lam_t2[r] / sr.delta_r * dim)))
+        center = int(round(float(lam_t2[r] / delta_r * dim)))
         window = [b % dim for b in (center - 1, center, center + 1)]
         worst = min(worst, float(sum(mass[b] for b in window)))
     return worst
 
 
-def test_criterion_5_qpe_spectral_accuracy(paper_pipeline, paper_feature_model):
+def test_criterion_5_qpe_spectral_accuracy(
+    paper_pipeline, paper_oracle, paper_feature_model, paper_hyper
+):
     fm = paper_feature_model
-    worst_13 = _worst_windowed_mass(paper_pipeline.spectral, fm)
+    delta_r = paper_pipeline.delta_r
+    worst_13 = _worst_windowed_mass(paper_oracle[0], fm, delta_r)
     assert worst_13 >= 0.90
-    sr8 = spectral_extraction(paper_pipeline.data_state, fm, 8, paper_pipeline.delta_r)
-    worst_8 = _worst_windowed_mass(sr8, fm)
+    ic8 = InversionConstants.from_feature_model(fm, paper_hyper.noise_std, delta_r, 8)
+    worst_8 = _worst_windowed_mass(dense_oracle(paper_pipeline.data_state, ic8)[0], fm, delta_r)
     assert worst_13 >= worst_8
     print(
         f"\nPASS criterion 5: worst +-1-bin mass {worst_13:.4f} at tau=13 (>= 0.90), "

@@ -107,11 +107,10 @@ class TestRunExperiment:
         assert all(np.isfinite(r.mean_qrff) for r in report.records)
 
     def test_setup_width_is_the_whole_qubit_budget(self, monkeypatch):
-        # min(4 row, 2 col) + 2 col + 8 phase + 1 flag = 13 qubits: phase
-        # estimation fits the cap exactly, and the readout must not need a
-        # wider composite state
+        # min(4 row, 2 col) + 11 phase = 13: the phase table fits the cap
+        # exactly, and nothing after it may need a wider state
         monkeypatch.setattr(qsim, "MAX_QUBITS", 13)
-        report = run_experiment(RunConfig(n_points=16, n_frequencies=2, tau=8, grid_count=3))
+        report = run_experiment(RunConfig(n_points=16, n_frequencies=2, tau=11, grid_count=3))
         assert all(np.isfinite(r.var_qrff) for r in report.records)
 
 
@@ -277,7 +276,7 @@ class TestMainExitCodes:
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert "PASS: Schmidt-basis rows match the dense pipeline" in out
+        assert "PASS: phase table matches the dense pipeline" in out
 
 
 class TestDeterminism:

@@ -3,9 +3,11 @@
 Draws tiny designs with duplicate inputs, more frequencies than points
 (M > N, including N = 1 with a width-0 row register), one-qubit phase
 registers and zero noise, at the default phase window and at twice the top
-squared singular value (where tau = 1 can resolve a rank-one design). Each must either be refused with ``ConfigError``
-or ``PostSelectionError`` before any estimate is made, or give exact-mode
-means and variances equal to the binned spectral-sum oracle.
+squared singular value (where tau = 1 can resolve a rank-one design). Each
+must either be refused with ``ConfigError`` or ``PostSelectionError`` before
+any estimate is made, exactly when the dense circuits refuse it and with the
+same error, or give exact-mode means and variances equal to the binned
+spectral-sum oracle and, to 1e-12, to the dense circuits' readout.
 
 The sampled-mode test draws the same kind of designs with 1 to 64 shots and
 a seed per query point: each is refused, or gives accepted shots in
@@ -22,10 +24,26 @@ from hypothesis import strategies as st
 
 from qrff.errors import ConfigError, PostSelectionError
 from qrff.kernel import Dataset, KernelHyper
-from qrff.pipeline import DELTA_R_HEADROOM, PreparedPipeline
+from qrff.pipeline import (
+    DELTA_R_HEADROOM,
+    InversionConstants,
+    PreparedPipeline,
+    dense_oracle,
+    plan_encoding,
+    prepare_data_state,
+)
 from qrff.rff import build_feature_model, sample_frequencies, scaled_feature_vector
 
+from dense_readout import assert_matches_dense
 from spectral_oracle import BinnedPrediction
+
+
+def _outcome(build):
+    """``build()`` and None, or None and the type of the refusal it raised."""
+    try:
+        return build(), None
+    except (ConfigError, PostSelectionError) as exc:
+        return None, type(exc)
 
 #: a small input set, so that drawn designs repeat points
 INPUTS = (0.0, 0.4, 1.9, 3.1, 5.2)
@@ -50,12 +68,19 @@ def test_pipeline_refuses_or_matches_binned_oracle(
     ds = Dataset(x[:, None], y)
     fm = build_feature_model(ds, sample_frequencies(m_freq, h, 1, seed_freq), h)
     delta_r = headroom * float(fm.normalized_singular_values[0] ** 2)
-    try:
-        pipe = PreparedPipeline(fm, h, tau, delta_r)
-    except (ConfigError, PostSelectionError) as exc:
-        event(f"refused: {type(exc).__name__}")
+    pipe, refused = _outcome(lambda: PreparedPipeline(fm, h, tau, delta_r))
+    oracle, dense_refused = _outcome(
+        lambda: dense_oracle(
+            prepare_data_state(plan_encoding(fm)),
+            InversionConstants.from_feature_model(fm, noise, delta_r, tau),
+        )
+    )
+    assert refused is dense_refused
+    if refused:
+        event(f"refused: {refused.__name__}")
         return
     event("estimated")
+    assert_matches_dense(pipe, y, GRID, oracle)
     pred = BinnedPrediction(fm, noise, delta_r, tau)
     assert 0 < pipe.p1 <= 1 and 0 < pipe.p2 <= 1
     assert pipe.p1 == pytest.approx(pred.p1(), abs=1e-10)

@@ -1,24 +1,20 @@
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 import pytest
 
 from qrff import qsim
 from qrff.cli import RunConfig
-from qrff.errors import CapacityError, ConfigError
+from qrff.errors import CapacityError, ConfigError, PostSelectionError
 from qrff.kernel import Dataset, KernelHyper
 from qrff.pipeline import (
     InversionConstants,
     PreparedPipeline,
-    _leakage,
-    expand_rows,
-    invert_for_mean,
-    invert_for_variance,
+    default_delta_r,
+    dense_oracle,
+    phase_table,
     plan_encoding,
     prepare_data_state,
-    spectral_extraction,
 )
 from qrff.rff import (
     FeatureModel,
@@ -29,6 +25,7 @@ from qrff.rff import (
     scaled_feature_vector,
 )
 
+from dense_readout import assert_matches_dense, dense_twin
 from spectral_oracle import BinnedPrediction, qpe_bin_weights
 
 
@@ -56,22 +53,6 @@ def resolved_small_model(tau, n_points=4, m_freq=2, seed_data=3, seed_freq=5, no
         if bins.min() >= 2:
             return h, ds, fm
     raise AssertionError("no resolvable design found")
-
-
-def dense_twin(pipe: PreparedPipeline) -> PreparedPipeline:
-    """The pipeline run densely: every step applied to ``data_state`` itself.
-
-    The copy carries the dense branch states, their acceptances and leakages,
-    and an identity ``row_basis``, so its estimates are the dense-path readout.
-    """
-    twin = copy.copy(pipe)
-    twin.spectral = spectral_extraction(pipe.data_state, pipe.fm, pipe.tau, pipe.delta_r)
-    twin.mean_state, twin.p1 = invert_for_mean(twin.spectral, pipe.constants)
-    twin.variance_state, twin.p2 = invert_for_variance(twin.spectral, pipe.constants)
-    twin.uncompute_leakage_mean = _leakage(twin.mean_state)
-    twin.uncompute_leakage_variance = _leakage(twin.variance_state)
-    twin.row_basis = np.eye(pipe.data_state.register("row").dim)
-    return twin
 
 
 def vectorized_design(fm: FeatureModel, plan) -> np.ndarray:
@@ -147,31 +128,37 @@ class TestEncoding:
         assert np.max(np.abs(grid[:, 3])) == 0.0
 
 
+def dense_spectral_state(fm, tau, delta_r):
+    """The encoded design after the dense QPE of exp(i rho 2 pi / delta_r), as in
+    ``dense_oracle`` but with no inversion constants, which refuse unresolved bins."""
+    sv = prepare_data_state(plan_encoding(fm))
+    rho = qsim.partial_trace(sv, "col").matrix
+    return qsim.qpe(sv, qsim.qpe_circuit(sv, rho, 2.0 * np.pi / delta_r, "col", tau), tau)
+
+
 class TestSpectralExtraction:
     def test_rank_one_single_bin(self):
         h = KernelHyper(1.5, 1.0, 0.1)
         ds = Dataset(np.array([[0.4]]), np.array([1.0]))
         fm = build_feature_model(ds, sample_frequencies(1, h, 1, 2), h)
-        sv = prepare_data_state(plan_encoding(fm))
         tau = 5
-        sr = spectral_extraction(sv, fm, tau, delta_r=2.0)
-        probs = qsim._marginal_probabilities(sr.sv, sr.sv.register("phase"))
+        sv = dense_spectral_state(fm, tau, delta_r=2.0)
+        probs = qsim._marginal_probabilities(sv, sv.register("phase"))
         # lam~^2 = 1, phase 1/2 -> bin 2^(tau-1) with certainty
         assert probs[1 << (tau - 1)] == pytest.approx(1.0, abs=1e-10)
+        table = phase_table(np.array([0.5]), tau)
+        assert table[0, 1 << (tau - 1)] == 1.0 and table.sum() == 1.0
 
-    def test_wraparound_rejected(self, paper_feature_model):
-        sv = prepare_data_state(plan_encoding(paper_feature_model))
+    def test_wraparound_rejected(self, paper_feature_model, paper_hyper):
         lam_max2 = float(paper_feature_model.normalized_singular_values[0] ** 2)
         with pytest.raises(ConfigError):
-            spectral_extraction(sv, paper_feature_model, 6, delta_r=0.5 * lam_max2)
+            PreparedPipeline(paper_feature_model, paper_hyper, 6, delta_r=0.5 * lam_max2)
 
     @pytest.mark.parametrize("tau", [5, 6, 7])
     def test_resolution_law(self, tau):
         # modal-bin decode error is bounded by half a bin, which halves with tau
         h, ds, fm = small_model()
-        sv = prepare_data_state(plan_encoding(fm))
         delta_r = 1.05 * float(fm.normalized_singular_values[0] ** 2)
-        sr = spectral_extraction(sv, fm, tau, delta_r)
         lam_t2 = fm.normalized_singular_values**2
         half_bin = delta_r / (1 << (tau + 1))
         for t2 in lam_t2:
@@ -180,14 +167,13 @@ class TestSpectralExtraction:
 
     def test_mass_concentration_small_design(self):
         h, ds, fm = small_model(seed_data=1, seed_freq=8)
-        sv = prepare_data_state(plan_encoding(fm))
         tau = 8
         delta_r = 1.05 * float(fm.normalized_singular_values[0] ** 2)
-        sr = spectral_extraction(sv, fm, tau, delta_r)
-        preg = sr.sv.register("phase")
-        nr = sr.sv.register("row").width
-        nc = sr.sv.register("col").width
-        cube = sr.sv.amplitudes.reshape(preg.dim, 1 << nc, 1 << nr)
+        sv = dense_spectral_state(fm, tau, delta_r)
+        preg = sv.register("phase")
+        nr = sv.register("row").width
+        nc = sv.register("col").width
+        cube = sv.amplitudes.reshape(preg.dim, 1 << nc, 1 << nr)
         for r in range(fm.rank):
             v = np.zeros(1 << nc)
             v[: fm.v.shape[0]] = fm.v[:, r]
@@ -198,6 +184,38 @@ class TestSpectralExtraction:
                 float(fm.normalized_singular_values[r] ** 2 / delta_r), tau
             )
             assert np.max(np.abs(mass - predicted)) < 1e-10
+
+    @pytest.mark.parametrize("design", range(6))
+    def test_phase_table_is_the_dense_per_component_marginal(self, design):
+        # project the dense post-QPE state on each Schmidt pair (w_k, Vh_k):
+        # what remains on the phase register is s_k a_k(b). At tau 13 the
+        # circuit's own kicks, lam * t * 2^12 ~ 1e5 rad, round to ~1e-12 in a
+        # peak bin, so the designs stay at tau <= 8.
+        if design < 5:
+            h, ds, fm, tau = _schmidt_designs()[design]
+        else:
+            h, ds, fm = small_model(n_points=16, m_freq=2, seed_freq=21)
+            tau = 8
+        pipe = PreparedPipeline(fm, h, tau)
+        sv = dense_spectral_state(fm, tau, pipe.delta_r)
+        w, s, vh = np.linalg.svd(
+            pipe.data_state.amplitudes.reshape(pipe.col_basis.shape[0], -1),
+            full_matrices=False,
+        )
+        cube = sv.amplitudes.reshape(1 << tau, w.shape[0], vh.shape[1])
+        amps = np.einsum("bcr,ck,kr->kb", cube, w.conj(), vh.conj())
+        kept = s > 1e-8
+        table = phase_table(s[kept] ** 2 / pipe.delta_r, tau)
+        marginal = np.abs(amps[kept]) ** 2 / s[kept, None] ** 2
+        assert np.max(np.abs(table - marginal)) <= 1e-12
+
+    @pytest.mark.parametrize("tau", [1, 6, 13])
+    def test_phase_table_matches_the_fejer_oracle(self, tau):
+        theta = np.array([0.0, 0.3, 1.0 / 3.0, 0.5, 0.999, 2.0**-40])
+        table = phase_table(theta, tau)
+        for k, t in enumerate(theta):
+            assert np.max(np.abs(table[k] - qpe_bin_weights(t, tau))) <= 1e-12
+        assert np.max(np.abs(table.sum(axis=1) - 1.0)) <= 1e-12
 
 
 class TestInversionConstants:
@@ -271,23 +289,39 @@ class TestInversionBranches:
         est = pipe.mean_estimate(ds.targets, [1.1], shots=1000, seeds=[3])
         assert est.shots_used[0] == 1000
 
-    def test_uncompute_leakage_is_phase_register_mass(self, paper_pipeline):
+    @pytest.mark.parametrize("branch", ["mean", "variance"])
+    def test_vanishing_acceptance_refused_like_the_dense_path(self, branch, monkeypatch):
+        # a profile of 1e-7 keeps about 1e-14 of the state, below the 1e-12 floor
+        h, ds, fm = resolved_small_model(6)
+        name = f"{branch}_rotation_profile"
+        profile = getattr(InversionConstants, name)
+        monkeypatch.setattr(InversionConstants, name, lambda ic: 1e-7 * profile(ic))
+        with pytest.raises(PostSelectionError, match=branch):
+            PreparedPipeline(fm, h, 6)
+        ic = InversionConstants.from_feature_model(fm, h.noise_std, default_delta_r(fm), 6)
+        with pytest.raises(PostSelectionError):
+            dense_oracle(prepare_data_state(plan_encoding(fm)), ic)
+
+    def test_uncompute_leakage_is_phase_register_mass(self, paper_pipeline, paper_oracle):
+        _, _, ((mean_state, _), (variance_state, _)) = paper_oracle
         for sv, leakage in (
-            (paper_pipeline.mean_state, paper_pipeline.uncompute_leakage_mean),
-            (paper_pipeline.variance_state, paper_pipeline.uncompute_leakage_variance),
+            (mean_state, paper_pipeline.uncompute_leakage_mean),
+            (variance_state, paper_pipeline.uncompute_leakage_variance),
         ):
             # the marginal renormalises; the state's norm drifts ~1e-12 over the circuits
             mass0 = qsim._marginal_probabilities(sv, sv.register("phase"))[0]
             assert leakage == pytest.approx(1.0 - mass0, abs=1e-10)
             assert 0.0 < leakage < 1e-3
 
-    def test_mean_state_matches_classical_target(self, paper_pipeline, paper_feature_model):
+    def test_mean_state_matches_classical_target(
+        self, paper_pipeline, paper_oracle, paper_feature_model
+    ):
         fm = paper_feature_model
         ic = paper_pipeline.constants
         lam_t = fm.normalized_singular_values
         lam_hat2 = np.array([ic.decoded_eigenvalue_sq(b) for b in ic.bins])
         weights = lam_t * ic.c1 / (lam_hat2 + ic.sigma_tilde_sq)
-        mean_state = expand_rows(paper_pipeline.mean_state, paper_pipeline.row_basis)
+        mean_state = paper_oracle[2][0][0]
         nr = mean_state.register("row").width
         nc = mean_state.register("col").width
         target = np.zeros((1 << nc, 1 << nr))
@@ -479,42 +513,32 @@ def _schmidt_designs():
 
 
 class TestSchmidtRowsMatchDense:
-    """The compressed row register against every step applied to ``data_state``."""
+    """The closed form in the Schmidt basis against every step applied to
+    ``data_state`` as circuits (``dense_oracle``)."""
 
-    def check(self, pipe, targets, grid):
-        dense = dense_twin(pipe)
-        row, col = (pipe.data_state.register(r).width for r in ("row", "col"))
-        assert pipe.mean_state.register("row").width == min(row, col)
-        for compressed, full in (
-            (pipe.mean_state, dense.mean_state),
-            (pipe.variance_state, dense.variance_state),
-        ):
-            expanded = expand_rows(compressed, pipe.row_basis)
-            assert expanded.registers == full.registers
-            assert np.max(np.abs(expanded.amplitudes - full.amplitudes)) <= 1e-12
-        for name in ("p1", "p2", "uncompute_leakage_mean", "uncompute_leakage_variance"):
-            assert abs(getattr(pipe, name) - getattr(dense, name)) <= 1e-12
-        m, m_dense = pipe.mean_estimate(targets, grid), dense.mean_estimate(targets, grid)
-        v, v_dense = pipe.variance_estimate(grid), dense.variance_estimate(grid)
-        assert np.max(np.abs(m.mean - m_dense.mean)) <= 1e-12
-        assert np.max(np.abs(v.variance - v_dense.variance)) <= 1e-12
-
-    def test_paper_config(self, paper_pipeline, paper_dataset, grid50):
-        self.check(paper_pipeline, paper_dataset.targets, grid50)
+    def test_paper_config(self, paper_pipeline, paper_oracle, paper_dataset, grid50):
+        row, col = (paper_pipeline.data_state.register(r).width for r in ("row", "col"))
+        assert paper_pipeline.row_basis.shape == (1 << min(row, col), 1 << row)
+        assert paper_pipeline.tau == 13
+        assert_matches_dense(paper_pipeline, paper_dataset.targets, grid50, paper_oracle)
 
     @pytest.mark.parametrize("design", range(5))
     def test_small_designs(self, design):
         h, ds, fm, tau = _schmidt_designs()[design]
-        self.check(PreparedPipeline(fm, h, tau), ds.targets, np.linspace(0.0, 6.0, 7))
+        pipe = PreparedPipeline(fm, h, tau)
+        row, col = (pipe.data_state.register(r).width for r in ("row", "col"))
+        assert pipe.row_basis.shape == (1 << min(row, col), 1 << row)
+        assert_matches_dense(pipe, ds.targets, np.linspace(0.0, 6.0, 7))
 
 
 class TestCapacityPlan:
     def test_phase_estimation_counts_the_schmidt_rows(self, monkeypatch):
-        # N=64, M=2: min(6 row, 2 col) + 2 col + 6 phase + 1 flag = 11 qubits fit
-        # a cap of 13, which the 6 + 2 + 6 + 1 = 15 of the full row register would not
+        # N=64, M=2: the phase table has min(6 row, 2 col) + 6 phase = 8 qubits'
+        # worth of entries, which fits a cap of 8 (as does encoding, 6 + 2);
+        # a table over the full row register would need 6 + 6 = 12
         tau = 6
         h, ds, fm = resolved_small_model(tau, n_points=64, m_freq=2)
-        monkeypatch.setattr(qsim, "MAX_QUBITS", 13)
+        monkeypatch.setattr(qsim, "MAX_QUBITS", 8)
         pipe = PreparedPipeline(fm, h, tau)
         pred = BinnedPrediction(fm, h.noise_std, pipe.delta_r, tau)
         grid = np.linspace(0.0, 6.0, 4)
@@ -527,7 +551,7 @@ class TestCapacityPlan:
 
     def test_encoding_refused_before_encoding(self, monkeypatch):
         # N=64, M=1: 6 row + 1 col = 7 qubits to encode against a cap of 6, while
-        # phase estimation would need only min(6, 1) + 1 col + 2 phase + 1 flag = 5
+        # the phase table would need only min(6, 1) + 2 phase = 3
         h, ds, fm = small_model(n_points=64, m_freq=1)
         prep_calls = []
         monkeypatch.setattr(qsim, "MAX_QUBITS", 6)
@@ -537,32 +561,39 @@ class TestCapacityPlan:
         assert prep_calls == []
 
     def test_refused_before_encoding(self, monkeypatch):
-        # min(4 row, 2 col) + 2 col + 8 phase + 1 flag = 13 qubits against a cap of 12
+        # N=16, M=2: min(4 row, 2 col) + 11 phase = 13 against a cap of 12,
+        # while encoding needs only 4 + 2 = 6
         h, ds, fm = small_model(n_points=16, m_freq=2)
-        qpe_calls = []
+        circuit_calls = []
         monkeypatch.setattr(qsim, "MAX_QUBITS", 12)
-        monkeypatch.setattr(qsim, "qpe", lambda *args, **kw: qpe_calls.append(args))
-        with pytest.raises(CapacityError):
-            PreparedPipeline(fm, h, tau=8)
-        assert qpe_calls == []
+        monkeypatch.setattr(qsim, "apply_circuit", lambda *args: circuit_calls.append(args))
+        with pytest.raises(CapacityError, match="phase table"):
+            PreparedPipeline(fm, h, tau=11)
+        assert circuit_calls == []
 
-    def test_column_matrices_refused_before_encoding(self, monkeypatch):
-        # N=1, M=64: 0 row + 7 col + 4 phase + 1 flag = 12 qubits fit a cap of
-        # 12, but rho and its eigenbasis are 128 x 128, 2^14 entries each
+    def test_wide_column_register_runs_without_column_matrices(self, monkeypatch):
+        # N=1, M=64: 0 row + 7 col to encode and min(0, 7) + 4 phase for the
+        # table fit a cap of 12; no 128 x 128 matrix of the col register is built
         h, ds, fm = small_model(n_points=1, m_freq=64)
-        qpe_calls = []
         monkeypatch.setattr(qsim, "MAX_QUBITS", 12)
-        monkeypatch.setattr(qsim, "qpe", lambda *args, **kw: qpe_calls.append(args))
-        with pytest.raises(CapacityError):
-            PreparedPipeline(fm, h, tau=4)
-        assert qpe_calls == []
+        tau = 4
+        pipe = PreparedPipeline(fm, h, tau)
+        assert pipe.col_basis.shape == (128, 1)
+        pred = BinnedPrediction(fm, h.noise_std, pipe.delta_r, tau)
+        grid = np.array([0.5, 2.0])
+        m = pipe.mean_estimate(ds.targets, grid)
+        v = pipe.variance_estimate(grid)
+        for i, x in enumerate(grid):
+            phi_star = scaled_feature_vector([x], fm.freq, h)
+            assert m.mean[i] == pytest.approx(pred.mean(phi_star, ds.targets), abs=1e-8)
+            assert v.variance[i] == pytest.approx(pred.variance(phi_star), abs=1e-8)
 
     def test_column_matrices_at_the_cap_fit(self, monkeypatch):
-        # N=1, M=32: rho and its eigenbasis are 64 x 64, 2^12 entries each
+        # N=1, M=32: the readout factors span a 64-dimensional col register
         h, ds, fm = small_model(n_points=1, m_freq=32)
         monkeypatch.setattr(qsim, "MAX_QUBITS", 12)
         pipe = PreparedPipeline(fm, h, tau=4)
-        assert pipe.spectral.sv.register("col").width == 6
+        assert pipe.col_basis.shape == (64, 1) and pipe.mean_slice.shape == (64, 1)
         assert 0 < pipe.p1 <= 1 and 0 < pipe.p2 <= 1
 
     def test_wide_column_register_keeps_the_ladder_small(self):
@@ -571,8 +602,8 @@ class TestCapacityPlan:
         h, ds, fm = small_model(n_points=2, m_freq=64)
         tau = 10
         pipe = PreparedPipeline(fm, h, tau)
-        sv = pipe.spectral.sv
-        ladder_bytes = sum(op.matrices.nbytes for op in pipe.spectral.circuit)
+        sv, circuit, _ = dense_oracle(pipe.data_state, pipe.constants)
+        ladder_bytes = sum(op.matrices.nbytes for op in circuit)
         assert ladder_bytes <= sv.amplitudes.nbytes // 4
         pred = BinnedPrediction(fm, h.noise_std, pipe.delta_r, tau)
         grid = np.array([0.5, 2.0])
@@ -583,6 +614,30 @@ class TestCapacityPlan:
             phi_star = scaled_feature_vector([x], fm.freq, h)
             assert m.mean[i] == pytest.approx(pred.mean(phi_star, ds.targets), abs=1e-8)
             assert v.variance[i] == pytest.approx(pred.variance(phi_star), abs=1e-8)
+
+
+class TestNoDenseStepsInTheRunPath:
+    def test_pipeline_runs_without_qpe_postselect_or_partial_trace(self, monkeypatch):
+        h, ds, fm = resolved_small_model(6, n_points=8, m_freq=2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense step ran in the pipeline")
+
+        dense_steps = ("qpe_circuit", "qpe", "inverse_qpe", "postselect", "partial_trace")
+        for name in (*dense_steps, "apply_gate"):
+            monkeypatch.setattr(qsim, name, refuse)
+        circuits = []
+        apply_circuit = qsim.apply_circuit
+        monkeypatch.setattr(
+            qsim, "apply_circuit", lambda *args: circuits.append(args) or apply_circuit(*args)
+        )
+        pipe = PreparedPipeline(fm, h, 6)
+        grid = np.linspace(0.0, 6.0, 3)
+        for shots in (0, 1000):
+            seeds = range(grid.size) if shots else None
+            pipe.mean_estimate(ds.targets, grid, shots, seeds)
+            pipe.variance_estimate(grid, shots, seeds)
+        assert len(circuits) == 1  # the encoding
 
 
 class TestGaugeInvariance:

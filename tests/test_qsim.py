@@ -487,13 +487,14 @@ class TestPostselect:
         assert abs(p - p_want) <= 1e-12
         assert np.max(np.abs(out.amplitudes - want)) <= 1e-12
 
-    def test_matches_flag_circuit_on_paper_spectral_state(self, paper_pipeline):
-        sv = paper_pipeline.spectral.sv
+    def test_matches_flag_circuit_on_paper_spectral_state(self, paper_pipeline, paper_oracle):
+        sv = paper_oracle[0]
         weights = paper_pipeline.constants.mean_rotation_profile()
         out, p = qsim.postselect(sv, "phase", weights)
         want, p_want = flag_circuit_postselect(sv, "phase", weights)
         assert abs(p - p_want) <= 1e-12
-        assert p == paper_pipeline.p1
+        assert p == paper_oracle[2][0][1]
+        assert abs(p - paper_pipeline.p1) <= 1e-12
         assert np.max(np.abs(out.amplitudes - want)) <= 1e-12
 
 
