@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, IoError, QrffError
 from .kernel import Dataset, KernelHyper, exact_posterior
-from .pipeline import PreparedPipeline, dense_oracle
+from .pipeline import PreparedPipeline, dense_oracle, prepare_data_state
 from .rff import build_feature_model, rff_posterior, sample_frequencies
 
 _CSV_HEADER = "x,mean_exact,var_exact,mean_rff,var_rff,mean_qrff,var_qrff,p1,p2"
@@ -325,9 +325,10 @@ def _run_selftest() -> int:
         Dataset(x[:, None], np.sin(x)), sample_frequencies(2, hyper, 1, 3), hyper
     )
     pipe = PreparedPipeline(fm, hyper, 6)
-    _, _, ((mean, p1), (variance, p2)) = dense_oracle(pipe.data_state, pipe.constants)
+    state = prepare_data_state(pipe.plan)
+    _, _, ((mean, p1), (variance, p2)) = dense_oracle(state, pipe.constants)
     # the phase register is the highest, so its |0> slice leads the amplitudes
-    size = pipe.data_state.amplitudes.size
+    size = state.amplitudes.size
     mean0, variance0 = mean.amplitudes[:size], variance.amplitudes[:size]
     rho = (pipe.col_basis * pipe.variance_weights) @ pipe.col_basis.conj().T
     gaps = (

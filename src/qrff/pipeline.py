@@ -283,17 +283,19 @@ def _sampled_overlaps(p_accept: float, p0: np.ndarray, shots: int, seeds):
 class PreparedPipeline:
     """Query-independent pipeline state, reusable across query grids.
 
-    Simulates the encoding gate by gate (``data_state``), then takes one SVD
-    of the encoded amplitudes over (col, row), A = W diag(s) Vh. So rho_col =
-    W diag(s^2) W^dagger, and phase estimation, both inversion branches and
-    the un-compute act on each Schmidt component k alone: QPE leaves its
-    phase register with the distribution ``phase_table`` gives for
+    Simulates the encoding gate by gate (``prepare_data_state``), then takes
+    one SVD of the encoded amplitudes over (col, row), A = W diag(s) Vh, and
+    drops the encoded state. So rho_col = W diag(s^2) W^dagger, and phase
+    estimation, both inversion branches and the un-compute act on each
+    Schmidt component k alone: QPE leaves its phase register with the
+    distribution ``phase_table`` gives for
     theta_k = s_k^2 / delta_r, and a branch with rotation profile w keeps
     c_k = sum_b w_b |a_k(b)|^2 of it at phase 0 and g_k = sum_b w_b^2 |a_k(b)|^2
     in all. Hence p = sum_k s_k^2 g_k, the mean branch's phase-0 slice
     W diag(s c) / sqrt(p), the variance branch's rho_col
     W diag(s^2 g / p) W^dagger, and the leakage 1 - sum_k s_k^2 c_k^2 / p;
-    ``dense_oracle`` on ``data_state`` is what these are tested against.
+    ``dense_oracle`` on ``prepare_data_state(plan)`` is what these are
+    tested against.
 
     A posterior call answers a whole grid of G query points by reading the
     Hadamard- and SWAP-test probabilities in closed form: P(0) = 1/2 +
@@ -329,9 +331,9 @@ class PreparedPipeline:
         ic = self.constants = InversionConstants.from_feature_model(
             fm, h.noise_std, self.delta_r, tau
         )
-        self.data_state = prepare_data_state(self.plan)
         w, s, self.row_basis = np.linalg.svd(
-            self.data_state.amplitudes.reshape(1 << col, -1), full_matrices=False
+            prepare_data_state(self.plan).amplitudes.reshape(1 << col, -1),
+            full_matrices=False,
         )
         s2 = s**2
         table = phase_table(s2 / self.delta_r, tau)

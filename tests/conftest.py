@@ -5,7 +5,7 @@ import pytest
 
 from qrff.cli import RunConfig, generate_dataset
 from qrff.kernel import KernelHyper
-from qrff.pipeline import PreparedPipeline, dense_oracle
+from qrff.pipeline import PreparedPipeline, dense_oracle, prepare_data_state
 from qrff.rff import build_feature_model, sample_frequencies
 
 
@@ -41,7 +41,7 @@ def paper_pipeline(paper_feature_model, paper_hyper, paper_config):
 def paper_oracle(paper_pipeline):
     """``dense_oracle`` on the paper pipeline's encoded state: the post-QPE
     state, the QPE ops, and each branch's un-computed state with its p."""
-    return dense_oracle(paper_pipeline.data_state, paper_pipeline.constants)
+    return dense_oracle(prepare_data_state(paper_pipeline.plan), paper_pipeline.constants)
 
 
 @pytest.fixture(scope="session")

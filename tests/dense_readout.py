@@ -15,7 +15,7 @@ import copy
 import numpy as np
 
 from qrff import qsim
-from qrff.pipeline import PreparedPipeline, dense_oracle
+from qrff.pipeline import PreparedPipeline, dense_oracle, prepare_data_state
 
 TOL = 1e-12
 
@@ -41,14 +41,14 @@ def closed_form_rho_col(pipe: PreparedPipeline) -> np.ndarray:
 def dense_twin(pipe: PreparedPipeline, oracle=None) -> PreparedPipeline:
     """A copy of ``pipe`` whose readout factors come from ``dense_oracle``.
 
-    ``oracle`` is ``dense_oracle(pipe.data_state, pipe.constants)`` when
-    given, and is run otherwise. The copy keeps the dense branch states
+    ``oracle`` is ``dense_oracle(prepare_data_state(pipe.plan),
+    pipe.constants)`` when given, and is run otherwise. The copy keeps the dense branch states
     (``mean_state``, ``variance_state``) and their ``rho_col``; its
     ``mean_slice`` is over the original rows with an identity ``row_basis``,
     and its variance factors are the eigendecomposition of the dense rho_col.
     """
     if oracle is None:
-        oracle = dense_oracle(pipe.data_state, pipe.constants)
+        oracle = dense_oracle(prepare_data_state(pipe.plan), pipe.constants)
     _, _, ((mean, p1), (variance, p2)) = oracle
     twin = copy.copy(pipe)
     twin.mean_state, twin.p1 = mean, p1

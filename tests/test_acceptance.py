@@ -161,7 +161,8 @@ def test_criterion_5_qpe_spectral_accuracy(
     worst_13 = _worst_windowed_mass(paper_oracle[0], fm, delta_r)
     assert worst_13 >= 0.90
     ic8 = InversionConstants.from_feature_model(fm, paper_hyper.noise_std, delta_r, 8)
-    worst_8 = _worst_windowed_mass(dense_oracle(paper_pipeline.data_state, ic8)[0], fm, delta_r)
+    dense_8 = dense_oracle(prepare_data_state(paper_pipeline.plan), ic8)
+    worst_8 = _worst_windowed_mass(dense_8[0], fm, delta_r)
     assert worst_13 >= worst_8
     print(
         f"\nPASS criterion 5: worst +-1-bin mass {worst_13:.4f} at tau=13 (>= 0.90), "

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import json
+import logging
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qrff
 from qrff import qsim
 from qrff.cli import (
     RunConfig,
@@ -272,6 +277,23 @@ class TestMainExitCodes:
             else:
                 assert err == ""
 
+    def test_singular_exact_system_is_2_after_logged_jitter(
+        self, tmp_path, capsys, caplog, monkeypatch
+    ):
+        def fail(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n_points": 8, "grid_count": 2}))
+        with caplog.at_level(logging.WARNING, logger="qrff.kernel"):
+            code = main(["fit-exact", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "jitter" in caplog.text
+        err = capsys.readouterr().err
+        assert err.startswith("error: LinAlgError: ") and err.count("\n") == 1
+        assert "singular even after jitter" in err
+
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
@@ -295,3 +317,18 @@ class TestDeterminism:
                     (pathlib.Path(cfg.out_dir) / "results.csv").read_bytes()
                 )
             assert outs[0] == outs[1]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(pathlib.Path(qrff.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, qrff.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

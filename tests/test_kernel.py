@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 from qrff.kernel import (
+    BLOCK,
     Dataset,
     KernelHyper,
     Posterior,
@@ -147,3 +148,33 @@ class TestExactPosterior:
             post = exact_posterior(ds, h, [1.0])
         assert "jitter" in caplog.text
         assert np.isfinite(post.mean).all()
+
+    def test_several_blocks_with_a_ragged_end_match_a_dense_solve(self, paper_hyper):
+        # 3 full column blocks and a 5-wide one, inputs in random order
+        rng = np.random.default_rng(5)
+        n = 3 * BLOCK + 5
+        x = rng.uniform(0.0, 12.0, size=(n, 2))
+        ds = Dataset(x, rng.normal(size=n))
+        xs = rng.uniform(-1.0, 13.0, size=(9, 2))
+        post = exact_posterior(ds, paper_hyper, xs)
+        A = gram_matrix(x, paper_hyper) + paper_hyper.noise_std**2 * np.eye(n)
+        k_star = np.array([[rbf_kernel(a, b, paper_hyper) for b in xs] for a in x])
+        alpha = np.linalg.solve(A, np.column_stack([ds.targets, k_star]))
+        assert post.mean == pytest.approx(k_star.T @ alpha[:, 0], abs=1e-10)
+        variance = 2.25 - np.sum(k_star * alpha[:, 1:], axis=0)
+        assert post.variance == pytest.approx(variance, abs=1e-10)
+
+    def test_duplicate_pair_across_blocks_uses_logged_jitter(self, caplog):
+        # kernel values between distinct inputs underflow to exactly 0, so the
+        # pair's second pivot is exactly 2.25 - 1.5^2 = 0 in the third block
+        h = KernelHyper(1.5, 0.01, 0.0)
+        n = 2 * BLOCK + 7
+        x = np.random.default_rng(6).permutation(n).astype(float)
+        i, j = 3, 2 * BLOCK + 1
+        x[j] = x[i]
+        y = np.linspace(-1.0, 1.0, n)
+        with caplog.at_level(logging.WARNING, logger="qrff.kernel"):
+            post = exact_posterior(Dataset(x[:, None], y), h, [x[i]])
+        assert "jitter" in caplog.text
+        assert post.mean[0] == pytest.approx((y[i] + y[j]) / 2, abs=1e-8)
+        assert post.variance[0] == pytest.approx(0.0, abs=1e-8)

@@ -199,7 +199,7 @@ class TestSpectralExtraction:
         pipe = PreparedPipeline(fm, h, tau)
         sv = dense_spectral_state(fm, tau, pipe.delta_r)
         w, s, vh = np.linalg.svd(
-            pipe.data_state.amplitudes.reshape(pipe.col_basis.shape[0], -1),
+            prepare_data_state(pipe.plan).amplitudes.reshape(pipe.col_basis.shape[0], -1),
             full_matrices=False,
         )
         cube = sv.amplitudes.reshape(1 << tau, w.shape[0], vh.shape[1])
@@ -514,10 +514,12 @@ def _schmidt_designs():
 
 class TestSchmidtRowsMatchDense:
     """The closed form in the Schmidt basis against every step applied to
-    ``data_state`` as circuits (``dense_oracle``)."""
+    ``prepare_data_state(pipe.plan)`` as circuits (``dense_oracle``)."""
 
     def test_paper_config(self, paper_pipeline, paper_oracle, paper_dataset, grid50):
-        row, col = (paper_pipeline.data_state.register(r).width for r in ("row", "col"))
+        row, col = paper_pipeline.plan.n_row_qubits, paper_pipeline.plan.n_col_qubits
+        # the encoded state is released after setup
+        assert not any(isinstance(v, qsim.Statevector) for v in vars(paper_pipeline).values())
         assert paper_pipeline.row_basis.shape == (1 << min(row, col), 1 << row)
         assert paper_pipeline.tau == 13
         assert_matches_dense(paper_pipeline, paper_dataset.targets, grid50, paper_oracle)
@@ -526,7 +528,7 @@ class TestSchmidtRowsMatchDense:
     def test_small_designs(self, design):
         h, ds, fm, tau = _schmidt_designs()[design]
         pipe = PreparedPipeline(fm, h, tau)
-        row, col = (pipe.data_state.register(r).width for r in ("row", "col"))
+        row, col = pipe.plan.n_row_qubits, pipe.plan.n_col_qubits
         assert pipe.row_basis.shape == (1 << min(row, col), 1 << row)
         assert_matches_dense(pipe, ds.targets, np.linspace(0.0, 6.0, 7))
 
@@ -602,7 +604,7 @@ class TestCapacityPlan:
         h, ds, fm = small_model(n_points=2, m_freq=64)
         tau = 10
         pipe = PreparedPipeline(fm, h, tau)
-        sv, circuit, _ = dense_oracle(pipe.data_state, pipe.constants)
+        sv, circuit, _ = dense_oracle(prepare_data_state(pipe.plan), pipe.constants)
         ladder_bytes = sum(op.matrices.nbytes for op in circuit)
         assert ladder_bytes <= sv.amplitudes.nbytes // 4
         pred = BinnedPrediction(fm, h.noise_std, pipe.delta_r, tau)
