@@ -14,13 +14,11 @@ from .kernel import (
     spectral_density,
 )
 from .pipeline import (
-    EncodingPlan,
     InversionConstants,
     PosteriorEstimate,
     PreparedPipeline,
     dense_oracle,
     phase_table,
-    plan_encoding,
     prepare_data_state,
 )
 from .rff import (
@@ -37,7 +35,6 @@ __all__ = [
     "CapacityError",
     "ConfigError",
     "Dataset",
-    "EncodingPlan",
     "FeatureModel",
     "FrequencySet",
     "InversionConstants",
@@ -54,7 +51,6 @@ __all__ = [
     "feature_map",
     "gram_matrix",
     "phase_table",
-    "plan_encoding",
     "prepare_data_state",
     "rbf_kernel",
     "rff_posterior",

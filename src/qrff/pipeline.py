@@ -1,17 +1,19 @@
 """End-to-end quantum estimation of the reduced-rank GP posterior.
 
 Stages: encode the scaled design matrix as amplitudes over (column, row)
-registers, simulated gate by gate; extract the squared normalized singular
-values by phase estimation of exp(i * rho * t) with rho the column-register
-reduced density operator; apply an eigenvalue-conditioned inversion profile
-with post-selection (the flag qubit's rotation and projection folded into a
+registers; extract the squared normalized singular values by phase
+estimation of exp(i * rho * t) with rho the column-register reduced density
+operator; apply an eigenvalue-conditioned inversion profile with
+post-selection (the flag qubit's rotation and projection folded into a
 per-bin weight); un-compute the phase register; and read posterior
 quantities off the closed-form outcome probabilities of a Hadamard test
 (mean) and a SWAP test (variance), for a whole grid of query points at once.
-Everything after the encoding is block-diagonal in rho's eigenbasis, so it is
-evaluated exactly there, from one SVD of the encoded amplitudes and the QPE
-outcome distribution per eigenvalue (``phase_table``); ``dense_oracle`` runs
-the same steps as circuits for the tests.
+The encoded amplitudes are design.T / frobenius_norm, so their Schmidt basis
+is the feature model's SVD, and everything after the encoding is
+block-diagonal in it. The pipeline evaluates those steps exactly there, from
+the QPE outcome distribution per eigenvalue (``phase_table``);
+``prepare_data_state`` and ``dense_oracle`` run the same steps as circuits
+for the tests.
 
 All amplitudes are normalized by the design's Frobenius norm, so classical
 scale recovery multiplies estimated overlaps back by the Frobenius norm, the
@@ -34,24 +36,6 @@ from .rff import FeatureModel, scaled_feature_vector
 
 #: default headroom of the phase-window parameter over the top squared singular value
 DELTA_R_HEADROOM = 1.05
-
-
-@dataclass(frozen=True)
-class EncodingPlan:
-    """Rotation angles turning a design matrix into register amplitudes.
-
-    ``angles[j, r]`` rotates the cos/sin qubit (lowest column bit) where the
-    row register reads ``j`` and the frequency-pair qubits read ``r``.
-    """
-
-    n_row_qubits: int
-    n_col_qubits: int
-    padded_rows: int
-    padded_cols: int
-    row_count: int
-    freq_count: int
-    angles: np.ndarray = field(repr=False)
-    frobenius_norm: float
 
 
 @dataclass(frozen=True)
@@ -145,46 +129,29 @@ class PosteriorEstimate:
 # ---------------------------------------------------------------------------
 
 
-def plan_encoding(fm: FeatureModel) -> EncodingPlan:
-    """Derive the rotation angles from the design matrix.
+def prepare_data_state(fm: FeatureModel) -> Statevector:
+    """The encoding circuit, simulated gate by gate: an oracle for the tests
+    and ``qrff selftest``.
 
-    Angles are read back from each (cos, sin) pair, which reproduces the
-    original feature phases modulo 2*pi and keeps the plan self-contained.
+    Registers: ``row`` (low bits) and ``col``; the amplitude at column m,
+    row j equals ``design[j, m] / frobenius_norm``, zero on padding. The
+    cos/sin qubit's angles are read back from each (cos, sin) pair, which
+    reproduces the feature phases modulo 2*pi.
     """
     n_rows, n_cols = fm.design.shape
     m_freq = fm.freq.n_frequencies
-    n_row_qubits = max(int(np.ceil(np.log2(n_rows))), 0)
-    n_col_qubits = int(np.ceil(np.log2(n_cols)))
-    return EncodingPlan(
-        n_row_qubits=n_row_qubits,
-        n_col_qubits=n_col_qubits,
-        padded_rows=1 << n_row_qubits,
-        padded_cols=1 << n_col_qubits,
-        row_count=n_rows,
-        freq_count=m_freq,
-        angles=np.arctan2(fm.design[:, 1::2], fm.design[:, 0::2]),
-        frobenius_norm=fm.frobenius_norm,
+    sv = Statevector.zero(
+        [("row", (n_rows - 1).bit_length()), ("col", (n_cols - 1).bit_length())]
     )
-
-
-def prepare_data_state(plan: EncodingPlan) -> Statevector:
-    """Deterministically prepare the normalized design matrix as amplitudes.
-
-    Registers: ``row`` (low bits) and ``col``; the amplitude at column m,
-    row j equals ``design[j, m] / frobenius_norm``, zero on padding.
-    """
-    if plan.row_count * plan.freq_count == 0:
-        raise ValueError("empty encoding plan")
-    sv = Statevector.zero([("row", plan.n_row_qubits), ("col", plan.n_col_qubits)])
     row_qubits = sv.register("row").qubits()
     col = sv.register("col")
     trig_qubit = col.offset
     pair_qubits = col.qubits()[1:]
-    ops = qsim.uniform_prep_ops(plan.row_count, row_qubits)
-    ops += qsim.uniform_prep_ops(plan.freq_count, pair_qubits)
-    # control value v = row + padded_rows * pair, zero angles on padding
-    theta = np.zeros((1 << len(pair_qubits), plan.padded_rows))
-    theta[: plan.freq_count, : plan.row_count] = plan.angles.T
+    ops = qsim.uniform_prep_ops(n_rows, row_qubits)
+    ops += qsim.uniform_prep_ops(m_freq, pair_qubits)
+    # control value v = row + padded rows * pair, zero angles on padding
+    theta = np.zeros((1 << len(pair_qubits), sv.register("row").dim))
+    theta[:m_freq, :n_rows] = np.arctan2(fm.design[:, 1::2], fm.design[:, 0::2]).T
     ops.append(GateOp.ry(theta.ravel(), trig_qubit, row_qubits + pair_qubits))
     return qsim.apply_circuit(sv, ops)
 
@@ -283,18 +250,18 @@ def _sampled_overlaps(p_accept: float, p0: np.ndarray, shots: int, seeds):
 class PreparedPipeline:
     """Query-independent pipeline state, reusable across query grids.
 
-    Simulates the encoding gate by gate (``prepare_data_state``), then takes
-    one SVD of the encoded amplitudes over (col, row), A = W diag(s) Vh, and
-    drops the encoded state. So rho_col = W diag(s^2) W^dagger, and phase
-    estimation, both inversion branches and the un-compute act on each
-    Schmidt component k alone: QPE leaves its phase register with the
+    The encoded amplitudes over (col, row) are A = design.T / frobenius_norm
+    = W diag(s) Vh with W = ``fm.v``, s = ``fm.normalized_singular_values``
+    and Vh = ``fm.u.T``, so no state is built. Then rho_col = W diag(s^2) W^T,
+    and phase estimation, both inversion branches and the un-compute act on
+    each Schmidt component k alone: QPE leaves its phase register with the
     distribution ``phase_table`` gives for
     theta_k = s_k^2 / delta_r, and a branch with rotation profile w keeps
     c_k = sum_b w_b |a_k(b)|^2 of it at phase 0 and g_k = sum_b w_b^2 |a_k(b)|^2
     in all. Hence p = sum_k s_k^2 g_k, the mean branch's phase-0 slice
     W diag(s c) / sqrt(p), the variance branch's rho_col
-    W diag(s^2 g / p) W^dagger, and the leakage 1 - sum_k s_k^2 c_k^2 / p;
-    ``dense_oracle`` on ``prepare_data_state(plan)`` is what these are
+    W diag(s^2 g / p) W^T, and the leakage 1 - sum_k s_k^2 c_k^2 / p;
+    ``dense_oracle`` on ``prepare_data_state(fm)`` is what these are
     tested against.
 
     A posterior call answers a whole grid of G query points by reading the
@@ -316,8 +283,8 @@ class PreparedPipeline:
         self.hyper = h
         self.tau = tau
         self.delta_r = default_delta_r(fm) if delta_r is None else delta_r
-        self.plan = plan_encoding(fm)
-        row, col = self.plan.n_row_qubits, self.plan.n_col_qubits
+        # the paper circuit's register widths, ceil(log2) of the design's shape
+        row, col = ((n - 1).bit_length() for n in fm.design.shape)
         if row + col > qsim.MAX_QUBITS:
             raise CapacityError(
                 f"encoding needs {row + col} qubits (row + col), cap {qsim.MAX_QUBITS}"
@@ -331,10 +298,7 @@ class PreparedPipeline:
         ic = self.constants = InversionConstants.from_feature_model(
             fm, h.noise_std, self.delta_r, tau
         )
-        w, s, self.row_basis = np.linalg.svd(
-            prepare_data_state(self.plan).amplitudes.reshape(1 << col, -1),
-            full_matrices=False,
-        )
+        s = fm.normalized_singular_values
         s2 = s**2
         table = phase_table(s2 / self.delta_r, tau)
         (c1, g1), (c2, g2) = (
@@ -347,10 +311,12 @@ class PreparedPipeline:
                 raise PostSelectionError(
                     f"post-selection of the {branch} branch has probability {prob:.3e}"
                 )
+        #: the targets' coordinates on the Schmidt rows are row_basis @ y
+        self.row_basis = fm.u.T
         #: phase-0 slice of the mean branch after un-compute, over (col, Schmidt row)
-        self.mean_slice = w * (s * c1 / np.sqrt(p1))
-        #: the variance branch's rho_col is col_basis diag(variance_weights) col_basis^dagger
-        self.col_basis, self.variance_weights = w, s2 * g2 / p2
+        self.mean_slice = fm.v * (s * c1 / np.sqrt(p1))
+        #: the variance branch's rho_col is col_basis diag(variance_weights) col_basis^T
+        self.col_basis, self.variance_weights = fm.v, s2 * g2 / p2
         self.p1, self.p2 = min(p1, 1.0), min(p2, 1.0)
         #: 1 - phase-register mass at |0> after the inverse QPE, per branch
         self.uncompute_leakage_mean = 1.0 - float(s2 @ c1**2) / p1
@@ -365,16 +331,15 @@ class PreparedPipeline:
     def mean_estimate(self, y, xs, shots: int = 0, seeds=None) -> PosteriorEstimate:
         """Posterior means over the grid ``xs``; ``seeds`` holds one seed per point."""
         y = np.asarray(y, dtype=float).ravel()
-        n_rows, n_cols = self.fm.design.shape
+        n_rows = self.fm.design.shape[0]
         if y.shape[0] != n_rows:
             raise ValueError(f"target length {y.shape[0]} != design rows {n_rows}")
         y_norm = float(np.linalg.norm(y))
         if y_norm == 0:
             raise ValueError("targets must not be identically zero")
         phi, phi_norm = self._grid_features(xs)
-        amps = self.mean_slice[:n_cols]
-        y_rows = self.row_basis[:, :n_rows] @ (y / y_norm)
-        overlap = np.einsum("ck,gc,k->g", amps, phi / phi_norm[:, None], y_rows).real
+        y_rows = self.row_basis @ (y / y_norm)
+        overlap = np.einsum("ck,gc,k->g", self.mean_slice, phi / phi_norm[:, None], y_rows)
         shots_used = np.zeros(overlap.size, dtype=int)
         if shots:
             overlap, shots_used = _sampled_overlaps(
@@ -400,9 +365,8 @@ class PreparedPipeline:
     def variance_estimate(self, xs, shots: int = 0, seeds=None) -> PosteriorEstimate:
         """Posterior variances over the grid ``xs``; ``seeds`` holds one seed per point."""
         phi, phi_norm = self._grid_features(xs)
-        n_cols = self.fm.design.shape[1]
-        q_w = (phi / phi_norm[:, None]) @ self.col_basis[:n_cols]
-        raw = (q_w.real**2 + q_w.imag**2) @ self.variance_weights
+        q_w = (phi / phi_norm[:, None]) @ self.col_basis
+        raw = q_w**2 @ self.variance_weights
         shots_used = np.zeros(raw.size, dtype=int)
         if shots:
             raw, shots_used = _sampled_overlaps(self.p2, 0.5 + 0.5 * raw, shots, seeds)

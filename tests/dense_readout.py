@@ -5,7 +5,8 @@ circuits on the encoded state. ``dense_twin`` reads the same factors the
 closed form computes (the mean branch's phase-0 slice, the variance branch's
 rho_col, p1, p2 and the leakages) off those states, so the twin's estimates
 are the dense-path readout, and ``assert_matches_dense`` holds a pipeline to
-it at 1e-12.
+it at 1e-12. ``assert_encodes_design`` holds the encoding circuit to the
+scaled design it stands for.
 """
 
 from __future__ import annotations
@@ -32,44 +33,70 @@ def leakage(sv: qsim.Statevector) -> float:
     return float(1.0 - np.vdot(amps, amps).real)
 
 
+def padded(a: np.ndarray, shape) -> np.ndarray:
+    """``a`` in the leading corner of a zero array of ``shape``."""
+    out = np.zeros(shape)
+    out[: a.shape[0], : a.shape[1]] = a
+    return out
+
+
 def closed_form_rho_col(pipe: PreparedPipeline) -> np.ndarray:
     """The variance branch's column-register state from the closed-form factors."""
     w = pipe.col_basis
-    return (w * pipe.variance_weights) @ w.conj().T
+    return (w * pipe.variance_weights) @ w.T
 
 
 def dense_twin(pipe: PreparedPipeline, oracle=None) -> PreparedPipeline:
     """A copy of ``pipe`` whose readout factors come from ``dense_oracle``.
 
-    ``oracle`` is ``dense_oracle(prepare_data_state(pipe.plan),
-    pipe.constants)`` when given, and is run otherwise. The copy keeps the dense branch states
-    (``mean_state``, ``variance_state``) and their ``rho_col``; its
-    ``mean_slice`` is over the original rows with an identity ``row_basis``,
-    and its variance factors are the eigendecomposition of the dense rho_col.
+    ``oracle`` is ``dense_oracle(prepare_data_state(pipe.fm), pipe.constants)``
+    when given, and is run otherwise. The copy keeps the dense branch states
+    (``mean_state``, ``variance_state``) and the padded ``rho_col``. Its
+    ``mean_slice`` is the phase-0 slice over the design's columns and rows,
+    with an identity ``row_basis``, and its variance factors are the
+    eigendecomposition of rho_col over the design's columns. Both are trimmed
+    of the registers' padding and taken real, as the design is;
+    ``assert_matches_dense`` compares the untrimmed arrays.
     """
     if oracle is None:
-        oracle = dense_oracle(prepare_data_state(pipe.plan), pipe.constants)
+        oracle = dense_oracle(prepare_data_state(pipe.fm), pipe.constants)
     _, _, ((mean, p1), (variance, p2)) = oracle
+    n_rows, n_cols = pipe.fm.design.shape
     twin = copy.copy(pipe)
     twin.mean_state, twin.p1 = mean, p1
     twin.variance_state, twin.p2 = variance, p2
-    twin.mean_slice = phase_zero_slice(mean)
-    twin.row_basis = np.eye(twin.mean_slice.shape[1])
+    twin.mean_slice = phase_zero_slice(mean)[:n_cols, :n_rows].real
+    twin.row_basis = np.eye(n_rows)
     twin.rho_col = qsim.partial_trace(variance, "col").matrix
-    twin.variance_weights, twin.col_basis = np.linalg.eigh(twin.rho_col)
+    rho_col = twin.rho_col[:n_cols, :n_cols].real
+    twin.variance_weights, twin.col_basis = np.linalg.eigh(rho_col)
     twin.uncompute_leakage_mean = leakage(mean)
     twin.uncompute_leakage_variance = leakage(variance)
     return twin
 
 
 def assert_matches_dense(pipe: PreparedPipeline, targets, grid, oracle=None) -> None:
-    """Slice, rho_col, p1, p2, leakages and grid estimates within 1e-12 of the oracle."""
+    """Slice, rho_col, p1, p2, leakages and grid estimates within 1e-12 of the oracle.
+
+    The slice and rho_col are compared over the padded registers, so the
+    oracle's padding and imaginary parts are held to 1e-12 as well.
+    """
     dense = dense_twin(pipe, oracle)
-    assert np.max(np.abs(pipe.mean_slice @ pipe.row_basis - dense.mean_slice)) <= TOL
-    assert np.max(np.abs(closed_form_rho_col(pipe) - dense.rho_col)) <= TOL
+    dense_slice = phase_zero_slice(dense.mean_state)
+    mean_slice = padded(pipe.mean_slice @ pipe.row_basis, dense_slice.shape)
+    assert np.max(np.abs(mean_slice - dense_slice)) <= TOL
+    rho_col = padded(closed_form_rho_col(pipe), dense.rho_col.shape)
+    assert np.max(np.abs(rho_col - dense.rho_col)) <= TOL
     for name in ("p1", "p2", "uncompute_leakage_mean", "uncompute_leakage_variance"):
         assert abs(getattr(pipe, name) - getattr(dense, name)) <= TOL, name
     m, m_dense = pipe.mean_estimate(targets, grid), dense.mean_estimate(targets, grid)
     v, v_dense = pipe.variance_estimate(grid), dense.variance_estimate(grid)
     assert np.max(np.abs(m.mean - m_dense.mean)) <= TOL
     assert np.max(np.abs(v.variance - v_dense.variance)) <= TOL
+
+
+def assert_encodes_design(sv: qsim.Statevector, fm) -> None:
+    """``sv`` holds the zero-padded design.T / frobenius_norm over (col, row), to 1e-12."""
+    dims = (sv.register("col").dim, sv.register("row").dim)
+    target = padded(fm.design.T / fm.frobenius_norm, dims)
+    assert np.max(np.abs(sv.amplitudes.reshape(dims) - target)) <= TOL

@@ -23,7 +23,6 @@ from qrff.pipeline import (
     InversionConstants,
     PreparedPipeline,
     dense_oracle,
-    plan_encoding,
     prepare_data_state,
 )
 from qrff.qsim import GateOp, Statevector
@@ -113,9 +112,8 @@ def test_criterion_4_state_preparation_exactness():
             sample_frequencies(m, h, 1, seed=int(rng.integers(1 << 31))),
             h,
         )
-        plan = plan_encoding(fm)
-        sv = prepare_data_state(plan)
-        padded = np.zeros((plan.padded_cols, plan.padded_rows))
+        sv = prepare_data_state(fm)
+        padded = np.zeros((sv.register("col").dim, sv.register("row").dim))
         padded[: fm.design.shape[1], : fm.design.shape[0]] = fm.design.T
         target = padded.ravel() / fm.frobenius_norm
         worst = min(worst, abs(np.vdot(target, sv.amplitudes)) ** 2)
@@ -161,7 +159,7 @@ def test_criterion_5_qpe_spectral_accuracy(
     worst_13 = _worst_windowed_mass(paper_oracle[0], fm, delta_r)
     assert worst_13 >= 0.90
     ic8 = InversionConstants.from_feature_model(fm, paper_hyper.noise_std, delta_r, 8)
-    dense_8 = dense_oracle(prepare_data_state(paper_pipeline.plan), ic8)
+    dense_8 = dense_oracle(prepare_data_state(fm), ic8)
     worst_8 = _worst_windowed_mass(dense_8[0], fm, delta_r)
     assert worst_13 >= worst_8
     print(

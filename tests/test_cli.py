@@ -299,6 +299,7 @@ class TestMainExitCodes:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert "PASS: phase table matches the dense pipeline" in out
+        assert "PASS: encoding circuit equals the scaled design" in out
 
 
 class TestDeterminism:

@@ -3,11 +3,13 @@
 Draws tiny designs with duplicate inputs, more frequencies than points
 (M > N, including N = 1 with a width-0 row register), one-qubit phase
 registers and zero noise, at the default phase window and at twice the top
-squared singular value (where tau = 1 can resolve a rank-one design). Each
-must either be refused with ``ConfigError`` or ``PostSelectionError`` before
-any estimate is made, exactly when the dense circuits refuse it and with the
-same error, or give exact-mode means and variances equal to the binned
-spectral-sum oracle and, to 1e-12, to the dense circuits' readout.
+squared singular value (where tau = 1 can resolve a rank-one design). The
+encoding circuit must give each design's zero-padded design.T /
+frobenius_norm to 1e-12. Each design must then either be refused with
+``ConfigError`` or ``PostSelectionError`` before any estimate is made,
+exactly when the dense circuits refuse it and with the same error, or give
+exact-mode means and variances equal to the binned spectral-sum oracle and,
+to 1e-12, to the dense circuits' readout.
 
 The sampled-mode test draws the same kind of designs with 1 to 64 shots and
 a seed per query point: each is refused, or gives accepted shots in
@@ -29,12 +31,11 @@ from qrff.pipeline import (
     InversionConstants,
     PreparedPipeline,
     dense_oracle,
-    plan_encoding,
     prepare_data_state,
 )
 from qrff.rff import build_feature_model, sample_frequencies, scaled_feature_vector
 
-from dense_readout import assert_matches_dense
+from dense_readout import assert_encodes_design, assert_matches_dense
 from spectral_oracle import BinnedPrediction
 
 
@@ -68,11 +69,12 @@ def test_pipeline_refuses_or_matches_binned_oracle(
     ds = Dataset(x[:, None], y)
     fm = build_feature_model(ds, sample_frequencies(m_freq, h, 1, seed_freq), h)
     delta_r = headroom * float(fm.normalized_singular_values[0] ** 2)
+    state = prepare_data_state(fm)
+    assert_encodes_design(state, fm)
     pipe, refused = _outcome(lambda: PreparedPipeline(fm, h, tau, delta_r))
     oracle, dense_refused = _outcome(
         lambda: dense_oracle(
-            prepare_data_state(plan_encoding(fm)),
-            InversionConstants.from_feature_model(fm, noise, delta_r, tau),
+            state, InversionConstants.from_feature_model(fm, noise, delta_r, tau)
         )
     )
     assert refused is dense_refused

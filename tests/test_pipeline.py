@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qrff import qsim
+from qrff import pipeline, qsim
 from qrff.cli import RunConfig
 from qrff.errors import CapacityError, ConfigError, PostSelectionError
 from qrff.kernel import Dataset, KernelHyper
@@ -13,7 +13,6 @@ from qrff.pipeline import (
     default_delta_r,
     dense_oracle,
     phase_table,
-    plan_encoding,
     prepare_data_state,
 )
 from qrff.rff import (
@@ -25,7 +24,7 @@ from qrff.rff import (
     scaled_feature_vector,
 )
 
-from dense_readout import assert_matches_dense, dense_twin
+from dense_readout import assert_encodes_design, assert_matches_dense, dense_twin
 from spectral_oracle import BinnedPrediction, qpe_bin_weights
 
 
@@ -55,9 +54,9 @@ def resolved_small_model(tau, n_points=4, m_freq=2, seed_data=3, seed_freq=5, no
     raise AssertionError("no resolvable design found")
 
 
-def vectorized_design(fm: FeatureModel, plan) -> np.ndarray:
+def vectorized_design(fm: FeatureModel, sv) -> np.ndarray:
     """Column-major vectorization of the zero-padded design over (col, row)."""
-    padded = np.zeros((plan.padded_cols, plan.padded_rows))
+    padded = np.zeros((sv.register("col").dim, sv.register("row").dim))
     padded[: fm.design.shape[1], : fm.design.shape[0]] = fm.design.T
     return padded.ravel() / fm.frobenius_norm
 
@@ -67,12 +66,12 @@ class TestEncoding:
         h = KernelHyper(1.0, 1.0, 0.1)
         ds = Dataset(np.array([[0.0]]), np.array([1.0]))
         fm = build_feature_model(ds, sample_frequencies(1, h, 1, 0), h)
-        plan = plan_encoding(fm)
-        assert plan.n_row_qubits == 0
-        assert plan.n_col_qubits == 1
-        assert plan.angles.shape == (1, 1)
-        assert plan.angles[0, 0] == pytest.approx(0.0, abs=1e-15)
-        sv = prepare_data_state(plan)
+        sv = prepare_data_state(fm)
+        assert sv.register("row").width == 0
+        assert sv.register("col").width == 1
+        # one row and one frequency: a single (cos, sin) pair at phase 0
+        assert sv.amplitudes.shape == (2,)
+        assert abs(sv.amplitudes[1]) == pytest.approx(0.0, abs=1e-15)
         assert np.allclose(sv.amplitudes, [1.0, 0.0], atol=1e-12)
 
     def test_single_point_third_pi_phase(self):
@@ -81,32 +80,33 @@ class TestEncoding:
         freq = FrequencySet(frequencies=np.array([[1.0 / 6.0]]), seed=0)
         ds = Dataset(np.array([[1.0]]), np.array([0.3]))
         fm = build_feature_model(ds, freq, h)
-        sv = prepare_data_state(plan_encoding(fm))
+        sv = prepare_data_state(fm)
         assert sv.amplitudes[0].real == pytest.approx(0.5, abs=1e-12)
         assert sv.amplitudes[1].real == pytest.approx(0.8660254037844386, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_two_by_two_matches_vectorization(self, seed):
         h, ds, fm = small_model(n_points=2, m_freq=2, seed_data=seed, seed_freq=seed + 9)
-        plan = plan_encoding(fm)
-        sv = prepare_data_state(plan)
-        target = vectorized_design(fm, plan)
+        sv = prepare_data_state(fm)
+        target = vectorized_design(fm, sv)
         fidelity = abs(np.vdot(target, sv.amplitudes)) ** 2
         assert fidelity >= 1 - 1e-10
 
     def test_schedule_enumerates_all_pairs(self, paper_feature_model):
-        plan = plan_encoding(paper_feature_model)
-        assert plan.angles.shape == (16, 2)
-        assert plan.padded_rows == 16 and plan.padded_cols == 4
+        sv = prepare_data_state(paper_feature_model)
+        assert sv.register("row").dim == 16 and sv.register("col").dim == 4
+        # each of the 16 x 2 (row, frequency) pairs holds a (cos, sin) pair of
+        # mass 1 / (N M): every pair got its rotation
+        pairs = np.abs(sv.amplitudes.reshape(2, 2, 16)) ** 2
+        assert np.allclose(pairs.sum(axis=1), 1.0 / 32, atol=1e-12)
 
     def test_preparation_is_deterministic(self, paper_feature_model):
-        plan = plan_encoding(paper_feature_model)
-        a = prepare_data_state(plan)
-        b = prepare_data_state(plan)
+        a = prepare_data_state(paper_feature_model)
+        b = prepare_data_state(paper_feature_model)
         assert np.array_equal(a.amplitudes, b.amplitudes)
 
     def test_unit_norm(self, paper_feature_model):
-        sv = prepare_data_state(plan_encoding(paper_feature_model))
+        sv = prepare_data_state(paper_feature_model)
         assert abs(np.linalg.norm(sv.amplitudes) - 1.0) < 1e-10
 
     def test_row_permutation_permutes_row_register(self):
@@ -114,24 +114,23 @@ class TestEncoding:
         perm = np.array([2, 0, 3, 1])
         ds_perm = Dataset(ds.inputs[perm], ds.targets[perm])
         fm_perm = build_feature_model(ds_perm, fm.freq, h)
-        a = prepare_data_state(plan_encoding(fm)).amplitudes.reshape(-1, 4)
-        b = prepare_data_state(plan_encoding(fm_perm)).amplitudes.reshape(-1, 4)
+        a = prepare_data_state(fm).amplitudes.reshape(-1, 4)
+        b = prepare_data_state(fm_perm).amplitudes.reshape(-1, 4)
         # row j of the permuted state holds what row perm[j] held before
         assert np.allclose(b[:, np.argsort(perm)], a, atol=1e-12)
 
     def test_padding_rows_are_zero(self):
         h, ds, fm = small_model(n_points=3, m_freq=2)
-        plan = plan_encoding(fm)
-        assert plan.padded_rows == 4
-        sv = prepare_data_state(plan)
-        grid = sv.amplitudes.reshape(plan.padded_cols, plan.padded_rows)
+        sv = prepare_data_state(fm)
+        assert sv.register("row").dim == 4
+        grid = sv.amplitudes.reshape(sv.register("col").dim, sv.register("row").dim)
         assert np.max(np.abs(grid[:, 3])) == 0.0
 
 
 def dense_spectral_state(fm, tau, delta_r):
     """The encoded design after the dense QPE of exp(i rho 2 pi / delta_r), as in
     ``dense_oracle`` but with no inversion constants, which refuse unresolved bins."""
-    sv = prepare_data_state(plan_encoding(fm))
+    sv = prepare_data_state(fm)
     rho = qsim.partial_trace(sv, "col").matrix
     return qsim.qpe(sv, qsim.qpe_circuit(sv, rho, 2.0 * np.pi / delta_r, "col", tau), tau)
 
@@ -189,8 +188,12 @@ class TestSpectralExtraction:
     def test_phase_table_is_the_dense_per_component_marginal(self, design):
         # project the dense post-QPE state on each Schmidt pair (w_k, Vh_k):
         # what remains on the phase register is s_k a_k(b). At tau 13 the
-        # circuit's own kicks, lam * t * 2^12 ~ 1e5 rad, round to ~1e-12 in a
-        # peak bin, so the designs stay at tau <= 8.
+        # paper config's gap is 3.46e-12: the circuit's kicks use eigh(rho)'s
+        # eigenvalues, up to 6.8e-16 (relative) from s^2, and the kick powers
+        # multiply that by up to 2^(tau-1). Taking the kick phase mod 1 alone
+        # leaves 2.6e-12; kicks exp(2 pi i (theta_k 2^j mod 1)) from the
+        # SVD's theta_k = s_k^2 / delta_r give 4.8e-15. So the designs stay
+        # at tau <= 8.
         if design < 5:
             h, ds, fm, tau = _schmidt_designs()[design]
         else:
@@ -199,7 +202,7 @@ class TestSpectralExtraction:
         pipe = PreparedPipeline(fm, h, tau)
         sv = dense_spectral_state(fm, tau, pipe.delta_r)
         w, s, vh = np.linalg.svd(
-            prepare_data_state(pipe.plan).amplitudes.reshape(pipe.col_basis.shape[0], -1),
+            prepare_data_state(fm).amplitudes.reshape(sv.register("col").dim, -1),
             full_matrices=False,
         )
         cube = sv.amplitudes.reshape(1 << tau, w.shape[0], vh.shape[1])
@@ -300,7 +303,7 @@ class TestInversionBranches:
             PreparedPipeline(fm, h, 6)
         ic = InversionConstants.from_feature_model(fm, h.noise_std, default_delta_r(fm), 6)
         with pytest.raises(PostSelectionError):
-            dense_oracle(prepare_data_state(plan_encoding(fm)), ic)
+            dense_oracle(prepare_data_state(fm), ic)
 
     def test_uncompute_leakage_is_phase_register_mass(self, paper_pipeline, paper_oracle):
         _, _, ((mean_state, _), (variance_state, _)) = paper_oracle
@@ -514,22 +517,23 @@ def _schmidt_designs():
 
 class TestSchmidtRowsMatchDense:
     """The closed form in the Schmidt basis against every step applied to
-    ``prepare_data_state(pipe.plan)`` as circuits (``dense_oracle``)."""
+    ``prepare_data_state(fm)`` as circuits (``dense_oracle``), and that
+    state against the scaled design."""
 
     def test_paper_config(self, paper_pipeline, paper_oracle, paper_dataset, grid50):
-        row, col = paper_pipeline.plan.n_row_qubits, paper_pipeline.plan.n_col_qubits
-        # the encoded state is released after setup
+        assert_encodes_design(prepare_data_state(paper_pipeline.fm), paper_pipeline.fm)
+        # the pipeline holds no encoded state
         assert not any(isinstance(v, qsim.Statevector) for v in vars(paper_pipeline).values())
-        assert paper_pipeline.row_basis.shape == (1 << min(row, col), 1 << row)
+        assert paper_pipeline.row_basis.shape == (paper_pipeline.fm.rank, 16)
         assert paper_pipeline.tau == 13
         assert_matches_dense(paper_pipeline, paper_dataset.targets, grid50, paper_oracle)
 
     @pytest.mark.parametrize("design", range(5))
     def test_small_designs(self, design):
         h, ds, fm, tau = _schmidt_designs()[design]
+        assert_encodes_design(prepare_data_state(fm), fm)
         pipe = PreparedPipeline(fm, h, tau)
-        row, col = pipe.plan.n_row_qubits, pipe.plan.n_col_qubits
-        assert pipe.row_basis.shape == (1 << min(row, col), 1 << row)
+        assert pipe.row_basis.shape == (fm.rank, fm.design.shape[0])
         assert_matches_dense(pipe, ds.targets, np.linspace(0.0, 6.0, 7))
 
 
@@ -555,23 +559,23 @@ class TestCapacityPlan:
         # N=64, M=1: 6 row + 1 col = 7 qubits to encode against a cap of 6, while
         # the phase table would need only min(6, 1) + 2 phase = 3
         h, ds, fm = small_model(n_points=64, m_freq=1)
-        prep_calls = []
+        table_calls = []
         monkeypatch.setattr(qsim, "MAX_QUBITS", 6)
-        monkeypatch.setattr(qsim, "apply_circuit", lambda *args: prep_calls.append(args))
+        monkeypatch.setattr(pipeline, "phase_table", lambda *args: table_calls.append(args))
         with pytest.raises(CapacityError, match="encoding"):
             PreparedPipeline(fm, h, tau=2)
-        assert prep_calls == []
+        assert table_calls == []
 
     def test_refused_before_encoding(self, monkeypatch):
         # N=16, M=2: min(4 row, 2 col) + 11 phase = 13 against a cap of 12,
         # while encoding needs only 4 + 2 = 6
         h, ds, fm = small_model(n_points=16, m_freq=2)
-        circuit_calls = []
+        table_calls = []
         monkeypatch.setattr(qsim, "MAX_QUBITS", 12)
-        monkeypatch.setattr(qsim, "apply_circuit", lambda *args: circuit_calls.append(args))
+        monkeypatch.setattr(pipeline, "phase_table", lambda *args: table_calls.append(args))
         with pytest.raises(CapacityError, match="phase table"):
             PreparedPipeline(fm, h, tau=11)
-        assert circuit_calls == []
+        assert table_calls == []
 
     def test_wide_column_register_runs_without_column_matrices(self, monkeypatch):
         # N=1, M=64: 0 row + 7 col to encode and min(0, 7) + 4 phase for the
@@ -604,7 +608,7 @@ class TestCapacityPlan:
         h, ds, fm = small_model(n_points=2, m_freq=64)
         tau = 10
         pipe = PreparedPipeline(fm, h, tau)
-        sv, circuit, _ = dense_oracle(prepare_data_state(pipe.plan), pipe.constants)
+        sv, circuit, _ = dense_oracle(prepare_data_state(fm), pipe.constants)
         ladder_bytes = sum(op.matrices.nbytes for op in circuit)
         assert ladder_bytes <= sv.amplitudes.nbytes // 4
         pred = BinnedPrediction(fm, h.noise_std, pipe.delta_r, tau)
@@ -628,18 +632,16 @@ class TestNoDenseStepsInTheRunPath:
         dense_steps = ("qpe_circuit", "qpe", "inverse_qpe", "postselect", "partial_trace")
         for name in (*dense_steps, "apply_gate"):
             monkeypatch.setattr(qsim, name, refuse)
+        monkeypatch.setattr(pipeline, "prepare_data_state", refuse)
         circuits = []
-        apply_circuit = qsim.apply_circuit
-        monkeypatch.setattr(
-            qsim, "apply_circuit", lambda *args: circuits.append(args) or apply_circuit(*args)
-        )
+        monkeypatch.setattr(qsim, "apply_circuit", lambda *args: circuits.append(args))
         pipe = PreparedPipeline(fm, h, 6)
         grid = np.linspace(0.0, 6.0, 3)
         for shots in (0, 1000):
             seeds = range(grid.size) if shots else None
             pipe.mean_estimate(ds.targets, grid, shots, seeds)
             pipe.variance_estimate(grid, shots, seeds)
-        assert len(circuits) == 1  # the encoding
+        assert circuits == []
 
 
 class TestGaugeInvariance:
