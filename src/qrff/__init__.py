@@ -1,5 +1,6 @@
 """Gaussian process regression three ways: exact, random Fourier features, and
-a bit-faithful statevector simulation of the quantum-assisted pipeline."""
+the quantum-assisted pipeline, evaluated exactly in closed form and tested
+against its circuits on the dense statevector simulator in ``qrff.qsim``."""
 
 __version__ = "0.1.0"
 
@@ -17,9 +18,7 @@ from .pipeline import (
     InversionConstants,
     PosteriorEstimate,
     PreparedPipeline,
-    dense_oracle,
     phase_table,
-    prepare_data_state,
 )
 from .rff import (
     FeatureModel,
@@ -46,12 +45,10 @@ __all__ = [
     "PreparedPipeline",
     "QrffError",
     "build_feature_model",
-    "dense_oracle",
     "exact_posterior",
     "feature_map",
     "gram_matrix",
     "phase_table",
-    "prepare_data_state",
     "rbf_kernel",
     "rff_posterior",
     "sample_frequencies",

@@ -1,10 +1,15 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the qubit cap they enforce.
 
 Each error class carries the process exit code used by the CLI so that
 failures stay machine-distinguishable all the way to the shell.
+``MAX_QUBITS`` is the one capacity limit: every check reads it from this
+module when it runs, so setting it here moves every cap at once.
 """
 
 from __future__ import annotations
+
+#: refuse statevectors above this size: 2**26 complex doubles is ~1 GiB
+MAX_QUBITS = 26
 
 
 class QrffError(Exception):
@@ -20,7 +25,9 @@ class ConfigError(QrffError):
 
 
 class CapacityError(QrffError):
-    """Requested circuit exceeds the simulator's qubit budget."""
+    """A run needs more than ``MAX_QUBITS`` allows: the encoding's register
+    width, the phase table's entries, the exact baseline's Gram bytes, or a
+    simulated state's width."""
 
     exit_code = 3
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qsim
+from . import errors
 from .errors import CapacityError
 
 logger = logging.getLogger(__name__)
@@ -236,13 +236,13 @@ def exact_posterior(ds: Dataset, h: KernelHyper, xs) -> Posterior:
     variance = k(x*, x*) - ||Z*||^2 per query: one forward solve, no
     back-substitution. Raises ``CapacityError`` before allocating when the
     N x N Gram matrix would take more bytes than one statevector at the
-    simulator cap, 16 * 2^qsim.MAX_QUBITS.
+    qubit cap, 16 * 2^errors.MAX_QUBITS.
     """
-    gram_bytes, cap_bytes = 8 * ds.n_points**2, 16 << qsim.MAX_QUBITS
+    gram_bytes, cap_bytes = 8 * ds.n_points**2, 16 << errors.MAX_QUBITS
     if gram_bytes > cap_bytes:
         raise CapacityError(
             f"the exact baseline's {ds.n_points} x {ds.n_points} Gram matrix takes "
-            f"{gram_bytes} bytes, more than a {qsim.MAX_QUBITS}-qubit state ({cap_bytes})"
+            f"{gram_bytes} bytes, more than a {errors.MAX_QUBITS}-qubit state ({cap_bytes})"
         )
     pts = _as_points(xs, ds.dim)
     rhs_rows = np.vstack([ds.targets, _cross_kernel(pts, ds.inputs, h)])

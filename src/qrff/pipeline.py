@@ -10,10 +10,11 @@ quantities off the closed-form outcome probabilities of a Hadamard test
 (mean) and a SWAP test (variance), for a whole grid of query points at once.
 The encoded amplitudes are design.T / frobenius_norm, so their Schmidt basis
 is the feature model's SVD, and everything after the encoding is
-block-diagonal in it. The pipeline evaluates those steps exactly there, from
-the QPE outcome distribution per eigenvalue (``phase_table``);
-``prepare_data_state`` and ``dense_oracle`` run the same steps as circuits
-for the tests.
+block-diagonal in it. This module evaluates those steps exactly there, from
+the QPE outcome distribution per eigenvalue (``phase_table``), and builds no
+state or gate; ``qsim.prepare_data_state`` and ``qsim.dense_oracle`` run the
+same steps as circuits for the tests. Its two width checks read
+``errors.MAX_QUBITS``.
 
 All amplitudes are normalized by the design's Frobenius norm, so classical
 scale recovery multiplies estimated overlaps back by the Frobenius norm, the
@@ -28,10 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import qsim
+from . import errors
 from .errors import CapacityError, ConfigError, PostSelectionError
 from .kernel import KernelHyper, _as_points
-from .qsim import GateOp, Statevector
 from .rff import FeatureModel, scaled_feature_vector
 
 #: default headroom of the phase-window parameter over the top squared singular value
@@ -125,38 +125,6 @@ class PosteriorEstimate:
 
 
 # ---------------------------------------------------------------------------
-# encoding
-# ---------------------------------------------------------------------------
-
-
-def prepare_data_state(fm: FeatureModel) -> Statevector:
-    """The encoding circuit, simulated gate by gate: an oracle for the tests
-    and ``qrff selftest``.
-
-    Registers: ``row`` (low bits) and ``col``; the amplitude at column m,
-    row j equals ``design[j, m] / frobenius_norm``, zero on padding. The
-    cos/sin qubit's angles are read back from each (cos, sin) pair, which
-    reproduces the feature phases modulo 2*pi.
-    """
-    n_rows, n_cols = fm.design.shape
-    m_freq = fm.freq.n_frequencies
-    sv = Statevector.zero(
-        [("row", (n_rows - 1).bit_length()), ("col", (n_cols - 1).bit_length())]
-    )
-    row_qubits = sv.register("row").qubits()
-    col = sv.register("col")
-    trig_qubit = col.offset
-    pair_qubits = col.qubits()[1:]
-    ops = qsim.uniform_prep_ops(n_rows, row_qubits)
-    ops += qsim.uniform_prep_ops(m_freq, pair_qubits)
-    # control value v = row + padded rows * pair, zero angles on padding
-    theta = np.zeros((1 << len(pair_qubits), sv.register("row").dim))
-    theta[:m_freq, :n_rows] = np.arctan2(fm.design[:, 1::2], fm.design[:, 0::2]).T
-    ops.append(GateOp.ry(theta.ravel(), trig_qubit, row_qubits + pair_qubits))
-    return qsim.apply_circuit(sv, ops)
-
-
-# ---------------------------------------------------------------------------
 # phase estimation and inversion
 # ---------------------------------------------------------------------------
 
@@ -189,30 +157,6 @@ def phase_table(theta: np.ndarray, tau: int) -> np.ndarray:
     on_bin = np.flatnonzero(num == 0)
     table[on_bin, nearest[on_bin].astype(int) % T] = 1.0
     return table
-
-
-def dense_oracle(
-    sv: Statevector, ic: InversionConstants
-) -> tuple[Statevector, list[GateOp], list[tuple[Statevector, float]]]:
-    """The spectral steps as circuits on an encoded state: the test oracle.
-
-    Phase-estimates exp(i * rho * t), t = 2 pi / delta_r, with rho the
-    ``col`` register's reduced state (``qsim.qpe_circuit``, ``qsim.qpe``);
-    then per branch post-selects on the rotation profile (``qsim.postselect``,
-    the flag qubit folded into per-bin weights) and un-computes the phase
-    register (``qsim.inverse_qpe``). Returns the post-QPE state, the QPE ops,
-    and ``[(mean_state, p1), (variance_state, p2)]``.
-    """
-    rho = qsim.partial_trace(sv, "col")
-    # exp(+i*rho*t): eigenphases lam~^2/delta_r grow with the eigenvalue, so
-    # the phase register decodes directly as lam_hat^2 = b * delta_r / 2^tau
-    circuit = qsim.qpe_circuit(sv, rho.matrix, 2.0 * np.pi / ic.delta_r, "col", ic.tau)
-    spectral = qsim.qpe(sv, circuit, ic.tau, phase_register="phase")
-    branches = []
-    for profile in (ic.mean_rotation_profile(), ic.variance_rotation_profile()):
-        state, prob = qsim.postselect(spectral, "phase", profile)
-        branches.append((qsim.inverse_qpe(state, circuit), prob))
-    return spectral, circuit, branches
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +205,8 @@ class PreparedPipeline:
     in all. Hence p = sum_k s_k^2 g_k, the mean branch's phase-0 slice
     W diag(s c) / sqrt(p), the variance branch's rho_col
     W diag(s^2 g / p) W^T, and the leakage 1 - sum_k s_k^2 c_k^2 / p;
-    ``dense_oracle`` on ``prepare_data_state(fm)`` is what these are
-    tested against.
+    ``qsim.dense_oracle`` on ``qsim.prepare_data_state(fm)`` is what these
+    are tested against.
 
     A posterior call answers a whole grid of G query points by reading the
     Hadamard- and SWAP-test probabilities in closed form: P(0) = 1/2 +
@@ -285,15 +229,15 @@ class PreparedPipeline:
         self.delta_r = default_delta_r(fm) if delta_r is None else delta_r
         # the paper circuit's register widths, ceil(log2) of the design's shape
         row, col = ((n - 1).bit_length() for n in fm.design.shape)
-        if row + col > qsim.MAX_QUBITS:
+        if row + col > errors.MAX_QUBITS:
             raise CapacityError(
-                f"encoding needs {row + col} qubits (row + col), cap {qsim.MAX_QUBITS}"
+                f"encoding needs {row + col} qubits (row + col), cap {errors.MAX_QUBITS}"
             )
         # the phase table has one row per Schmidt component, at most 2^min(row, col)
-        if min(row, col) + tau > qsim.MAX_QUBITS:
+        if min(row, col) + tau > errors.MAX_QUBITS:
             raise CapacityError(
                 f"the phase table holds 2^{min(row, col) + tau} entries "
-                f"(min(row, col) + tau), cap {qsim.MAX_QUBITS}"
+                f"(min(row, col) + tau), cap {errors.MAX_QUBITS}"
             )
         ic = self.constants = InversionConstants.from_feature_model(
             fm, h.noise_std, self.delta_r, tau

@@ -1,7 +1,12 @@
-"""Dense statevector simulator with named registers.
+"""Dense statevector simulator with named registers, and the paper's circuits.
 
 Every gate is one uniformly controlled ``GateOp``, a stack of unitaries
-indexed by the control value, applied by one batched matmul.
+indexed by the control value, applied by one batched matmul. The paper's
+encoding circuit (``prepare_data_state``) and its phase estimation,
+post-selection and un-compute (``dense_oracle``) are composed from these
+gates; they are the oracle that tests and ``qrff selftest`` hold
+``pipeline.PreparedPipeline``'s closed form to, and the run path never
+imports this module. States wider than ``errors.MAX_QUBITS`` are refused.
 
 Basis convention: qubit ``q`` carries weight ``2**q`` in the amplitude index,
 registers are contiguous qubit ranges, and the first-listed register occupies
@@ -10,20 +15,22 @@ the lowest bits. A register's value is read little-endian within the register.
 Ry convention: ``Ry(theta)`` rotates by the full angle,
 ``[[cos t, -sin t], [sin t, cos t]]`` (equal to the half-angle convention at
 ``2*theta``), so circuit angles can be used directly as written in the
-encoding plan.
+encoding circuit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
+from . import errors
 from .errors import CapacityError, PostSelectionError
 
-#: refuse statevectors above this size: 2**26 complex doubles is ~1 GiB
-MAX_QUBITS = 26
+if TYPE_CHECKING:
+    from .pipeline import InversionConstants
+    from .rff import FeatureModel
 
 _UNITARY_TOL = 1e-10
 
@@ -119,9 +126,9 @@ class Statevector:
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
         n = sum(r.width for r in self.registers)
-        if n > MAX_QUBITS:
+        if n > errors.MAX_QUBITS:
             raise CapacityError(
-                f"{n} qubits exceed the simulator cap of {MAX_QUBITS}"
+                f"{n} qubits exceed the simulator cap of {errors.MAX_QUBITS}"
             )
         if amps.shape != (1 << n,):
             raise ValueError(
@@ -146,8 +153,8 @@ class Statevector:
         for name, width in register_spec:
             regs.append(Register(name, offset, width))
             offset += width
-        if offset > MAX_QUBITS:
-            raise CapacityError(f"{offset} qubits exceed the simulator cap of {MAX_QUBITS}")
+        if offset > errors.MAX_QUBITS:
+            raise CapacityError(f"{offset} qubits exceed the simulator cap of {errors.MAX_QUBITS}")
         amps = np.zeros(1 << offset, dtype=complex)
         amps[0] = 1.0
         return cls(amplitudes=amps, registers=tuple(regs))
@@ -247,8 +254,8 @@ def realized_matrix(gate: GateOp, n_qubits: int) -> np.ndarray:
 def append_register(sv: Statevector, name: str, width: int) -> Statevector:
     """Append a register in state |0...0> above the existing qubits."""
     n = sv.n_qubits
-    if n + width > MAX_QUBITS:
-        raise CapacityError(f"{n + width} qubits exceed the simulator cap of {MAX_QUBITS}")
+    if n + width > errors.MAX_QUBITS:
+        raise CapacityError(f"{n + width} qubits exceed the simulator cap of {errors.MAX_QUBITS}")
     amps = np.zeros(1 << (n + width), dtype=complex)
     amps[: 1 << n] = sv.amplitudes
     regs = sv.registers + (Register(name, n, width),)
@@ -453,8 +460,8 @@ def hadamard_test(
             f"state dimensions differ: {sv_a.n_qubits} vs {sv_b.n_qubits} qubits"
         )
     n = sv_a.n_qubits
-    if n + 1 > MAX_QUBITS:
-        raise CapacityError(f"hadamard test needs {n + 1} qubits (cap {MAX_QUBITS})")
+    if n + 1 > errors.MAX_QUBITS:
+        raise CapacityError(f"hadamard test needs {n + 1} qubits (cap {errors.MAX_QUBITS})")
     amps = np.concatenate([sv_b.amplitudes, sv_a.amplitudes]) / np.sqrt(2.0)
     composite = Statevector.from_amplitudes(amps, [("state", n), ("test", 1)])
     composite = apply_gate(composite, GateOp.h(n))
@@ -495,8 +502,8 @@ def swap_test(
         swap_qubits = reg.qubits()
     n_a, n_b = sv_a.n_qubits, sv_b.n_qubits
     total = n_a + n_b + 1
-    if total > MAX_QUBITS:
-        raise CapacityError(f"swap test needs {total} qubits (cap {MAX_QUBITS})")
+    if total > errors.MAX_QUBITS:
+        raise CapacityError(f"swap test needs {total} qubits (cap {errors.MAX_QUBITS})")
     amps = np.zeros(1 << total, dtype=complex)
     amps[: 1 << (n_a + n_b)] = np.kron(sv_b.amplitudes, sv_a.amplitudes)
     composite = Statevector.from_amplitudes(
@@ -561,3 +568,59 @@ def uniform_prep_ops(count: int, qubits: Sequence[int]) -> list[GateOp]:
     v = np.zeros(1 << len(qubits))
     v[:count] = 1.0 / np.sqrt(count)
     return real_amplitude_prep_ops(v, qubits)
+
+
+# ---------------------------------------------------------------------------
+# the paper's circuits
+# ---------------------------------------------------------------------------
+
+
+def prepare_data_state(fm: FeatureModel) -> Statevector:
+    """The encoding circuit, simulated gate by gate: an oracle for the tests
+    and ``qrff selftest``.
+
+    Registers: ``row`` (low bits) and ``col``; the amplitude at column m,
+    row j equals ``design[j, m] / frobenius_norm``, zero on padding. The
+    cos/sin qubit's angles are read back from each (cos, sin) pair, which
+    reproduces the feature phases modulo 2*pi.
+    """
+    n_rows, n_cols = fm.design.shape
+    m_freq = fm.freq.n_frequencies
+    sv = Statevector.zero(
+        [("row", (n_rows - 1).bit_length()), ("col", (n_cols - 1).bit_length())]
+    )
+    row_qubits = sv.register("row").qubits()
+    col = sv.register("col")
+    trig_qubit = col.offset
+    pair_qubits = col.qubits()[1:]
+    ops = uniform_prep_ops(n_rows, row_qubits)
+    ops += uniform_prep_ops(m_freq, pair_qubits)
+    # control value v = row + padded rows * pair, zero angles on padding
+    theta = np.zeros((1 << len(pair_qubits), sv.register("row").dim))
+    theta[:m_freq, :n_rows] = np.arctan2(fm.design[:, 1::2], fm.design[:, 0::2]).T
+    ops.append(GateOp.ry(theta.ravel(), trig_qubit, row_qubits + pair_qubits))
+    return apply_circuit(sv, ops)
+
+
+def dense_oracle(
+    sv: Statevector, ic: InversionConstants
+) -> tuple[Statevector, list[GateOp], list[tuple[Statevector, float]]]:
+    """The spectral steps as circuits on an encoded state: the test oracle.
+
+    Phase-estimates exp(i * rho * t), t = 2 pi / delta_r, with rho the
+    ``col`` register's reduced state (``qpe_circuit``, ``qpe``); then per
+    branch post-selects on the rotation profile (``postselect``, the flag
+    qubit folded into per-bin weights) and un-computes the phase register
+    (``inverse_qpe``). Returns the post-QPE state, the QPE ops, and
+    ``[(mean_state, p1), (variance_state, p2)]``.
+    """
+    rho = partial_trace(sv, "col")
+    # exp(+i*rho*t): eigenphases lam~^2/delta_r grow with the eigenvalue, so
+    # the phase register decodes directly as lam_hat^2 = b * delta_r / 2^tau
+    circuit = qpe_circuit(sv, rho.matrix, 2.0 * np.pi / ic.delta_r, "col", ic.tau)
+    spectral = qpe(sv, circuit, ic.tau, phase_register="phase")
+    branches = []
+    for profile in (ic.mean_rotation_profile(), ic.variance_rotation_profile()):
+        state, prob = postselect(spectral, "phase", profile)
+        branches.append((inverse_qpe(state, circuit), prob))
+    return spectral, circuit, branches

@@ -5,7 +5,8 @@ import pytest
 
 from qrff.cli import RunConfig, generate_dataset
 from qrff.kernel import KernelHyper
-from qrff.pipeline import PreparedPipeline, dense_oracle, prepare_data_state
+from qrff.pipeline import PreparedPipeline
+from qrff.qsim import dense_oracle, prepare_data_state
 from qrff.rff import build_feature_model, sample_frequencies
 
 

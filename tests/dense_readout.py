@@ -16,7 +16,8 @@ import copy
 import numpy as np
 
 from qrff import qsim
-from qrff.pipeline import PreparedPipeline, dense_oracle, prepare_data_state
+from qrff.pipeline import PreparedPipeline
+from qrff.qsim import dense_oracle, prepare_data_state
 
 TOL = 1e-12
 

@@ -19,13 +19,8 @@ from qrff import qsim
 from qrff.cli import RunConfig, emit_outputs, run_experiment
 from qrff.errors import ConfigError
 from qrff.kernel import Dataset, KernelHyper, exact_posterior, rbf_kernel
-from qrff.pipeline import (
-    InversionConstants,
-    PreparedPipeline,
-    dense_oracle,
-    prepare_data_state,
-)
-from qrff.qsim import GateOp, Statevector
+from qrff.pipeline import InversionConstants, PreparedPipeline
+from qrff.qsim import GateOp, Statevector, dense_oracle, prepare_data_state
 from qrff.rff import (
     build_feature_model,
     feature_map,

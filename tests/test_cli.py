@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import qrff
-from qrff import qsim
+from qrff import cli, errors
 from qrff.cli import (
     RunConfig,
     emit_outputs,
@@ -114,7 +114,7 @@ class TestRunExperiment:
     def test_setup_width_is_the_whole_qubit_budget(self, monkeypatch):
         # min(4 row, 2 col) + 11 phase = 13: the phase table fits the cap
         # exactly, and nothing after it may need a wider state
-        monkeypatch.setattr(qsim, "MAX_QUBITS", 13)
+        monkeypatch.setattr(errors, "MAX_QUBITS", 13)
         report = run_experiment(RunConfig(n_points=16, n_frequencies=2, tau=11, grid_count=3))
         assert all(np.isfinite(r.var_qrff) for r in report.records)
 
@@ -265,7 +265,7 @@ class TestMainExitCodes:
 
     def test_exact_baseline_larger_than_a_state_is_3(self, tmp_path, capsys, monkeypatch):
         # cap 10: the 8 N^2 bytes of the Gram matrix fit 16 * 2^10 up to N = 45
-        monkeypatch.setattr(qsim, "MAX_QUBITS", 10)
+        monkeypatch.setattr(errors, "MAX_QUBITS", 10)
         for n_points, code in ((46, 3), (45, 0)):
             path = tmp_path / f"cfg{n_points}.json"
             path.write_text(json.dumps({"n_points": n_points, "grid_count": 2}))
@@ -276,6 +276,30 @@ class TestMainExitCodes:
                 assert err.startswith("error: CapacityError: ") and err.count("\n") == 1
             else:
                 assert err == ""
+
+    @pytest.mark.parametrize(
+        "config, code, message",
+        [
+            ({"tau": 25}, 3, "CapacityError: the phase table"),
+            ({"tau": 3}, 2, "ConfigError: a retained singular value decodes to eigenvalue bin 0"),
+            ({"delta_r": 0.01}, 2, "ConfigError: delta_r=0.01 must exceed"),
+        ],
+        ids=["phase-table-too-wide", "top-bin-wraps", "delta-r-below-top-eigenvalue"],
+    )
+    def test_compare_refuses_before_the_exact_baseline(
+        self, tmp_path, capsys, monkeypatch, config, code, message
+    ):
+        def refuse(*args):
+            raise AssertionError("the exact baseline ran on a config the pipeline refuses")
+
+        monkeypatch.setattr(cli, "exact_posterior", refuse)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**config, "grid_count": 2}))
+        for command in ("run-quantum", "compare"):
+            args = [command, "--config", str(path), "--out", str(tmp_path / command)]
+            assert main(args) == code
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
     def test_singular_exact_system_is_2_after_logged_jitter(
         self, tmp_path, capsys, caplog, monkeypatch

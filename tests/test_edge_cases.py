@@ -26,13 +26,8 @@ from hypothesis import strategies as st
 
 from qrff.errors import ConfigError, PostSelectionError
 from qrff.kernel import Dataset, KernelHyper
-from qrff.pipeline import (
-    DELTA_R_HEADROOM,
-    InversionConstants,
-    PreparedPipeline,
-    dense_oracle,
-    prepare_data_state,
-)
+from qrff.pipeline import DELTA_R_HEADROOM, InversionConstants, PreparedPipeline
+from qrff.qsim import dense_oracle, prepare_data_state
 from qrff.rff import build_feature_model, sample_frequencies, scaled_feature_vector
 
 from dense_readout import assert_encodes_design, assert_matches_dense

@@ -1,20 +1,21 @@
 from __future__ import annotations
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from qrff import pipeline, qsim
+import qrff
+from qrff import errors, pipeline, qsim
 from qrff.cli import RunConfig
 from qrff.errors import CapacityError, ConfigError, PostSelectionError
 from qrff.kernel import Dataset, KernelHyper
-from qrff.pipeline import (
-    InversionConstants,
-    PreparedPipeline,
-    default_delta_r,
-    dense_oracle,
-    phase_table,
-    prepare_data_state,
-)
+from qrff.pipeline import InversionConstants, PreparedPipeline, default_delta_r, phase_table
+from qrff.qsim import dense_oracle, prepare_data_state
 from qrff.rff import (
     FeatureModel,
     FrequencySet,
@@ -544,7 +545,7 @@ class TestCapacityPlan:
         # a table over the full row register would need 6 + 6 = 12
         tau = 6
         h, ds, fm = resolved_small_model(tau, n_points=64, m_freq=2)
-        monkeypatch.setattr(qsim, "MAX_QUBITS", 8)
+        monkeypatch.setattr(errors, "MAX_QUBITS", 8)
         pipe = PreparedPipeline(fm, h, tau)
         pred = BinnedPrediction(fm, h.noise_std, pipe.delta_r, tau)
         grid = np.linspace(0.0, 6.0, 4)
@@ -560,7 +561,7 @@ class TestCapacityPlan:
         # the phase table would need only min(6, 1) + 2 phase = 3
         h, ds, fm = small_model(n_points=64, m_freq=1)
         table_calls = []
-        monkeypatch.setattr(qsim, "MAX_QUBITS", 6)
+        monkeypatch.setattr(errors, "MAX_QUBITS", 6)
         monkeypatch.setattr(pipeline, "phase_table", lambda *args: table_calls.append(args))
         with pytest.raises(CapacityError, match="encoding"):
             PreparedPipeline(fm, h, tau=2)
@@ -571,7 +572,7 @@ class TestCapacityPlan:
         # while encoding needs only 4 + 2 = 6
         h, ds, fm = small_model(n_points=16, m_freq=2)
         table_calls = []
-        monkeypatch.setattr(qsim, "MAX_QUBITS", 12)
+        monkeypatch.setattr(errors, "MAX_QUBITS", 12)
         monkeypatch.setattr(pipeline, "phase_table", lambda *args: table_calls.append(args))
         with pytest.raises(CapacityError, match="phase table"):
             PreparedPipeline(fm, h, tau=11)
@@ -581,7 +582,7 @@ class TestCapacityPlan:
         # N=1, M=64: 0 row + 7 col to encode and min(0, 7) + 4 phase for the
         # table fit a cap of 12; no 128 x 128 matrix of the col register is built
         h, ds, fm = small_model(n_points=1, m_freq=64)
-        monkeypatch.setattr(qsim, "MAX_QUBITS", 12)
+        monkeypatch.setattr(errors, "MAX_QUBITS", 12)
         tau = 4
         pipe = PreparedPipeline(fm, h, tau)
         assert pipe.col_basis.shape == (128, 1)
@@ -597,7 +598,7 @@ class TestCapacityPlan:
     def test_column_matrices_at_the_cap_fit(self, monkeypatch):
         # N=1, M=32: the readout factors span a 64-dimensional col register
         h, ds, fm = small_model(n_points=1, m_freq=32)
-        monkeypatch.setattr(qsim, "MAX_QUBITS", 12)
+        monkeypatch.setattr(errors, "MAX_QUBITS", 12)
         pipe = PreparedPipeline(fm, h, tau=4)
         assert pipe.col_basis.shape == (64, 1) and pipe.mean_slice.shape == (64, 1)
         assert 0 < pipe.p1 <= 1 and 0 < pipe.p2 <= 1
@@ -622,26 +623,58 @@ class TestCapacityPlan:
             assert v.variance[i] == pytest.approx(pred.variance(phi_star), abs=1e-8)
 
 
+# builds a pipeline, runs both estimates exactly and sampled, then the CLI's
+# compare (exact and sampled) and fit-exact; prints the exit codes and whether
+# the simulator module was ever imported
+_RUN_PATH = """
+import json, sys
+from qrff.cli import RunConfig, generate_dataset, main
+from qrff.pipeline import PreparedPipeline
+from qrff.rff import build_feature_model, sample_frequencies
+
+config, out = sys.argv[1:]
+with open(config) as fh:
+    cfg = RunConfig(**json.load(fh))
+ds = generate_dataset(cfg)
+freq = sample_frequencies(cfg.n_frequencies, cfg.hyper, cfg.dim, cfg.seed_freq)
+pipe = PreparedPipeline(build_feature_model(ds, freq, cfg.hyper), cfg.hyper, cfg.tau)
+for shots in (0, 1000):
+    seeds = range(cfg.grid_count) if shots else None
+    pipe.mean_estimate(ds.targets, cfg.grid, shots, seeds)
+    pipe.variance_estimate(cfg.grid, shots, seeds)
+commands = (["compare"], ["compare", "--mode", "sampled", "--shots", "1000"], ["fit-exact"])
+codes = [main([*args, "--config", config, "--out", out]) for args in commands]
+print(json.dumps({"codes": codes, "simulator_loaded": "qrff.qsim" in sys.modules}))
+"""
+
+
+def _last_line_of_fresh_run(code: str, *args: str) -> str:
+    """Run ``code`` in a new interpreter that imports this package; return its last output line."""
+    src = str(pathlib.Path(qrff.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return out.stdout.strip().splitlines()[-1]
+
+
 class TestNoDenseStepsInTheRunPath:
-    def test_pipeline_runs_without_qpe_postselect_or_partial_trace(self, monkeypatch):
-        h, ds, fm = resolved_small_model(6, n_points=8, m_freq=2)
+    def test_run_path_never_loads_the_simulator(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(
+            json.dumps(dict(n_points=4, n_frequencies=2, tau=8, grid_count=6, seed_freq=1))
+        )
+        line = _last_line_of_fresh_run(_RUN_PATH, str(config), str(tmp_path / "out"))
+        assert json.loads(line) == {"codes": [0, 0, 0], "simulator_loaded": False}
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("a dense step ran in the pipeline")
-
-        dense_steps = ("qpe_circuit", "qpe", "inverse_qpe", "postselect", "partial_trace")
-        for name in (*dense_steps, "apply_gate"):
-            monkeypatch.setattr(qsim, name, refuse)
-        monkeypatch.setattr(pipeline, "prepare_data_state", refuse)
-        circuits = []
-        monkeypatch.setattr(qsim, "apply_circuit", lambda *args: circuits.append(args))
-        pipe = PreparedPipeline(fm, h, 6)
-        grid = np.linspace(0.0, 6.0, 3)
-        for shots in (0, 1000):
-            seeds = range(grid.size) if shots else None
-            pipe.mean_estimate(ds.targets, grid, shots, seeds)
-            pipe.variance_estimate(grid, shots, seeds)
-        assert circuits == []
+    def test_package_import_leaves_the_simulator_unloaded(self):
+        code = "import sys, qrff; print('qrff.qsim' in sys.modules)"
+        assert _last_line_of_fresh_run(code) == "False"
 
 
 class TestGaugeInvariance:
