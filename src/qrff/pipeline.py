@@ -164,31 +164,24 @@ def phase_table(theta: np.ndarray, tau: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _sampled_overlaps(p_accept: float, p0: np.ndarray, shots: int, seeds):
-    """Draw, per point, the accepted shots and then the test-qubit readout.
+def _sampled_overlaps(p_accept: float, p0: np.ndarray, shots: int, seed):
+    """Draw the accepted shots and then the test-qubit readout for a whole grid.
 
-    Point i uses ``default_rng(seeds[i])``: first the accepted shots out of
-    ``shots`` at acceptance ``p_accept``, then the count of test-qubit 0
-    outcomes among them at probability ``p0[i]`` clamped to [0, 1]. This is
-    the draw order of ``qsim.hadamard_test``/``swap_test`` when handed the
-    same generator. Returns the sampled ``2 P(0) - 1`` and the accepted shots.
+    One generator, ``default_rng(seed)``, serves the grid: first the accepted
+    shots out of ``shots`` at acceptance ``p_accept`` for every point, then the
+    count of test-qubit 0 outcomes among them at probability ``p0`` clamped to
+    [0, 1]. Handing that generator, after the accepted counts, to
+    ``qsim.hadamard_test``/``swap_test`` point by point in grid order draws the
+    same numbers. Returns the sampled ``2 P(0) - 1`` and the accepted shots.
     """
-    if seeds is None:
-        seeds = [None] * p0.size
-    if len(seeds) != p0.size:
-        raise ValueError(f"{len(seeds)} seeds for {p0.size} query points")
-    overlaps = np.empty(p0.size)
-    accepted = np.empty(p0.size, dtype=int)
-    for i, (seed, p) in enumerate(zip(seeds, p0)):
-        rng = np.random.default_rng(seed)
-        n = int(rng.binomial(shots, p_accept))
-        if n == 0:
-            raise PostSelectionError(
-                f"no accepted shots out of {shots} at acceptance probability {p_accept:.3e}"
-            )
-        overlaps[i] = 2.0 * (rng.binomial(n, min(max(p, 0.0), 1.0)) / n) - 1.0
-        accepted[i] = n
-    return overlaps, accepted
+    rng = np.random.default_rng(seed)
+    accepted = rng.binomial(shots, p_accept, size=p0.size)
+    if not accepted.all():
+        raise PostSelectionError(
+            f"no accepted shots out of {shots} at acceptance probability {p_accept:.3e}"
+        )
+    zeros = rng.binomial(accepted, np.clip(p0, 0.0, 1.0))
+    return 2.0 * zeros / accepted - 1.0, accepted
 
 
 class PreparedPipeline:
@@ -272,8 +265,13 @@ class PreparedPipeline:
         phi = scaled_feature_vector(_as_points(xs, freq.dim), freq, self.hyper)
         return phi, np.linalg.norm(phi, axis=1)
 
-    def mean_estimate(self, y, xs, shots: int = 0, seeds=None) -> PosteriorEstimate:
-        """Posterior means over the grid ``xs``; ``seeds`` holds one seed per point."""
+    def mean_estimate(self, y, xs, shots: int = 0, seed=None) -> PosteriorEstimate:
+        """Posterior means over the grid ``xs``.
+
+        With ``shots`` the readout is sampled from one generator,
+        ``default_rng(seed)``, for the whole grid, and ``diagnostics`` keeps
+        the exact-mode means as ``exact_mean``.
+        """
         y = np.asarray(y, dtype=float).ravel()
         n_rows = self.fm.design.shape[0]
         if y.shape[0] != n_rows:
@@ -283,12 +281,10 @@ class PreparedPipeline:
             raise ValueError("targets must not be identically zero")
         phi, phi_norm = self._grid_features(xs)
         y_rows = self.row_basis @ (y / y_norm)
-        overlap = np.einsum("ck,gc,k->g", self.mean_slice, phi / phi_norm[:, None], y_rows)
-        shots_used = np.zeros(overlap.size, dtype=int)
+        exact = np.einsum("ck,gc,k->g", self.mean_slice, phi / phi_norm[:, None], y_rows)
+        overlap, shots_used = exact, np.zeros(exact.size, dtype=int)
         if shots:
-            overlap, shots_used = _sampled_overlaps(
-                self.p1, 0.5 + 0.5 * overlap, shots, seeds
-            )
+            overlap, shots_used = _sampled_overlaps(self.p1, 0.5 + 0.5 * exact, shots, seed)
         scale = (
             np.sqrt(self.p1)
             / self.constants.c1
@@ -296,6 +292,9 @@ class PreparedPipeline:
             * y_norm
             / self.fm.frobenius_norm
         )
+        diagnostics = {"overlap": overlap}
+        if shots:
+            diagnostics["exact_mean"] = scale * exact
         return PosteriorEstimate(
             mean=scale * overlap,
             variance=None,
@@ -303,36 +302,47 @@ class PreparedPipeline:
             p2=None,
             shots_used=shots_used,
             mode="exact" if shots == 0 else "sampled",
-            diagnostics={"overlap": overlap},
+            diagnostics=diagnostics,
         )
 
-    def variance_estimate(self, xs, shots: int = 0, seeds=None) -> PosteriorEstimate:
-        """Posterior variances over the grid ``xs``; ``seeds`` holds one seed per point."""
+    def variance_estimate(self, xs, shots: int = 0, seed=None) -> PosteriorEstimate:
+        """Posterior variances over the grid ``xs``.
+
+        With ``shots`` the readout is sampled from one generator,
+        ``default_rng(seed)``, for the whole grid, and ``diagnostics`` keeps
+        the exact-mode variances as ``exact_variance``.
+        """
         phi, phi_norm = self._grid_features(xs)
         q_w = (phi / phi_norm[:, None]) @ self.col_basis
-        raw = q_w**2 @ self.variance_weights
-        shots_used = np.zeros(raw.size, dtype=int)
+        exact = q_w**2 @ self.variance_weights
+        raw, shots_used = exact, np.zeros(exact.size, dtype=int)
         if shots:
-            raw, shots_used = _sampled_overlaps(self.p2, 0.5 + 0.5 * raw, shots, seeds)
-        overlap = np.clip(raw, 0.0, 1.0)
+            raw, shots_used = _sampled_overlaps(self.p2, 0.5 + 0.5 * exact, shots, seed)
         pv = phi @ self.fm.v
         null_sq = np.maximum(
             np.einsum("gk,gk->g", phi, phi) - np.einsum("gr,gr->g", pv, pv), 0.0
         )
-        spectral_var = (
+        spectral_scale = (
             self.hyper.noise_std**2
             * self.p2
             / self.constants.c2**2
             * phi_norm**2
             / self.fm.frobenius_norm**2
-            * overlap
         )
+
+        def posterior(overlap_raw):
+            spectral_var = spectral_scale * np.clip(overlap_raw, 0.0, 1.0)
+            return np.maximum(spectral_var + null_sq, 0.0)
+
+        diagnostics = {"overlap_raw": raw, "null_space_variance": null_sq}
+        if shots:
+            diagnostics["exact_variance"] = posterior(exact)
         return PosteriorEstimate(
             mean=None,
-            variance=np.maximum(spectral_var + null_sq, 0.0),
+            variance=posterior(raw),
             p1=None,
             p2=self.p2,
             shots_used=shots_used,
             mode="exact" if shots == 0 else "sampled",
-            diagnostics={"overlap_raw": raw, "null_space_variance": null_sq},
+            diagnostics=diagnostics,
         )

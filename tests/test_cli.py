@@ -163,6 +163,31 @@ class TestEmitOutputs:
         header = (pathlib.Path(cfg.out_dir) / "results.csv").read_text().splitlines()[0]
         assert "leakage" not in header
 
+    @pytest.mark.parametrize("command", ["compare", "run-quantum"])
+    def test_summary_reports_shot_noise_in_sampled_mode_only(self, tmp_path, command):
+        keys = ("rmse_mean_shot_noise", "max_abs_var_gap_shot_noise")
+        runs = {}
+        for mode in ("exact", "sampled"):
+            out = tmp_path / mode
+            config = tmp_path / f"{mode}.json"
+            config.write_text(json.dumps({**SMALL, "mode": mode, "shots": 2000}))
+            assert main([command, "--config", str(config), "--out", str(out)]) == 0
+            summary = dict(
+                line.split(" = ") for line in (out / "summary.txt").read_text().splitlines()
+            )
+            rows = np.genfromtxt(out / "results.csv", delimiter=",", names=True)
+            runs[mode] = summary, rows
+            assert "shot_noise" not in (out / "results.csv").read_text()
+        assert not any(key in runs["exact"][0] for key in keys)
+        sampled, rows = runs["sampled"]
+        _, exact_rows = runs["exact"]
+        # the csv's nine digits bound how closely the recomputed gaps can agree
+        rmse = np.sqrt(np.mean((rows["mean_qrff"] - exact_rows["mean_qrff"]) ** 2))
+        gap = np.max(np.abs(rows["var_qrff"] - exact_rows["var_qrff"]))
+        assert float(sampled[keys[0]]) == pytest.approx(rmse, rel=1e-6, abs=1e-9)
+        assert float(sampled[keys[1]]) == pytest.approx(gap, rel=1e-6, abs=1e-9)
+        assert float(sampled[keys[0]]) > 0.0
+
     def test_io_error_exit_code(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("x")

@@ -290,7 +290,7 @@ class TestInversionBranches:
         fm = build_feature_model(ds, sample_frequencies(2, h, 1, 2), h)
         pipe = PreparedPipeline(fm, h, tau=6, delta_r=2.0)
         assert 0 < pipe.p1 <= 1.0 and 0 < pipe.p2 <= 1.0
-        est = pipe.mean_estimate(ds.targets, [1.1], shots=1000, seeds=[3])
+        est = pipe.mean_estimate(ds.targets, [1.1], shots=1000, seed=3)
         assert est.shots_used[0] == 1000
 
     @pytest.mark.parametrize("branch", ["mean", "variance"])
@@ -395,21 +395,64 @@ class TestPosteriorEstimates:
     def test_sampled_mode_deterministic(self):
         h, ds, fm = resolved_small_model(6, seed_data=0, seed_freq=21)
         pipe = PreparedPipeline(fm, h, tau=6)
-        a = pipe.mean_estimate(ds.targets, [1.0], shots=10_000, seeds=[5])
-        b = pipe.mean_estimate(ds.targets, [1.0], shots=10_000, seeds=[5])
-        c = pipe.mean_estimate(ds.targets, [1.0], shots=10_000, seeds=[6])
+        a = pipe.mean_estimate(ds.targets, [1.0], shots=10_000, seed=5)
+        b = pipe.mean_estimate(ds.targets, [1.0], shots=10_000, seed=5)
+        c = pipe.mean_estimate(ds.targets, [1.0], shots=10_000, seed=6)
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.shots_used, b.shots_used)
         assert c.mean[0] != a.mean[0]
-        va = pipe.variance_estimate([1.0], shots=10_000, seeds=[5])
-        vb = pipe.variance_estimate([1.0], shots=10_000, seeds=[5])
+        va = pipe.variance_estimate([1.0], shots=10_000, seed=5)
+        vb = pipe.variance_estimate([1.0], shots=10_000, seed=5)
         assert np.array_equal(va.variance, vb.variance)
 
     def test_sampled_variance_nonnegative(self):
         h, ds, fm = resolved_small_model(6, seed_data=2, seed_freq=6)
         pipe = PreparedPipeline(fm, h, tau=6)
-        est = pipe.variance_estimate([4.0] * 10, shots=200, seeds=range(10))
+        est = pipe.variance_estimate([4.0] * 10, shots=200, seed=10)
         assert np.all(est.variance >= 0.0)
+
+    @pytest.mark.parametrize("branch", ["mean", "variance"])
+    def test_sampled_mode_refuses_a_point_with_no_accepted_shot(self, branch, paper_pipeline):
+        # one shot per point at p < 1: some of 64 points draw 0 accepted shots
+        assert paper_pipeline.p1 < 1.0 and paper_pipeline.p2 < 1.0
+        grid = np.linspace(0.0, 6.0, 64)
+        with pytest.raises(PostSelectionError, match="no accepted shots out of 1 "):
+            if branch == "mean":
+                paper_pipeline.mean_estimate(np.ones(16), grid, shots=1, seed=0)
+            else:
+                paper_pipeline.variance_estimate(grid, shots=1, seed=0)
+
+    @pytest.mark.parametrize("branch", ["mean", "variance"])
+    def test_sampled_grid_builds_one_generator(self, branch, paper_pipeline, monkeypatch):
+        calls = []
+        default_rng = np.random.default_rng
+
+        def counting_rng(seed=None):
+            calls.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        grid = np.linspace(0.0, 6.0, 1000)
+        if branch == "mean":
+            est = paper_pipeline.mean_estimate(np.ones(16), grid, shots=1000, seed=7)
+        else:
+            est = paper_pipeline.variance_estimate(grid, shots=1000, seed=7)
+        assert calls == [7]
+        assert est.shots_used.shape == (1000,)
+
+    def test_sampled_mode_keeps_the_exact_readout(self, paper_pipeline, paper_dataset, grid50):
+        m = paper_pipeline.mean_estimate(paper_dataset.targets, grid50, 1000, seed=1)
+        v = paper_pipeline.variance_estimate(grid50, 1000, seed=2)
+        assert np.array_equal(
+            m.diagnostics["exact_mean"],
+            paper_pipeline.mean_estimate(paper_dataset.targets, grid50).mean,
+        )
+        assert np.array_equal(
+            v.diagnostics["exact_variance"], paper_pipeline.variance_estimate(grid50).variance
+        )
+        assert "exact_mean" not in paper_pipeline.mean_estimate(
+            paper_dataset.targets, grid50
+        ).diagnostics
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -488,22 +531,29 @@ class TestBatchedReadoutMatchesCircuits:
         pipe = PreparedPipeline(fm, h, tau, delta_r)
         dense = dense_twin(pipe)
         shots = 5_000
-        seeds = np.random.SeedSequence(design).spawn(2 * grid.size)
-        m = pipe.mean_estimate(ds.targets, grid, shots, seeds[: grid.size])
-        v = pipe.variance_estimate(grid, shots, seeds[grid.size :])
+        mean_seed, var_seed = np.random.SeedSequence(design).spawn(2)
+        m = pipe.mean_estimate(ds.targets, grid, shots, mean_seed)
+        v = pipe.variance_estimate(grid, shots, var_seed)
+        # each branch draws every point's accepted shots, then the readouts in grid order
+        mean_rng = np.random.default_rng(mean_seed)
+        mean_accepted = mean_rng.binomial(shots, min(pipe.p1, 1.0), size=grid.size)
+        var_rng = np.random.default_rng(var_seed)
+        var_accepted = var_rng.binomial(shots, min(pipe.p2, 1.0), size=grid.size)
+        assert np.array_equal(m.shots_used, mean_accepted)
+        assert np.array_equal(v.shots_used, var_accepted)
         for i, x in enumerate(grid):
             reference, query = _circuit_references(dense, ds.targets, x)
-            rng = np.random.default_rng(seeds[i])
-            accepted = int(rng.binomial(shots, min(pipe.p1, 1.0)))
-            hadamard = qsim.hadamard_test(dense.mean_state, reference, accepted, rng)
-            assert m.shots_used[i] == accepted
-            assert m.diagnostics["overlap"][i] == hadamard
-            rng = np.random.default_rng(seeds[grid.size + i])
-            accepted = int(rng.binomial(shots, min(pipe.p2, 1.0)))
-            swap = qsim.swap_test(
-                dense.variance_state, query, subsystem="col", shots=accepted, seed=rng
+            hadamard = qsim.hadamard_test(
+                dense.mean_state, reference, int(mean_accepted[i]), mean_rng
             )
-            assert v.shots_used[i] == accepted
+            assert m.diagnostics["overlap"][i] == hadamard
+            swap = qsim.swap_test(
+                dense.variance_state,
+                query,
+                subsystem="col",
+                shots=int(var_accepted[i]),
+                seed=var_rng,
+            )
             assert np.clip(v.diagnostics["overlap_raw"][i], 0, 1) == swap
 
 
@@ -639,9 +689,8 @@ ds = generate_dataset(cfg)
 freq = sample_frequencies(cfg.n_frequencies, cfg.hyper, cfg.dim, cfg.seed_freq)
 pipe = PreparedPipeline(build_feature_model(ds, freq, cfg.hyper), cfg.hyper, cfg.tau)
 for shots in (0, 1000):
-    seeds = range(cfg.grid_count) if shots else None
-    pipe.mean_estimate(ds.targets, cfg.grid, shots, seeds)
-    pipe.variance_estimate(cfg.grid, shots, seeds)
+    pipe.mean_estimate(ds.targets, cfg.grid, shots, seed=1)
+    pipe.variance_estimate(cfg.grid, shots, seed=2)
 commands = (["compare"], ["compare", "--mode", "sampled", "--shots", "1000"], ["fit-exact"])
 codes = [main([*args, "--config", config, "--out", out]) for args in commands]
 print(json.dumps({"codes": codes, "simulator_loaded": "qrff.qsim" in sys.modules}))
