@@ -6,7 +6,7 @@ Subcommands
 ``fit-rff``      reduced-rank (random Fourier feature) posterior
 ``run-quantum``  quantum pipeline posterior
 ``compare``      all three, with error summaries
-``selftest``     quick invariant battery of the simulator
+``selftest``     checks the closed form against its circuits
 
 All randomness is seeded explicitly; two runs with the same configuration
 produce byte-identical outputs.
@@ -82,8 +82,9 @@ class RunConfig:
             raise ConfigError("the experiment driver supports dim=1 only")
         if self.grid_count < 1:
             raise ConfigError("grid_count must be positive")
-        if self.shots < 1:
-            raise ConfigError("shots must be positive")
+        if not 1 <= self.shots < 2**63:
+            # numpy draws binomial counts as C longs
+            raise ConfigError(f"shots must be in [1, 2**63), got {self.shots}")
         if self.mode not in ("exact", "sampled"):
             raise ConfigError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
         if self.input_layout not in ("uniform", "random"):
@@ -285,54 +286,14 @@ def emit_outputs(report: ComparisonReport, cfg: RunConfig, columns=None) -> list
 
 
 def _run_selftest() -> int:
-    from . import qsim
-    from .qsim import GateOp, Statevector, dense_oracle, prepare_data_state
+    from .qsim import dense_oracle, partial_trace, prepare_data_state
 
-    rng = default_rng(99)
     failures = 0
 
     def check(name: str, ok: bool):
         nonlocal failures
         print(f"{'PASS' if ok else 'FAIL'}: {name}")
         failures += 0 if ok else 1
-
-    # Ry(0.7) where qubits 1, 2 read 1, 0 (control value 1), identity elsewhere
-    gate = GateOp.ry([0.0, 0.7, 0.0, 0.0], 0, [1, 2])
-    mat = qsim.realized_matrix(gate, 3)
-    check("gate unitarity", np.max(np.abs(mat.conj().T @ mat - np.eye(8))) < 1e-10)
-
-    sv = Statevector.zero([("r", 4)])
-    for _ in range(100):
-        q = int(rng.integers(4))
-        sv = qsim.apply_gate(sv, GateOp.ry(float(rng.uniform(0, np.pi)), q))
-        sv = qsim.apply_gate(sv, GateOp.h(int(rng.integers(4))))
-    check("norm preservation depth-100", abs(np.linalg.norm(sv.amplitudes) - 1) < 1e-10)
-
-    bell = np.zeros(4, dtype=complex)
-    bell[0] = bell[3] = 1 / np.sqrt(2)
-    sv = Statevector.from_amplitudes(bell, [("a", 1), ("b", 1)])
-    rho = qsim.partial_trace(sv, "a").matrix
-    check("Bell partial trace = I/2", np.max(np.abs(rho - np.eye(2) / 2)) < 1e-10)
-
-    a = rng.normal(size=8)
-    a /= np.linalg.norm(a)
-    b = rng.normal(size=8)
-    b /= np.linalg.norm(b)
-    sa = Statevector.from_amplitudes(a, [("r", 3)])
-    sb = Statevector.from_amplitudes(b, [("r", 3)])
-    check(
-        "hadamard test exact", abs(qsim.hadamard_test(sa, sb) - float(b @ a)) < 1e-10
-    )
-    check("swap test exact", abs(qsim.swap_test(sa, sb) - float(b @ a) ** 2) < 1e-10)
-
-    sv = Statevector.zero([("t", 1)])
-    ops = qsim.qpe_circuit(sv, np.diag([0.25, 0.0]), 2 * np.pi, "t", 3)
-    probs = np.abs(qsim.qpe(sv, ops, 3).amplitudes) ** 2
-    check("qpe exact dyadic phase", abs(probs[2 * 2] - 1.0) < 1e-10)
-
-    h1 = qsim.measure_register(sa, "r", 1000, 7)
-    h2 = qsim.measure_register(sa, "r", 1000, 7)
-    check("measurement determinism", h1 == h2)
 
     # 8 points and 2 frequencies: 4 Schmidt components, bins 61, 55, 22, 13 of 64
     hyper = KernelHyper(1.5, 1.0, 0.1)
@@ -349,7 +310,7 @@ def _run_selftest() -> int:
     rho = (pipe.col_basis * pipe.variance_weights) @ pipe.col_basis.conj().T
     gaps = (
         np.abs(mean0 - (pipe.mean_slice @ pipe.row_basis).ravel()).max(),
-        np.abs(qsim.partial_trace(variance, "col").matrix - rho).max(),
+        np.abs(partial_trace(variance, "col") - rho).max(),
         abs(pipe.p1 - p1),
         abs(pipe.p2 - p2),
         abs(pipe.uncompute_leakage_mean - 1 + np.vdot(mean0, mean0).real),
@@ -408,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--delta-r", type=float, dest="delta_r")
         sp.add_argument("--mode", choices=["exact", "sampled"], dest="mode")
         sp.add_argument("--out", dest="out_dir")
-    sub.add_parser("selftest", help="run the simulator invariant battery")
+    sub.add_parser("selftest", help="check the closed form against its circuits")
     return parser
 
 

@@ -85,9 +85,6 @@ class InversionConstants:
             bins=tuple(int(b) for b in bins),
         )
 
-    def decoded_eigenvalue_sq(self, bin_value: int) -> float:
-        return bin_value * self.delta_r / (1 << self.tau)
-
     def mean_rotation_profile(self) -> np.ndarray:
         """Flag-qubit |1> amplitude per phase-register value (mean branch)."""
         lam_hat2 = np.arange(1 << self.tau) * self.delta_r / (1 << self.tau)

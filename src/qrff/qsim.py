@@ -1,12 +1,13 @@
-"""Dense statevector simulator with named registers, and the paper's circuits.
+"""Dense statevector oracle for the paper's circuits.
 
 Every gate is one uniformly controlled ``GateOp``, a stack of unitaries
 indexed by the control value, applied by one batched matmul. The paper's
 encoding circuit (``prepare_data_state``) and its phase estimation,
 post-selection and un-compute (``dense_oracle``) are composed from these
-gates; they are the oracle that tests and ``qrff selftest`` hold
-``pipeline.PreparedPipeline``'s closed form to, and the run path never
-imports this module. States wider than ``errors.MAX_QUBITS`` are refused.
+gates, and the Hadamard and SWAP tests read overlaps off them. They are the
+oracle that tests and ``qrff selftest`` hold ``pipeline.PreparedPipeline``'s
+closed form to, and the run path never imports this module. States wider
+than ``errors.MAX_QUBITS`` are refused.
 
 Basis convention: qubit ``q`` carries weight ``2**q`` in the amplitude index,
 registers are contiguous qubit ranges, and the first-listed register occupies
@@ -35,7 +36,6 @@ if TYPE_CHECKING:
 _UNITARY_TOL = 1e-10
 
 _H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-_X_MATRIX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SWAP_MATRIX = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
@@ -96,10 +96,6 @@ class GateOp:
     @classmethod
     def h(cls, qubit: int) -> GateOp:
         return cls(_H_MATRIX[None], (qubit,))
-
-    @classmethod
-    def x(cls, qubit: int) -> GateOp:
-        return cls(_X_MATRIX[None], (qubit,))
 
     @classmethod
     def ry(cls, theta, target: int, controls: Sequence[int] = ()) -> GateOp:
@@ -180,27 +176,6 @@ class Statevector:
         raise KeyError(f"unknown register {name!r}")
 
 
-@dataclass(frozen=True)
-class DensityOperator:
-    """Hermitian, unit-trace, positive semi-definite matrix on ``m_qubits``."""
-
-    matrix: np.ndarray
-    m_qubits: int
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        dim = 1 << self.m_qubits
-        if mat.shape != (dim, dim):
-            raise ValueError(f"matrix shape {mat.shape} does not match {self.m_qubits} qubits")
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-10:
-            raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(mat).real - 1.0) > 1e-10:
-            raise ValueError(f"density matrix trace {np.trace(mat)} is not 1")
-        if np.linalg.eigvalsh(mat).min() < -1e-10:
-            raise ValueError("density matrix has a significantly negative eigenvalue")
-        object.__setattr__(self, "matrix", mat)
-
-
 # ---------------------------------------------------------------------------
 # gate application
 # ---------------------------------------------------------------------------
@@ -262,30 +237,6 @@ def append_register(sv: Statevector, name: str, width: int) -> Statevector:
     return Statevector(amplitudes=amps, registers=regs)
 
 
-def drop_register(sv: Statevector, name: str, value: int) -> Statevector:
-    """Remove a register known to be in the basis state ``value``."""
-    reg = sv.register(name)
-    n = sv.n_qubits
-    high = 1 << (n - reg.offset - reg.width)
-    low = 1 << reg.offset
-    cube = sv.amplitudes.reshape(high, reg.dim, low)
-    kept = cube[:, value, :]
-    residual = np.linalg.norm(cube) ** 2 - np.linalg.norm(kept) ** 2
-    if residual > 1e-9:
-        raise ValueError(
-            f"register {name!r} is not in basis state {value} (residual mass {residual:.2e})"
-        )
-    regs = []
-    for r in sv.registers:
-        if r.name == name:
-            continue
-        off = r.offset if r.offset < reg.offset else r.offset - reg.width
-        regs.append(Register(r.name, off, r.width))
-    amps = kept.reshape(-1)
-    amps = amps / np.linalg.norm(amps)
-    return Statevector(amplitudes=amps, registers=tuple(regs))
-
-
 def _marginal_probabilities(sv: Statevector, reg: Register) -> np.ndarray:
     n = sv.n_qubits
     high = 1 << (n - reg.offset - reg.width)
@@ -293,23 +244,6 @@ def _marginal_probabilities(sv: Statevector, reg: Register) -> np.ndarray:
     cube = sv.amplitudes.reshape(high, reg.dim, low)
     probs = np.sum(np.abs(cube) ** 2, axis=(0, 2))
     return probs / probs.sum()
-
-
-def measure_register(
-    sv: Statevector, name: str, shots: int, seed
-) -> dict[int, int]:
-    """Sample ``shots`` outcomes from the register's Born distribution.
-
-    Returns a histogram mapping outcome value to count (zero counts omitted).
-    Deterministic for a fixed seed.
-    """
-    if shots < 1:
-        raise ValueError(f"shots must be positive, got {shots}")
-    reg = sv.register(name)
-    probs = _marginal_probabilities(sv, reg)
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, probs)
-    return {int(v): int(c) for v, c in enumerate(counts) if c > 0}
 
 
 def postselect(
@@ -341,16 +275,15 @@ def postselect(
     return Statevector(amplitudes=branch.reshape(-1), registers=sv.registers), min(prob, 1.0)
 
 
-def partial_trace(sv: Statevector, keep: str) -> DensityOperator:
-    """Reduced density operator of one register, tracing out everything else."""
+def partial_trace(sv: Statevector, keep: str) -> np.ndarray:
+    """Hermitian reduced density matrix of one register, tracing out the rest."""
     reg = sv.register(keep)
     n = sv.n_qubits
     high = 1 << (n - reg.offset - reg.width)
     low = 1 << reg.offset
     cube = sv.amplitudes.reshape(high, reg.dim, low)
     rho = np.einsum("hkl,hml->km", cube, cube.conj())
-    rho = 0.5 * (rho + rho.conj().T)
-    return DensityOperator(matrix=rho, m_qubits=reg.width)
+    return 0.5 * (rho + rho.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -377,35 +310,35 @@ def qft_ops(qubits: Sequence[int]) -> list[GateOp]:
 
 
 def qpe_circuit(
-    sv: Statevector, generator, t: float, target: str, tau: int
+    sv: Statevector, target: str, basis, theta, tau: int
 ) -> list[GateOp]:
-    """Phase-estimation ops of exp(i * generator * t) on register ``target``.
+    """Phase-estimation ops of U = basis diag(exp(2 pi i theta)) basis^dagger on ``target``.
 
-    The phase register is the ``tau`` qubits that ``qpe`` appends above ``sv``.
-    With generator = V diag(lam) V^dagger (one ``eigh``): V^dagger on the
+    ``basis`` is a unitary whose column j is an eigenvector of U, and
+    ``theta[j]`` its eigenphase in turns. The phase register is the ``tau``
+    qubits that ``qpe`` appends above ``sv``. The ops: basis^dagger on the
     targets; per phase qubit k one op controlled by the targets, its Hadamard
-    fused with the kick diag(1, exp(i*lam_j*t*2^(tau-1-k))) for eigenvector j,
-    the reversed powers standing in for the QFT's bit-reversal swaps; V on the
-    targets; the adjoint QFT ladder. Besides the two d x d basis changes the
-    ops take O(tau * d) memory.
+    fused with the kick diag(1, exp(2 pi i (theta_j 2^(tau-1-k) mod 1))) for
+    eigenvector j, the reversed powers standing in for the QFT's bit-reversal
+    swaps; basis on the targets; the adjoint QFT ladder. Taking each kick's
+    phase mod 1 keeps its error at rounding, however large the power. Besides
+    the two d x d basis changes the ops take O(tau * d) memory.
     """
     treg = sv.register(target)
     if tau < 1:
         raise ValueError(f"tau must be >= 1, got {tau}")
-    gen = np.asarray(generator, dtype=complex)
-    if gen.shape != (treg.dim, treg.dim):
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (treg.dim,):
         raise ValueError(
-            f"generator shape {gen.shape} does not match register {target!r} ({treg.dim})"
+            f"{theta.shape} eigenphases do not match register {target!r} ({treg.dim})"
         )
-    if np.max(np.abs(gen - gen.conj().T)) > 1e-10:
-        raise ValueError("generator is not Hermitian")
-    evals, basis = np.linalg.eigh(gen)
+    basis = np.asarray(basis, dtype=complex)
     targets = tuple(treg.qubits())
     phase = range(sv.n_qubits, sv.n_qubits + tau)
     ops = [GateOp(basis.conj().T[None], targets)]
     for k, q in enumerate(phase):
         mats = np.ones((treg.dim, 2, 1), dtype=complex)
-        mats[:, 1, 0] = np.exp(1j * evals * t * (1 << (tau - 1 - k)))
+        mats[:, 1, 0] = np.exp(2j * np.pi * (theta * (1 << (tau - 1 - k)) % 1.0))
         ops.append(GateOp(mats * _H_MATRIX, (q,), targets))
     ops.append(GateOp(basis[None], targets))
     ops += [op.adjoint() for op in reversed(qft_ops(phase))]
@@ -417,8 +350,8 @@ def qpe(
 ) -> Statevector:
     """Quantum phase estimation: append a ``tau``-qubit phase register, apply ``ops``.
 
-    ``ops`` come from ``qpe_circuit``; an eigenphase lam*t/(2*pi) of exactly
-    ``j / 2**tau`` leaves the register reading ``j``. From the |0...0> phase
+    ``ops`` come from ``qpe_circuit``; an eigenphase of exactly ``j / 2**tau``
+    turns leaves the register reading ``j``. From the |0...0> phase
     input this is the textbook QPE state, but the circuit equals the textbook
     one (Hadamards, controlled U^(2^k), inverse DFT) times a bit reversal of
     the phase input. So after post-selection and ``inverse_qpe`` a branch is
@@ -613,11 +546,19 @@ def dense_oracle(
     qubit folded into per-bin weights) and un-computes the phase register
     (``inverse_qpe``). Returns the post-QPE state, the QPE ops, and
     ``[(mean_state, p1), (variance_state, p2)]``.
+
+    One SVD of the simulated amplitudes over (col, row), A = W diag(s) Vh,
+    gives rho = W diag(s^2) W^dagger: the QPE basis is the full W and the
+    eigenphases are s^2 / delta_r, zero past the rank. It is accurate where
+    ``eigh`` of A A^dagger squares the error (Golub & Van Loan, section 8.6).
     """
-    rho = partial_trace(sv, "col")
+    col, row = sv.register("col"), sv.register("row")
+    basis, s, _ = np.linalg.svd(sv.amplitudes.reshape(col.dim, row.dim))
     # exp(+i*rho*t): eigenphases lam~^2/delta_r grow with the eigenvalue, so
     # the phase register decodes directly as lam_hat^2 = b * delta_r / 2^tau
-    circuit = qpe_circuit(sv, rho.matrix, 2.0 * np.pi / ic.delta_r, "col", ic.tau)
+    theta = np.zeros(col.dim)
+    theta[: s.size] = s**2 / ic.delta_r
+    circuit = qpe_circuit(sv, "col", basis, theta, ic.tau)
     spectral = qpe(sv, circuit, ic.tau, phase_register="phase")
     branches = []
     for profile in (ic.mean_rotation_profile(), ic.variance_rotation_profile()):

@@ -68,7 +68,7 @@ def dense_twin(pipe: PreparedPipeline, oracle=None) -> PreparedPipeline:
     twin.variance_state, twin.p2 = variance, p2
     twin.mean_slice = phase_zero_slice(mean)[:n_cols, :n_rows].real
     twin.row_basis = np.eye(n_rows)
-    twin.rho_col = qsim.partial_trace(variance, "col").matrix
+    twin.rho_col = qsim.partial_trace(variance, "col")
     rho_col = twin.rho_col[:n_cols, :n_cols].real
     twin.variance_weights, twin.col_basis = np.linalg.eigh(rho_col)
     twin.uncompute_leakage_mean = leakage(mean)

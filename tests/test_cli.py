@@ -21,6 +21,7 @@ from qrff.cli import (
     run_experiment,
 )
 from qrff.errors import ConfigError
+from qrff.pipeline import PreparedPipeline
 from qrff.rff import build_feature_model, rff_posterior, sample_frequencies
 
 SMALL = dict(n_points=4, n_frequencies=2, tau=8, grid_count=6, seed_freq=1)
@@ -54,6 +55,10 @@ class TestConfig:
             RunConfig(dim=2)
         with pytest.raises(ConfigError):
             RunConfig(noise_std=-1.0)
+        # numpy's binomial draws take a C long
+        with pytest.raises(ConfigError, match="shots"):
+            RunConfig(shots=2**63)
+        assert RunConfig(shots=2**63 - 1).shots == 2**63 - 1
 
     def test_unreadable_file(self):
         with pytest.raises(ConfigError):
@@ -260,6 +265,8 @@ class TestMainExitCodes:
             ("compare", [], {"out_dir": 5}),
             ("fit-exact", [], {"grid_lo": float("nan")}),
             ("compare", [], {"noise_std": 0.0, "n_points": 1}),
+            ("run-quantum", ["--mode", "sampled", "--shots", "100000000000000000000"], None),
+            ("run-quantum", [], {"mode": "sampled", "shots": 2**63}),
         ],
         ids=[
             "negative-seed-data",
@@ -273,6 +280,8 @@ class TestMainExitCodes:
             "numeric-out-dir",
             "nan-grid-lo",
             "singular-rff-posterior",
+            "overflowing-shots-flag",
+            "overflowing-shots-json",
         ],
     )
     def test_bad_values_exit_2(self, tmp_path, capsys, command, flags, config):
@@ -343,12 +352,50 @@ class TestMainExitCodes:
         assert err.startswith("error: LinAlgError: ") and err.count("\n") == 1
         assert "singular even after jitter" in err
 
+    def test_largest_shot_count_runs(self, tmp_path):
+        args = ["run-quantum", "--mode", "sampled", "--shots", str(2**63 - 1)]
+        assert main([*args, "--out", str(tmp_path)]) == 0
+
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
-        assert "PASS: phase table matches the dense pipeline" in out
-        assert "PASS: encoding circuit equals the scaled design" in out
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS: phase table matches the dense pipeline",
+            "PASS: encoding circuit equals the scaled design",
+            "selftest: OK",
+        ]
+
+    def test_selftest_fails_on_a_perturbed_closed_form(self, capsys, monkeypatch):
+        init = PreparedPipeline.__init__
+
+        def perturbed(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            self.mean_slice = self.mean_slice * (1 + 1e-9)
+
+        monkeypatch.setattr(PreparedPipeline, "__init__", perturbed)
+        assert main(["selftest"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "FAIL: phase table matches the dense pipeline",
+            "PASS: encoding circuit equals the scaled design",
+            "selftest: 1 failure(s)",
+        ]
+
+    def test_selftest_fails_on_a_perturbed_encoding_circuit(self, capsys, monkeypatch):
+        from qrff import qsim
+
+        prepare = qsim.prepare_data_state
+
+        def perturbed(fm):
+            sv = prepare(fm)
+            return qsim.apply_gate(sv, qsim.GateOp.ry(1e-9, sv.register("col").offset))
+
+        monkeypatch.setattr(qsim, "prepare_data_state", perturbed)
+        assert main(["selftest"]) == 1
+        # the dense oracle runs on the perturbed state too, so both lines fail
+        assert capsys.readouterr().out.splitlines() == [
+            "FAIL: phase table matches the dense pipeline",
+            "FAIL: encoding circuit equals the scaled design",
+            "selftest: 2 failure(s)",
+        ]
 
 
 class TestDeterminism:

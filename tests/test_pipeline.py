@@ -130,10 +130,14 @@ class TestEncoding:
 
 def dense_spectral_state(fm, tau, delta_r):
     """The encoded design after the dense QPE of exp(i rho 2 pi / delta_r), as in
-    ``dense_oracle`` but with no inversion constants, which refuse unresolved bins."""
+    ``dense_oracle`` but with no inversion constants, which refuse unresolved bins:
+    rho's eigenbasis and eigenphases s^2 / delta_r from one SVD of the amplitudes."""
     sv = prepare_data_state(fm)
-    rho = qsim.partial_trace(sv, "col").matrix
-    return qsim.qpe(sv, qsim.qpe_circuit(sv, rho, 2.0 * np.pi / delta_r, "col", tau), tau)
+    col, row = sv.register("col"), sv.register("row")
+    basis, s, _ = np.linalg.svd(sv.amplitudes.reshape(col.dim, row.dim))
+    theta = np.zeros(col.dim)
+    theta[: s.size] = s**2 / delta_r
+    return qsim.qpe(sv, qsim.qpe_circuit(sv, "col", basis, theta, tau), tau)
 
 
 class TestSpectralExtraction:
@@ -188,18 +192,16 @@ class TestSpectralExtraction:
     @pytest.mark.parametrize("design", range(6))
     def test_phase_table_is_the_dense_per_component_marginal(self, design):
         # project the dense post-QPE state on each Schmidt pair (w_k, Vh_k):
-        # what remains on the phase register is s_k a_k(b). At tau 13 the
-        # paper config's gap is 3.46e-12: the circuit's kicks use eigh(rho)'s
-        # eigenvalues, up to 6.8e-16 (relative) from s^2, and the kick powers
-        # multiply that by up to 2^(tau-1). Taking the kick phase mod 1 alone
-        # leaves 2.6e-12; kicks exp(2 pi i (theta_k 2^j mod 1)) from the
-        # SVD's theta_k = s_k^2 / delta_r give 4.8e-15. So the designs stay
-        # at tau <= 8.
+        # what remains on the phase register is s_k a_k(b). At tau 13 kicks
+        # from eigh(rho)'s eigenvalues left gaps of 1.6e-13 to 3.46e-12 over
+        # these designs: the kick powers multiply the eigenvalue error by up
+        # to 2^(tau-1). Kicks exp(2 pi i (theta_k 2^j mod 1)) with theta_k =
+        # s_k^2 / delta_r from an SVD of the amplitudes leave 2.3e-15 to 6.0e-15.
+        tau = 13
         if design < 5:
-            h, ds, fm, tau = _schmidt_designs()[design]
+            h, ds, fm, _ = _schmidt_designs()[design]
         else:
             h, ds, fm = small_model(n_points=16, m_freq=2, seed_freq=21)
-            tau = 8
         pipe = PreparedPipeline(fm, h, tau)
         sv = dense_spectral_state(fm, tau, pipe.delta_r)
         w, s, vh = np.linalg.svd(
@@ -228,7 +230,7 @@ class TestInversionConstants:
             paper_feature_model, paper_hyper.noise_std, 0.4, 13
         )
         for b in ic.bins:
-            lam_hat2 = ic.decoded_eigenvalue_sq(b)
+            lam_hat2 = b * ic.delta_r / 2**ic.tau
             assert ic.c1 / (lam_hat2 + ic.sigma_tilde_sq) <= 1 + 1e-12
             assert ic.c2 / np.sqrt(lam_hat2 * (lam_hat2 + ic.sigma_tilde_sq)) <= 1 + 1e-12
 
@@ -323,7 +325,7 @@ class TestInversionBranches:
         fm = paper_feature_model
         ic = paper_pipeline.constants
         lam_t = fm.normalized_singular_values
-        lam_hat2 = np.array([ic.decoded_eigenvalue_sq(b) for b in ic.bins])
+        lam_hat2 = np.array(ic.bins) * ic.delta_r / 2**ic.tau
         weights = lam_t * ic.c1 / (lam_hat2 + ic.sigma_tilde_sq)
         mean_state = paper_oracle[2][0][0]
         nr = mean_state.register("row").width
