@@ -16,7 +16,6 @@ from .kernel import (
 )
 from .pipeline import (
     InversionConstants,
-    PosteriorEstimate,
     PreparedPipeline,
     phase_table,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "IoError",
     "KernelHyper",
     "Posterior",
-    "PosteriorEstimate",
     "PostSelectionError",
     "PreparedPipeline",
     "QrffError",

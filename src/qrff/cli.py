@@ -8,6 +8,11 @@ Subcommands
 ``compare``      all three, with error summaries
 ``selftest``     checks the closed form against its circuits
 
+Every method answers with one ``kernel.Posterior``, and a run is one table of
+named columns that each stage extends as it runs: ``x``, then the exact,
+RFF and quantum mean/variance pairs, then ``p1`` and ``p2``. ``results.csv``
+and ``plot.dat`` hold exactly the columns of the stages that ran.
+
 All randomness is seeded explicitly; two runs with the same configuration
 produce byte-identical outputs.
 """
@@ -25,15 +30,13 @@ import numpy as np
 
 # numpy loads its random module lazily; import it here so the first draw's
 # import is not timed as part of the dataset stage
-from numpy.random import SeedSequence, default_rng
+from numpy.random import default_rng
 
 from . import __version__
 from .errors import ConfigError, IoError, QrffError
 from .kernel import Dataset, KernelHyper, exact_posterior
 from .pipeline import PreparedPipeline
 from .rff import build_feature_model, rff_posterior, sample_frequencies
-
-_CSV_HEADER = "x,mean_exact,var_exact,mean_rff,var_rff,mean_qrff,var_qrff,p1,p2"
 
 
 @dataclass(frozen=True)
@@ -134,21 +137,10 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 
 
 @dataclass(frozen=True)
-class GridRecord:
-    x: float
-    mean_exact: float
-    var_exact: float
-    mean_rff: float
-    var_rff: float
-    mean_qrff: float
-    var_qrff: float
-    p1: float
-    p2: float
-
-
-@dataclass(frozen=True)
 class ComparisonReport:
-    records: tuple[GridRecord, ...]
+    """One run: its output columns over the query grid, in order, and its summary."""
+
+    columns: dict[str, np.ndarray]
     summary: dict = field(default_factory=dict)
 
 
@@ -167,6 +159,14 @@ def _fmt(value: float) -> str:
     return format(float(value), ".9g")
 
 
+def _rmse(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.sqrt(np.mean((a - b) ** 2)))
+
+
+def _max_gap(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.max(np.abs(a - b)))
+
+
 def _run_stages(cfg: RunConfig, stages: tuple[str, ...]) -> ComparisonReport:
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -175,9 +175,7 @@ def _run_stages(cfg: RunConfig, stages: tuple[str, ...]) -> ComparisonReport:
     timings["dataset"] = time.perf_counter() - t0
 
     grid = cfg.grid
-    nan = np.full(len(grid), np.nan)
-    exact = rff = quantum = (nan, nan)
-    p1 = p2 = float("nan")
+    columns = {"x": grid}
 
     fm = None
     if "rff" in stages or "quantum" in stages:
@@ -194,60 +192,42 @@ def _run_stages(cfg: RunConfig, stages: tuple[str, ...]) -> ComparisonReport:
 
     if "exact" in stages:
         t0 = time.perf_counter()
-        post = exact_posterior(ds, h, grid)
-        exact = (post.mean, post.variance)
+        exact = exact_posterior(ds, h, grid)
+        columns["mean_exact"], columns["var_exact"] = exact.mean, exact.variance
         timings["exact_gpr"] = time.perf_counter() - t0
 
     if "rff" in stages:
         t0 = time.perf_counter()
-        post = rff_posterior(fm, ds.targets, grid, h)
-        rff = (post.mean, post.variance)
+        rff = rff_posterior(fm, ds.targets, grid, h)
+        columns["mean_rff"], columns["var_rff"] = rff.mean, rff.variance
         timings["rff_gpr"] = time.perf_counter() - t0
 
-    if "quantum" in stages:
-        p1, p2 = pipe.p1, pipe.p2
-        shots = 0 if cfg.mode == "exact" else cfg.shots
-        mean_seed = var_seed = None
-        if shots:
-            mean_seed, var_seed = SeedSequence(cfg.seed_shots).spawn(2)
-        t0 = time.perf_counter()
-        m = pipe.mean_estimate(ds.targets, grid, shots, mean_seed)
-        v = pipe.variance_estimate(grid, shots, var_seed)
-        quantum = (m.mean, v.variance)
-        timings["quantum_queries"] = time.perf_counter() - t0
-
-    columns = np.column_stack(
-        [grid, *exact, *rff, *quantum, np.full(len(grid), p1), np.full(len(grid), p2)]
-    )
-    records = tuple(GridRecord(*map(float, row)) for row in columns)
     summary: dict[str, float] = {}
-    if "quantum" in stages and "rff" in stages:
-        summary["rmse_mean_qrff_vs_rff"] = float(
-            np.sqrt(np.mean((quantum[0] - rff[0]) ** 2))
-        )
-        summary["max_abs_var_gap_qrff_vs_rff"] = float(
-            np.max(np.abs(quantum[1] - rff[1]))
-        )
-    if "quantum" in stages and "exact" in stages:
-        summary["rmse_mean_qrff_vs_exact"] = float(
-            np.sqrt(np.mean((quantum[0] - exact[0]) ** 2))
-        )
     if "quantum" in stages:
-        summary["p1"] = p1
-        summary["p2"] = p2
+        shots = 0 if cfg.mode == "exact" else cfg.shots
+        t0 = time.perf_counter()
+        quantum, readout = pipe.posterior(ds.targets, grid, shots, cfg.seed_shots)
+        timings["quantum_queries"] = time.perf_counter() - t0
+        columns["mean_qrff"], columns["var_qrff"] = quantum.mean, quantum.variance
+        columns["p1"], columns["p2"] = np.full(grid.size, pipe.p1), np.full(grid.size, pipe.p2)
+        if "rff" in stages:
+            summary["rmse_mean_qrff_vs_rff"] = _rmse(quantum.mean, rff.mean)
+            summary["max_abs_var_gap_qrff_vs_rff"] = _max_gap(quantum.variance, rff.variance)
+        if "exact" in stages:
+            summary["rmse_mean_qrff_vs_exact"] = _rmse(quantum.mean, exact.mean)
+        summary["p1"] = pipe.p1
+        summary["p2"] = pipe.p2
         summary["uncompute_leakage_mean"] = pipe.uncompute_leakage_mean
         summary["uncompute_leakage_variance"] = pipe.uncompute_leakage_variance
         if shots:
             # shot-noise term of the error budget: sampled vs exact-mode readout
-            summary["rmse_mean_shot_noise"] = float(
-                np.sqrt(np.mean((m.mean - m.diagnostics["exact_mean"]) ** 2))
-            )
-            summary["max_abs_var_gap_shot_noise"] = float(
-                np.max(np.abs(v.variance - v.diagnostics["exact_variance"]))
+            summary["rmse_mean_shot_noise"] = _rmse(quantum.mean, readout["exact_mean"])
+            summary["max_abs_var_gap_shot_noise"] = _max_gap(
+                quantum.variance, readout["exact_variance"]
             )
     summary.update({f"wall_clock_{k}_s": v for k, v in timings.items()})
     summary["wall_clock_total_s"] = sum(timings.values())
-    return ComparisonReport(records=records, summary=summary)
+    return ComparisonReport(columns=columns, summary=summary)
 
 
 def run_experiment(cfg: RunConfig) -> ComparisonReport:
@@ -255,32 +235,27 @@ def run_experiment(cfg: RunConfig) -> ComparisonReport:
     return _run_stages(cfg, ("exact", "rff", "quantum"))
 
 
-def emit_outputs(report: ComparisonReport, cfg: RunConfig, columns=None) -> list[str]:
-    """Write results.csv, summary.txt, and plot.dat; returns the paths written."""
+def emit_outputs(report: ComparisonReport, cfg: RunConfig) -> list[str]:
+    """Write the report's columns to results.csv and plot.dat and its summary
+    to summary.txt; returns the paths written."""
     import os
 
-    cols = columns or _CSV_HEADER.split(",")
+    names = list(report.columns)
+    rows = [list(map(_fmt, row)) for row in zip(*report.columns.values())]
+
+    def write(name: str, lines: list[str]) -> str:
+        path = os.path.join(cfg.out_dir, name)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(line + "\n" for line in lines)
+        return path
+
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)
-        paths = []
-        csv_path = os.path.join(cfg.out_dir, "results.csv")
-        with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(cols) + "\n")
-            for rec in report.records:
-                fh.write(",".join(_fmt(getattr(rec, c)) for c in cols) + "\n")
-        paths.append(csv_path)
-        summary_path = os.path.join(cfg.out_dir, "summary.txt")
-        with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-            for key, value in report.summary.items():
-                fh.write(f"{key} = {_fmt(value)}\n")
-        paths.append(summary_path)
-        plot_path = os.path.join(cfg.out_dir, "plot.dat")
-        with open(plot_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("# " + " ".join(cols) + "\n")
-            for rec in report.records:
-                fh.write(" ".join(_fmt(getattr(rec, c)) for c in cols) + "\n")
-        paths.append(plot_path)
-        return paths
+        return [
+            write("results.csv", [",".join(names), *map(",".join, rows)]),
+            write("summary.txt", [f"{k} = {_fmt(v)}" for k, v in report.summary.items()]),
+            write("plot.dat", ["# " + " ".join(names), *map(" ".join, rows)]),
+        ]
     except OSError as exc:
         raise IoError(f"cannot write outputs under {cfg.out_dir}: {exc}") from exc
 
@@ -336,13 +311,6 @@ def _run_selftest() -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-_STAGE_COLUMNS = {
-    "fit-exact": ["x", "mean_exact", "var_exact"],
-    "fit-rff": ["x", "mean_rff", "var_rff"],
-    "run-quantum": ["x", "mean_qrff", "var_qrff", "p1", "p2"],
-    "compare": _CSV_HEADER.split(","),
-}
-
 _STAGE_SETS = {
     "fit-exact": ("exact",),
     "fit-rff": ("rff",),
@@ -393,7 +361,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, overrides)
         report = _run_stages(cfg, _STAGE_SETS[args.command])
-        paths = emit_outputs(report, cfg, _STAGE_COLUMNS[args.command])
+        paths = emit_outputs(report, cfg)
     except QrffError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code

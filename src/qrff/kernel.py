@@ -178,30 +178,34 @@ def spectral_density(omega, h: KernelHyper) -> float:
     )
 
 
-def _forward_solve_spd(points: np.ndarray, h: KernelHyper, rhs_rows: np.ndarray) -> np.ndarray:
-    """Z^T for Z = L^-1 R, where L L^T = K + noise and R^T = ``rhs_rows``, shape (R, N).
+def _forward_solve_spd(
+    inputs: np.ndarray, queries: np.ndarray, targets: np.ndarray, h: KernelHyper
+) -> np.ndarray:
+    """[Z*^T; z_y^T] for [Z*, z_y] = L^-1 [K*, y], where L L^T = K + noise, shape (G + 1, N).
 
     A left-looking blocked Cholesky (Golub & Van Loan, *Matrix Computations*,
-    section 4.2) in one (N + R) x N array: its first N rows take L, on and
-    below the diagonal blocks only, and its last R rows start as R^T. The
-    Cholesky factor of [[K + noise, R], [R^T, .]] has Z^T as its lower-left
-    block, so the block steps that factor K + noise carry the forward solve
-    in the same matmuls. Block column k is built from the kernel on and below
-    the diagonal, less one matmul against the columns already factored, and
-    scaled by the inverse of its diagonal block's Cholesky factor. A
-    non-positive-definite diagonal block raises ``LinAlgError``; the one
-    retry adds a logged diagonal jitter.
+    section 4.2) in one (N + G + 1) x N array whose rows stand for inputs,
+    queries and targets: its first N rows end as L, on and below the diagonal
+    blocks only, and its last G + 1 as the answer. The Cholesky factor of [[K + noise, K*, y], [K*^T, ., .],
+    [y^T, ., .]] has Z*^T and z_y^T as its lower-left block, so the block
+    steps that factor K + noise carry the forward solve in the same matmuls.
+    Block column k is built from one ``_cross_kernel`` call between rows k:
+    of [inputs; queries] and inputs k:e (the Gram column on and below the
+    diagonal, then the K* rows) above the targets' slice, less one matmul
+    against the columns already factored, and scaled by the inverse of its
+    diagonal block's Cholesky factor. A non-positive-definite diagonal block
+    raises ``LinAlgError``; the one retry adds a logged diagonal jitter.
     """
-    n = points.shape[0]
+    n = inputs.shape[0]
+    rows = np.vstack([inputs, queries])
 
     def factor(jitter: float) -> np.ndarray:
-        L = np.empty((n + rhs_rows.shape[0], n))
-        L[n:] = rhs_rows
+        L = np.empty((rows.shape[0] + 1, n))
         for k in range(0, n, BLOCK):
             e = min(k + BLOCK, n)
             panel = np.empty((L.shape[0] - k, e - k))
-            _cross_kernel(points[k:], points[k:e], h, out=panel[: n - k])
-            panel[n - k :] = L[n:, k:e]
+            _cross_kernel(rows[k:], inputs[k:e], h, out=panel[:-1])
+            panel[-1] = targets[k:e]
             # flat indexing writes through whatever the memory layout
             panel[: e - k].flat[:: e - k + 1] += h.noise_std**2 + jitter
             if k:
@@ -232,11 +236,13 @@ def exact_posterior(ds: Dataset, h: KernelHyper, xs) -> Posterior:
     mean = K*^T (K + noise_std^2 I)^{-1} y
     variance = k(x*, x*) - diag(K*^T (K + noise_std^2 I)^{-1} K*)
 
-    With L L^T = K + noise_std^2 I and Z = L^-1 [y, K*], mean = Z*^T z_y and
-    variance = k(x*, x*) - ||Z*||^2 per query: one forward solve, no
-    back-substitution. Raises ``CapacityError`` before allocating when the
-    N x N Gram matrix would take more bytes than one statevector at the
-    qubit cap, 16 * 2^errors.MAX_QUBITS.
+    With L L^T = K + noise_std^2 I and [Z*, z_y] = L^-1 [K*, y], mean =
+    Z*^T z_y and variance = k(x*, x*) - ||Z*||^2 per query: one forward
+    solve, no back-substitution, in one (N + G + 1) x N array of doubles (see
+    ``_forward_solve_spd``). Raises ``CapacityError`` before allocating when
+    the N x N Gram matrix would take more bytes than one statevector at the
+    qubit cap, 16 * 2^errors.MAX_QUBITS; that check counts only the N^2
+    part of the array, not its G + 1 right-hand-side rows.
     """
     gram_bytes, cap_bytes = 8 * ds.n_points**2, 16 << errors.MAX_QUBITS
     if gram_bytes > cap_bytes:
@@ -244,10 +250,9 @@ def exact_posterior(ds: Dataset, h: KernelHyper, xs) -> Posterior:
             f"the exact baseline's {ds.n_points} x {ds.n_points} Gram matrix takes "
             f"{gram_bytes} bytes, more than a {errors.MAX_QUBITS}-qubit state ({cap_bytes})"
         )
-    pts = _as_points(xs, ds.dim)
-    rhs_rows = np.vstack([ds.targets, _cross_kernel(pts, ds.inputs, h)])
-    z = _forward_solve_spd(ds.inputs, h, rhs_rows)
-    mean = z[1:] @ z[0]
-    variance = h.signal_std**2 - np.einsum("gn,gn->g", z[1:], z[1:])
+    z = _forward_solve_spd(ds.inputs, _as_points(xs, ds.dim), ds.targets, h)
+    z_star, z_y = z[:-1], z[-1]
+    mean = z_star @ z_y
+    variance = h.signal_std**2 - np.einsum("gn,gn->g", z_star, z_star)
     # numerical round-off can leave a tiny negative residue
     return Posterior(mean=mean, variance=np.maximum(variance, 0.0))

@@ -7,7 +7,9 @@ operator; apply an eigenvalue-conditioned inversion profile with
 post-selection (the flag qubit's rotation and projection folded into a
 per-bin weight); un-compute the phase register; and read posterior
 quantities off the closed-form outcome probabilities of a Hadamard test
-(mean) and a SWAP test (variance), for a whole grid of query points at once.
+(mean) and a SWAP test (variance), for a whole grid of query points at once;
+``PreparedPipeline.posterior`` returns both as one ``kernel.Posterior``, as
+the exact and reduced-rank methods do, with the readout they came from.
 The encoded amplitudes are design.T / frobenius_norm, so their Schmidt basis
 is the feature model's SVD, and everything after the encoding is
 block-diagonal in it. This module evaluates those steps exactly there, from
@@ -25,13 +27,13 @@ posterior evaluated with bin-discretized eigenvalues.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import errors
 from .errors import CapacityError, ConfigError, PostSelectionError
-from .kernel import KernelHyper, _as_points
+from .kernel import KernelHyper, Posterior, _as_points
 from .rff import FeatureModel, scaled_feature_vector
 
 #: default headroom of the phase-window parameter over the top squared singular value
@@ -102,23 +104,6 @@ class InversionConstants:
             )
         prof[0] = 0.0
         return prof
-
-
-@dataclass(frozen=True)
-class PosteriorEstimate:
-    """One branch of the quantum posterior over a query grid.
-
-    ``mean`` or ``variance`` holds one value per grid point, and
-    ``shots_used`` the accepted shots per point (zero in exact mode).
-    """
-
-    mean: np.ndarray | None
-    variance: np.ndarray | None
-    p1: float | None
-    p2: float | None
-    shots_used: np.ndarray
-    mode: str
-    diagnostics: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +183,7 @@ class PreparedPipeline:
     ``qsim.dense_oracle`` on ``qsim.prepare_data_state(fm)`` is what these
     are tested against.
 
-    A posterior call answers a whole grid of G query points by reading the
+    ``posterior`` answers a whole grid of G query points by reading the
     Hadamard- and SWAP-test probabilities in closed form: P(0) = 1/2 +
     Re<b|a>/2 for the mean, with the targets mapped through ``row_basis``
     (Vh), and P(0) = 1/2 + <q|rho_col|q>/2 for the variance.
@@ -256,18 +241,17 @@ class PreparedPipeline:
         self.uncompute_leakage_mean = 1.0 - float(s2 @ c1**2) / p1
         self.uncompute_leakage_variance = 1.0 - float(s2 @ c2**2) / p2
 
-    def _grid_features(self, xs) -> tuple[np.ndarray, np.ndarray]:
-        """Scaled query features (G, 2M) and their norms (G,)."""
-        freq = self.fm.freq
-        phi = scaled_feature_vector(_as_points(xs, freq.dim), freq, self.hyper)
-        return phi, np.linalg.norm(phi, axis=1)
+    def posterior(self, y, xs, shots: int = 0, seed=None) -> tuple[Posterior, dict]:
+        """Posterior means and variances over the grid ``xs``, and their readout.
 
-    def mean_estimate(self, y, xs, shots: int = 0, seed=None) -> PosteriorEstimate:
-        """Posterior means over the grid ``xs``.
-
-        With ``shots`` the readout is sampled from one generator,
-        ``default_rng(seed)``, for the whole grid, and ``diagnostics`` keeps
-        the exact-mode means as ``exact_mean``.
+        With ``shots`` the readout is sampled: ``SeedSequence(seed).spawn(2)``
+        gives the mean branch (Hadamard test) the first generator and the
+        variance branch (SWAP test) the second, each serving the whole grid.
+        ``readout`` holds each test's ``2 P(0) - 1`` (``mean_overlap``,
+        ``variance_overlap``), the accepted shots per point
+        (``mean_accepted``, ``variance_accepted``, zeros in exact mode) and
+        the ``null_space_variance``; in sampled mode also the exact-mode
+        ``exact_mean`` and ``exact_variance``.
         """
         y = np.asarray(y, dtype=float).ravel()
         n_rows = self.fm.design.shape[0]
@@ -276,70 +260,43 @@ class PreparedPipeline:
         y_norm = float(np.linalg.norm(y))
         if y_norm == 0:
             raise ValueError("targets must not be identically zero")
-        phi, phi_norm = self._grid_features(xs)
+        freq = self.fm.freq
+        phi = scaled_feature_vector(_as_points(xs, freq.dim), freq, self.hyper)
+        phi_norm = np.linalg.norm(phi, axis=1)
+        q = phi / phi_norm[:, None]
         y_rows = self.row_basis @ (y / y_norm)
-        exact = np.einsum("ck,gc,k->g", self.mean_slice, phi / phi_norm[:, None], y_rows)
-        overlap, shots_used = exact, np.zeros(exact.size, dtype=int)
+        exact_mean = np.einsum("ck,gc,k->g", self.mean_slice, q, y_rows)
+        exact_variance = (q @ self.col_basis) ** 2 @ self.variance_weights
+        mean_overlap, variance_overlap = exact_mean, exact_variance
+        mean_accepted = variance_accepted = np.zeros(q.shape[0], dtype=int)
         if shots:
-            overlap, shots_used = _sampled_overlaps(self.p1, 0.5 + 0.5 * exact, shots, seed)
-        scale = (
-            np.sqrt(self.p1)
-            / self.constants.c1
-            * phi_norm
-            * y_norm
-            / self.fm.frobenius_norm
-        )
-        diagnostics = {"overlap": overlap}
-        if shots:
-            diagnostics["exact_mean"] = scale * exact
-        return PosteriorEstimate(
-            mean=scale * overlap,
-            variance=None,
-            p1=self.p1,
-            p2=None,
-            shots_used=shots_used,
-            mode="exact" if shots == 0 else "sampled",
-            diagnostics=diagnostics,
-        )
-
-    def variance_estimate(self, xs, shots: int = 0, seed=None) -> PosteriorEstimate:
-        """Posterior variances over the grid ``xs``.
-
-        With ``shots`` the readout is sampled from one generator,
-        ``default_rng(seed)``, for the whole grid, and ``diagnostics`` keeps
-        the exact-mode variances as ``exact_variance``.
-        """
-        phi, phi_norm = self._grid_features(xs)
-        q_w = (phi / phi_norm[:, None]) @ self.col_basis
-        exact = q_w**2 @ self.variance_weights
-        raw, shots_used = exact, np.zeros(exact.size, dtype=int)
-        if shots:
-            raw, shots_used = _sampled_overlaps(self.p2, 0.5 + 0.5 * exact, shots, seed)
+            mean_seed, variance_seed = np.random.SeedSequence(seed).spawn(2)
+            mean_overlap, mean_accepted = _sampled_overlaps(
+                self.p1, 0.5 + 0.5 * exact_mean, shots, mean_seed
+            )
+            variance_overlap, variance_accepted = _sampled_overlaps(
+                self.p2, 0.5 + 0.5 * exact_variance, shots, variance_seed
+            )
+        ic, fro = self.constants, self.fm.frobenius_norm
+        mean_scale = np.sqrt(self.p1) / ic.c1 * phi_norm * y_norm / fro
         pv = phi @ self.fm.v
         null_sq = np.maximum(
             np.einsum("gk,gk->g", phi, phi) - np.einsum("gr,gr->g", pv, pv), 0.0
         )
-        spectral_scale = (
-            self.hyper.noise_std**2
-            * self.p2
-            / self.constants.c2**2
-            * phi_norm**2
-            / self.fm.frobenius_norm**2
-        )
+        spectral_scale = self.hyper.noise_std**2 * self.p2 / ic.c2**2 * phi_norm**2 / fro**2
 
-        def posterior(overlap_raw):
-            spectral_var = spectral_scale * np.clip(overlap_raw, 0.0, 1.0)
+        def variance(overlap):
+            spectral_var = spectral_scale * np.clip(overlap, 0.0, 1.0)
             return np.maximum(spectral_var + null_sq, 0.0)
 
-        diagnostics = {"overlap_raw": raw, "null_space_variance": null_sq}
+        readout = {
+            "mean_overlap": mean_overlap,
+            "variance_overlap": variance_overlap,
+            "mean_accepted": mean_accepted,
+            "variance_accepted": variance_accepted,
+            "null_space_variance": null_sq,
+        }
         if shots:
-            diagnostics["exact_variance"] = posterior(exact)
-        return PosteriorEstimate(
-            mean=None,
-            variance=posterior(raw),
-            p1=None,
-            p2=self.p2,
-            shots_used=shots_used,
-            mode="exact" if shots == 0 else "sampled",
-            diagnostics=diagnostics,
-        )
+            readout["exact_mean"] = mean_scale * exact_mean
+            readout["exact_variance"] = variance(exact_variance)
+        return Posterior(mean_scale * mean_overlap, variance(variance_overlap)), readout

@@ -3,8 +3,8 @@
 ``dense_oracle`` runs phase estimation, post-selection and un-compute as
 circuits on the encoded state. ``dense_twin`` reads the same factors the
 closed form computes (the mean branch's phase-0 slice, the variance branch's
-rho_col, p1, p2 and the leakages) off those states, so the twin's estimates
-are the dense-path readout, and ``assert_matches_dense`` holds a pipeline to
+rho_col, p1, p2 and the leakages) off those states, so the twin's posterior
+is the dense-path readout, and ``assert_matches_dense`` holds a pipeline to
 it at 1e-12. ``assert_encodes_design`` holds the encoding circuit to the
 scaled design it stands for.
 """
@@ -77,7 +77,7 @@ def dense_twin(pipe: PreparedPipeline, oracle=None) -> PreparedPipeline:
 
 
 def assert_matches_dense(pipe: PreparedPipeline, targets, grid, oracle=None) -> None:
-    """Slice, rho_col, p1, p2, leakages and grid estimates within 1e-12 of the oracle.
+    """Slice, rho_col, p1, p2, leakages and grid posterior within 1e-12 of the oracle.
 
     The slice and rho_col are compared over the padded registers, so the
     oracle's padding and imaginary parts are held to 1e-12 as well.
@@ -90,10 +90,9 @@ def assert_matches_dense(pipe: PreparedPipeline, targets, grid, oracle=None) -> 
     assert np.max(np.abs(rho_col - dense.rho_col)) <= TOL
     for name in ("p1", "p2", "uncompute_leakage_mean", "uncompute_leakage_variance"):
         assert abs(getattr(pipe, name) - getattr(dense, name)) <= TOL, name
-    m, m_dense = pipe.mean_estimate(targets, grid), dense.mean_estimate(targets, grid)
-    v, v_dense = pipe.variance_estimate(grid), dense.variance_estimate(grid)
-    assert np.max(np.abs(m.mean - m_dense.mean)) <= TOL
-    assert np.max(np.abs(v.variance - v_dense.variance)) <= TOL
+    (post, _), (post_dense, _) = pipe.posterior(targets, grid), dense.posterior(targets, grid)
+    assert np.max(np.abs(post.mean - post_dense.mean)) <= TOL
+    assert np.max(np.abs(post.variance - post_dense.variance)) <= TOL
 
 
 def assert_encodes_design(sv: qsim.Statevector, fm) -> None:

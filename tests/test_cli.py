@@ -99,29 +99,30 @@ class TestRunExperiment:
     def test_small_run_consistency(self, tmp_path):
         cfg = RunConfig(**SMALL, out_dir=str(tmp_path / "o"))
         report = run_experiment(cfg)
-        assert len(report.records) == cfg.grid_count
+        assert len(report.columns["x"]) == cfg.grid_count
         assert report.summary["rmse_mean_qrff_vs_rff"] >= 0
         # orchestration self-consistency: the rff column reproduces the oracle
         ds = generate_dataset(cfg)
         freq = sample_frequencies(cfg.n_frequencies, cfg.hyper, 1, cfg.seed_freq)
         fm = build_feature_model(ds, freq, cfg.hyper)
-        post = rff_posterior(fm, ds.targets, [rec.x for rec in report.records], cfg.hyper)
-        for i, rec in enumerate(report.records):
-            assert rec.mean_rff == pytest.approx(post.mean[i], abs=1e-8)
-            assert rec.var_rff == pytest.approx(post.variance[i], abs=1e-8)
+        col = report.columns
+        post = rff_posterior(fm, ds.targets, col["x"], cfg.hyper)
+        for i in range(cfg.grid_count):
+            assert col["mean_rff"][i] == pytest.approx(post.mean[i], abs=1e-8)
+            assert col["var_rff"][i] == pytest.approx(post.variance[i], abs=1e-8)
 
     def test_degenerate_single_point(self):
         cfg = RunConfig(n_points=1, n_frequencies=1, tau=6, grid_count=3, seed_freq=2)
         report = run_experiment(cfg)
-        assert len(report.records) == 3
-        assert all(np.isfinite(r.mean_qrff) for r in report.records)
+        assert len(report.columns["x"]) == 3
+        assert np.isfinite(report.columns["mean_qrff"]).all()
 
     def test_setup_width_is_the_whole_qubit_budget(self, monkeypatch):
         # min(4 row, 2 col) + 11 phase = 13: the phase table fits the cap
         # exactly, and nothing after it may need a wider state
         monkeypatch.setattr(errors, "MAX_QUBITS", 13)
         report = run_experiment(RunConfig(n_points=16, n_frequencies=2, tau=11, grid_count=3))
-        assert all(np.isfinite(r.var_qrff) for r in report.records)
+        assert np.isfinite(report.columns["var_qrff"]).all()
 
 
 class TestEmitOutputs:
@@ -144,7 +145,30 @@ class TestEmitOutputs:
         emit_outputs(report, cfg)
         line = (pathlib.Path(cfg.out_dir) / "results.csv").read_text().splitlines()[1]
         first = line.split(",")[1]
-        assert first == format(report.records[0].mean_exact, ".9g")
+        assert first == format(report.columns["mean_exact"][0], ".9g")
+
+    @pytest.mark.parametrize(
+        "command, header",
+        [
+            ("fit-exact", "x,mean_exact,var_exact"),
+            ("fit-rff", "x,mean_rff,var_rff"),
+            ("run-quantum", "x,mean_qrff,var_qrff,p1,p2"),
+            ("compare", "x,mean_exact,var_exact,mean_rff,var_rff,mean_qrff,var_qrff,p1,p2"),
+        ],
+    )
+    def test_each_command_writes_its_own_columns(self, tmp_path, command, header):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(SMALL))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 0
+        csv_lines = (out / "results.csv").read_text().splitlines()
+        plot_lines = (out / "plot.dat").read_text().splitlines()
+        assert csv_lines[0] == header
+        assert plot_lines[0] == "# " + header.replace(",", " ")
+        width = header.count(",") + 1
+        assert len(csv_lines) == len(plot_lines) == 1 + SMALL["grid_count"]
+        assert all(len(line.split(",")) == width for line in csv_lines[1:])
+        assert all(len(line.split()) == width for line in plot_lines[1:])
 
     def test_summary_key_value_lines(self, tmp_path):
         cfg = RunConfig(**SMALL, out_dir=str(tmp_path / "out"))

@@ -6,7 +6,7 @@ registers and zero noise, at the default phase window and at twice the top
 squared singular value (where tau = 1 can resolve a rank-one design). The
 encoding circuit must give each design's zero-padded design.T /
 frobenius_norm to 1e-12. Each design must then either be refused with
-``ConfigError`` or ``PostSelectionError`` before any estimate is made,
+``ConfigError`` or ``PostSelectionError`` before any posterior is read,
 exactly when the dense circuits refuse it and with the same error, or give
 exact-mode means and variances equal to the binned spectral-sum oracle and,
 to 1e-12, to the dense circuits' readout.
@@ -82,12 +82,11 @@ def test_pipeline_refuses_or_matches_binned_oracle(
     assert 0 < pipe.p1 <= 1 and 0 < pipe.p2 <= 1
     assert pipe.p1 == pytest.approx(pred.p1(), abs=1e-10)
     assert pipe.p2 == pytest.approx(pred.p2(), abs=1e-10)
-    m = pipe.mean_estimate(y, GRID)
-    v = pipe.variance_estimate(GRID)
+    post, _ = pipe.posterior(y, GRID)
     for i, x_star in enumerate(GRID):
         phi_star = scaled_feature_vector([x_star], fm.freq, h)
-        assert m.mean[i] == pytest.approx(pred.mean(phi_star, y), abs=1e-8)
-        assert v.variance[i] == pytest.approx(pred.variance(phi_star), abs=1e-8)
+        assert post.mean[i] == pytest.approx(pred.mean(phi_star, y), abs=1e-8)
+        assert post.variance[i] == pytest.approx(pred.variance(phi_star), abs=1e-8)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -108,27 +107,24 @@ def test_sampled_mode_with_few_shots(xs, m_freq, tau, shots, seed_freq, seed):
     )
 
     def estimate():
-        pipe = PreparedPipeline(fm, h, tau)
-        mean_seed, var_seed = np.random.SeedSequence(seed).spawn(2)
-        return (
-            pipe.mean_estimate(y, GRID, shots, mean_seed),
-            pipe.variance_estimate(GRID, shots, var_seed),
-        )
+        return PreparedPipeline(fm, h, tau).posterior(y, GRID, shots, seed)
 
     try:
-        m, v = estimate()
+        post, readout = estimate()
     except (ConfigError, PostSelectionError) as exc:
         event(f"refused: {type(exc).__name__}")
         return
     event("estimated")
-    for est, overlap in ((m, m.diagnostics["overlap"]), (v, v.diagnostics["overlap_raw"])):
-        n = est.shots_used
+    for branch in ("mean", "variance"):
+        n, overlap = readout[f"{branch}_accepted"], readout[f"{branch}_overlap"]
         assert np.all((1 <= n) & (n <= shots))
         # 2k/n - 1 for k test-qubit zeros out of n accepted shots
         k = (overlap + 1.0) * n / 2.0
         assert np.max(np.abs(k - np.round(k))) <= 1e-9
         assert np.all(np.abs(overlap) <= 1.0)
-    assert np.all(v.variance >= 0.0)
-    m2, v2 = estimate()
-    assert np.array_equal(m.mean, m2.mean) and np.array_equal(m.shots_used, m2.shots_used)
-    assert np.array_equal(v.variance, v2.variance) and np.array_equal(v.shots_used, v2.shots_used)
+    assert np.all(post.variance >= 0.0)
+    post2, readout2 = estimate()
+    assert np.array_equal(post.mean, post2.mean)
+    assert np.array_equal(readout["mean_accepted"], readout2["mean_accepted"])
+    assert np.array_equal(post.variance, post2.variance)
+    assert np.array_equal(readout["variance_accepted"], readout2["variance_accepted"])

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import logging
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,3 +179,18 @@ class TestExactPosterior:
         assert "jitter" in caplog.text
         assert post.mean[0] == pytest.approx((y[i] + y[j]) / 2, abs=1e-8)
         assert post.variance[0] == pytest.approx(0.0, abs=1e-8)
+
+    def test_answer_is_built_in_the_one_factor_array(self, paper_hyper):
+        # the (N + G + 1) x N factor array is 34 MiB here; a separate right-hand
+        # side (G + 1) x N and a G x N cross kernel took the peak to 70.3 MiB
+        n, g = 512, 8192
+        x = np.linspace(0.0, 2.0 * np.pi, n)
+        ds = Dataset(x[:, None], np.sin(x))
+        grid = np.linspace(0.0, 2.0 * np.pi, g)
+        tracemalloc.start()
+        try:
+            exact_posterior(ds, paper_hyper, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * 8 * n * (n + g + 1)

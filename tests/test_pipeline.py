@@ -292,8 +292,8 @@ class TestInversionBranches:
         fm = build_feature_model(ds, sample_frequencies(2, h, 1, 2), h)
         pipe = PreparedPipeline(fm, h, tau=6, delta_r=2.0)
         assert 0 < pipe.p1 <= 1.0 and 0 < pipe.p2 <= 1.0
-        est = pipe.mean_estimate(ds.targets, [1.1], shots=1000, seed=3)
-        assert est.shots_used[0] == 1000
+        _, readout = pipe.posterior(ds.targets, [1.1], shots=1000, seed=3)
+        assert readout["mean_accepted"][0] == 1000
 
     @pytest.mark.parametrize("branch", ["mean", "variance"])
     def test_vanishing_acceptance_refused_like_the_dense_path(self, branch, monkeypatch):
@@ -351,7 +351,7 @@ class TestPosteriorEstimates:
         fm = build_feature_model(ds, sample_frequencies(1, h, 1, 2), h)
         pipe = PreparedPipeline(fm, h, tau=6, delta_r=2.0)
         x_star = 1.1
-        est = pipe.mean_estimate(ds.targets, [x_star])
+        est, _ = pipe.posterior(ds.targets, [x_star])
         phi1 = fm.design[0]
         phi_star = scaled_feature_vector([x_star], fm.freq, h)
         lam1 = fm.singular_values[0]
@@ -370,12 +370,11 @@ class TestPosteriorEstimates:
         pipe = PreparedPipeline(fm, h, tau)
         pred = BinnedPrediction(fm, h.noise_std, pipe.delta_r, tau)
         grid = np.linspace(0.3, 5.9, 5)
-        m = pipe.mean_estimate(ds.targets, grid)
-        v = pipe.variance_estimate(grid)
+        post, _ = pipe.posterior(ds.targets, grid)
         for i, x in enumerate(grid):
             phi_star = scaled_feature_vector([x], fm.freq, h)
-            assert m.mean[i] == pytest.approx(pred.mean(phi_star, ds.targets), abs=1e-8)
-            assert v.variance[i] == pytest.approx(pred.variance(phi_star), abs=1e-8)
+            assert post.mean[i] == pytest.approx(pred.mean(phi_star, ds.targets), abs=1e-8)
+            assert post.variance[i] == pytest.approx(pred.variance(phi_star), abs=1e-8)
 
     def test_orthogonal_query_leaves_null_space_variance(self):
         # engineered so the query features are exactly orthogonal to the design
@@ -384,48 +383,47 @@ class TestPosteriorEstimates:
         ds = Dataset(np.array([[0.0]]), np.array([0.5]))
         fm = build_feature_model(ds, freq, h)
         pipe = PreparedPipeline(fm, h, tau=5, delta_r=2.0)
-        est = pipe.variance_estimate([1.0])  # phase = pi/2: features (0, sigma)
-        assert est.diagnostics["overlap_raw"][0] == pytest.approx(0.0, abs=1e-10)
+        est, readout = pipe.posterior(ds.targets, [1.0])  # phase = pi/2: features (0, sigma)
+        assert readout["variance_overlap"][0] == pytest.approx(0.0, abs=1e-10)
         assert est.variance[0] == pytest.approx(h.signal_std**2, abs=1e-10)
         direct = rff_posterior(fm, ds.targets, [1.0], h)
         assert est.variance[0] == pytest.approx(direct.variance[0], abs=1e-10)
 
     def test_zero_targets_rejected(self, paper_pipeline):
         with pytest.raises(ValueError):
-            paper_pipeline.mean_estimate(np.zeros(16), [1.0])
+            paper_pipeline.posterior(np.zeros(16), [1.0])
 
     def test_sampled_mode_deterministic(self):
         h, ds, fm = resolved_small_model(6, seed_data=0, seed_freq=21)
         pipe = PreparedPipeline(fm, h, tau=6)
-        a = pipe.mean_estimate(ds.targets, [1.0], shots=10_000, seed=5)
-        b = pipe.mean_estimate(ds.targets, [1.0], shots=10_000, seed=5)
-        c = pipe.mean_estimate(ds.targets, [1.0], shots=10_000, seed=6)
+        a, a_readout = pipe.posterior(ds.targets, [1.0], shots=10_000, seed=5)
+        b, b_readout = pipe.posterior(ds.targets, [1.0], shots=10_000, seed=5)
+        c, _ = pipe.posterior(ds.targets, [1.0], shots=10_000, seed=6)
         assert np.array_equal(a.mean, b.mean)
-        assert np.array_equal(a.shots_used, b.shots_used)
+        assert np.array_equal(a_readout["mean_accepted"], b_readout["mean_accepted"])
         assert c.mean[0] != a.mean[0]
-        va = pipe.variance_estimate([1.0], shots=10_000, seed=5)
-        vb = pipe.variance_estimate([1.0], shots=10_000, seed=5)
-        assert np.array_equal(va.variance, vb.variance)
+        assert np.array_equal(a.variance, b.variance)
 
     def test_sampled_variance_nonnegative(self):
         h, ds, fm = resolved_small_model(6, seed_data=2, seed_freq=6)
         pipe = PreparedPipeline(fm, h, tau=6)
-        est = pipe.variance_estimate([4.0] * 10, shots=200, seed=10)
+        est, _ = pipe.posterior(ds.targets, [4.0] * 10, shots=200, seed=10)
         assert np.all(est.variance >= 0.0)
 
     @pytest.mark.parametrize("branch", ["mean", "variance"])
-    def test_sampled_mode_refuses_a_point_with_no_accepted_shot(self, branch, paper_pipeline):
+    def test_sampled_mode_refuses_a_point_with_no_accepted_shot(
+        self, branch, paper_pipeline, monkeypatch
+    ):
         # one shot per point at p < 1: some of 64 points draw 0 accepted shots
         assert paper_pipeline.p1 < 1.0 and paper_pipeline.p2 < 1.0
+        if branch == "variance":
+            # the mean branch then accepts every shot, so only the SWAP test can refuse
+            monkeypatch.setattr(paper_pipeline, "p1", 1.0)
         grid = np.linspace(0.0, 6.0, 64)
         with pytest.raises(PostSelectionError, match="no accepted shots out of 1 "):
-            if branch == "mean":
-                paper_pipeline.mean_estimate(np.ones(16), grid, shots=1, seed=0)
-            else:
-                paper_pipeline.variance_estimate(grid, shots=1, seed=0)
+            paper_pipeline.posterior(np.ones(16), grid, shots=1, seed=0)
 
-    @pytest.mark.parametrize("branch", ["mean", "variance"])
-    def test_sampled_grid_builds_one_generator(self, branch, paper_pipeline, monkeypatch):
+    def test_sampled_grid_builds_one_generator_per_branch(self, paper_pipeline, monkeypatch):
         calls = []
         default_rng = np.random.default_rng
 
@@ -435,26 +433,32 @@ class TestPosteriorEstimates:
 
         monkeypatch.setattr(np.random, "default_rng", counting_rng)
         grid = np.linspace(0.0, 6.0, 1000)
-        if branch == "mean":
-            est = paper_pipeline.mean_estimate(np.ones(16), grid, shots=1000, seed=7)
-        else:
-            est = paper_pipeline.variance_estimate(grid, shots=1000, seed=7)
-        assert calls == [7]
-        assert est.shots_used.shape == (1000,)
+        _, readout = paper_pipeline.posterior(np.ones(16), grid, shots=1000, seed=7)
+        # the mean branch's generator, then the variance branch's, both spawned from 7
+        assert [(c.entropy, c.spawn_key) for c in calls] == [(7, (0,)), (7, (1,))]
+        assert readout["mean_accepted"].shape == (1000,)
+        assert readout["variance_accepted"].shape == (1000,)
 
     def test_sampled_mode_keeps_the_exact_readout(self, paper_pipeline, paper_dataset, grid50):
-        m = paper_pipeline.mean_estimate(paper_dataset.targets, grid50, 1000, seed=1)
-        v = paper_pipeline.variance_estimate(grid50, 1000, seed=2)
-        assert np.array_equal(
-            m.diagnostics["exact_mean"],
-            paper_pipeline.mean_estimate(paper_dataset.targets, grid50).mean,
-        )
-        assert np.array_equal(
-            v.diagnostics["exact_variance"], paper_pipeline.variance_estimate(grid50).variance
-        )
-        assert "exact_mean" not in paper_pipeline.mean_estimate(
-            paper_dataset.targets, grid50
-        ).diagnostics
+        _, readout = paper_pipeline.posterior(paper_dataset.targets, grid50, 1000, seed=1)
+        exact, exact_readout = paper_pipeline.posterior(paper_dataset.targets, grid50)
+        assert np.array_equal(readout["exact_mean"], exact.mean)
+        assert np.array_equal(readout["exact_variance"], exact.variance)
+        assert "exact_mean" not in exact_readout
+
+    @pytest.mark.parametrize("shots", [0, 1000])
+    def test_one_call_evaluates_the_query_features_once(self, shots, monkeypatch):
+        h, ds, fm = resolved_small_model(6, seed_data=1, seed_freq=21)
+        pipe = PreparedPipeline(fm, h, tau=6)
+        calls = []
+
+        def counting_features(*args):
+            calls.append(args)
+            return scaled_feature_vector(*args)
+
+        monkeypatch.setattr(pipeline, "scaled_feature_vector", counting_features)
+        pipe.posterior(ds.targets, np.linspace(0.0, 6.0, 7), shots, seed=3)
+        assert len(calls) == 1
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -468,12 +472,10 @@ class TestPosteriorEstimates:
         h, ds, fm = resolved_small_model(6, seed_data=1, seed_freq=21)
         pipe = PreparedPipeline(fm, h, tau=6)
         grid = np.linspace(0.0, 6.0, 7)
-        m = pipe.mean_estimate(ds.targets, grid)
-        v = pipe.variance_estimate(grid)
-        assert m.mean.shape == (7,) and m.variance is None and m.p2 is None
-        assert v.variance.shape == (7,) and v.mean is None and v.p1 is None
-        assert 0 < m.p1 <= 1 and 0 < v.p2 <= 1
-        assert not m.shots_used.any() and not v.shots_used.any()
+        post, readout = pipe.posterior(ds.targets, grid)
+        assert post.mean.shape == (7,) and post.variance.shape == (7,)
+        assert 0 < pipe.p1 <= 1 and 0 < pipe.p2 <= 1
+        assert not readout["mean_accepted"].any() and not readout["variance_accepted"].any()
 
 
 def _oracle_designs():
@@ -518,14 +520,13 @@ class TestBatchedReadoutMatchesCircuits:
         h, ds, fm, tau, delta_r, grid = _oracle_designs()[design]
         pipe = PreparedPipeline(fm, h, tau, delta_r)
         dense = dense_twin(pipe)
-        m = pipe.mean_estimate(ds.targets, grid)
-        v = pipe.variance_estimate(grid)
+        _, readout = pipe.posterior(ds.targets, grid)
         for i, x in enumerate(grid):
             reference, query = _circuit_references(dense, ds.targets, x)
             hadamard = qsim.hadamard_test(dense.mean_state, reference)
             swap = qsim.swap_test(dense.variance_state, query, subsystem="col")
-            assert abs(m.diagnostics["overlap"][i] - hadamard) <= 1e-12
-            assert abs(np.clip(v.diagnostics["overlap_raw"][i], 0, 1) - swap) <= 1e-12
+            assert abs(readout["mean_overlap"][i] - hadamard) <= 1e-12
+            assert abs(np.clip(readout["variance_overlap"][i], 0, 1) - swap) <= 1e-12
 
     @pytest.mark.parametrize("design", range(5))
     def test_sampled_draws(self, design):
@@ -533,22 +534,21 @@ class TestBatchedReadoutMatchesCircuits:
         pipe = PreparedPipeline(fm, h, tau, delta_r)
         dense = dense_twin(pipe)
         shots = 5_000
+        _, readout = pipe.posterior(ds.targets, grid, shots, seed=design)
         mean_seed, var_seed = np.random.SeedSequence(design).spawn(2)
-        m = pipe.mean_estimate(ds.targets, grid, shots, mean_seed)
-        v = pipe.variance_estimate(grid, shots, var_seed)
         # each branch draws every point's accepted shots, then the readouts in grid order
         mean_rng = np.random.default_rng(mean_seed)
         mean_accepted = mean_rng.binomial(shots, min(pipe.p1, 1.0), size=grid.size)
         var_rng = np.random.default_rng(var_seed)
         var_accepted = var_rng.binomial(shots, min(pipe.p2, 1.0), size=grid.size)
-        assert np.array_equal(m.shots_used, mean_accepted)
-        assert np.array_equal(v.shots_used, var_accepted)
+        assert np.array_equal(readout["mean_accepted"], mean_accepted)
+        assert np.array_equal(readout["variance_accepted"], var_accepted)
         for i, x in enumerate(grid):
             reference, query = _circuit_references(dense, ds.targets, x)
             hadamard = qsim.hadamard_test(
                 dense.mean_state, reference, int(mean_accepted[i]), mean_rng
             )
-            assert m.diagnostics["overlap"][i] == hadamard
+            assert readout["mean_overlap"][i] == hadamard
             swap = qsim.swap_test(
                 dense.variance_state,
                 query,
@@ -556,7 +556,7 @@ class TestBatchedReadoutMatchesCircuits:
                 shots=int(var_accepted[i]),
                 seed=var_rng,
             )
-            assert np.clip(v.diagnostics["overlap_raw"][i], 0, 1) == swap
+            assert np.clip(readout["variance_overlap"][i], 0, 1) == swap
 
 
 def _schmidt_designs():
@@ -601,12 +601,11 @@ class TestCapacityPlan:
         pipe = PreparedPipeline(fm, h, tau)
         pred = BinnedPrediction(fm, h.noise_std, pipe.delta_r, tau)
         grid = np.linspace(0.0, 6.0, 4)
-        m = pipe.mean_estimate(ds.targets, grid)
-        v = pipe.variance_estimate(grid)
+        post, _ = pipe.posterior(ds.targets, grid)
         for i, x in enumerate(grid):
             phi_star = scaled_feature_vector([x], fm.freq, h)
-            assert m.mean[i] == pytest.approx(pred.mean(phi_star, ds.targets), abs=1e-8)
-            assert v.variance[i] == pytest.approx(pred.variance(phi_star), abs=1e-8)
+            assert post.mean[i] == pytest.approx(pred.mean(phi_star, ds.targets), abs=1e-8)
+            assert post.variance[i] == pytest.approx(pred.variance(phi_star), abs=1e-8)
 
     def test_encoding_refused_before_encoding(self, monkeypatch):
         # N=64, M=1: 6 row + 1 col = 7 qubits to encode against a cap of 6, while
@@ -640,12 +639,11 @@ class TestCapacityPlan:
         assert pipe.col_basis.shape == (128, 1)
         pred = BinnedPrediction(fm, h.noise_std, pipe.delta_r, tau)
         grid = np.array([0.5, 2.0])
-        m = pipe.mean_estimate(ds.targets, grid)
-        v = pipe.variance_estimate(grid)
+        post, _ = pipe.posterior(ds.targets, grid)
         for i, x in enumerate(grid):
             phi_star = scaled_feature_vector([x], fm.freq, h)
-            assert m.mean[i] == pytest.approx(pred.mean(phi_star, ds.targets), abs=1e-8)
-            assert v.variance[i] == pytest.approx(pred.variance(phi_star), abs=1e-8)
+            assert post.mean[i] == pytest.approx(pred.mean(phi_star, ds.targets), abs=1e-8)
+            assert post.variance[i] == pytest.approx(pred.variance(phi_star), abs=1e-8)
 
     def test_column_matrices_at_the_cap_fit(self, monkeypatch):
         # N=1, M=32: the readout factors span a 64-dimensional col register
@@ -666,16 +664,15 @@ class TestCapacityPlan:
         assert ladder_bytes <= sv.amplitudes.nbytes // 4
         pred = BinnedPrediction(fm, h.noise_std, pipe.delta_r, tau)
         grid = np.array([0.5, 2.0])
-        m = pipe.mean_estimate(ds.targets, grid)
-        v = pipe.variance_estimate(grid)
+        post, _ = pipe.posterior(ds.targets, grid)
         assert 0 < pipe.p1 <= 1 and 0 < pipe.p2 <= 1
         for i, x in enumerate(grid):
             phi_star = scaled_feature_vector([x], fm.freq, h)
-            assert m.mean[i] == pytest.approx(pred.mean(phi_star, ds.targets), abs=1e-8)
-            assert v.variance[i] == pytest.approx(pred.variance(phi_star), abs=1e-8)
+            assert post.mean[i] == pytest.approx(pred.mean(phi_star, ds.targets), abs=1e-8)
+            assert post.variance[i] == pytest.approx(pred.variance(phi_star), abs=1e-8)
 
 
-# builds a pipeline, runs both estimates exactly and sampled, then the CLI's
+# builds a pipeline, runs its posterior exactly and sampled, then the CLI's
 # compare (exact and sampled) and fit-exact; prints the exit codes and whether
 # the simulator module was ever imported
 _RUN_PATH = """
@@ -691,8 +688,7 @@ ds = generate_dataset(cfg)
 freq = sample_frequencies(cfg.n_frequencies, cfg.hyper, cfg.dim, cfg.seed_freq)
 pipe = PreparedPipeline(build_feature_model(ds, freq, cfg.hyper), cfg.hyper, cfg.tau)
 for shots in (0, 1000):
-    pipe.mean_estimate(ds.targets, cfg.grid, shots, seed=1)
-    pipe.variance_estimate(cfg.grid, shots, seed=2)
+    pipe.posterior(ds.targets, cfg.grid, shots, seed=1)
 commands = (["compare"], ["compare", "--mode", "sampled", "--shots", "1000"], ["fit-exact"])
 codes = [main([*args, "--config", config, "--out", out]) for args in commands]
 print(json.dumps({"codes": codes, "simulator_loaded": "qrff.qsim" in sys.modules}))
@@ -762,7 +758,7 @@ class TestTauMonotonicity:
         ).mean
 
         def max_dev(pipe):
-            q = pipe.mean_estimate(paper_dataset.targets, grid).mean
+            q = pipe.posterior(paper_dataset.targets, grid)[0].mean
             return np.max(np.abs(q - rff_means))
 
         devs = []
