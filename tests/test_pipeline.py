@@ -423,7 +423,8 @@ class TestPosteriorEstimates:
         with pytest.raises(PostSelectionError, match="no accepted shots out of 1 "):
             paper_pipeline.posterior(np.ones(16), grid, shots=1, seed=0)
 
-    def test_sampled_grid_builds_one_generator_per_branch(self, paper_pipeline, monkeypatch):
+    @pytest.mark.parametrize("branch", ["mean", "variance"])
+    def test_sampled_grid_builds_one_generator(self, branch, paper_pipeline, monkeypatch):
         calls = []
         default_rng = np.random.default_rng
 
@@ -436,8 +437,10 @@ class TestPosteriorEstimates:
         _, readout = paper_pipeline.posterior(np.ones(16), grid, shots=1000, seed=7)
         # the mean branch's generator, then the variance branch's, both spawned from 7
         assert [(c.entropy, c.spawn_key) for c in calls] == [(7, (0,)), (7, (1,))]
-        assert readout["mean_accepted"].shape == (1000,)
-        assert readout["variance_accepted"].shape == (1000,)
+        # one generator serves the branch's whole grid, so each point has a count
+        assert readout[f"{branch}_accepted"].shape == (1000,)
+        spawn_key = {"mean": (0,), "variance": (1,)}[branch]
+        assert [c.spawn_key for c in calls].count(spawn_key) == 1
 
     def test_sampled_mode_keeps_the_exact_readout(self, paper_pipeline, paper_dataset, grid50):
         _, readout = paper_pipeline.posterior(paper_dataset.targets, grid50, 1000, seed=1)
