@@ -33,7 +33,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from . import __version__
-from .errors import ConfigError, IoError, QrffError
+from .errors import CapacityError, ConfigError, IoError, QrffError
 from .kernel import Dataset, KernelHyper, exact_posterior
 from .pipeline import PreparedPipeline
 from .rff import build_feature_model, rff_posterior, sample_frequencies
@@ -232,7 +232,7 @@ def _run_stages(cfg: RunConfig, stages: tuple[str, ...]) -> ComparisonReport:
 
 def run_experiment(cfg: RunConfig) -> ComparisonReport:
     """Run exact, reduced-rank, and quantum posteriors over the query grid."""
-    return _run_stages(cfg, ("exact", "rff", "quantum"))
+    return _run_stages(cfg, _STAGE_SETS["compare"])
 
 
 def emit_outputs(report: ComparisonReport, cfg: RunConfig) -> list[str]:
@@ -326,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"qrff {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("fit-exact", "fit-rff", "run-quantum", "compare"):
+    for name in _STAGE_SETS:
         sp = sub.add_parser(name, help=f"run the {name} stage and write outputs")
         sp.add_argument("--config", help="JSON config file (strict schema)")
         sp.add_argument("--shots", type=int, dest="shots")
@@ -345,22 +345,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "selftest":
         return _run_selftest()
-    overrides = {
-        key: getattr(args, key)
-        for key in (
-            "shots",
-            "tau",
-            "seed_data",
-            "seed_freq",
-            "seed_shots",
-            "delta_r",
-            "mode",
-            "out_dir",
-        )
-    }
+    # every other parsed flag is a RunConfig override, None when not given
+    overrides = vars(args)
+    command, path = overrides.pop("command"), overrides.pop("config")
     try:
-        cfg = load_config(args.config, overrides)
-        report = _run_stages(cfg, _STAGE_SETS[args.command])
+        cfg = load_config(path, overrides)
+        report = _run_stages(cfg, _STAGE_SETS[command])
         paths = emit_outputs(report, cfg)
     except QrffError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -368,6 +358,9 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:  # a baseline's posterior is singular
         print(f"error: LinAlgError: {exc}", file=sys.stderr)
         return ConfigError.exit_code
+    except MemoryError as exc:  # an array larger than the machine can allocate
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
+        return CapacityError.exit_code
     for path in paths:
         print(f"wrote {path}")
     for key, value in report.summary.items():

@@ -34,7 +34,7 @@ import numpy as np
 from . import errors
 from .errors import CapacityError, ConfigError, PostSelectionError
 from .kernel import KernelHyper, Posterior, _as_points
-from .rff import FeatureModel, scaled_feature_vector
+from .rff import FeatureModel, _as_targets, scaled_feature_vector
 
 #: default headroom of the phase-window parameter over the top squared singular value
 DELTA_R_HEADROOM = 1.05
@@ -89,20 +89,20 @@ class InversionConstants:
 
     def mean_rotation_profile(self) -> np.ndarray:
         """Flag-qubit |1> amplitude per phase-register value (mean branch)."""
-        lam_hat2 = np.arange(1 << self.tau) * self.delta_r / (1 << self.tau)
-        with np.errstate(divide="ignore"):
-            prof = np.minimum(1.0, self.c1 / (lam_hat2 + self.sigma_tilde_sq))
-        prof[0] = 0.0  # below-resolution bins are excluded from the inversion
-        return prof
+        return self._rotation_profile(lambda lam2: self.c1 / (lam2 + self.sigma_tilde_sq))
 
     def variance_rotation_profile(self) -> np.ndarray:
         """Flag-qubit |1> amplitude per phase-register value (variance branch)."""
+        return self._rotation_profile(
+            lambda lam2: self.c2 / np.sqrt(lam2 * (lam2 + self.sigma_tilde_sq))
+        )
+
+    def _rotation_profile(self, amplitude) -> np.ndarray:
+        """``min(1, amplitude(lam_hat^2))`` over the decoded bins, 0 at bin 0."""
         lam_hat2 = np.arange(1 << self.tau) * self.delta_r / (1 << self.tau)
         with np.errstate(divide="ignore"):
-            prof = np.minimum(
-                1.0, self.c2 / np.sqrt(lam_hat2 * (lam_hat2 + self.sigma_tilde_sq))
-            )
-        prof[0] = 0.0
+            prof = np.minimum(1.0, amplitude(lam_hat2))
+        prof[0] = 0.0  # below-resolution bins are excluded from the inversion
         return prof
 
 
@@ -253,10 +253,7 @@ class PreparedPipeline:
         the ``null_space_variance``; in sampled mode also the exact-mode
         ``exact_mean`` and ``exact_variance``.
         """
-        y = np.asarray(y, dtype=float).ravel()
-        n_rows = self.fm.design.shape[0]
-        if y.shape[0] != n_rows:
-            raise ValueError(f"target length {y.shape[0]} != design rows {n_rows}")
+        y = _as_targets(y, self.fm)
         y_norm = float(np.linalg.norm(y))
         if y_norm == 0:
             raise ValueError("targets must not be identically zero")

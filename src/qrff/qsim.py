@@ -1,13 +1,14 @@
 """Dense statevector oracle for the paper's circuits.
 
 Every gate is one uniformly controlled ``GateOp``, a stack of unitaries
-indexed by the control value, applied by one batched matmul. The paper's
-encoding circuit (``prepare_data_state``) and its phase estimation,
-post-selection and un-compute (``dense_oracle``) are composed from these
-gates, and the Hadamard and SWAP tests read overlaps off them. They are the
+indexed by the control value, and ``apply_circuit`` applies a list of them,
+each by one batched matmul. The paper's encoding circuit
+(``prepare_data_state``) and its phase estimation, post-selection and
+un-compute (``dense_oracle``) are composed from these gates, and the Hadamard
+and SWAP tests read overlaps off one measured test qubit. They are the
 oracle that tests and ``qrff selftest`` hold ``pipeline.PreparedPipeline``'s
-closed form to, and the run path never imports this module. States wider
-than ``errors.MAX_QUBITS`` are refused.
+closed form to, and the run path never imports this module. One check
+refuses a state wider than ``errors.MAX_QUBITS`` before it is allocated.
 
 Basis convention: qubit ``q`` carries weight ``2**q`` in the amplitude index,
 registers are contiguous qubit ranges, and the first-listed register occupies
@@ -39,6 +40,13 @@ _H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 _SWAP_MATRIX = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
+
+
+def _check_width(n: int) -> None:
+    """Refuse a state of ``n`` qubits wider than ``errors.MAX_QUBITS``; called
+    before the state is allocated."""
+    if n > errors.MAX_QUBITS:
+        raise CapacityError(f"{n} qubits exceed the simulator cap of {errors.MAX_QUBITS}")
 
 
 class Register(NamedTuple):
@@ -120,12 +128,9 @@ class Statevector:
     registers: tuple[Register, ...]
 
     def __post_init__(self):
+        n = self.n_qubits
+        _check_width(n)
         amps = np.asarray(self.amplitudes, dtype=complex)
-        n = sum(r.width for r in self.registers)
-        if n > errors.MAX_QUBITS:
-            raise CapacityError(
-                f"{n} qubits exceed the simulator cap of {errors.MAX_QUBITS}"
-            )
         if amps.shape != (1 << n,):
             raise ValueError(
                 f"amplitude length {amps.shape} does not match {n} qubits"
@@ -145,15 +150,11 @@ class Statevector:
 
     @classmethod
     def zero(cls, register_spec: Sequence[tuple[str, int]]) -> Statevector:
-        regs, offset = [], 0
-        for name, width in register_spec:
-            regs.append(Register(name, offset, width))
-            offset += width
-        if offset > errors.MAX_QUBITS:
-            raise CapacityError(f"{offset} qubits exceed the simulator cap of {errors.MAX_QUBITS}")
-        amps = np.zeros(1 << offset, dtype=complex)
+        n = sum(width for _, width in register_spec)
+        _check_width(n)
+        amps = np.zeros(1 << n, dtype=complex)
         amps[0] = 1.0
-        return cls(amplitudes=amps, registers=tuple(regs))
+        return cls.from_amplitudes(amps, register_spec)
 
     @classmethod
     def from_amplitudes(
@@ -163,7 +164,7 @@ class Statevector:
         for name, width in register_spec:
             regs.append(Register(name, offset, width))
             offset += width
-        return cls(amplitudes=np.asarray(amplitudes, dtype=complex), registers=tuple(regs))
+        return cls(amplitudes=amplitudes, registers=tuple(regs))
 
     @property
     def n_qubits(self) -> int:
@@ -194,15 +195,8 @@ def _apply_inplace(amps: np.ndarray, n: int, gate: GateOp) -> None:
     moved[...] = (gate.matrices @ block).reshape(moved.shape)
 
 
-def apply_gate(sv: Statevector, gate: GateOp) -> Statevector:
-    """Apply a gate, returning a new statevector (the input is unchanged)."""
-    amps = sv.amplitudes.copy()
-    _apply_inplace(amps, sv.n_qubits, gate)
-    return Statevector(amplitudes=amps, registers=sv.registers)
-
-
 def apply_circuit(sv: Statevector, gates: Sequence[GateOp]) -> Statevector:
-    """Apply a gate sequence with a single amplitude copy."""
+    """Apply a gate sequence with a single amplitude copy (the input is unchanged)."""
     amps = sv.amplitudes.copy()
     n = sv.n_qubits
     for gate in gates:
@@ -229,20 +223,20 @@ def realized_matrix(gate: GateOp, n_qubits: int) -> np.ndarray:
 def append_register(sv: Statevector, name: str, width: int) -> Statevector:
     """Append a register in state |0...0> above the existing qubits."""
     n = sv.n_qubits
-    if n + width > errors.MAX_QUBITS:
-        raise CapacityError(f"{n + width} qubits exceed the simulator cap of {errors.MAX_QUBITS}")
+    _check_width(n + width)
     amps = np.zeros(1 << (n + width), dtype=complex)
     amps[: 1 << n] = sv.amplitudes
     regs = sv.registers + (Register(name, n, width),)
     return Statevector(amplitudes=amps, registers=regs)
 
 
+def _register_view(sv: Statevector, reg: Register) -> np.ndarray:
+    """The amplitudes as (above, register, below), axis 1 reading ``reg``."""
+    return sv.amplitudes.reshape(-1, reg.dim, 1 << reg.offset)
+
+
 def _marginal_probabilities(sv: Statevector, reg: Register) -> np.ndarray:
-    n = sv.n_qubits
-    high = 1 << (n - reg.offset - reg.width)
-    low = 1 << reg.offset
-    cube = sv.amplitudes.reshape(high, reg.dim, low)
-    probs = np.sum(np.abs(cube) ** 2, axis=(0, 2))
+    probs = np.sum(np.abs(_register_view(sv, reg)) ** 2, axis=(0, 2))
     return probs / probs.sum()
 
 
@@ -264,8 +258,7 @@ def postselect(
         raise ValueError(f"{w.size} weights for register {register!r} of dim {reg.dim}")
     if np.any(np.abs(w) > 1.0):
         raise ValueError("weights must lie in [-1, 1]")
-    high = 1 << (sv.n_qubits - reg.offset - reg.width)
-    branch = sv.amplitudes.reshape(high, reg.dim, -1) * w[:, None]
+    branch = _register_view(sv, reg) * w[:, None]
     prob = float(np.vdot(branch, branch).real)
     if prob < 1e-12:
         raise PostSelectionError(
@@ -277,11 +270,7 @@ def postselect(
 
 def partial_trace(sv: Statevector, keep: str) -> np.ndarray:
     """Hermitian reduced density matrix of one register, tracing out the rest."""
-    reg = sv.register(keep)
-    n = sv.n_qubits
-    high = 1 << (n - reg.offset - reg.width)
-    low = 1 << reg.offset
-    cube = sv.amplitudes.reshape(high, reg.dim, low)
+    cube = _register_view(sv, sv.register(keep))
     rho = np.einsum("hkl,hml->km", cube, cube.conj())
     return 0.5 * (rho + rho.conj().T)
 
@@ -374,9 +363,16 @@ def inverse_qpe(sv: Statevector, ops: Sequence[GateOp]) -> Statevector:
 # ---------------------------------------------------------------------------
 
 
-def _binary_outcome(probability: float, shots: int, seed) -> float:
-    rng = np.random.default_rng(seed)
-    return rng.binomial(shots, min(max(probability, 0.0), 1.0)) / shots
+def _test_qubit_overlap(composite: Statevector, shots: int, seed) -> float:
+    """2 P(0) - 1 of the ``test`` register: exact at ``shots=0``, otherwise
+    with P(0) read as ``default_rng(seed).binomial(shots, P(0)) / shots``,
+    P(0) clamped to [0, 1]."""
+    if shots < 0:
+        raise ValueError("shots must be nonnegative")
+    p0 = float(_marginal_probabilities(composite, composite.register("test"))[0])
+    if shots:
+        p0 = np.random.default_rng(seed).binomial(shots, min(max(p0, 0.0), 1.0)) / shots
+    return 2.0 * p0 - 1.0
 
 
 def hadamard_test(
@@ -388,22 +384,13 @@ def hadamard_test(
     qubit gives P(0) = 1/2 + Re<b|a>/2. ``shots=0`` reads the exact marginal,
     otherwise the outcome is sampled binomially.
     """
-    if sv_a.n_qubits != sv_b.n_qubits:
-        raise ValueError(
-            f"state dimensions differ: {sv_a.n_qubits} vs {sv_b.n_qubits} qubits"
-        )
     n = sv_a.n_qubits
-    if n + 1 > errors.MAX_QUBITS:
-        raise CapacityError(f"hadamard test needs {n + 1} qubits (cap {errors.MAX_QUBITS})")
+    if sv_b.n_qubits != n:
+        raise ValueError(f"state dimensions differ: {n} vs {sv_b.n_qubits} qubits")
+    _check_width(n + 1)
     amps = np.concatenate([sv_b.amplitudes, sv_a.amplitudes]) / np.sqrt(2.0)
     composite = Statevector.from_amplitudes(amps, [("state", n), ("test", 1)])
-    composite = apply_gate(composite, GateOp.h(n))
-    p0 = float(_marginal_probabilities(composite, composite.register("test"))[0])
-    if shots == 0:
-        return 2.0 * p0 - 1.0
-    if shots < 0:
-        raise ValueError("shots must be nonnegative")
-    return 2.0 * _binary_outcome(p0, shots, seed) - 1.0
+    return _test_qubit_overlap(apply_circuit(composite, [GateOp.h(n)]), shots, seed)
 
 
 def swap_test(
@@ -419,42 +406,21 @@ def swap_test(
     the whole of ``sv_b``; the estimate is then Tr(rho_sub * rho_b), which for
     pure product inputs reduces to the squared overlap.
     """
-    if subsystem is None:
-        if sv_a.n_qubits != sv_b.n_qubits:
-            raise ValueError(
-                f"state dimensions differ: {sv_a.n_qubits} vs {sv_b.n_qubits} qubits"
-            )
-        swap_qubits = list(range(sv_a.n_qubits))
-    else:
-        reg = sv_a.register(subsystem)
-        if reg.width != sv_b.n_qubits:
-            raise ValueError(
-                f"register {subsystem!r} has {reg.width} qubits, "
-                f"second state has {sv_b.n_qubits}"
-            )
-        swap_qubits = reg.qubits()
     n_a, n_b = sv_a.n_qubits, sv_b.n_qubits
-    total = n_a + n_b + 1
-    if total > errors.MAX_QUBITS:
-        raise CapacityError(f"swap test needs {total} qubits (cap {errors.MAX_QUBITS})")
-    amps = np.zeros(1 << total, dtype=complex)
-    amps[: 1 << (n_a + n_b)] = np.kron(sv_b.amplitudes, sv_a.amplitudes)
-    composite = Statevector.from_amplitudes(
-        amps, [("a", n_a), ("b", n_b), ("test", 1)]
-    )
+    swap_qubits = range(n_a) if subsystem is None else sv_a.register(subsystem).qubits()
+    if len(swap_qubits) != n_b:
+        raise ValueError(f"{len(swap_qubits)} qubits of the first state swap against {n_b}")
     anc = n_a + n_b
+    _check_width(anc + 1)
+    pair = Statevector.from_amplitudes(
+        np.kron(sv_b.amplitudes, sv_a.amplitudes), [("a", n_a), ("b", n_b)]
+    )
+    composite = append_register(pair, "test", 1)
     cswap = np.stack([np.eye(4, dtype=complex), _SWAP_MATRIX])
     gates = [GateOp.h(anc)]
     gates += [GateOp(cswap, (qa, n_a + k), (anc,)) for k, qa in enumerate(swap_qubits)]
     gates.append(GateOp.h(anc))
-    composite = apply_circuit(composite, gates)
-    p0 = float(_marginal_probabilities(composite, composite.register("test"))[0])
-    if shots == 0:
-        overlap = 2.0 * p0 - 1.0
-    elif shots < 0:
-        raise ValueError("shots must be nonnegative")
-    else:
-        overlap = 2.0 * _binary_outcome(p0, shots, seed) - 1.0
+    overlap = _test_qubit_overlap(apply_circuit(composite, gates), shots, seed)
     return min(max(overlap, 0.0), 1.0)
 
 

@@ -129,6 +129,14 @@ def build_feature_model(ds: Dataset, freq: FrequencySet, h: KernelHyper) -> Feat
     )
 
 
+def _as_targets(y, fm: FeatureModel) -> np.ndarray:
+    """The targets as a float vector, one per design row."""
+    y = np.asarray(y, dtype=float).ravel()
+    if y.shape[0] != fm.design.shape[0]:
+        raise ValueError(f"target length {y.shape[0]} != design rows {fm.design.shape[0]}")
+    return y
+
+
 def rff_posterior(fm: FeatureModel, y, xs, h: KernelHyper) -> Posterior:
     """Reduced-rank posterior over the query grid ``xs`` via the spectral sum.
 
@@ -139,9 +147,7 @@ def rff_posterior(fm: FeatureModel, y, xs, h: KernelHyper) -> Posterior:
     The trailing term accounts for the feature-space null space so the result
     matches the direct weight-space solve of (X^T X + noise^2 I).
     """
-    y = np.asarray(y, dtype=float).ravel()
-    if y.shape[0] != fm.design.shape[0]:
-        raise ValueError(f"target length {y.shape[0]} != design rows {fm.design.shape[0]}")
+    y = _as_targets(y, fm)
     if h.noise_std == 0.0 and fm.rank < fm.design.shape[1]:
         raise np.linalg.LinAlgError(
             "rank-deficient design with zero noise_std: posterior is singular"

@@ -359,6 +359,15 @@ class TestMainExitCodes:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("key", ["grid_count", "n_points"])
+    def test_impossible_allocation_is_3(self, tmp_path, capsys, key):
+        # 2^40 float64 values are 8 TiB, an array numpy cannot allocate
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: 2**40}))
+        assert main(["fit-rff", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: MemoryError: ") and err.count("\n") == 1
+
     def test_singular_exact_system_is_2_after_logged_jitter(
         self, tmp_path, capsys, caplog, monkeypatch
     ):
@@ -410,7 +419,7 @@ class TestMainExitCodes:
 
         def perturbed(fm):
             sv = prepare(fm)
-            return qsim.apply_gate(sv, qsim.GateOp.ry(1e-9, sv.register("col").offset))
+            return qsim.apply_circuit(sv, [qsim.GateOp.ry(1e-9, sv.register("col").offset)])
 
         monkeypatch.setattr(qsim, "prepare_data_state", perturbed)
         assert main(["selftest"]) == 1

@@ -264,6 +264,19 @@ class TestInversionConstants:
         assert np.all(ic.mean_rotation_profile() <= 1.0)
         assert np.all(ic.variance_rotation_profile() <= 1.0)
 
+    def test_profiles_keep_their_arithmetic(self, paper_pipeline):
+        # bit for bit: a reciprocal form moves the last digit of the leakage
+        ic = paper_pipeline.constants
+        lam_hat2 = np.arange(1 << ic.tau) * ic.delta_r / (1 << ic.tau)
+        with np.errstate(divide="ignore"):
+            mean = np.minimum(1.0, ic.c1 / (lam_hat2 + ic.sigma_tilde_sq))
+            variance = np.minimum(
+                1.0, ic.c2 / np.sqrt(lam_hat2 * (lam_hat2 + ic.sigma_tilde_sq))
+            )
+        mean[0] = variance[0] = 0.0
+        assert np.array_equal(ic.mean_rotation_profile(), mean)
+        assert np.array_equal(ic.variance_rotation_profile(), variance)
+
 
 class TestInversionBranches:
     def test_single_eigenvalue_unit_acceptance(self):

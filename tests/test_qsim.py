@@ -86,19 +86,19 @@ def flag_circuit_postselect(sv, register, weights):
     ext = qsim.append_register(sv, "flag", 1)
     flag = ext.register("flag").offset
     gate = GateOp.ry(np.arcsin(weights), flag, ext.register(register).qubits())
-    branch = qsim.apply_gate(ext, gate).amplitudes.reshape(2, -1)[1]
+    branch = qsim.apply_circuit(ext, [gate]).amplitudes.reshape(2, -1)[1]
     prob = float(np.sum(np.abs(branch) ** 2))
     return branch / np.sqrt(prob), prob
 
 
 class TestGates:
     def test_hadamard_on_zero(self):
-        sv = qsim.apply_gate(Statevector.zero([("q", 1)]), GateOp.h(0))
+        sv = qsim.apply_circuit(Statevector.zero([("q", 1)]), [GateOp.h(0)])
         assert np.allclose(sv.amplitudes, [1 / np.sqrt(2)] * 2)
 
     def test_ry_full_angle_convention(self):
         theta = 0.7
-        sv = qsim.apply_gate(Statevector.zero([("q", 1)]), GateOp.ry(theta, 0))
+        sv = qsim.apply_circuit(Statevector.zero([("q", 1)]), [GateOp.ry(theta, 0)])
         assert np.allclose(sv.amplitudes, [np.cos(theta), np.sin(theta)])
 
     @pytest.mark.parametrize("seed", range(8))
@@ -124,7 +124,7 @@ class TestGates:
         theta = 0.4
         sv = Statevector.zero([("c", 3), ("t", 1)])
         gate = GateOp.ry([theta] + [0.0] * 7, 3, [0, 1, 2])
-        out = qsim.apply_gate(sv, gate)
+        out = qsim.apply_circuit(sv, [gate])
         expected = np.zeros(16, dtype=complex)
         expected[0] = np.cos(theta)
         expected[8] = np.sin(theta)
@@ -151,7 +151,7 @@ class TestGates:
     def test_index_out_of_range(self):
         sv = Statevector.zero([("q", 2)])
         with pytest.raises(ValueError):
-            qsim.apply_gate(sv, GateOp.h(5))
+            qsim.apply_circuit(sv, [GateOp.h(5)])
 
     @pytest.mark.parametrize("seed", range(3))
     def test_depth_100_norm_preservation(self, seed):
@@ -541,6 +541,24 @@ class TestOverlapCircuits:
         exact = qsim.hadamard_test(a, b)
         assert abs(np.mean(estimates) - exact) < 5 / np.sqrt(shots)  # unbiased
         assert np.std(estimates) <= 1.2 / np.sqrt(shots)
+
+    @pytest.mark.parametrize("test", [qsim.hadamard_test, qsim.swap_test], ids=["hadamard", "swap"])
+    def test_negative_shots_refused(self, test):
+        sv = random_state(2, 504)
+        with pytest.raises(ValueError, match="shots must be nonnegative"):
+            test(sv, sv, shots=-1, seed=0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sampled_readout_is_one_binomial_draw(self, seed):
+        a = random_state(2, 505, complex_amps=False)
+        b = random_state(2, 506, complex_amps=False)
+        p0 = 0.5 + 0.5 * float(np.vdot(b.amplitudes, a.amplitudes).real)
+        want = 2.0 * np.random.default_rng(seed).binomial(1000, p0) / 1000 - 1.0
+        assert qsim.hadamard_test(a, b, shots=1000, seed=seed) == want
+        # orthogonal states: P(0) = 1/2, so about half the draws clamp to 0
+        zero, one = (Statevector.from_amplitudes(v, [("r", 1)]) for v in np.eye(2))
+        want = 2.0 * np.random.default_rng(seed).binomial(1000, 0.5) / 1000 - 1.0
+        assert qsim.swap_test(zero, one, shots=1000, seed=seed) == min(max(want, 0.0), 1.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
