@@ -448,6 +448,14 @@ class TestDeterminism:
                 )
             assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_paper_config_matches_its_golden_csv(self, tmp_path, mode):
+        # the bytes `qrff compare` wrote on the default config, frozen in tests/data
+        cfg = RunConfig(mode=mode, out_dir=str(tmp_path))
+        emit_outputs(run_experiment(cfg), cfg)
+        golden = pathlib.Path(__file__).parent / "data" / f"compare_{mode}_results.csv"
+        assert (tmp_path / "results.csv").read_bytes() == golden.read_bytes()
+
 
 def test_cli_import_leaves_scipy_unloaded():
     src = str(pathlib.Path(qrff.__file__).resolve().parents[1])
