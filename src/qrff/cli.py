@@ -282,9 +282,9 @@ def _run_selftest() -> int:
     # the phase register is the highest, so its |0> slice leads the amplitudes
     size = state.amplitudes.size
     mean0, variance0 = mean.amplitudes[:size], variance.amplitudes[:size]
-    rho = (pipe.col_basis * pipe.variance_weights) @ pipe.col_basis.conj().T
+    rho = (fm.v * pipe.variance_weights) @ fm.v.T
     gaps = (
-        np.abs(mean0 - (pipe.mean_slice @ pipe.row_basis).ravel()).max(),
+        np.abs(mean0 - ((fm.v * pipe.mean_weights) @ fm.u.T).ravel()).max(),
         np.abs(partial_trace(variance, "col") - rho).max(),
         abs(pipe.p1 - p1),
         abs(pipe.p2 - p2),

@@ -22,7 +22,8 @@ All amplitudes are normalized by the design's Frobenius norm, so classical
 scale recovery multiplies estimated overlaps back by the Frobenius norm, the
 target norm, the query feature norm, the flag acceptance probability, and the
 inversion bound; the recovered numbers equal the classical spectral-sum
-posterior evaluated with bin-discretized eigenvalues.
+posterior evaluated with bin-discretized eigenvalues. Both read the same
+``rff.spectral_sums``; only the per-component weights differ.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 from . import errors
 from .errors import CapacityError, ConfigError, PostSelectionError
 from .kernel import KernelHyper, Posterior, _as_points
-from .rff import FeatureModel, _as_targets, scaled_feature_vector
+from .rff import FeatureModel, _as_targets, scaled_feature_vector, spectral_sums
 
 #: default headroom of the phase-window parameter over the top squared singular value
 DELTA_R_HEADROOM = 1.05
@@ -178,17 +179,18 @@ class PreparedPipeline:
     theta_k = s_k^2 / delta_r, and a branch with rotation profile w keeps
     c_k = sum_b w_b |a_k(b)|^2 of it at phase 0 and g_k = sum_b w_b^2 |a_k(b)|^2
     in all. Hence p = sum_k s_k^2 g_k, the mean branch's phase-0 slice
-    W diag(s c) / sqrt(p), the variance branch's rho_col
-    W diag(s^2 g / p) W^T, and the leakage 1 - sum_k s_k^2 c_k^2 / p;
-    ``qsim.dense_oracle`` on ``qsim.prepare_data_state(fm)`` is what these
-    are tested against.
+    W diag(mean_weights) Vh with mean_weights = s c / sqrt(p), the variance
+    branch's rho_col W diag(variance_weights) W^T with variance_weights =
+    s^2 g / p, and the leakage 1 - sum_k s_k^2 c_k^2 / p; the pipeline keeps
+    only the two length-rank weight vectors. ``qsim.dense_oracle`` on
+    ``qsim.prepare_data_state(fm)`` is what these are tested against.
 
     ``posterior`` answers a whole grid of G query points by reading the
     Hadamard- and SWAP-test probabilities in closed form: P(0) = 1/2 +
-    Re<b|a>/2 for the mean, with the targets mapped through ``row_basis``
-    (Vh), and P(0) = 1/2 + <q|rho_col|q>/2 for the variance.
-    ``qsim.hadamard_test`` and ``qsim.swap_test`` are the circuits these
-    values are tested against.
+    Re<b|a>/2 for the mean and P(0) = 1/2 + <q|rho_col|q>/2 for the
+    variance, where both overlaps are ``rff.spectral_sums`` with these
+    weights, divided by |phi| |y| and |phi|^2. ``qsim.hadamard_test`` and
+    ``qsim.swap_test`` are the circuits these values are tested against.
     """
 
     def __init__(
@@ -230,12 +232,10 @@ class PreparedPipeline:
                 raise PostSelectionError(
                     f"post-selection of the {branch} branch has probability {prob:.3e}"
                 )
-        #: the targets' coordinates on the Schmidt rows are row_basis @ y
-        self.row_basis = fm.u.T
-        #: phase-0 slice of the mean branch after un-compute, over (col, Schmidt row)
-        self.mean_slice = fm.v * (s * c1 / np.sqrt(p1))
-        #: the variance branch's rho_col is col_basis diag(variance_weights) col_basis^T
-        self.col_basis, self.variance_weights = fm.v, s2 * g2 / p2
+        #: the mean branch's phase-0 slice is fm.v diag(mean_weights) fm.u^T
+        self.mean_weights = s * c1 / np.sqrt(p1)
+        #: the variance branch's rho_col is fm.v diag(variance_weights) fm.v^T
+        self.variance_weights = s2 * g2 / p2
         self.p1, self.p2 = min(p1, 1.0), min(p2, 1.0)
         #: 1 - phase-register mass at |0> after the inverse QPE, per branch
         self.uncompute_leakage_mean = 1.0 - float(s2 @ c1**2) / p1
@@ -253,19 +253,20 @@ class PreparedPipeline:
         the ``null_space_variance``; in sampled mode also the exact-mode
         ``exact_mean`` and ``exact_variance``.
         """
-        y = _as_targets(y, self.fm)
+        fm = self.fm
+        y = _as_targets(y, fm)
         y_norm = float(np.linalg.norm(y))
         if y_norm == 0:
             raise ValueError("targets must not be identically zero")
-        freq = self.fm.freq
-        phi = scaled_feature_vector(_as_points(xs, freq.dim), freq, self.hyper)
+        phi = scaled_feature_vector(_as_points(xs, fm.freq.dim), fm.freq, self.hyper)
         phi_norm = np.linalg.norm(phi, axis=1)
-        q = phi / phi_norm[:, None]
-        y_rows = self.row_basis @ (y / y_norm)
-        exact_mean = np.einsum("ck,gc,k->g", self.mean_slice, q, y_rows)
-        exact_variance = (q @ self.col_basis) ** 2 @ self.variance_weights
+        mean_sum, variance_sum, null_sq = spectral_sums(
+            fm, phi, y, self.mean_weights, self.variance_weights
+        )
+        exact_mean = mean_sum / (phi_norm * y_norm)
+        exact_variance = variance_sum / phi_norm**2
         mean_overlap, variance_overlap = exact_mean, exact_variance
-        mean_accepted = variance_accepted = np.zeros(q.shape[0], dtype=int)
+        mean_accepted = variance_accepted = np.zeros(phi.shape[0], dtype=int)
         if shots:
             mean_seed, variance_seed = np.random.SeedSequence(seed).spawn(2)
             mean_overlap, mean_accepted = _sampled_overlaps(
@@ -274,17 +275,12 @@ class PreparedPipeline:
             variance_overlap, variance_accepted = _sampled_overlaps(
                 self.p2, 0.5 + 0.5 * exact_variance, shots, variance_seed
             )
-        ic, fro = self.constants, self.fm.frobenius_norm
+        ic, fro = self.constants, fm.frobenius_norm
         mean_scale = np.sqrt(self.p1) / ic.c1 * phi_norm * y_norm / fro
-        pv = phi @ self.fm.v
-        null_sq = np.maximum(
-            np.einsum("gk,gk->g", phi, phi) - np.einsum("gr,gr->g", pv, pv), 0.0
-        )
         spectral_scale = self.hyper.noise_std**2 * self.p2 / ic.c2**2 * phi_norm**2 / fro**2
 
         def variance(overlap):
-            spectral_var = spectral_scale * np.clip(overlap, 0.0, 1.0)
-            return np.maximum(spectral_var + null_sq, 0.0)
+            return spectral_scale * np.clip(overlap, 0.0, 1.0) + null_sq
 
         readout = {
             "mean_overlap": mean_overlap,

@@ -137,6 +137,18 @@ def _as_targets(y, fm: FeatureModel) -> np.ndarray:
     return y
 
 
+def spectral_sums(fm: FeatureModel, phi: np.ndarray, y: np.ndarray, a, b):
+    """The SVD spectral sums both posteriors read, one entry per row of ``phi``.
+
+    Returns sum_k a_k (phi^T v_k) (u_k^T y), sum_k b_k (phi^T v_k)^2 and the
+    feature-space null-space term max(||phi||^2 - ||V^T phi||^2, 0), for
+    per-component weights ``a`` and ``b`` of length ``fm.rank``.
+    """
+    pv = phi @ fm.v
+    null_sq = np.einsum("gk,gk->g", phi, phi) - np.einsum("gr,gr->g", pv, pv)
+    return pv @ (a * (fm.u.T @ y)), pv**2 @ b, np.maximum(null_sq, 0.0)
+
+
 def rff_posterior(fm: FeatureModel, y, xs, h: KernelHyper) -> Posterior:
     """Reduced-rank posterior over the query grid ``xs`` via the spectral sum.
 
@@ -153,11 +165,7 @@ def rff_posterior(fm: FeatureModel, y, xs, h: KernelHyper) -> Posterior:
             "rank-deficient design with zero noise_std: posterior is singular"
         )
     phi_star = scaled_feature_vector(_as_points(xs, fm.freq.dim), fm.freq, h)
-    pv = phi_star @ fm.v
-    uy = fm.u.T @ y
     lam = fm.singular_values
     denom = lam**2 + h.noise_std**2
-    mean = np.sum(lam / denom * pv * uy, axis=1)
-    null_sq = np.einsum("gk,gk->g", phi_star, phi_star) - np.einsum("gr,gr->g", pv, pv)
-    variance = h.noise_std**2 * np.sum(pv**2 / denom, axis=1) + np.maximum(null_sq, 0.0)
-    return Posterior(mean=mean, variance=np.maximum(variance, 0.0))
+    mean, spectral, null_sq = spectral_sums(fm, phi_star, y, lam / denom, 1.0 / denom)
+    return Posterior(mean=mean, variance=h.noise_std**2 * spectral + null_sq)

@@ -2,10 +2,11 @@
 
 ``dense_oracle`` runs phase estimation, post-selection and un-compute as
 circuits on the encoded state. ``dense_twin`` reads the same factors the
-closed form computes (the mean branch's phase-0 slice, the variance branch's
-rho_col, p1, p2 and the leakages) off those states, so the twin's posterior
-is the dense-path readout, and ``assert_matches_dense`` holds a pipeline to
-it at 1e-12. ``assert_encodes_design`` holds the encoding circuit to the
+closed form computes (the per-component weights of the mean branch's phase-0
+slice and of the variance branch's rho_col, p1, p2 and the leakages) off
+those states, so the twin's posterior is the dense-path readout, and
+``assert_matches_dense`` holds a pipeline to it, and its slice and rho_col to
+the dense ones, at 1e-12. ``assert_encodes_design`` holds the encoding circuit to the
 scaled design it stands for.
 """
 
@@ -41,9 +42,14 @@ def padded(a: np.ndarray, shape) -> np.ndarray:
     return out
 
 
+def closed_form_slice(pipe: PreparedPipeline) -> np.ndarray:
+    """The mean branch's phase-0 slice over (col, row) from the closed-form weights."""
+    return (pipe.fm.v * pipe.mean_weights) @ pipe.fm.u.T
+
+
 def closed_form_rho_col(pipe: PreparedPipeline) -> np.ndarray:
-    """The variance branch's column-register state from the closed-form factors."""
-    w = pipe.col_basis
+    """The variance branch's column-register state from the closed-form weights."""
+    w = pipe.fm.v
     return (w * pipe.variance_weights) @ w.T
 
 
@@ -53,11 +59,11 @@ def dense_twin(pipe: PreparedPipeline, oracle=None) -> PreparedPipeline:
     ``oracle`` is ``dense_oracle(prepare_data_state(pipe.fm), pipe.constants)``
     when given, and is run otherwise. The copy keeps the dense branch states
     (``mean_state``, ``variance_state``) and the padded ``rho_col``. Its
-    ``mean_slice`` is the phase-0 slice over the design's columns and rows,
-    with an identity ``row_basis``, and its variance factors are the
-    eigendecomposition of rho_col over the design's columns. Both are trimmed
-    of the registers' padding and taken real, as the design is;
-    ``assert_matches_dense`` compares the untrimmed arrays.
+    weights are the diagonals of V^T S U and V^T rho_col V, with S the
+    phase-0 slice and V, U the feature model's SVD factors, both trimmed of
+    the registers' padding and taken real, as the design is; what the
+    diagonals leave out, ``assert_matches_dense`` catches by comparing the
+    untrimmed slice and rho_col.
     """
     if oracle is None:
         oracle = dense_oracle(prepare_data_state(pipe.fm), pipe.constants)
@@ -66,11 +72,10 @@ def dense_twin(pipe: PreparedPipeline, oracle=None) -> PreparedPipeline:
     twin = copy.copy(pipe)
     twin.mean_state, twin.p1 = mean, p1
     twin.variance_state, twin.p2 = variance, p2
-    twin.mean_slice = phase_zero_slice(mean)[:n_cols, :n_rows].real
-    twin.row_basis = np.eye(n_rows)
+    v, u = pipe.fm.v, pipe.fm.u
+    twin.mean_weights = np.diag(v.T @ phase_zero_slice(mean)[:n_cols, :n_rows].real @ u)
     twin.rho_col = qsim.partial_trace(variance, "col")
-    rho_col = twin.rho_col[:n_cols, :n_cols].real
-    twin.variance_weights, twin.col_basis = np.linalg.eigh(rho_col)
+    twin.variance_weights = np.diag(v.T @ twin.rho_col[:n_cols, :n_cols].real @ v)
     twin.uncompute_leakage_mean = leakage(mean)
     twin.uncompute_leakage_variance = leakage(variance)
     return twin
@@ -84,7 +89,7 @@ def assert_matches_dense(pipe: PreparedPipeline, targets, grid, oracle=None) -> 
     """
     dense = dense_twin(pipe, oracle)
     dense_slice = phase_zero_slice(dense.mean_state)
-    mean_slice = padded(pipe.mean_slice @ pipe.row_basis, dense_slice.shape)
+    mean_slice = padded(closed_form_slice(pipe), dense_slice.shape)
     assert np.max(np.abs(mean_slice - dense_slice)) <= TOL
     rho_col = padded(closed_form_rho_col(pipe), dense.rho_col.shape)
     assert np.max(np.abs(rho_col - dense.rho_col)) <= TOL

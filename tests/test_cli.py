@@ -402,7 +402,7 @@ class TestMainExitCodes:
 
         def perturbed(self, *args, **kwargs):
             init(self, *args, **kwargs)
-            self.mean_slice = self.mean_slice * (1 + 1e-9)
+            self.mean_weights = self.mean_weights * (1 + 1e-9)
 
         monkeypatch.setattr(PreparedPipeline, "__init__", perturbed)
         assert main(["selftest"]) == 1

@@ -593,7 +593,7 @@ class TestSchmidtRowsMatchDense:
         assert_encodes_design(prepare_data_state(paper_pipeline.fm), paper_pipeline.fm)
         # the pipeline holds no encoded state
         assert not any(isinstance(v, qsim.Statevector) for v in vars(paper_pipeline).values())
-        assert paper_pipeline.row_basis.shape == (paper_pipeline.fm.rank, 16)
+        assert paper_pipeline.mean_weights.shape == (paper_pipeline.fm.rank,)
         assert paper_pipeline.tau == 13
         assert_matches_dense(paper_pipeline, paper_dataset.targets, grid50, paper_oracle)
 
@@ -602,7 +602,7 @@ class TestSchmidtRowsMatchDense:
         h, ds, fm, tau = _schmidt_designs()[design]
         assert_encodes_design(prepare_data_state(fm), fm)
         pipe = PreparedPipeline(fm, h, tau)
-        assert pipe.row_basis.shape == (fm.rank, fm.design.shape[0])
+        assert pipe.mean_weights.shape == (fm.rank,)
         assert_matches_dense(pipe, ds.targets, np.linspace(0.0, 6.0, 7))
 
 
@@ -652,7 +652,7 @@ class TestCapacityPlan:
         monkeypatch.setattr(errors, "MAX_QUBITS", 12)
         tau = 4
         pipe = PreparedPipeline(fm, h, tau)
-        assert pipe.col_basis.shape == (128, 1)
+        assert pipe.variance_weights.shape == (1,)
         pred = BinnedPrediction(fm, h.noise_std, pipe.delta_r, tau)
         grid = np.array([0.5, 2.0])
         post, _ = pipe.posterior(ds.targets, grid)
@@ -666,7 +666,7 @@ class TestCapacityPlan:
         h, ds, fm = small_model(n_points=1, m_freq=32)
         monkeypatch.setattr(errors, "MAX_QUBITS", 12)
         pipe = PreparedPipeline(fm, h, tau=4)
-        assert pipe.col_basis.shape == (64, 1) and pipe.mean_slice.shape == (64, 1)
+        assert pipe.variance_weights.shape == (1,) and pipe.mean_weights.shape == (1,)
         assert 0 < pipe.p1 <= 1 and 0 < pipe.p2 <= 1
 
     def test_wide_column_register_keeps_the_ladder_small(self):
