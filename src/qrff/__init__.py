@@ -10,9 +10,6 @@ from .kernel import (
     KernelHyper,
     Posterior,
     exact_posterior,
-    gram_matrix,
-    rbf_kernel,
-    spectral_density,
 )
 from .pipeline import (
     InversionConstants,
@@ -45,11 +42,8 @@ __all__ = [
     "build_feature_model",
     "exact_posterior",
     "feature_map",
-    "gram_matrix",
     "phase_table",
-    "rbf_kernel",
     "rff_posterior",
     "sample_frequencies",
     "scaled_feature_vector",
-    "spectral_density",
 ]

@@ -1,9 +1,9 @@
 """Exact Gaussian process regression with the squared-exponential kernel.
 
 This module is the ground truth for everything else in the package: the
-kernel, its spectral density, and the dense GP posterior computed through a
-blocked Cholesky factorization in numpy alone. Inputs may live in any
-dimension even though the bundled experiment is one-dimensional.
+kernel and the dense GP posterior computed through a blocked Cholesky
+factorization in numpy alone. Inputs may live in any dimension even though
+the bundled experiment is one-dimensional.
 """
 
 from __future__ import annotations
@@ -40,6 +40,9 @@ class KernelHyper:
         Length scale of the kernel. Must be positive.
     noise_std : float
         Standard deviation of the additive observation noise. Nonnegative.
+
+    Each value's square must be a finite double, and a positive one for
+    ``signal_std`` and ``length_scale``.
     """
 
     signal_std: float
@@ -47,12 +50,16 @@ class KernelHyper:
     noise_std: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.signal_std) and self.signal_std > 0):
-            raise ValueError(f"signal_std must be positive, got {self.signal_std}")
-        if not (np.isfinite(self.length_scale) and self.length_scale > 0):
-            raise ValueError(f"length_scale must be positive, got {self.length_scale}")
-        if not (np.isfinite(self.noise_std) and self.noise_std >= 0):
-            raise ValueError(f"noise_std must be nonnegative, got {self.noise_std}")
+        for name in ("signal_std", "length_scale"):
+            value = getattr(self, name)
+            if not (value > 0 and 0 < value * value < np.inf):
+                raise ValueError(
+                    f"{name} must be positive with a positive finite square, got {value}"
+                )
+        if not (self.noise_std >= 0 and self.noise_std * self.noise_std < np.inf):
+            raise ValueError(
+                f"noise_std must be nonnegative with a finite square, got {self.noise_std}"
+            )
 
 
 @dataclass(frozen=True)
@@ -101,13 +108,6 @@ class Posterior:
             raise ValueError(f"negative posterior variance {np.min(self.variance)}")
 
 
-def _as_point(x, name: str = "x") -> np.ndarray:
-    x = np.asarray(x, dtype=float).ravel()
-    if not np.isfinite(x).all():
-        raise ValueError(f"{name} contains non-finite values")
-    return x
-
-
 def _as_points(xs, dim: int, name: str = "xs") -> np.ndarray:
     """Query grid as a (G, dim) array; a flat input lists the points one after another."""
     pts = np.asarray(xs, dtype=float)
@@ -116,20 +116,6 @@ def _as_points(xs, dim: int, name: str = "xs") -> np.ndarray:
     if not np.isfinite(pts).all():
         raise ValueError(f"{name} contains non-finite values")
     return pts.reshape(-1, dim)
-
-
-def rbf_kernel(xi, xj, h: KernelHyper) -> float:
-    """Squared-exponential kernel value between two points.
-
-    Returns ``signal_std**2 * exp(-||xi - xj||^2 / (2 * length_scale**2))``;
-    symmetric in its arguments and bounded by ``signal_std**2``.
-    """
-    xi = _as_point(xi, "xi")
-    xj = _as_point(xj, "xj")
-    if xi.shape != xj.shape:
-        raise ValueError(f"point dimensions disagree: {xi.shape} vs {xj.shape}")
-    sq = float(np.sum((xi - xj) ** 2))
-    return h.signal_std**2 * float(np.exp(-0.5 * sq / h.length_scale**2))
 
 
 def _cross_kernel(a: np.ndarray, b: np.ndarray, h: KernelHyper, out=None) -> np.ndarray:
@@ -148,34 +134,6 @@ def _cross_kernel(a: np.ndarray, b: np.ndarray, h: KernelHyper, out=None) -> np.
     np.exp(K, out=K)
     K *= h.signal_std**2
     return K
-
-
-def gram_matrix(points, h: KernelHyper) -> np.ndarray:
-    """Kernel matrix over a set of points, shape (N, N).
-
-    Symmetric with ``signal_std**2`` on the diagonal; positive semi-definite
-    up to numerical tolerance.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if not np.isfinite(pts).all():
-        raise ValueError("points contain non-finite values")
-    return _cross_kernel(pts, pts, h)
-
-
-def spectral_density(omega, h: KernelHyper) -> float:
-    """Spectral density of the squared-exponential kernel at angular frequency ``omega``.
-
-    Normalized so that integrating against ``(2*pi)**-d * domega`` recovers
-    the kernel at lag zero, i.e. ``signal_std**2``.
-    """
-    w = _as_point(omega, "omega")
-    d = w.size
-    l2 = h.length_scale**2
-    return (
-        h.signal_std**2
-        * float((2.0 * np.pi * l2) ** (d / 2.0))
-        * float(np.exp(-0.5 * l2 * np.sum(w**2)))
-    )
 
 
 def _forward_solve_spd(

@@ -18,7 +18,7 @@ import pytest
 from qrff import qsim
 from qrff.cli import RunConfig, emit_outputs, run_experiment
 from qrff.errors import ConfigError
-from qrff.kernel import Dataset, KernelHyper, exact_posterior, rbf_kernel
+from qrff.kernel import Dataset, KernelHyper, exact_posterior
 from qrff.pipeline import InversionConstants, PreparedPipeline
 from qrff.qsim import GateOp, Statevector, dense_oracle, prepare_data_state
 from qrff.rff import (
@@ -28,6 +28,7 @@ from qrff.rff import (
     sample_frequencies,
 )
 
+from kernel_reference import rbf_kernel
 from spectral_oracle import BinnedPrediction
 
 

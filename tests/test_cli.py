@@ -321,6 +321,32 @@ class TestMainExitCodes:
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["fit-exact", "fit-rff", "run-quantum"])
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"signal_std": 1e200},
+            {"noise_std": 1e200},
+            {"length_scale": 1e200},
+            {"length_scale": 1e-300},
+        ],
+        ids=[
+            "signal-square-overflows",
+            "noise-square-overflows",
+            "length-square-overflows",
+            "length-square-underflows",
+        ],
+    )
+    def test_hyperparameters_without_a_usable_square_exit_2(
+        self, tmp_path, capsys, command, config
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_exact_baseline_larger_than_a_state_is_3(self, tmp_path, capsys, monkeypatch):
         # cap 10: the 8 N^2 bytes of the Gram matrix fit 16 * 2^10 up to N = 45
         monkeypatch.setattr(errors, "MAX_QUBITS", 10)

@@ -9,16 +9,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from qrff.kernel import (
-    BLOCK,
-    Dataset,
-    KernelHyper,
-    Posterior,
-    exact_posterior,
-    gram_matrix,
-    rbf_kernel,
-    spectral_density,
-)
+from qrff.kernel import BLOCK, Dataset, KernelHyper, Posterior, _cross_kernel, exact_posterior
+
+from kernel_reference import rbf_kernel, spectral_density
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -31,6 +24,10 @@ class TestHyperAndTypes:
             KernelHyper(1.0, -1.0, 0.1)
         with pytest.raises(ValueError):
             KernelHyper(1.0, 1.0, -0.1)
+        # the squares overflow or underflow
+        for args in ((1e200, 1.0, 0.1), (1.0, 1e200, 0.1), (1.0, 1e-300, 0.1), (1.0, 1.0, 1e200)):
+            with pytest.raises(ValueError, match="square"):
+                KernelHyper(*args)
 
     def test_dataset_validation(self):
         with pytest.raises(ValueError):
@@ -67,16 +64,19 @@ class TestRbfKernel:
 
 class TestGramMatrix:
     def test_single_point(self, paper_hyper):
-        K = gram_matrix([[0.5]], paper_hyper)
+        x = np.array([[0.5]])
+        K = _cross_kernel(x, x, paper_hyper)
         assert K.shape == (1, 1)
         assert K[0, 0] == pytest.approx(2.25, abs=1e-14)
 
     def test_duplicate_points_rank_one(self, paper_hyper):
-        K = gram_matrix([[1.0], [1.0]], paper_hyper)
+        x = np.array([[1.0], [1.0]])
+        K = _cross_kernel(x, x, paper_hyper)
         assert np.allclose(K, 2.25 * np.ones((2, 2)), atol=1e-14)
 
     def test_psd_on_paper_inputs(self, paper_dataset, paper_hyper):
-        K = gram_matrix(paper_dataset.inputs, paper_hyper)
+        x = paper_dataset.inputs
+        K = _cross_kernel(x, x, paper_hyper)
         assert np.allclose(K, K.T)
         assert np.diag(K) == pytest.approx(np.full(16, 2.25), abs=1e-12)
         assert np.linalg.eigvalsh(K).min() >= -1e-10 * 2.25
@@ -158,7 +158,8 @@ class TestExactPosterior:
         ds = Dataset(x, rng.normal(size=n))
         xs = rng.uniform(-1.0, 13.0, size=(9, 2))
         post = exact_posterior(ds, paper_hyper, xs)
-        A = gram_matrix(x, paper_hyper) + paper_hyper.noise_std**2 * np.eye(n)
+        K = np.array([[rbf_kernel(a, b, paper_hyper) for b in x] for a in x])
+        A = K + paper_hyper.noise_std**2 * np.eye(n)
         k_star = np.array([[rbf_kernel(a, b, paper_hyper) for b in xs] for a in x])
         alpha = np.linalg.solve(A, np.column_stack([ds.targets, k_star]))
         assert post.mean == pytest.approx(k_star.T @ alpha[:, 0], abs=1e-10)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qrff.kernel import Dataset, KernelHyper, rbf_kernel
+from qrff.kernel import Dataset, KernelHyper
 from qrff.rff import (
     FrequencySet,
     build_feature_model,
@@ -12,6 +12,8 @@ from qrff.rff import (
     sample_frequencies,
     scaled_feature_vector,
 )
+
+from kernel_reference import rbf_kernel
 
 
 class TestSampleFrequencies:
@@ -109,19 +111,29 @@ class TestRffPosterior:
     def test_spectral_sum_matches_dense_solve(
         self, paper_feature_model, paper_dataset, paper_hyper, grid50
     ):
-        # independent oracle: direct weight-space solve
-        X = paper_feature_model.design
-        A = X.T @ X + paper_hyper.noise_std**2 * np.eye(X.shape[1])
-        post = rff_posterior(paper_feature_model, paper_dataset.targets, grid50, paper_hyper)
-        for i, x in enumerate(grid50):
-            phi = scaled_feature_vector([x], paper_feature_model.freq, paper_hyper)
-            w = np.linalg.solve(A, X.T @ paper_dataset.targets)
-            mean_direct = float(phi @ w)
-            var_direct = float(
-                paper_hyper.noise_std**2 * phi @ np.linalg.solve(A, phi)
+        # the paper design has full rank; with more features than rows (N, M) =
+        # (3, 4) and (1, 3) the null-space term carries part of the variance
+        models = [(paper_feature_model, paper_dataset)]
+        for n_points, m_freq in ((3, 4), (1, 3)):
+            x = np.linspace(0.5, 5.0, n_points)
+            ds = Dataset(x[:, None], np.sin(x))
+            fm = build_feature_model(
+                ds, sample_frequencies(m_freq, paper_hyper, 1, seed=n_points), paper_hyper
             )
-            assert post.mean[i] == pytest.approx(mean_direct, abs=1e-8)
-            assert post.variance[i] == pytest.approx(var_direct, abs=1e-8)
+            assert fm.rank < fm.design.shape[1]
+            models.append((fm, ds))
+        for fm, ds in models:
+            # independent oracle: direct weight-space solve
+            X = fm.design
+            A = X.T @ X + paper_hyper.noise_std**2 * np.eye(X.shape[1])
+            post = rff_posterior(fm, ds.targets, grid50, paper_hyper)
+            for i, x in enumerate(grid50):
+                phi = scaled_feature_vector([x], fm.freq, paper_hyper)
+                w = np.linalg.solve(A, X.T @ ds.targets)
+                mean_direct = float(phi @ w)
+                var_direct = float(paper_hyper.noise_std**2 * phi @ np.linalg.solve(A, phi))
+                assert post.mean[i] == pytest.approx(mean_direct, abs=1e-8)
+                assert post.variance[i] == pytest.approx(var_direct, abs=1e-8)
 
     def test_permutation_invariance(self, paper_dataset, paper_hyper):
         freq = sample_frequencies(2, paper_hyper, 1, seed=21)
