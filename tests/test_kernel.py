@@ -24,10 +24,6 @@ class TestHyperAndTypes:
             KernelHyper(1.0, -1.0, 0.1)
         with pytest.raises(ValueError):
             KernelHyper(1.0, 1.0, -0.1)
-        # the squares overflow or underflow
-        for args in ((1e200, 1.0, 0.1), (1.0, 1e200, 0.1), (1.0, 1e-300, 0.1), (1.0, 1.0, 1e200)):
-            with pytest.raises(ValueError, match="square"):
-                KernelHyper(*args)
 
     def test_dataset_validation(self):
         with pytest.raises(ValueError):

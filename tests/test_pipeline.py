@@ -594,6 +594,9 @@ class TestSchmidtRowsMatchDense:
         # the pipeline holds no encoded state
         assert not any(isinstance(v, qsim.Statevector) for v in vars(paper_pipeline).values())
         assert paper_pipeline.mean_weights.shape == (paper_pipeline.fm.rank,)
+        # beyond the feature model it keeps per-component weights, no basis matrix
+        arrays = [v for v in vars(paper_pipeline).values() if isinstance(v, np.ndarray)]
+        assert arrays and all(a.size <= paper_pipeline.fm.rank for a in arrays)
         assert paper_pipeline.tau == 13
         assert_matches_dense(paper_pipeline, paper_dataset.targets, grid50, paper_oracle)
 
