@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -67,12 +66,13 @@ class RunConfig:
             value = getattr(self, f.name)
             if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-            if f.type.startswith("float") and value is not None and (
-                isinstance(value, bool)
-                or not isinstance(value, (int, float))
-                or not math.isfinite(value)
-            ):
-                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
+            if f.type.startswith("float") and (value is not None or f.type == "float"):
+                # an int compares exactly, so a JSON integer beyond every double fails too
+                if isinstance(value, bool) or not (
+                    isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+                ):
+                    raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
+                object.__setattr__(self, f.name, float(value))
             if f.type == "str" and not isinstance(value, str):
                 raise ConfigError(f"{f.name} must be a string, got {value!r}")
         if min(self.seed_data, self.seed_freq, self.seed_shots) < 0:
@@ -85,6 +85,8 @@ class RunConfig:
             raise ConfigError("the experiment driver supports dim=1 only")
         if self.grid_count < 1:
             raise ConfigError("grid_count must be positive")
+        if not abs(self.grid_hi - self.grid_lo) <= sys.float_info.max:
+            raise ConfigError("grid_hi - grid_lo overflows a double")
         if not 1 <= self.shots < 2**63:
             # numpy draws binomial counts as C longs
             raise ConfigError(f"shots must be in [1, 2**63), got {self.shots}")
@@ -94,10 +96,10 @@ class RunConfig:
             raise ConfigError(
                 f"input_layout must be 'uniform' or 'random', got {self.input_layout!r}"
             )
-        try:
-            KernelHyper(self.signal_std, self.length_scale, self.noise_std)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        KernelHyper(self.signal_std, self.length_scale, self.noise_std)
+        if max(self.n_points, self.n_frequencies, self.grid_count) >= 2**59:
+            # numpy refuses such shapes with a ValueError before it tries to allocate
+            raise CapacityError("n_points, n_frequencies and grid_count must be below 2**59")
 
     @property
     def hyper(self) -> KernelHyper:
@@ -117,23 +119,18 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     if path is not None:
         try:
             with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
+                values = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
+        except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
+            raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
+        if not isinstance(values, dict):
             raise ConfigError("config file must hold a JSON object")
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        values.update(raw)
     values.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        return RunConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
+    unknown = set(values) - {f.name for f in fields(RunConfig)}
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    return RunConfig(**values)
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,9 @@ class QrffError(Exception):
     exit_code = 1
 
 
-class ConfigError(QrffError):
-    """Invalid configuration: bad values, unknown keys, unusable parameter combinations."""
+class ConfigError(QrffError, ValueError):
+    """Invalid configuration: bad values, unknown keys, unusable parameter
+    combinations. Raised where a check finds the bad value; also a ``ValueError``."""
 
     exit_code = 2
 
@@ -27,7 +28,7 @@ class ConfigError(QrffError):
 class CapacityError(QrffError):
     """A run needs more than ``MAX_QUBITS`` allows: the encoding's register
     width, the phase table's entries, the exact baseline's Gram bytes, or a
-    simulated state's width."""
+    simulated state's width; or a size of 2**59 or more, which numpy cannot index."""
 
     exit_code = 3
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .errors import CapacityError
+from .errors import CapacityError, ConfigError
 
 logger = logging.getLogger(__name__)
 
@@ -53,11 +53,11 @@ class KernelHyper:
         for name in ("signal_std", "length_scale"):
             value = getattr(self, name)
             if not (value > 0 and 0 < value * value < np.inf):
-                raise ValueError(
+                raise ConfigError(
                     f"{name} must be positive with a positive finite square, got {value}"
                 )
         if not (self.noise_std >= 0 and self.noise_std * self.noise_std < np.inf):
-            raise ValueError(
+            raise ConfigError(
                 f"noise_std must be nonnegative with a finite square, got {self.noise_std}"
             )
 
@@ -77,13 +77,13 @@ class Dataset:
         inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
         targets = np.asarray(self.targets, dtype=float).ravel()
         if inputs.shape[0] != targets.shape[0]:
-            raise ValueError(
+            raise ConfigError(
                 f"inputs ({inputs.shape[0]}) and targets ({targets.shape[0]}) disagree in length"
             )
         if inputs.shape[0] < 1:
-            raise ValueError("dataset must contain at least one point")
+            raise ConfigError("dataset must contain at least one point")
         if not np.isfinite(inputs).all() or not np.isfinite(targets).all():
-            raise ValueError("dataset contains non-finite values")
+            raise ConfigError("dataset contains non-finite values")
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "targets", targets)
 
@@ -112,9 +112,9 @@ def _as_points(xs, dim: int, name: str = "xs") -> np.ndarray:
     """Query grid as a (G, dim) array; a flat input lists the points one after another."""
     pts = np.asarray(xs, dtype=float)
     if pts.ndim > 2 or pts.size == 0 or pts.size % dim or pts.ndim == 2 and pts.shape[1] != dim:
-        raise ValueError(f"{name} of shape {pts.shape} is not a grid of {dim}-d points")
+        raise ConfigError(f"{name} of shape {pts.shape} is not a grid of {dim}-d points")
     if not np.isfinite(pts).all():
-        raise ValueError(f"{name} contains non-finite values")
+        raise ConfigError(f"{name} contains non-finite values")
     return pts.reshape(-1, dim)
 
 
@@ -125,10 +125,11 @@ def _cross_kernel(a: np.ndarray, b: np.ndarray, h: KernelHyper, out=None) -> np.
     other (A, B) array). Between a point set and itself the result is exactly
     symmetric: a_i - a_j is exactly -(a_j - a_i).
     """
-    K = np.subtract.outer(a[:, 0], b[:, 0], out=out)
-    np.square(K, out=K)
-    for j in range(1, a.shape[1]):
-        K += np.subtract.outer(a[:, j], b[:, j]) ** 2
+    with np.errstate(over="ignore"):  # an overflowing squared distance gives exp(-inf) = 0
+        K = np.subtract.outer(a[:, 0], b[:, 0], out=out)
+        np.square(K, out=K)
+        for j in range(1, a.shape[1]):
+            K += np.subtract.outer(a[:, j], b[:, j]) ** 2
     K *= -0.5
     K /= h.length_scale**2
     np.exp(K, out=K)

@@ -257,7 +257,7 @@ class PreparedPipeline:
         y = _as_targets(y, fm)
         y_norm = float(np.linalg.norm(y))
         if y_norm == 0:
-            raise ValueError("targets must not be identically zero")
+            raise ConfigError("targets must not be identically zero")
         phi = scaled_feature_vector(_as_points(xs, fm.freq.dim), fm.freq, self.hyper)
         phi_norm = np.linalg.norm(phi, axis=1)
         mean_sum, variance_sum, null_sq = spectral_sums(

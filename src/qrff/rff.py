@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .kernel import Dataset, KernelHyper, Posterior, _as_points
 
 #: singular values below this fraction of the largest are dropped from the rank
@@ -29,9 +30,9 @@ class FrequencySet:
     def __post_init__(self):
         freq = np.atleast_2d(np.asarray(self.frequencies, dtype=float))
         if freq.shape[0] < 1:
-            raise ValueError("need at least one frequency")
+            raise ConfigError("need at least one frequency")
         if not np.isfinite(freq).all():
-            raise ValueError("frequencies contain non-finite values")
+            raise ConfigError("frequencies contain non-finite values")
         object.__setattr__(self, "frequencies", freq)
 
     @property
@@ -76,9 +77,9 @@ def sample_frequencies(M: int, h: KernelHyper, d: int, seed: int) -> FrequencySe
     Normal(0, (1 / (2*pi*length_scale))**2). Deterministic given the seed.
     """
     if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
+        raise ConfigError(f"M must be >= 1, got {M}")
     if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+        raise ConfigError(f"d must be >= 1, got {d}")
     rng = np.random.default_rng(seed)
     scale = 1.0 / (2.0 * np.pi * h.length_scale)
     freq = rng.normal(0.0, scale, size=(M, d))
@@ -93,9 +94,9 @@ def feature_map(x, freq: FrequencySet) -> np.ndarray:
     """
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     if xv.ndim > 2 or xv.shape[-1] != freq.dim:
-        raise ValueError(f"point shape {xv.shape} does not match frequency dimension {freq.dim}")
+        raise ConfigError(f"point shape {xv.shape} does not match frequency dimension {freq.dim}")
     if not np.isfinite(xv).all():
-        raise ValueError("x contains non-finite values")
+        raise ConfigError("x contains non-finite values")
     phase = 2.0 * np.pi * (xv @ freq.frequencies.T)
     out = np.empty(phase.shape[:-1] + (2 * freq.n_frequencies,))
     out[..., 0::2] = np.cos(phase)
@@ -111,7 +112,7 @@ def scaled_feature_vector(x, freq: FrequencySet, h: KernelHyper) -> np.ndarray:
 def build_feature_model(ds: Dataset, freq: FrequencySet, h: KernelHyper) -> FeatureModel:
     """Assemble the scaled design matrix and its rank-truncated SVD."""
     if ds.dim != freq.dim:
-        raise ValueError(f"dataset dimension {ds.dim} != frequency dimension {freq.dim}")
+        raise ConfigError(f"dataset dimension {ds.dim} != frequency dimension {freq.dim}")
     X = scaled_feature_vector(ds.inputs, freq, h)
     fro = float(np.linalg.norm(X))
     if fro == 0.0:
@@ -133,7 +134,7 @@ def _as_targets(y, fm: FeatureModel) -> np.ndarray:
     """The targets as a float vector, one per design row."""
     y = np.asarray(y, dtype=float).ravel()
     if y.shape[0] != fm.design.shape[0]:
-        raise ValueError(f"target length {y.shape[0]} != design rows {fm.design.shape[0]}")
+        raise ConfigError(f"target length {y.shape[0]} != design rows {fm.design.shape[0]}")
     return y
 
 

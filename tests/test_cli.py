@@ -20,11 +20,47 @@ from qrff.cli import (
     main,
     run_experiment,
 )
-from qrff.errors import ConfigError
+from qrff.errors import CapacityError, ConfigError
 from qrff.pipeline import PreparedPipeline
 from qrff.rff import build_feature_model, rff_posterior, sample_frequencies
 
+import config_sweep
+
 SMALL = dict(n_points=4, n_frequencies=2, tau=8, grid_count=6, seed_freq=1)
+
+_ALL = ("fit-exact", "fit-rff", "run-quantum", "compare")
+
+
+def _ten_to(digits: int) -> str:
+    """10**digits as JSON text; json.dumps refuses integers past 4,300 digits."""
+    return "1" + "0" * digits
+
+
+#: bad inputs, as config text, and the error each command reports (None: exit 0)
+_BAD_INPUTS = {
+    "grid-span-overflows": ('{"grid_lo": -1e308, "grid_hi": 1e308}', ["ConfigError"] * 4),
+    "one-noiseless-point": (
+        '{"n_points": 1, "noise_std": 0}',
+        [None, "LinAlgError", "ConfigError", "LinAlgError"],
+    ),
+    # beyond every double
+    "signal-std-int-1e400": (f'{{"signal_std": {_ten_to(400)}}}', ["ConfigError"] * 4),
+    "grid-lo-int-minus-1e400": (f'{{"grid_lo": -{_ten_to(400)}}}', ["ConfigError"] * 4),
+    # a double whose square overflows, though the integer's square does not
+    "signal-std-int-1e200": (f'{{"signal_std": {_ten_to(200)}}}', ["ConfigError"] * 4),
+    "length-scale-int-1e200": (f'{{"length_scale": {_ten_to(200)}}}', ["ConfigError"] * 4),
+    # past Python's integer-parsing digit limit
+    "tau-int-1e5000": (f'{{"tau": {_ten_to(5000)}}}', ["ConfigError"] * 4),
+    **{
+        f"{key}-2**60": (f'{{"{key}": {2**60}}}', ["CapacityError"] * 2)
+        for key in ("n_points", "grid_count", "n_frequencies")
+    },
+}
+_BAD_INPUT_RUNS = [
+    pytest.param(command, text, error, id=f"{name}-{command}")
+    for name, (text, errors_by_command) in _BAD_INPUTS.items()
+    for command, error in zip(_ALL, errors_by_command)
+]
 
 
 class TestConfig:
@@ -59,6 +95,26 @@ class TestConfig:
         with pytest.raises(ConfigError, match="shots"):
             RunConfig(shots=2**63)
         assert RunConfig(shots=2**63 - 1).shots == 2**63 - 1
+
+    def test_float_keys_are_held_as_floats(self):
+        cfg = RunConfig(grid_lo=-1, signal_std=2, delta_r=3)
+        assert [type(v) for v in (cfg.grid_lo, cfg.signal_std, cfg.delta_r)] == [float] * 3
+
+    def test_only_delta_r_may_be_null(self):
+        assert RunConfig(delta_r=None).delta_r is None
+        for key in ("grid_lo", "grid_hi", "signal_std", "length_scale", "noise_std"):
+            with pytest.raises(ConfigError, match=key):
+                RunConfig(**{key: None})
+
+    def test_unknown_override_keys_are_refused(self):
+        with pytest.raises(ConfigError, match="bogus"):
+            load_config(None, {"bogus": 1})
+
+    @pytest.mark.parametrize("key", ["n_points", "n_frequencies", "grid_count"])
+    def test_sizes_are_below_2_to_the_59(self, key):
+        with pytest.raises(CapacityError, match=key):
+            RunConfig(**{key: 2**59})
+        assert getattr(RunConfig(**{key: 2**59 - 1}), key) == 2**59 - 1
 
     def test_unreadable_file(self):
         with pytest.raises(ConfigError):
@@ -346,6 +402,23 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ConfigError: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, text, error", _BAD_INPUT_RUNS)
+    def test_bad_inputs_report_one_error_line(self, tmp_path, capsys, command, text, error):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if error is None:
+            assert code == 0 and err == ""
+        else:
+            assert code == (3 if error == "CapacityError" else 2)
+            assert err.startswith(f"error: {error}: ") and err.count("\n") == 1
+
+    def test_extreme_value_sweep_exits_cleanly(self, tmp_path):
+        failures, _ = config_sweep.sweep(str(tmp_path))
+        assert failures == []
 
     def test_exact_baseline_larger_than_a_state_is_3(self, tmp_path, capsys, monkeypatch):
         # cap 10: the 8 N^2 bytes of the Gram matrix fit 16 * 2^10 up to N = 45

@@ -11,6 +11,9 @@ exactly when the dense circuits refuse it and with the same error, or give
 exact-mode means and variances equal to the binned spectral-sum oracle and,
 to 1e-12, to the dense circuits' readout.
 
+Every library input check raises ``ConfigError``, which ``except ValueError``
+also catches; the two internal invariants stay plain ``ValueError``s.
+
 The sampled-mode test draws the same kind of designs with 1 to 64 shots and
 one shot seed: each is refused, or gives accepted shots in [1, shots],
 overlaps on the 2k/n - 1 grid of n accepted shots, non-negative variances,
@@ -24,11 +27,18 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from qrff.errors import ConfigError, PostSelectionError
-from qrff.kernel import Dataset, KernelHyper
+from qrff.errors import ConfigError, PostSelectionError, QrffError
+from qrff.kernel import Dataset, KernelHyper, Posterior, _as_points
 from qrff.pipeline import DELTA_R_HEADROOM, InversionConstants, PreparedPipeline
 from qrff.qsim import dense_oracle, prepare_data_state
-from qrff.rff import build_feature_model, sample_frequencies, scaled_feature_vector
+from qrff.rff import (
+    FrequencySet,
+    _as_targets,
+    build_feature_model,
+    feature_map,
+    sample_frequencies,
+    scaled_feature_vector,
+)
 
 from dense_readout import assert_encodes_design, assert_matches_dense
 from spectral_oracle import BinnedPrediction
@@ -128,3 +138,40 @@ def test_sampled_mode_with_few_shots(xs, m_freq, tau, shots, seed_freq, seed):
     assert np.array_equal(readout["mean_accepted"], readout2["mean_accepted"])
     assert np.array_equal(post.variance, post2.variance)
     assert np.array_equal(readout["variance_accepted"], readout2["variance_accepted"])
+
+
+#: each input check in kernel, rff and pipeline, called on the paper pipeline
+INPUT_CHECKS = {
+    "signal-std-not-positive": lambda pipe: KernelHyper(0.0, 1.0, 0.1),
+    "noise-std-negative": lambda pipe: KernelHyper(1.5, 1.0, -0.1),
+    "noise-std-square-overflows": lambda pipe: KernelHyper(1.5, 1.0, 1e200),
+    "dataset-lengths-disagree": lambda pipe: Dataset(np.zeros((2, 1)), np.zeros(1)),
+    "dataset-empty": lambda pipe: Dataset(np.zeros((0, 1)), np.zeros(0)),
+    "dataset-non-finite": lambda pipe: Dataset(np.array([[np.nan]]), np.zeros(1)),
+    "grid-shape": lambda pipe: _as_points(np.zeros((2, 3)), 1),
+    "grid-non-finite": lambda pipe: _as_points([np.inf], 1),
+    "no-frequencies": lambda pipe: FrequencySet(np.zeros((0, 1)), 0),
+    "frequencies-non-finite": lambda pipe: FrequencySet(np.array([[np.nan]]), 0),
+    "sample-no-frequencies": lambda pipe: sample_frequencies(0, pipe.hyper, 1, 0),
+    "sample-no-dimensions": lambda pipe: sample_frequencies(2, pipe.hyper, 0, 0),
+    "feature-point-shape": lambda pipe: feature_map(np.zeros((2, 2)), pipe.fm.freq),
+    "feature-point-non-finite": lambda pipe: feature_map([np.nan], pipe.fm.freq),
+    "design-dimension-mismatch": lambda pipe: build_feature_model(
+        Dataset(np.zeros((2, 2)), np.ones(2)), pipe.fm.freq, pipe.hyper
+    ),
+    "target-length": lambda pipe: _as_targets(np.ones(3), pipe.fm),
+    "all-zero-targets": lambda pipe: pipe.posterior(np.zeros(pipe.fm.design.shape[0]), [1.0]),
+}
+
+
+@pytest.mark.parametrize("check", INPUT_CHECKS.values(), ids=INPUT_CHECKS.keys())
+def test_input_checks_raise_config_error(paper_pipeline, check):
+    with pytest.raises(ValueError) as info:
+        check(paper_pipeline)
+    assert isinstance(info.value, ConfigError) and isinstance(info.value, QrffError)
+
+
+def test_internal_invariants_stay_value_errors():
+    with pytest.raises(ValueError) as info:
+        Posterior(np.zeros(1), -np.ones(1))
+    assert not isinstance(info.value, QrffError)
