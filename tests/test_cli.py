@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import logging
 import os
@@ -95,6 +96,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="shots"):
             RunConfig(shots=2**63)
         assert RunConfig(shots=2**63 - 1).shots == 2**63 - 1
+        # past 4,300 digits an int has no repr, so a message must not hold its digits
+        for key in ("signal_std", "shots", "mode"):
+            for value in (10**5000, -(10**5000), 10**400):
+                with pytest.raises(ConfigError, match=key) as exc:
+                    RunConfig(**{key: value})
+                assert len(str(exc.value)) < 200
+        with pytest.raises(ConfigError, match="n_points") as exc:
+            RunConfig(n_points=[10**5000])
+        assert len(str(exc.value)) < 200
+        with pytest.raises(ConfigError, match="mode") as exc:
+            RunConfig(mode="x" * 10**6)
+        assert len(str(exc.value)) < 200
 
     def test_float_keys_are_held_as_floats(self):
         cfg = RunConfig(grid_lo=-1, signal_std=2, delta_r=3)
@@ -556,16 +569,64 @@ class TestDeterminism:
         assert (tmp_path / "results.csv").read_bytes() == golden.read_bytes()
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def _fresh(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a new interpreter that imports this package."""
     src = str(pathlib.Path(qrff.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, qrff.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
+    return subprocess.run(
+        [sys.executable, *args],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=60,
-        check=True,
     )
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = (
+        "import sys, qrff.cli; "
+        "print([m for m in sys.modules if m.split('.')[0] in ('scipy', 'logging')])"
+    )
+    out = _fresh("-c", code)
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+class TestProgramEntry:
+    """``python -m qrff.cli`` as a process: its frozen start-up heap still exits cleanly."""
+
+    def test_paper_compare_writes_and_prints_everything(self, tmp_path):
+        out_dir = tmp_path / "out"
+        run = _fresh("-m", "qrff.cli", "compare", "--out", str(out_dir))
+        assert run.returncode == 0, run.stderr
+        assert run.stderr == ""
+        golden = pathlib.Path(__file__).parent / "data" / "compare_exact_results.csv"
+        assert (out_dir / "results.csv").read_bytes() == golden.read_bytes()
+        names = ("results.csv", "summary.txt", "plot.dat")
+        summary = (out_dir / "summary.txt").read_text().splitlines()
+        assert "rmse_mean_qrff_vs_rff" in {line.split(" = ")[0] for line in summary}
+        assert run.stdout.splitlines() == [
+            *(f"wrote {os.path.join(out_dir, name)}" for name in names),
+            *summary,
+        ]
+
+    def test_refusal_prints_one_error_line(self, tmp_path):
+        run = _fresh("-m", "qrff.cli", "compare", "--tau", "25", "--out", str(tmp_path))
+        assert run.returncode == 3
+        assert run.stderr.startswith("error: CapacityError: ")
+        assert run.stderr.count("\n") == 1 and run.stdout == ""
+
+    def test_program_entry_freezes_the_start_up_heap(self, tmp_path):
+        code = (
+            "import gc, sys; from qrff.cli import main; "
+            "sys.argv[1:] = ['fit-rff', '--out', sys.argv[1]]; "
+            "print(main(), gc.get_freeze_count() > 0)"
+        )
+        run = _fresh("-c", code, str(tmp_path))
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "0 True"
+
+    def test_in_process_main_leaves_the_heap_unfrozen(self, tmp_path):
+        before = gc.get_freeze_count()
+        assert main(["fit-rff", "--out", str(tmp_path)]) == 0
+        assert gc.get_freeze_count() == before

@@ -693,7 +693,7 @@ class TestCapacityPlan:
 
 # builds a pipeline, runs its posterior exactly and sampled, then the CLI's
 # compare (exact and sampled) and fit-exact; prints the exit codes and whether
-# the simulator module was ever imported
+# the simulator module or logging was ever imported
 _RUN_PATH = """
 import json, sys
 from qrff.cli import RunConfig, generate_dataset, main
@@ -710,7 +710,8 @@ for shots in (0, 1000):
     pipe.posterior(ds.targets, cfg.grid, shots, seed=1)
 commands = (["compare"], ["compare", "--mode", "sampled", "--shots", "1000"], ["fit-exact"])
 codes = [main([*args, "--config", config, "--out", out]) for args in commands]
-print(json.dumps({"codes": codes, "simulator_loaded": "qrff.qsim" in sys.modules}))
+loaded = {name: name in sys.modules for name in ("qrff.qsim", "logging")}
+print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
 
@@ -736,7 +737,10 @@ class TestNoDenseStepsInTheRunPath:
             json.dumps(dict(n_points=4, n_frequencies=2, tau=8, grid_count=6, seed_freq=1))
         )
         line = _last_line_of_fresh_run(_RUN_PATH, str(config), str(tmp_path / "out"))
-        assert json.loads(line) == {"codes": [0, 0, 0], "simulator_loaded": False}
+        assert json.loads(line) == {
+            "codes": [0, 0, 0],
+            "loaded": {"qrff.qsim": False, "logging": False},
+        }
 
     def test_package_import_leaves_the_simulator_unloaded(self):
         code = "import sys, qrff; print('qrff.qsim' in sys.modules)"
