@@ -22,9 +22,10 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -142,18 +143,11 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         if not isinstance(values, dict):
             raise ConfigError("config file must hold a JSON object")
     values.update({k: v for k, v in overrides.items() if v is not None})
-    unknown = set(values) - {f.name for f in fields(RunConfig)}
+    unknown = sorted(set(values) - {f.name for f in fields(RunConfig)})
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        more = f" and {len(unknown) - 3} more" if len(unknown) > 3 else ""
+        raise ConfigError(f"unknown config keys: [{', '.join(map(_shown, unknown[:3]))}]{more}")
     return RunConfig(**values)
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """One run: its output columns over the query grid, in order, and its summary."""
-
-    columns: dict[str, np.ndarray]
-    summary: dict = field(default_factory=dict)
 
 
 def generate_dataset(cfg: RunConfig) -> Dataset:
@@ -179,7 +173,9 @@ def _max_gap(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b)))
 
 
-def _run_stages(cfg: RunConfig, stages: tuple[str, ...]) -> ComparisonReport:
+def _run_stages(cfg: RunConfig, command: str) -> tuple[dict[str, np.ndarray], dict]:
+    """The output columns, in order, and the summary of ``command``'s stages."""
+    stages = _STAGE_SETS[command]
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     ds = generate_dataset(cfg)
@@ -227,10 +223,8 @@ def _run_stages(cfg: RunConfig, stages: tuple[str, ...]) -> ComparisonReport:
             summary["max_abs_var_gap_qrff_vs_rff"] = _max_gap(quantum.variance, rff.variance)
         if "exact" in stages:
             summary["rmse_mean_qrff_vs_exact"] = _rmse(quantum.mean, exact.mean)
-        summary["p1"] = pipe.p1
-        summary["p2"] = pipe.p2
-        summary["uncompute_leakage_mean"] = pipe.uncompute_leakage_mean
-        summary["uncompute_leakage_variance"] = pipe.uncompute_leakage_variance
+        for key in ("p1", "p2", "uncompute_leakage_mean", "uncompute_leakage_variance"):
+            summary[key] = getattr(pipe, key)
         if shots:
             # shot-noise term of the error budget: sampled vs exact-mode readout
             summary["rmse_mean_shot_noise"] = _rmse(quantum.mean, readout["exact_mean"])
@@ -239,82 +233,52 @@ def _run_stages(cfg: RunConfig, stages: tuple[str, ...]) -> ComparisonReport:
             )
     summary.update({f"wall_clock_{k}_s": v for k, v in timings.items()})
     summary["wall_clock_total_s"] = sum(timings.values())
-    return ComparisonReport(columns=columns, summary=summary)
+    return columns, summary
 
 
-def run_experiment(cfg: RunConfig) -> ComparisonReport:
-    """Run exact, reduced-rank, and quantum posteriors over the query grid."""
-    return _run_stages(cfg, _STAGE_SETS["compare"])
-
-
-def emit_outputs(report: ComparisonReport, cfg: RunConfig) -> list[str]:
-    """Write the report's columns to results.csv and plot.dat and its summary
-    to summary.txt; returns the paths written."""
-    import os
-
-    names = list(report.columns)
-    rows = [list(map(_fmt, row)) for row in zip(*report.columns.values())]
+def emit_outputs(columns: dict[str, np.ndarray], summary: dict, out_dir: str) -> list[str]:
+    """Write the columns to results.csv and plot.dat and the summary to
+    summary.txt under ``out_dir``; returns the paths written."""
+    names = list(columns)
+    rows = [list(map(_fmt, row)) for row in zip(*columns.values())]
 
     def write(name: str, lines: list[str]) -> str:
-        path = os.path.join(cfg.out_dir, name)
+        path = os.path.join(out_dir, name)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(line + "\n" for line in lines)
         return path
 
     try:
-        os.makedirs(cfg.out_dir, exist_ok=True)
+        os.makedirs(out_dir, exist_ok=True)
         return [
             write("results.csv", [",".join(names), *map(",".join, rows)]),
-            write("summary.txt", [f"{k} = {_fmt(v)}" for k, v in report.summary.items()]),
+            write("summary.txt", [f"{k} = {_fmt(v)}" for k, v in summary.items()]),
             write("plot.dat", ["# " + " ".join(names), *map(" ".join, rows)]),
         ]
     except OSError as exc:
-        raise IoError(f"cannot write outputs under {cfg.out_dir}: {exc}") from exc
+        raise IoError(f"cannot write outputs under {out_dir}: {exc}") from exc
 
 
 def _run_selftest() -> int:
-    from .qsim import dense_oracle, partial_trace, prepare_data_state
+    from .qsim import closed_form_gaps, encoding_gap
 
-    failures = 0
+    hyper = KernelHyper(1.5, 1.0, 0.1)
 
-    def check(name: str, ok: bool):
-        nonlocal failures
-        print(f"{'PASS' if ok else 'FAIL'}: {name}")
-        failures += 0 if ok else 1
+    def model(n_points: int, n_frequencies: int):
+        x = np.linspace(0.0, 2.0 * np.pi, n_points)
+        freq = sample_frequencies(n_frequencies, hyper, 1, 3)
+        return build_feature_model(Dataset(x[:, None], np.sin(x)), freq, hyper)
 
     # 8 points and 2 frequencies: 4 Schmidt components, bins 61, 55, 22, 13 of 64
-    hyper = KernelHyper(1.5, 1.0, 0.1)
-    x = np.linspace(0.0, 2.0 * np.pi, 8)
-    fm = build_feature_model(
-        Dataset(x[:, None], np.sin(x)), sample_frequencies(2, hyper, 1, 3), hyper
-    )
-    pipe = PreparedPipeline(fm, hyper, 6)
-    state = prepare_data_state(fm)
-    _, _, ((mean, p1), (variance, p2)) = dense_oracle(state, pipe.constants)
-    # the phase register is the highest, so its |0> slice leads the amplitudes
-    size = state.amplitudes.size
-    mean0, variance0 = mean.amplitudes[:size], variance.amplitudes[:size]
-    rho = (fm.v * pipe.variance_weights) @ fm.v.T
-    gaps = (
-        np.abs(mean0 - ((fm.v * pipe.mean_weights) @ fm.u.T).ravel()).max(),
-        np.abs(partial_trace(variance, "col") - rho).max(),
-        abs(pipe.p1 - p1),
-        abs(pipe.p2 - p2),
-        abs(pipe.uncompute_leakage_mean - 1 + np.vdot(mean0, mean0).real),
-        abs(pipe.uncompute_leakage_variance - 1 + np.vdot(variance0, variance0).real),
-    )
-    check("phase table matches the dense pipeline", max(gaps) <= 1e-12)
-
+    gaps = closed_form_gaps(PreparedPipeline(model(8, 2), hyper, 6))
     # 5 points and 3 frequencies: 5 of 8 rows and 6 of 8 columns, zero padding
-    x = np.linspace(0.0, 2.0 * np.pi, 5)
-    fm = build_feature_model(
-        Dataset(x[:, None], np.sin(x)), sample_frequencies(3, hyper, 1, 3), hyper
-    )
-    padded = np.zeros((8, 8))
-    padded[:6, :5] = fm.design.T / fm.frobenius_norm
-    gap = np.abs(prepare_data_state(fm).amplitudes - padded.ravel()).max()
-    check("encoding circuit equals the scaled design", gap <= 1e-12)
-
+    passed = {
+        "phase table matches the dense pipeline": max(gaps.values()) <= 1e-12,
+        "encoding circuit equals the scaled design": encoding_gap(model(5, 3)) <= 1e-12,
+    }
+    for name, ok in passed.items():
+        print(f"{'PASS' if ok else 'FAIL'}: {name}")
+    failures = list(passed.values()).count(False)
     print("selftest:", "OK" if failures == 0 else f"{failures} failure(s)")
     return 0 if failures == 0 else 1
 
@@ -347,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed-freq", type=int, dest="seed_freq")
         sp.add_argument("--seed-shots", type=int, dest="seed_shots")
         sp.add_argument("--delta-r", type=float, dest="delta_r")
-        sp.add_argument("--mode", choices=["exact", "sampled"], dest="mode")
+        sp.add_argument("--mode", dest="mode")
         sp.add_argument("--out", dest="out_dir")
     sub.add_parser("selftest", help="check the closed form against its circuits")
     return parser
@@ -369,20 +333,17 @@ def main(argv=None) -> int:
     command, path = overrides.pop("command"), overrides.pop("config")
     try:
         cfg = load_config(path, overrides)
-        report = _run_stages(cfg, _STAGE_SETS[command])
-        paths = emit_outputs(report, cfg)
+        columns, summary = _run_stages(cfg, command)
+        paths = emit_outputs(columns, summary, cfg.out_dir)
     except QrffError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code
-    except np.linalg.LinAlgError as exc:  # a baseline's posterior is singular
-        print(f"error: LinAlgError: {exc}", file=sys.stderr)
-        return ConfigError.exit_code
     except MemoryError as exc:  # an array larger than the machine can allocate
         print(f"error: MemoryError: {exc}", file=sys.stderr)
         return CapacityError.exit_code
     for path in paths:
         print(f"wrote {path}")
-    for key, value in report.summary.items():
+    for key, value in summary.items():
         print(f"{key} = {_fmt(value)}")
     return 0
 

@@ -122,13 +122,13 @@ def _cross_kernel(a: np.ndarray, b: np.ndarray, h: KernelHyper, out=None) -> np.
     other (A, B) array). Between a point set and itself the result is exactly
     symmetric: a_i - a_j is exactly -(a_j - a_i).
     """
-    with np.errstate(over="ignore"):  # an overflowing squared distance gives exp(-inf) = 0
+    with np.errstate(over="ignore"):  # an overflow here gives exp(-inf) = 0
         K = np.subtract.outer(a[:, 0], b[:, 0], out=out)
         np.square(K, out=K)
         for j in range(1, a.shape[1]):
             K += np.subtract.outer(a[:, j], b[:, j]) ** 2
-    K *= -0.5
-    K /= h.length_scale**2
+        K *= -0.5
+        K /= h.length_scale**2
     np.exp(K, out=K)
     K *= h.signal_std**2
     return K
@@ -150,7 +150,8 @@ def _forward_solve_spd(
     diagonal, then the K* rows) above the targets' slice, less one matmul
     against the columns already factored, and scaled by the inverse of its
     diagonal block's Cholesky factor. A non-positive-definite diagonal block
-    raises ``LinAlgError``; the one retry adds a logged diagonal jitter.
+    raises ``LinAlgError``; the one retry adds a logged diagonal jitter, and a
+    second failure raises ``ConfigError``.
     """
     n = inputs.shape[0]
     rows = np.vstack([inputs, queries])
@@ -184,7 +185,7 @@ def _forward_solve_spd(
         try:
             return factor(jitter)
         except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
+            raise ConfigError(
                 "kernel system is singular even after jitter; "
                 "duplicate inputs with zero noise_std?"
             ) from exc

@@ -68,6 +68,11 @@ class InversionConstants:
                 f"singular value {lam_t2[0]:.6g} (phase wraparound)"
             )
         st2 = noise_std**2 / fm.frobenius_norm**2
+        if not st2 < np.inf:
+            raise ConfigError(
+                f"noise_std**2 / frobenius_norm**2 overflows a double (noise_std {noise_std}, "
+                f"design norm {fm.frobenius_norm}); signal_std is too small for this noise_std"
+            )
         bins = np.round(lam_t2 / delta_r * (1 << tau)).astype(int)
         # bin 2^tau wraps: the tau-qubit phase register reads it as bin 0
         if (bins % (1 << tau) == 0).any():
@@ -101,7 +106,8 @@ class InversionConstants:
     def _rotation_profile(self, amplitude) -> np.ndarray:
         """``min(1, amplitude(lam_hat^2))`` over the decoded bins, 0 at bin 0."""
         lam_hat2 = np.arange(1 << self.tau) * self.delta_r / (1 << self.tau)
-        with np.errstate(divide="ignore"):
+        # inf at bin 0 (zeroed below) and where a tiny sigma~^2 overflows it: min(1, inf) = 1
+        with np.errstate(divide="ignore", over="ignore"):
             prof = np.minimum(1.0, amplitude(lam_hat2))
         prof[0] = 0.0  # below-resolution bins are excluded from the inversion
         return prof
@@ -255,9 +261,12 @@ class PreparedPipeline:
         """
         fm = self.fm
         y = _as_targets(y, fm)
-        y_norm = float(np.linalg.norm(y))
+        with np.errstate(over="ignore"):  # an overflowing sum of squares gives inf
+            y_norm = float(np.linalg.norm(y))
         if y_norm == 0:
             raise ConfigError("targets must not be identically zero")
+        if y_norm == np.inf:
+            raise ConfigError("the targets' norm overflows a double; noise_std is too large")
         phi = scaled_feature_vector(_as_points(xs, fm.freq.dim), fm.freq, self.hyper)
         phi_norm = np.linalg.norm(phi, axis=1)
         mean_sum, variance_sum, null_sq = spectral_sums(

@@ -5,10 +5,10 @@ indexed by the control value, and ``apply_circuit`` applies a list of them,
 each by one batched matmul. The paper's encoding circuit
 (``prepare_data_state``) and its phase estimation, post-selection and
 un-compute (``dense_oracle``) are composed from these gates, and the Hadamard
-and SWAP tests read overlaps off one measured test qubit. They are the
-oracle that tests and ``qrff selftest`` hold ``pipeline.PreparedPipeline``'s
-closed form to, and the run path never imports this module. One check
-refuses a state wider than ``errors.MAX_QUBITS`` before it is allocated.
+and SWAP tests read overlaps off one measured test qubit. ``closed_form_gaps``
+and ``encoding_gap`` hold ``pipeline.PreparedPipeline``'s closed form to them
+for the tests and ``qrff selftest``; the run path never imports this module.
+One check refuses a state wider than ``errors.MAX_QUBITS`` before allocating.
 
 Basis convention: qubit ``q`` carries weight ``2**q`` in the amplitude index,
 registers are contiguous qubit ranges, and the first-listed register occupies
@@ -31,7 +31,7 @@ from . import errors
 from .errors import CapacityError, PostSelectionError
 
 if TYPE_CHECKING:
-    from .pipeline import InversionConstants
+    from .pipeline import InversionConstants, PreparedPipeline
     from .rff import FeatureModel
 
 _UNITARY_TOL = 1e-10
@@ -531,3 +531,37 @@ def dense_oracle(
         state, prob = postselect(spectral, "phase", profile)
         branches.append((inverse_qpe(state, circuit), prob))
     return spectral, circuit, branches
+
+
+def _padded_gap(dense: np.ndarray, closed: np.ndarray) -> float:
+    """max |dense - closed|, ``closed`` zero-padded to ``dense``'s shape."""
+    pad = [(0, n - m) for n, m in zip(dense.shape, closed.shape)]
+    return float(np.abs(dense - np.pad(closed, pad)).max())
+
+
+def closed_form_gaps(pipe: PreparedPipeline, oracle=None) -> dict[str, float]:
+    """Largest |closed form - dense circuit| per quantity ``pipe`` keeps, by attribute name,
+    against ``oracle`` (by default ``dense_oracle`` on ``prepare_data_state(pipe.fm)``). The
+    weights are compared through the padded mean phase-0 slice and variance rho_col."""
+    if oracle is None:
+        oracle = dense_oracle(prepare_data_state(pipe.fm), pipe.constants)
+    _, _, ((mean, p1), (variance, p2)) = oracle
+    dims = (-1, mean.register("col").dim, mean.register("row").dim)
+    mean0, variance0 = (sv.amplitudes.reshape(dims)[0] for sv in (mean, variance))
+    rho = partial_trace(variance, "col")
+    leakages = [1.0 - np.vdot(s, s).real for s in (mean0, variance0)]
+    return {
+        "mean_weights": _padded_gap(mean0, (pipe.fm.v * pipe.mean_weights) @ pipe.fm.u.T),
+        "variance_weights": _padded_gap(rho, (pipe.fm.v * pipe.variance_weights) @ pipe.fm.v.T),
+        "p1": abs(pipe.p1 - p1),
+        "p2": abs(pipe.p2 - p2),
+        "uncompute_leakage_mean": abs(pipe.uncompute_leakage_mean - leakages[0]),
+        "uncompute_leakage_variance": abs(pipe.uncompute_leakage_variance - leakages[1]),
+    }
+
+
+def encoding_gap(fm: FeatureModel) -> float:
+    """Largest |encoding circuit amplitude - zero-padded design.T / frobenius_norm|."""
+    sv = prepare_data_state(fm)
+    shape = (sv.register("col").dim, sv.register("row").dim)
+    return _padded_gap(sv.amplitudes.reshape(shape), fm.design.T / fm.frobenius_norm)

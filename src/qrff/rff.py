@@ -22,10 +22,9 @@ RANK_CUTOFF = 1e-12
 
 @dataclass(frozen=True)
 class FrequencySet:
-    """Spectral frequencies, shape (M, d), plus the seed that regenerates them."""
+    """Spectral frequencies, shape (M, d)."""
 
     frequencies: np.ndarray
-    seed: int
 
     def __post_init__(self):
         freq = np.atleast_2d(np.asarray(self.frequencies, dtype=float))
@@ -83,7 +82,7 @@ def sample_frequencies(M: int, h: KernelHyper, d: int, seed: int) -> FrequencySe
     rng = np.random.default_rng(seed)
     scale = 1.0 / (2.0 * np.pi * h.length_scale)
     freq = rng.normal(0.0, scale, size=(M, d))
-    return FrequencySet(frequencies=freq, seed=seed)
+    return FrequencySet(frequencies=freq)
 
 
 def feature_map(x, freq: FrequencySet) -> np.ndarray:
@@ -114,10 +113,14 @@ def build_feature_model(ds: Dataset, freq: FrequencySet, h: KernelHyper) -> Feat
     if ds.dim != freq.dim:
         raise ConfigError(f"dataset dimension {ds.dim} != frequency dimension {freq.dim}")
     X = scaled_feature_vector(ds.inputs, freq, h)
-    fro = float(np.linalg.norm(X))
-    if fro == 0.0:
-        # unreachable for cos-leading features; guards future kernels
-        raise ValueError("design matrix is identically zero")
+    with np.errstate(over="ignore"):  # an overflowing sum of squares gives inf, refused below
+        fro = float(np.linalg.norm(X))
+    # it underflows to 0 for signal_std near 2.3e-162, overflows from ~1.34e154 / sqrt(N)
+    if not 0.0 < fro * fro < np.inf:
+        raise ConfigError(
+            f"the design's Frobenius norm {fro} has no positive finite square; "
+            "signal_std is too small or too large for this dataset"
+        )
     u, s, vt = np.linalg.svd(X, full_matrices=False)
     rank = int(np.sum(s > RANK_CUTOFF * s[0]))
     return FeatureModel(
@@ -162,9 +165,7 @@ def rff_posterior(fm: FeatureModel, y, xs, h: KernelHyper) -> Posterior:
     """
     y = _as_targets(y, fm)
     if h.noise_std == 0.0 and fm.rank < fm.design.shape[1]:
-        raise np.linalg.LinAlgError(
-            "rank-deficient design with zero noise_std: posterior is singular"
-        )
+        raise ConfigError("rank-deficient design with zero noise_std: posterior is singular")
     phi_star = scaled_feature_vector(_as_points(xs, fm.freq.dim), fm.freq, h)
     lam = fm.singular_values
     denom = lam**2 + h.noise_std**2

@@ -2,9 +2,9 @@
 
 Each key gets a fixed list of values for its type, written as a one-key JSON
 config, and each config runs through ``qrff.cli.main`` in-process for
-``fit-exact`` and ``compare``. A run passes when it returns 0, 2, 3, 4 or 5,
-lets no exception escape, and writes at most one line to stderr (Python
-warnings and the package's log records included).
+``fit-exact``, ``fit-rff``, ``run-quantum`` and ``compare``. A run passes when
+it returns 0, 2, 3, 4 or 5, lets no exception escape, and writes at most one
+line to stderr (Python warnings and the package's log records included).
 
 Run from the repository root::
 
@@ -28,7 +28,7 @@ from dataclasses import fields
 
 from qrff.cli import RunConfig, main
 
-COMMANDS = ("fit-exact", "compare")
+COMMANDS = ("fit-exact", "fit-rff", "run-quantum", "compare")
 EXIT_CODES = {0, 2, 3, 4, 5}
 
 #: an integer beyond every double: 1 and 400 zeros
@@ -37,8 +37,8 @@ BEYOND_DOUBLES = "1" + "0" * 400
 VALUES = {
     "int": ["0", "-1", str(2**59), str(2**63), str(10**20), BEYOND_DOUBLES]
     + ["1.5", "true", '"7"', "null"],
-    "float": ["0", "-1", "1e-300", "1e300", "1e308", "-1e308", BEYOND_DOUBLES]
-    + ["-" + BEYOND_DOUBLES, '"x"', "true", "null"],
+    "float": ["0", "-1", "1e-300", "2.3e-162", "1e-158", "1.3e154", "1e300", "1e308"]
+    + ["-1e308", BEYOND_DOUBLES, "-" + BEYOND_DOUBLES, '"x"', "true", "null"],
     "str": ["5", '""', '"bogus"', "null"],
 }
 

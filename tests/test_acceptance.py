@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from qrff import qsim
-from qrff.cli import RunConfig, emit_outputs, run_experiment
+from qrff.cli import RunConfig, _run_stages, emit_outputs
 from qrff.errors import ConfigError
 from qrff.kernel import Dataset, KernelHyper, exact_posterior
 from qrff.pipeline import InversionConstants, PreparedPipeline
@@ -47,16 +47,15 @@ def x_gate(qubit):
 def paper_exact_report(paper_config):
     """The reference comparison in exact-amplitude mode, with its wall time."""
     t0 = time.perf_counter()
-    report = run_experiment(paper_config)
+    columns, summary = _run_stages(paper_config, "compare")
     elapsed = time.perf_counter() - t0
-    return report, elapsed
+    return columns, summary, elapsed
 
 
 def test_criterion_1_mean_oracle_equivalence(paper_exact_report):
-    report, elapsed = paper_exact_report
-    col = report.columns
+    col, summary, elapsed = paper_exact_report
     gaps = np.abs(col["mean_qrff"] - col["mean_rff"])
-    rmse = report.summary["rmse_mean_qrff_vs_rff"]
+    rmse = summary["rmse_mean_qrff_vs_rff"]
     assert len(col["x"]) == 50
     assert gaps.max() <= 0.05
     assert rmse <= 0.02
@@ -68,10 +67,10 @@ def test_criterion_1_mean_oracle_equivalence(paper_exact_report):
 
 
 def test_criterion_2_variance_oracle_equivalence(paper_exact_report):
-    report, _ = paper_exact_report
-    gaps = np.abs(report.columns["var_qrff"] - report.columns["var_rff"])
+    col, _, _ = paper_exact_report
+    gaps = np.abs(col["var_qrff"] - col["var_rff"])
     assert gaps.max() <= 0.05
-    assert np.all(report.columns["var_qrff"] >= 0.0)
+    assert np.all(col["var_qrff"] >= 0.0)
     print(
         f"\nPASS criterion 2: max |var_qrff - var_rff| = {gaps.max():.2e} (<= 0.05), "
         "all variances nonnegative"
@@ -286,8 +285,7 @@ def test_criterion_9_byte_identical_outputs(tmp_path):
         blobs = []
         for run in range(2):
             cfg = RunConfig(**base, mode=mode, out_dir=str(tmp_path / f"{mode}{run}"))
-            report = run_experiment(cfg)
-            emit_outputs(report, cfg)
+            emit_outputs(*_run_stages(cfg, "compare"), cfg.out_dir)
             blobs.append((pathlib.Path(cfg.out_dir) / "results.csv").read_bytes())
         assert blobs[0] == blobs[1], f"{mode} mode CSVs differ between identical runs"
     print("\nPASS criterion 9: byte-identical CSVs across repeated runs in both modes")

@@ -19,7 +19,6 @@ from qrff.cli import (
     generate_dataset,
     load_config,
     main,
-    run_experiment,
 )
 from qrff.errors import CapacityError, ConfigError
 from qrff.pipeline import PreparedPipeline
@@ -42,8 +41,14 @@ _BAD_INPUTS = {
     "grid-span-overflows": ('{"grid_lo": -1e308, "grid_hi": 1e308}', ["ConfigError"] * 4),
     "one-noiseless-point": (
         '{"n_points": 1, "noise_std": 0}',
-        [None, "LinAlgError", "ConfigError", "LinAlgError"],
+        [None, "ConfigError", "ConfigError", "ConfigError"],
     ),
+    # the design's Frobenius norm underflows to 0, though signal_std's square does not
+    "signal-std-2.3e-162": ('{"signal_std": 2.3e-162}', [None] + ["ConfigError"] * 3),
+    # noise_std**2 / frobenius_norm**2 overflows
+    "signal-std-1e-158": ('{"signal_std": 1e-158}', [None, None, "ConfigError", "ConfigError"]),
+    # the targets' norm overflows
+    "noise-std-1.3e154": ('{"noise_std": 1.3e154}', [None, None, "ConfigError", "ConfigError"]),
     # beyond every double
     "signal-std-int-1e400": (f'{{"signal_std": {_ten_to(400)}}}', ["ConfigError"] * 4),
     "grid-lo-int-minus-1e400": (f'{{"grid_lo": -{_ten_to(400)}}}', ["ConfigError"] * 4),
@@ -123,6 +128,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="bogus"):
             load_config(None, {"bogus": 1})
 
+    def test_unknown_keys_are_shown_cut_and_counted(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"k" * 100_000: 1}))
+        assert main(["fit-rff", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: unknown config keys: ['kkk")
+        assert err.count("\n") == 1 and len(err.encode()) < 300
+        with pytest.raises(ConfigError, match=r"\['a', 'b', 'c'\] and 2 more$"):
+            load_config(None, {key: 1 for key in "edcba"})
+
     @pytest.mark.parametrize("key", ["n_points", "n_frequencies", "grid_count"])
     def test_sizes_are_below_2_to_the_59(self, key):
         with pytest.raises(CapacityError, match=key):
@@ -167,14 +182,13 @@ class TestGenerateDataset:
 class TestRunExperiment:
     def test_small_run_consistency(self, tmp_path):
         cfg = RunConfig(**SMALL, out_dir=str(tmp_path / "o"))
-        report = run_experiment(cfg)
-        assert len(report.columns["x"]) == cfg.grid_count
-        assert report.summary["rmse_mean_qrff_vs_rff"] >= 0
+        col, summary = cli._run_stages(cfg, "compare")
+        assert len(col["x"]) == cfg.grid_count
+        assert summary["rmse_mean_qrff_vs_rff"] >= 0
         # orchestration self-consistency: the rff column reproduces the oracle
         ds = generate_dataset(cfg)
         freq = sample_frequencies(cfg.n_frequencies, cfg.hyper, 1, cfg.seed_freq)
         fm = build_feature_model(ds, freq, cfg.hyper)
-        col = report.columns
         post = rff_posterior(fm, ds.targets, col["x"], cfg.hyper)
         for i in range(cfg.grid_count):
             assert col["mean_rff"][i] == pytest.approx(post.mean[i], abs=1e-8)
@@ -182,39 +196,40 @@ class TestRunExperiment:
 
     def test_degenerate_single_point(self):
         cfg = RunConfig(n_points=1, n_frequencies=1, tau=6, grid_count=3, seed_freq=2)
-        report = run_experiment(cfg)
-        assert len(report.columns["x"]) == 3
-        assert np.isfinite(report.columns["mean_qrff"]).all()
+        columns, _ = cli._run_stages(cfg, "compare")
+        assert len(columns["x"]) == 3
+        assert np.isfinite(columns["mean_qrff"]).all()
 
     def test_setup_width_is_the_whole_qubit_budget(self, monkeypatch):
         # min(4 row, 2 col) + 11 phase = 13: the phase table fits the cap
         # exactly, and nothing after it may need a wider state
         monkeypatch.setattr(errors, "MAX_QUBITS", 13)
-        report = run_experiment(RunConfig(n_points=16, n_frequencies=2, tau=11, grid_count=3))
-        assert np.isfinite(report.columns["var_qrff"]).all()
+        cfg = RunConfig(n_points=16, n_frequencies=2, tau=11, grid_count=3)
+        columns, _ = cli._run_stages(cfg, "compare")
+        assert np.isfinite(columns["var_qrff"]).all()
 
 
 class TestEmitOutputs:
     def test_file_shapes_and_reemission(self, tmp_path):
         cfg = RunConfig(**SMALL, out_dir=str(tmp_path / "out"))
-        report = run_experiment(cfg)
-        paths = emit_outputs(report, cfg)
+        columns, summary = cli._run_stages(cfg, "compare")
+        paths = emit_outputs(columns, summary, cfg.out_dir)
         csv_path = pathlib.Path(paths[0])
         lines = csv_path.read_bytes().split(b"\n")
         assert lines[0] == b"x,mean_exact,var_exact,mean_rff,var_rff,mean_qrff,var_qrff,p1,p2"
         assert len([ln for ln in lines if ln]) == 1 + cfg.grid_count
         before = [pathlib.Path(p).read_bytes() for p in paths]
-        emit_outputs(report, cfg)
+        emit_outputs(columns, summary, cfg.out_dir)
         after = [pathlib.Path(p).read_bytes() for p in paths]
         assert before == after
 
     def test_nine_significant_digits(self, tmp_path):
         cfg = RunConfig(**SMALL, out_dir=str(tmp_path / "out"))
-        report = run_experiment(cfg)
-        emit_outputs(report, cfg)
+        columns, summary = cli._run_stages(cfg, "compare")
+        emit_outputs(columns, summary, cfg.out_dir)
         line = (pathlib.Path(cfg.out_dir) / "results.csv").read_text().splitlines()[1]
         first = line.split(",")[1]
-        assert first == format(report.columns["mean_exact"][0], ".9g")
+        assert first == format(columns["mean_exact"][0], ".9g")
 
     @pytest.mark.parametrize(
         "command, header",
@@ -241,8 +256,7 @@ class TestEmitOutputs:
 
     def test_summary_key_value_lines(self, tmp_path):
         cfg = RunConfig(**SMALL, out_dir=str(tmp_path / "out"))
-        report = run_experiment(cfg)
-        emit_outputs(report, cfg)
+        emit_outputs(*cli._run_stages(cfg, "compare"), cfg.out_dir)
         text = (pathlib.Path(cfg.out_dir) / "summary.txt").read_text()
         assert text.endswith("\n")
         for line in text.splitlines():
@@ -251,7 +265,7 @@ class TestEmitOutputs:
 
     def test_summary_reports_uncompute_leakage(self, tmp_path):
         cfg = RunConfig(**SMALL, out_dir=str(tmp_path / "out"))
-        emit_outputs(run_experiment(cfg), cfg)
+        emit_outputs(*cli._run_stages(cfg, "compare"), cfg.out_dir)
         summary = dict(
             line.split(" = ")
             for line in (pathlib.Path(cfg.out_dir) / "summary.txt").read_text().splitlines()
@@ -360,6 +374,7 @@ class TestMainExitCodes:
             ("compare", [], {"noise_std": 0.0, "n_points": 1}),
             ("run-quantum", ["--mode", "sampled", "--shots", "100000000000000000000"], None),
             ("run-quantum", [], {"mode": "sampled", "shots": 2**63}),
+            ("run-quantum", ["--mode", "banana"], None),
         ],
         ids=[
             "negative-seed-data",
@@ -375,6 +390,7 @@ class TestMainExitCodes:
             "singular-rff-posterior",
             "overflowing-shots-flag",
             "overflowing-shots-json",
+            "unknown-mode-flag",
         ],
     )
     def test_bad_values_exit_2(self, tmp_path, capsys, command, flags, config):
@@ -494,7 +510,7 @@ class TestMainExitCodes:
         assert code == 2
         assert "jitter" in caplog.text
         err = capsys.readouterr().err
-        assert err.startswith("error: LinAlgError: ") and err.count("\n") == 1
+        assert err.startswith("error: ConfigError: ") and err.count("\n") == 1
         assert "singular even after jitter" in err
 
     def test_largest_shot_count_runs(self, tmp_path):
@@ -554,7 +570,7 @@ class TestDeterminism:
                     shots=2000,
                     out_dir=str(tmp_path / f"{mode}{run}"),
                 )
-                emit_outputs(run_experiment(cfg), cfg)
+                emit_outputs(*cli._run_stages(cfg, "compare"), cfg.out_dir)
                 outs.append(
                     (pathlib.Path(cfg.out_dir) / "results.csv").read_bytes()
                 )
@@ -564,7 +580,7 @@ class TestDeterminism:
     def test_paper_config_matches_its_golden_csv(self, tmp_path, mode):
         # the bytes `qrff compare` wrote on the default config, frozen in tests/data
         cfg = RunConfig(mode=mode, out_dir=str(tmp_path))
-        emit_outputs(run_experiment(cfg), cfg)
+        emit_outputs(*cli._run_stages(cfg, "compare"), cfg.out_dir)
         golden = pathlib.Path(__file__).parent / "data" / f"compare_{mode}_results.csv"
         assert (tmp_path / "results.csv").read_bytes() == golden.read_bytes()
 

@@ -12,7 +12,8 @@ exact-mode means and variances equal to the binned spectral-sum oracle and,
 to 1e-12, to the dense circuits' readout.
 
 Every library input check raises ``ConfigError``, which ``except ValueError``
-also catches; the two internal invariants stay plain ``ValueError``s.
+also catches; the one internal invariant, a non-negative posterior variance,
+stays a plain ``ValueError``.
 
 The sampled-mode test draws the same kind of designs with 1 to 64 shots and
 one shot seed: each is refused, or gives accepted shots in [1, shots],
@@ -75,7 +76,7 @@ def test_pipeline_refuses_or_matches_binned_oracle(
     fm = build_feature_model(ds, sample_frequencies(m_freq, h, 1, seed_freq), h)
     delta_r = headroom * float(fm.normalized_singular_values[0] ** 2)
     state = prepare_data_state(fm)
-    assert_encodes_design(state, fm)
+    assert_encodes_design(fm)
     pipe, refused = _outcome(lambda: PreparedPipeline(fm, h, tau, delta_r))
     oracle, dense_refused = _outcome(
         lambda: dense_oracle(
@@ -140,6 +141,12 @@ def test_sampled_mode_with_few_shots(xs, m_freq, tau, shots, seed_freq, seed):
     assert np.array_equal(readout["variance_accepted"], readout2["variance_accepted"])
 
 
+def _fm_at_0(pipe, signal_std: float):
+    """The feature model of two points at 0 under ``pipe``'s frequencies."""
+    h = KernelHyper(signal_std, 1.0, 0.1)
+    return build_feature_model(Dataset(np.zeros((2, 1)), np.ones(2)), pipe.fm.freq, h)
+
+
 #: each input check in kernel, rff and pipeline, called on the paper pipeline
 INPUT_CHECKS = {
     "signal-std-not-positive": lambda pipe: KernelHyper(0.0, 1.0, 0.1),
@@ -150,8 +157,8 @@ INPUT_CHECKS = {
     "dataset-non-finite": lambda pipe: Dataset(np.array([[np.nan]]), np.zeros(1)),
     "grid-shape": lambda pipe: _as_points(np.zeros((2, 3)), 1),
     "grid-non-finite": lambda pipe: _as_points([np.inf], 1),
-    "no-frequencies": lambda pipe: FrequencySet(np.zeros((0, 1)), 0),
-    "frequencies-non-finite": lambda pipe: FrequencySet(np.array([[np.nan]]), 0),
+    "no-frequencies": lambda pipe: FrequencySet(np.zeros((0, 1))),
+    "frequencies-non-finite": lambda pipe: FrequencySet(np.array([[np.nan]])),
     "sample-no-frequencies": lambda pipe: sample_frequencies(0, pipe.hyper, 1, 0),
     "sample-no-dimensions": lambda pipe: sample_frequencies(2, pipe.hyper, 0, 0),
     "feature-point-shape": lambda pipe: feature_map(np.zeros((2, 2)), pipe.fm.freq),
@@ -161,6 +168,11 @@ INPUT_CHECKS = {
     ),
     "target-length": lambda pipe: _as_targets(np.ones(3), pipe.fm),
     "all-zero-targets": lambda pipe: pipe.posterior(np.zeros(pipe.fm.design.shape[0]), [1.0]),
+    "design-norm-underflows": lambda pipe: _fm_at_0(pipe, 2.3e-162),
+    "sigma-tilde-overflows": lambda pipe: PreparedPipeline(_fm_at_0(pipe, 1e-158), pipe.hyper, 6),
+    "targets-norm-overflows": lambda pipe: pipe.posterior(
+        np.full(pipe.fm.design.shape[0], 1e154), [1.0]
+    ),
 }
 
 

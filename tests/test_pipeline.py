@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import json
 import os
 import pathlib
@@ -55,13 +56,6 @@ def resolved_small_model(tau, n_points=4, m_freq=2, seed_data=3, seed_freq=5, no
     raise AssertionError("no resolvable design found")
 
 
-def vectorized_design(fm: FeatureModel, sv) -> np.ndarray:
-    """Column-major vectorization of the zero-padded design over (col, row)."""
-    padded = np.zeros((sv.register("col").dim, sv.register("row").dim))
-    padded[: fm.design.shape[1], : fm.design.shape[0]] = fm.design.T
-    return padded.ravel() / fm.frobenius_norm
-
-
 class TestEncoding:
     def test_single_point_zero_phase(self):
         h = KernelHyper(1.0, 1.0, 0.1)
@@ -78,7 +72,7 @@ class TestEncoding:
     def test_single_point_third_pi_phase(self):
         # frequency and input chosen so the feature phase is exactly pi/3
         h = KernelHyper(1.0, 1.0, 0.1)
-        freq = FrequencySet(frequencies=np.array([[1.0 / 6.0]]), seed=0)
+        freq = FrequencySet(frequencies=np.array([[1.0 / 6.0]]))
         ds = Dataset(np.array([[1.0]]), np.array([0.3]))
         fm = build_feature_model(ds, freq, h)
         sv = prepare_data_state(fm)
@@ -88,10 +82,7 @@ class TestEncoding:
     @pytest.mark.parametrize("seed", range(5))
     def test_two_by_two_matches_vectorization(self, seed):
         h, ds, fm = small_model(n_points=2, m_freq=2, seed_data=seed, seed_freq=seed + 9)
-        sv = prepare_data_state(fm)
-        target = vectorized_design(fm, sv)
-        fidelity = abs(np.vdot(target, sv.amplitudes)) ** 2
-        assert fidelity >= 1 - 1e-10
+        assert_encodes_design(fm)
 
     def test_schedule_enumerates_all_pairs(self, paper_feature_model):
         sv = prepare_data_state(paper_feature_model)
@@ -392,7 +383,7 @@ class TestPosteriorEstimates:
     def test_orthogonal_query_leaves_null_space_variance(self):
         # engineered so the query features are exactly orthogonal to the design
         h = KernelHyper(1.5, 1.0, 0.1)
-        freq = FrequencySet(frequencies=np.array([[0.25]]), seed=0)
+        freq = FrequencySet(frequencies=np.array([[0.25]]))
         ds = Dataset(np.array([[0.0]]), np.array([0.5]))
         fm = build_feature_model(ds, freq, h)
         pipe = PreparedPipeline(fm, h, tau=5, delta_r=2.0)
@@ -504,7 +495,7 @@ def _oracle_designs():
     ds = Dataset(np.array([[0.3]]), np.array([0.7]))
     fm = build_feature_model(ds, sample_frequencies(2, h, 1, 2), h)
     designs.append((h, ds, fm, 6, 2.0, np.array([0.0, 1.1, 4.0])))
-    freq = FrequencySet(frequencies=np.array([[0.25]]), seed=0)
+    freq = FrequencySet(frequencies=np.array([[0.25]]))
     ds = Dataset(np.array([[0.0]]), np.array([0.5]))
     fm = build_feature_model(ds, freq, h)
     designs.append((h, ds, fm, 5, 2.0, np.array([1.0, 0.4])))
@@ -590,7 +581,7 @@ class TestSchmidtRowsMatchDense:
     state against the scaled design."""
 
     def test_paper_config(self, paper_pipeline, paper_oracle, paper_dataset, grid50):
-        assert_encodes_design(prepare_data_state(paper_pipeline.fm), paper_pipeline.fm)
+        assert_encodes_design(paper_pipeline.fm)
         # the pipeline holds no encoded state
         assert not any(isinstance(v, qsim.Statevector) for v in vars(paper_pipeline).values())
         assert paper_pipeline.mean_weights.shape == (paper_pipeline.fm.rank,)
@@ -603,10 +594,22 @@ class TestSchmidtRowsMatchDense:
     @pytest.mark.parametrize("design", range(5))
     def test_small_designs(self, design):
         h, ds, fm, tau = _schmidt_designs()[design]
-        assert_encodes_design(prepare_data_state(fm), fm)
+        assert_encodes_design(fm)
         pipe = PreparedPipeline(fm, h, tau)
         assert pipe.mean_weights.shape == (fm.rank,)
         assert_matches_dense(pipe, ds.targets, np.linspace(0.0, 6.0, 7))
+
+    @pytest.mark.parametrize(
+        "name",
+        ["mean_weights", "variance_weights", "p1", "p2"]
+        + ["uncompute_leakage_mean", "uncompute_leakage_variance"],
+    )
+    def test_gaps_see_each_perturbed_quantity(self, paper_pipeline, paper_oracle, name):
+        pipe = copy.copy(paper_pipeline)
+        setattr(pipe, name, getattr(pipe, name) + 1e-9)
+        gaps = qsim.closed_form_gaps(pipe, paper_oracle)
+        assert gaps[name] > 1e-12
+        assert all(gap <= 1e-12 for key, gap in gaps.items() if key != name)
 
 
 class TestCapacityPlan:

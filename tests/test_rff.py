@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from qrff.errors import ConfigError
 from qrff.kernel import Dataset, KernelHyper
 from qrff.rff import (
     FrequencySet,
@@ -94,7 +95,7 @@ class TestFeatureModel:
 
     def test_interleaved_cos_sin_layout(self, paper_hyper):
         # column 2r holds cos, 2r+1 holds sin of the same phase
-        freq = FrequencySet(frequencies=np.array([[0.25]]), seed=0)
+        freq = FrequencySet(frequencies=np.array([[0.25]]))
         ds = Dataset(np.array([[1.0]]), np.array([0.0]))
         fm = build_feature_model(ds, freq, paper_hyper)
         phase = 2 * np.pi * 0.25 * 1.0
@@ -159,5 +160,5 @@ class TestRffPosterior:
         h = KernelHyper(1.5, 1.0, 0.0)
         freq = sample_frequencies(32, h, 1, seed=0)  # 64 features > 16 rows
         fm = build_feature_model(paper_dataset, freq, h)
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(ConfigError, match="posterior is singular"):
             rff_posterior(fm, paper_dataset.targets, [1.0], h)
