@@ -12,9 +12,9 @@ from .kernel import (
     exact_posterior,
 )
 from .pipeline import (
-    InversionConstants,
     PreparedPipeline,
     phase_table,
+    spectral_setup,
 )
 from .rff import (
     FeatureModel,
@@ -32,7 +32,6 @@ __all__ = [
     "Dataset",
     "FeatureModel",
     "FrequencySet",
-    "InversionConstants",
     "IoError",
     "KernelHyper",
     "Posterior",
@@ -46,4 +45,5 @@ __all__ = [
     "rff_posterior",
     "sample_frequencies",
     "scaled_feature_vector",
+    "spectral_setup",
 ]

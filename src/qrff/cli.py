@@ -36,7 +36,7 @@ from numpy.random import default_rng
 from . import __version__
 from .errors import CapacityError, ConfigError, IoError, QrffError
 from .kernel import Dataset, KernelHyper, exact_posterior
-from .pipeline import PreparedPipeline
+from .pipeline import PreparedPipeline, target_norm
 from .rff import build_feature_model, rff_posterior, sample_frequencies
 
 
@@ -193,9 +193,10 @@ def _run_stages(cfg: RunConfig, command: str) -> tuple[dict[str, np.ndarray], di
         timings["feature_model"] = time.perf_counter() - t0
 
     if "quantum" in stages:
-        # a config the pipeline refuses is refused before the exact baseline's solve
+        # a config the pipeline or its targets refuse is refused before the exact solve
         t0 = time.perf_counter()
         pipe = PreparedPipeline(fm, h, cfg.tau, cfg.delta_r)
+        target_norm(ds.targets)
         timings["quantum_setup"] = time.perf_counter() - t0
 
     if "exact" in stages:

@@ -14,9 +14,10 @@ The encoded amplitudes are design.T / frobenius_norm, so their Schmidt basis
 is the feature model's SVD, and everything after the encoding is
 block-diagonal in it. This module evaluates those steps exactly there, from
 the QPE outcome distribution per eigenvalue (``phase_table``), and builds no
-state or gate; ``qsim.prepare_data_state`` and ``qsim.dense_oracle`` run the
-same steps as circuits for the tests. Its two width checks read
-``errors.MAX_QUBITS``.
+state or gate; ``spectral_setup`` is that evaluation, one pure function of
+the spectrum. ``qsim.prepare_data_state`` and ``qsim.dense_oracle``, on
+``spectral_setup``'s rotation profiles, run the same steps as circuits for
+the tests. ``PreparedPipeline``'s two width checks read ``errors.MAX_QUBITS``.
 
 All amplitudes are normalized by the design's Frobenius norm, so classical
 scale recovery multiplies estimated overlaps back by the Frobenius norm, the
@@ -28,8 +29,6 @@ posterior evaluated with bin-discretized eigenvalues. Both read the same
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import errors
@@ -39,78 +38,6 @@ from .rff import FeatureModel, _as_targets, scaled_feature_vector, spectral_sums
 
 #: default headroom of the phase-window parameter over the top squared singular value
 DELTA_R_HEADROOM = 1.05
-
-
-@dataclass(frozen=True)
-class InversionConstants:
-    """Bounds and scale factors for the eigenvalue-conditioned rotations.
-
-    ``c1 / (lam^2 + sigma^2)`` and ``c2 / (lam * sqrt(lam^2 + sigma^2))`` stay
-    within [0, 1] for every retained bin-decoded eigenvalue; both constants
-    cancel out of the recovered posterior, so only boundedness matters.
-    """
-
-    c1: float
-    c2: float
-    sigma_tilde_sq: float
-    delta_r: float
-    tau: int
-    bins: tuple[int, ...]
-
-    @classmethod
-    def from_feature_model(
-        cls, fm: FeatureModel, noise_std: float, delta_r: float, tau: int
-    ) -> InversionConstants:
-        lam_t2 = fm.normalized_singular_values**2
-        if delta_r <= lam_t2[0]:
-            raise ConfigError(
-                f"delta_r={delta_r:.6g} must exceed the top squared normalized "
-                f"singular value {lam_t2[0]:.6g} (phase wraparound)"
-            )
-        st2 = noise_std**2 / fm.frobenius_norm**2
-        if not st2 < np.inf:
-            raise ConfigError(
-                f"noise_std**2 / frobenius_norm**2 overflows a double (noise_std {noise_std}, "
-                f"design norm {fm.frobenius_norm}); signal_std is too small for this noise_std"
-            )
-        bins = np.round(lam_t2 / delta_r * (1 << tau)).astype(int)
-        # bin 2^tau wraps: the tau-qubit phase register reads it as bin 0
-        if (bins % (1 << tau) == 0).any():
-            raise ConfigError(
-                "a retained singular value decodes to eigenvalue bin 0 "
-                f"(or rounds up to 2^tau = {1 << tau}, which wraps to 0); "
-                "increase tau or change delta_r"
-            )
-        lam_hat2 = bins * delta_r / (1 << tau)
-        c1 = float(np.min(lam_hat2 + st2))
-        c2 = float(np.min(np.sqrt(lam_hat2) * np.sqrt(lam_hat2 + st2)))
-        return cls(
-            c1=c1,
-            c2=c2,
-            sigma_tilde_sq=st2,
-            delta_r=delta_r,
-            tau=tau,
-            bins=tuple(int(b) for b in bins),
-        )
-
-    def mean_rotation_profile(self) -> np.ndarray:
-        """Flag-qubit |1> amplitude per phase-register value (mean branch)."""
-        return self._rotation_profile(lambda lam2: self.c1 / (lam2 + self.sigma_tilde_sq))
-
-    def variance_rotation_profile(self) -> np.ndarray:
-        """Flag-qubit |1> amplitude per phase-register value (variance branch)."""
-        return self._rotation_profile(
-            lambda lam2: self.c2 / np.sqrt(lam2 * (lam2 + self.sigma_tilde_sq))
-        )
-
-    def _rotation_profile(self, amplitude) -> np.ndarray:
-        """``min(1, amplitude(lam_hat^2))`` over the decoded bins, 0 at bin 0."""
-        lam_hat2 = np.arange(1 << self.tau) * self.delta_r / (1 << self.tau)
-        # inf at bin 0 (zeroed below) and where a tiny sigma~^2 overflows it: min(1, inf) = 1
-        with np.errstate(divide="ignore", over="ignore"):
-            prof = np.minimum(1.0, amplitude(lam_hat2))
-        prof[0] = 0.0  # below-resolution bins are excluded from the inversion
-        return prof
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +73,78 @@ def phase_table(theta: np.ndarray, tau: int) -> np.ndarray:
     on_bin = np.flatnonzero(num == 0)
     table[on_bin, nearest[on_bin].astype(int) % T] = 1.0
     return table
+
+
+def spectral_setup(s: np.ndarray, sigma_tilde_sq: float, delta_r: float, tau: int) -> dict:
+    """Phase estimation and both inversion branches in closed form, for the
+    normalized singular values ``s`` (descending); ``PreparedPipeline`` gives
+    the branch sums.
+
+    Refuses (ConfigError) s_0^2 >= delta_r (phase wraparound) and any s_k^2
+    whose bin round(s_k^2 / delta_r * 2^tau) reads as 0. With lam_hat^2 the
+    decoded eigenvalues, c1 = min(lam_hat^2 + sigma~^2) and c2 =
+    min(lam_hat sqrt(lam_hat^2 + sigma~^2)) keep both ``profiles``, the flag
+    qubit's |1> amplitude per phase-register value, within [0, 1]: min(1, c1 /
+    (lam^2 + sigma~^2)) for the mean and min(1, c2 / (lam sqrt(lam^2 +
+    sigma~^2))) for the variance, 0 at bin 0. Both constants cancel out of the
+    recovered posterior. Returns them with p1 and p2 (clamped to 1), the two
+    weight vectors and the two un-compute leakages, keyed by the names of
+    ``PreparedPipeline``'s attributes.
+    """
+    s2 = s**2
+    if delta_r <= s2[0]:
+        raise ConfigError(
+            f"delta_r={delta_r:.6g} must exceed the top squared normalized "
+            f"singular value {s2[0]:.6g} (phase wraparound)"
+        )
+    bins = np.round(s2 / delta_r * (1 << tau)).astype(int)
+    # bin 2^tau wraps: the tau-qubit phase register reads it as bin 0
+    if (bins % (1 << tau) == 0).any():
+        raise ConfigError(
+            "a retained singular value decodes to eigenvalue bin 0 "
+            f"(or rounds up to 2^tau = {1 << tau}, which wraps to 0); "
+            "increase tau or change delta_r"
+        )
+    lam_hat2 = bins * delta_r / (1 << tau)
+    c1 = float(np.min(lam_hat2 + sigma_tilde_sq))
+    c2 = float(np.min(np.sqrt(lam_hat2) * np.sqrt(lam_hat2 + sigma_tilde_sq)))
+    lam2 = np.arange(1 << tau) * delta_r / (1 << tau)
+    # inf at bin 0 (zeroed below) and where a tiny sigma~^2 overflows it: min(1, inf) = 1
+    with np.errstate(divide="ignore", over="ignore"):
+        profiles = (
+            np.minimum(1.0, c1 / (lam2 + sigma_tilde_sq)),
+            np.minimum(1.0, c2 / np.sqrt(lam2 * (lam2 + sigma_tilde_sq))),
+        )
+    for prof in profiles:
+        prof[0] = 0.0  # below-resolution bins are excluded from the inversion
+    table = phase_table(s2 / delta_r, tau)
+    (c_mean, g_mean), (c_var, g_var) = ((table @ prof, table @ prof**2) for prof in profiles)
+    p1, p2 = float(s2 @ g_mean), float(s2 @ g_var)
+    return {
+        "c1": c1,
+        "c2": c2,
+        "profiles": profiles,
+        "p1": min(p1, 1.0),
+        "p2": min(p2, 1.0),
+        # the mean branch's phase-0 slice is fm.v diag(mean_weights) fm.u^T
+        "mean_weights": s * c_mean / np.sqrt(p1),
+        # the variance branch's rho_col is fm.v diag(variance_weights) fm.v^T
+        "variance_weights": s2 * g_var / p2,
+        # 1 - phase-register mass at |0> after the inverse QPE, per branch
+        "uncompute_leakage_mean": 1.0 - float(s2 @ c_mean**2) / p1,
+        "uncompute_leakage_variance": 1.0 - float(s2 @ c_var**2) / p2,
+    }
+
+
+def target_norm(y: np.ndarray) -> float:
+    """|y|, the mean branch's target-state norm; ConfigError if it is 0 or overflows."""
+    with np.errstate(over="ignore"):  # an overflowing sum of squares gives inf
+        y_norm = float(np.linalg.norm(y))
+    if y_norm == 0:
+        raise ConfigError("targets must not be identically zero")
+    if y_norm == np.inf:
+        raise ConfigError("the targets' norm overflows a double; noise_std is too large")
+    return y_norm
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +186,13 @@ class PreparedPipeline:
     in all. Hence p = sum_k s_k^2 g_k, the mean branch's phase-0 slice
     W diag(mean_weights) Vh with mean_weights = s c / sqrt(p), the variance
     branch's rho_col W diag(variance_weights) W^T with variance_weights =
-    s^2 g / p, and the leakage 1 - sum_k s_k^2 c_k^2 / p; the pipeline keeps
-    only the two length-rank weight vectors. ``qsim.dense_oracle`` on
-    ``qsim.prepare_data_state(fm)`` is what these are tested against.
+    s^2 g / p, and the leakage 1 - sum_k s_k^2 c_k^2 / p. ``spectral_setup``
+    computes these, and the pipeline keeps its outputs as attributes of the
+    same names: only two length-rank weight vectors and scalars, besides the
+    profiles. ``qsim.dense_oracle`` on ``qsim.prepare_data_state(fm)`` is what
+    these are tested against. Before the setup the pipeline refuses a plan
+    over the width cap and a sigma~^2 that overflows; after it, a branch
+    accepted with probability below 1e-12.
 
     ``posterior`` answers a whole grid of G query points by reading the
     Hadamard- and SWAP-test probabilities in closed form: P(0) = 1/2 +
@@ -222,30 +225,20 @@ class PreparedPipeline:
                 f"the phase table holds 2^{min(row, col) + tau} entries "
                 f"(min(row, col) + tau), cap {errors.MAX_QUBITS}"
             )
-        ic = self.constants = InversionConstants.from_feature_model(
-            fm, h.noise_std, self.delta_r, tau
-        )
-        s = fm.normalized_singular_values
-        s2 = s**2
-        table = phase_table(s2 / self.delta_r, tau)
-        (c1, g1), (c2, g2) = (
-            (table @ prof, table @ prof**2)
-            for prof in (ic.mean_rotation_profile(), ic.variance_rotation_profile())
-        )
-        p1, p2 = float(s2 @ g1), float(s2 @ g2)
-        for branch, prob in (("mean", p1), ("variance", p2)):
+        sigma_tilde_sq = h.noise_std**2 / fm.frobenius_norm**2
+        if not sigma_tilde_sq < np.inf:
+            raise ConfigError(
+                f"noise_std**2 / frobenius_norm**2 overflows a double (noise_std {h.noise_std}, "
+                f"design norm {fm.frobenius_norm}); signal_std is too small for this noise_std"
+            )
+        setup = spectral_setup(fm.normalized_singular_values, sigma_tilde_sq, self.delta_r, tau)
+        for branch, prob in (("mean", setup["p1"]), ("variance", setup["p2"])):
             if prob < 1e-12:
                 raise PostSelectionError(
                     f"post-selection of the {branch} branch has probability {prob:.3e}"
                 )
-        #: the mean branch's phase-0 slice is fm.v diag(mean_weights) fm.u^T
-        self.mean_weights = s * c1 / np.sqrt(p1)
-        #: the variance branch's rho_col is fm.v diag(variance_weights) fm.v^T
-        self.variance_weights = s2 * g2 / p2
-        self.p1, self.p2 = min(p1, 1.0), min(p2, 1.0)
-        #: 1 - phase-register mass at |0> after the inverse QPE, per branch
-        self.uncompute_leakage_mean = 1.0 - float(s2 @ c1**2) / p1
-        self.uncompute_leakage_variance = 1.0 - float(s2 @ c2**2) / p2
+        # c1, c2, profiles, p1, p2, both weight vectors and both leakages
+        vars(self).update(setup)
 
     def posterior(self, y, xs, shots: int = 0, seed=None) -> tuple[Posterior, dict]:
         """Posterior means and variances over the grid ``xs``, and their readout.
@@ -261,12 +254,7 @@ class PreparedPipeline:
         """
         fm = self.fm
         y = _as_targets(y, fm)
-        with np.errstate(over="ignore"):  # an overflowing sum of squares gives inf
-            y_norm = float(np.linalg.norm(y))
-        if y_norm == 0:
-            raise ConfigError("targets must not be identically zero")
-        if y_norm == np.inf:
-            raise ConfigError("the targets' norm overflows a double; noise_std is too large")
+        y_norm = target_norm(y)
         phi = scaled_feature_vector(_as_points(xs, fm.freq.dim), fm.freq, self.hyper)
         phi_norm = np.linalg.norm(phi, axis=1)
         mean_sum, variance_sum, null_sq = spectral_sums(
@@ -284,9 +272,9 @@ class PreparedPipeline:
             variance_overlap, variance_accepted = _sampled_overlaps(
                 self.p2, 0.5 + 0.5 * exact_variance, shots, variance_seed
             )
-        ic, fro = self.constants, fm.frobenius_norm
-        mean_scale = np.sqrt(self.p1) / ic.c1 * phi_norm * y_norm / fro
-        spectral_scale = self.hyper.noise_std**2 * self.p2 / ic.c2**2 * phi_norm**2 / fro**2
+        fro = fm.frobenius_norm
+        mean_scale = np.sqrt(self.p1) / self.c1 * phi_norm * y_norm / fro
+        spectral_scale = self.hyper.noise_std**2 * self.p2 / self.c2**2 * phi_norm**2 / fro**2
 
         def variance(overlap):
             return spectral_scale * np.clip(overlap, 0.0, 1.0) + null_sq

@@ -4,7 +4,8 @@ Every gate is one uniformly controlled ``GateOp``, a stack of unitaries
 indexed by the control value, and ``apply_circuit`` applies a list of them,
 each by one batched matmul. The paper's encoding circuit
 (``prepare_data_state``) and its phase estimation, post-selection and
-un-compute (``dense_oracle``) are composed from these gates, and the Hadamard
+un-compute (``dense_oracle``, on the rotation profiles of
+``pipeline.spectral_setup``) are composed from these gates, and the Hadamard
 and SWAP tests read overlaps off one measured test qubit. ``closed_form_gaps``
 and ``encoding_gap`` hold ``pipeline.PreparedPipeline``'s closed form to them
 for the tests and ``qrff selftest``; the run path never imports this module.
@@ -31,7 +32,7 @@ from . import errors
 from .errors import CapacityError, PostSelectionError
 
 if TYPE_CHECKING:
-    from .pipeline import InversionConstants, PreparedPipeline
+    from .pipeline import PreparedPipeline
     from .rff import FeatureModel
 
 _UNITARY_TOL = 1e-10
@@ -502,15 +503,17 @@ def prepare_data_state(fm: FeatureModel) -> Statevector:
 
 
 def dense_oracle(
-    sv: Statevector, ic: InversionConstants
+    sv: Statevector, delta_r: float, tau: int, profiles: Sequence[np.ndarray]
 ) -> tuple[Statevector, list[GateOp], list[tuple[Statevector, float]]]:
     """The spectral steps as circuits on an encoded state: the test oracle.
 
     Phase-estimates exp(i * rho * t), t = 2 pi / delta_r, with rho the
-    ``col`` register's reduced state (``qpe_circuit``, ``qpe``); then per
-    branch post-selects on the rotation profile (``postselect``, the flag
-    qubit folded into per-bin weights) and un-computes the phase register
-    (``inverse_qpe``). Returns the post-QPE state, the QPE ops, and
+    ``col`` register's reduced state, into ``tau`` phase qubits
+    (``qpe_circuit``, ``qpe``); then per branch post-selects on its rotation
+    profile (``postselect``, the flag qubit folded into per-bin weights) and
+    un-computes the phase register (``inverse_qpe``). ``profiles`` are the
+    mean and variance branches' ``pipeline.spectral_setup(...)["profiles"]``.
+    Returns the post-QPE state, the QPE ops, and
     ``[(mean_state, p1), (variance_state, p2)]``.
 
     One SVD of the simulated amplitudes over (col, row), A = W diag(s) Vh,
@@ -523,11 +526,11 @@ def dense_oracle(
     # exp(+i*rho*t): eigenphases lam~^2/delta_r grow with the eigenvalue, so
     # the phase register decodes directly as lam_hat^2 = b * delta_r / 2^tau
     theta = np.zeros(col.dim)
-    theta[: s.size] = s**2 / ic.delta_r
-    circuit = qpe_circuit(sv, "col", basis, theta, ic.tau)
-    spectral = qpe(sv, circuit, ic.tau, phase_register="phase")
+    theta[: s.size] = s**2 / delta_r
+    circuit = qpe_circuit(sv, "col", basis, theta, tau)
+    spectral = qpe(sv, circuit, tau, phase_register="phase")
     branches = []
-    for profile in (ic.mean_rotation_profile(), ic.variance_rotation_profile()):
+    for profile in profiles:
         state, prob = postselect(spectral, "phase", profile)
         branches.append((inverse_qpe(state, circuit), prob))
     return spectral, circuit, branches
@@ -541,10 +544,11 @@ def _padded_gap(dense: np.ndarray, closed: np.ndarray) -> float:
 
 def closed_form_gaps(pipe: PreparedPipeline, oracle=None) -> dict[str, float]:
     """Largest |closed form - dense circuit| per quantity ``pipe`` keeps, by attribute name,
-    against ``oracle`` (by default ``dense_oracle`` on ``prepare_data_state(pipe.fm)``). The
-    weights are compared through the padded mean phase-0 slice and variance rho_col."""
+    against ``oracle`` (by default ``dense_oracle`` on ``prepare_data_state(pipe.fm)`` with
+    ``pipe``'s delta_r, tau and profiles). The weights are compared through the padded mean
+    phase-0 slice and variance rho_col."""
     if oracle is None:
-        oracle = dense_oracle(prepare_data_state(pipe.fm), pipe.constants)
+        oracle = dense_oracle(prepare_data_state(pipe.fm), pipe.delta_r, pipe.tau, pipe.profiles)
     _, _, ((mean, p1), (variance, p2)) = oracle
     dims = (-1, mean.register("col").dim, mean.register("row").dim)
     mean0, variance0 = (sv.amplitudes.reshape(dims)[0] for sv in (mean, variance))

@@ -42,7 +42,12 @@ def paper_pipeline(paper_feature_model, paper_hyper, paper_config):
 def paper_oracle(paper_pipeline):
     """``dense_oracle`` on the paper pipeline's encoded state: the post-QPE
     state, the QPE ops, and each branch's un-computed state with its p."""
-    return dense_oracle(prepare_data_state(paper_pipeline.fm), paper_pipeline.constants)
+    return dense_oracle(
+        prepare_data_state(paper_pipeline.fm),
+        paper_pipeline.delta_r,
+        paper_pipeline.tau,
+        paper_pipeline.profiles,
+    )
 
 
 @pytest.fixture(scope="session")

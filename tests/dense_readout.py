@@ -26,7 +26,8 @@ TOL = 1e-12
 def dense_twin(pipe: PreparedPipeline, oracle=None) -> PreparedPipeline:
     """A copy of ``pipe`` whose readout factors come from ``dense_oracle``.
 
-    ``oracle`` is ``dense_oracle(prepare_data_state(pipe.fm), pipe.constants)``
+    ``oracle`` is ``dense_oracle`` on ``prepare_data_state(pipe.fm)`` with
+    ``pipe``'s delta_r, tau and profiles
     when given, and is run otherwise. The copy keeps the dense branch states
     (``mean_state``, ``variance_state``) and the padded ``rho_col``. Its
     weights are the diagonals of V^T S U and V^T rho_col V, with S the
@@ -36,7 +37,7 @@ def dense_twin(pipe: PreparedPipeline, oracle=None) -> PreparedPipeline:
     untrimmed slice and rho_col.
     """
     if oracle is None:
-        oracle = dense_oracle(prepare_data_state(pipe.fm), pipe.constants)
+        oracle = dense_oracle(prepare_data_state(pipe.fm), pipe.delta_r, pipe.tau, pipe.profiles)
     _, _, ((mean, p1), (variance, p2)) = oracle
     n_rows, n_cols = pipe.fm.design.shape
     twin = copy.copy(pipe)
@@ -54,7 +55,7 @@ def dense_twin(pipe: PreparedPipeline, oracle=None) -> PreparedPipeline:
 def assert_matches_dense(pipe: PreparedPipeline, targets, grid, oracle=None) -> None:
     """Slice, rho_col, p1, p2, leakages and grid posterior within 1e-12 of the oracle."""
     if oracle is None:
-        oracle = dense_oracle(prepare_data_state(pipe.fm), pipe.constants)
+        oracle = dense_oracle(prepare_data_state(pipe.fm), pipe.delta_r, pipe.tau, pipe.profiles)
     for name, gap in qsim.closed_form_gaps(pipe, oracle).items():
         assert gap <= TOL, name
     dense = dense_twin(pipe, oracle)

@@ -19,7 +19,7 @@ from qrff import qsim
 from qrff.cli import RunConfig, _run_stages, emit_outputs
 from qrff.errors import ConfigError
 from qrff.kernel import Dataset, KernelHyper, exact_posterior
-from qrff.pipeline import InversionConstants, PreparedPipeline
+from qrff.pipeline import PreparedPipeline, spectral_setup
 from qrff.qsim import GateOp, Statevector, dense_oracle, prepare_data_state
 from qrff.rff import (
     build_feature_model,
@@ -157,8 +157,9 @@ def test_criterion_5_qpe_spectral_accuracy(
     delta_r = paper_pipeline.delta_r
     worst_13 = _worst_windowed_mass(paper_oracle[0], fm, delta_r)
     assert worst_13 >= 0.90
-    ic8 = InversionConstants.from_feature_model(fm, paper_hyper.noise_std, delta_r, 8)
-    dense_8 = dense_oracle(prepare_data_state(fm), ic8)
+    st2 = paper_hyper.noise_std**2 / fm.frobenius_norm**2
+    setup8 = spectral_setup(fm.normalized_singular_values, st2, delta_r, 8)
+    dense_8 = dense_oracle(prepare_data_state(fm), delta_r, 8, setup8["profiles"])
     worst_8 = _worst_windowed_mass(dense_8[0], fm, delta_r)
     assert worst_13 >= worst_8
     print(

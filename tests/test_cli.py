@@ -469,8 +469,14 @@ class TestMainExitCodes:
             ({"tau": 25}, 3, "CapacityError: the phase table"),
             ({"tau": 3}, 2, "ConfigError: a retained singular value decodes to eigenvalue bin 0"),
             ({"delta_r": 0.01}, 2, "ConfigError: delta_r=0.01 must exceed"),
+            ({"noise_std": 1.3e154}, 2, "ConfigError: the targets' norm overflows"),
         ],
-        ids=["phase-table-too-wide", "top-bin-wraps", "delta-r-below-top-eigenvalue"],
+        ids=[
+            "phase-table-too-wide",
+            "top-bin-wraps",
+            "delta-r-below-top-eigenvalue",
+            "targets-norm-overflows",
+        ],
     )
     def test_compare_refuses_before_the_exact_baseline(
         self, tmp_path, capsys, monkeypatch, config, code, message

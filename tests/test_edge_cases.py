@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from qrff.errors import ConfigError, PostSelectionError, QrffError
 from qrff.kernel import Dataset, KernelHyper, Posterior, _as_points
-from qrff.pipeline import DELTA_R_HEADROOM, InversionConstants, PreparedPipeline
+from qrff.pipeline import DELTA_R_HEADROOM, PreparedPipeline, spectral_setup
 from qrff.qsim import dense_oracle, prepare_data_state
 from qrff.rff import (
     FrequencySet,
@@ -80,7 +80,12 @@ def test_pipeline_refuses_or_matches_binned_oracle(
     pipe, refused = _outcome(lambda: PreparedPipeline(fm, h, tau, delta_r))
     oracle, dense_refused = _outcome(
         lambda: dense_oracle(
-            state, InversionConstants.from_feature_model(fm, noise, delta_r, tau)
+            state,
+            delta_r,
+            tau,
+            spectral_setup(
+                fm.normalized_singular_values, noise**2 / fm.frobenius_norm**2, delta_r, tau
+            )["profiles"],
         )
     )
     assert refused is dense_refused

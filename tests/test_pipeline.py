@@ -15,7 +15,7 @@ from qrff import errors, pipeline, qsim
 from qrff.cli import RunConfig
 from qrff.errors import CapacityError, ConfigError, PostSelectionError
 from qrff.kernel import Dataset, KernelHyper
-from qrff.pipeline import InversionConstants, PreparedPipeline, default_delta_r, phase_table
+from qrff.pipeline import PreparedPipeline, default_delta_r, phase_table, spectral_setup
 from qrff.qsim import dense_oracle, prepare_data_state
 from qrff.rff import (
     FeatureModel,
@@ -121,7 +121,7 @@ class TestEncoding:
 
 def dense_spectral_state(fm, tau, delta_r):
     """The encoded design after the dense QPE of exp(i rho 2 pi / delta_r), as in
-    ``dense_oracle`` but with no inversion constants, which refuse unresolved bins:
+    ``dense_oracle`` but without ``spectral_setup``, which refuses unresolved bins:
     rho's eigenbasis and eigenphases s^2 / delta_r from one SVD of the amplitudes."""
     sv = prepare_data_state(fm)
     col, row = sv.register("col"), sv.register("row")
@@ -215,15 +215,23 @@ class TestSpectralExtraction:
         assert np.max(np.abs(table.sum(axis=1) - 1.0)) <= 1e-12
 
 
-class TestInversionConstants:
+def sigma_tilde_sq(fm, h):
+    return h.noise_std**2 / fm.frobenius_norm**2
+
+
+def decoded_bins(fm, delta_r, tau):
+    return np.round(fm.normalized_singular_values**2 / delta_r * (1 << tau))
+
+
+class TestSpectralSetup:
     def test_boundedness_invariant(self, paper_feature_model, paper_hyper):
-        ic = InversionConstants.from_feature_model(
-            paper_feature_model, paper_hyper.noise_std, 0.4, 13
-        )
-        for b in ic.bins:
-            lam_hat2 = b * ic.delta_r / 2**ic.tau
-            assert ic.c1 / (lam_hat2 + ic.sigma_tilde_sq) <= 1 + 1e-12
-            assert ic.c2 / np.sqrt(lam_hat2 * (lam_hat2 + ic.sigma_tilde_sq)) <= 1 + 1e-12
+        fm = paper_feature_model
+        st2 = sigma_tilde_sq(fm, paper_hyper)
+        setup = spectral_setup(fm.normalized_singular_values, st2, 0.4, 13)
+        for b in decoded_bins(fm, 0.4, 13):
+            lam_hat2 = b * 0.4 / 2**13
+            assert setup["c1"] / (lam_hat2 + st2) <= 1 + 1e-12
+            assert setup["c2"] / np.sqrt(lam_hat2 * (lam_hat2 + st2)) <= 1 + 1e-12
 
     def test_below_resolution_raises(self):
         # two nearly identical rows give a tiny retained singular value
@@ -232,7 +240,7 @@ class TestInversionConstants:
         fm = build_feature_model(ds, sample_frequencies(1, h, 1, 4), h)
         assert fm.rank == 2  # above the rank cutoff, below bin resolution
         with pytest.raises(ConfigError):
-            InversionConstants.from_feature_model(fm, h.noise_std, 1.05, 6)
+            spectral_setup(fm.normalized_singular_values, sigma_tilde_sq(fm, h), 1.05, 6)
 
     @pytest.mark.parametrize("tau", [1, 2, 3])
     def test_top_bin_wrapping_to_zero_raises(self, tau, paper_feature_model, paper_hyper):
@@ -243,30 +251,51 @@ class TestInversionConstants:
 
     def test_tau_four_resolves_paper_config(self, paper_feature_model, paper_hyper):
         pipe = PreparedPipeline(paper_feature_model, paper_hyper, 4)
-        assert max(pipe.constants.bins) < 1 << 4
-        assert min(pipe.constants.bins) > 0
+        bins = decoded_bins(paper_feature_model, pipe.delta_r, 4)
+        assert max(bins) < 1 << 4
+        assert min(bins) > 0
 
     def test_profile_excludes_bin_zero(self, paper_feature_model, paper_hyper):
-        ic = InversionConstants.from_feature_model(
-            paper_feature_model, paper_hyper.noise_std, 0.4, 6
+        fm = paper_feature_model
+        setup = spectral_setup(
+            fm.normalized_singular_values, sigma_tilde_sq(fm, paper_hyper), 0.4, 6
         )
-        assert ic.mean_rotation_profile()[0] == 0.0
-        assert ic.variance_rotation_profile()[0] == 0.0
-        assert np.all(ic.mean_rotation_profile() <= 1.0)
-        assert np.all(ic.variance_rotation_profile() <= 1.0)
+        for profile in setup["profiles"]:
+            assert profile[0] == 0.0
+            assert np.all(profile <= 1.0)
 
     def test_profiles_keep_their_arithmetic(self, paper_pipeline):
         # bit for bit: a reciprocal form moves the last digit of the leakage
-        ic = paper_pipeline.constants
-        lam_hat2 = np.arange(1 << ic.tau) * ic.delta_r / (1 << ic.tau)
+        pipe = paper_pipeline
+        st2 = sigma_tilde_sq(pipe.fm, pipe.hyper)
+        lam_hat2 = np.arange(1 << pipe.tau) * pipe.delta_r / (1 << pipe.tau)
         with np.errstate(divide="ignore"):
-            mean = np.minimum(1.0, ic.c1 / (lam_hat2 + ic.sigma_tilde_sq))
-            variance = np.minimum(
-                1.0, ic.c2 / np.sqrt(lam_hat2 * (lam_hat2 + ic.sigma_tilde_sq))
-            )
+            mean = np.minimum(1.0, pipe.c1 / (lam_hat2 + st2))
+            variance = np.minimum(1.0, pipe.c2 / np.sqrt(lam_hat2 * (lam_hat2 + st2)))
         mean[0] = variance[0] = 0.0
-        assert np.array_equal(ic.mean_rotation_profile(), mean)
-        assert np.array_equal(ic.variance_rotation_profile(), variance)
+        assert np.array_equal(pipe.profiles[0], mean)
+        assert np.array_equal(pipe.profiles[1], variance)
+
+    @pytest.mark.parametrize("tau", [8, 10, 13])
+    def test_runs_without_a_pipeline(self, tau, paper_feature_model, paper_hyper):
+        fm = paper_feature_model
+        pipe = PreparedPipeline(fm, paper_hyper, tau)
+        setup = spectral_setup(
+            fm.normalized_singular_values, sigma_tilde_sq(fm, paper_hyper), pipe.delta_r, tau
+        )
+        assert sorted(setup) == [
+            "c1",
+            "c2",
+            "mean_weights",
+            "p1",
+            "p2",
+            "profiles",
+            "uncompute_leakage_mean",
+            "uncompute_leakage_variance",
+            "variance_weights",
+        ]
+        for key, value in setup.items():
+            assert np.array_equal(getattr(pipe, key), value), key
 
 
 class TestInversionBranches:
@@ -276,7 +305,7 @@ class TestInversionBranches:
         ds = Dataset(np.array([[0.3]]), np.array([0.7]))
         fm = build_feature_model(ds, sample_frequencies(1, h, 1, 2), h)
         pipe = PreparedPipeline(fm, h, tau=5, delta_r=2.0)
-        assert pipe.constants.c1 == pytest.approx(1.0, abs=1e-12)
+        assert pipe.c1 == pytest.approx(1.0, abs=1e-12)
         assert pipe.p1 == pytest.approx(1.0, abs=1e-10)
         assert pipe.p2 == pytest.approx(1.0, abs=1e-10)
 
@@ -303,14 +332,24 @@ class TestInversionBranches:
     def test_vanishing_acceptance_refused_like_the_dense_path(self, branch, monkeypatch):
         # a profile of 1e-7 keeps about 1e-14 of the state, below the 1e-12 floor
         h, ds, fm = resolved_small_model(6)
-        name = f"{branch}_rotation_profile"
-        profile = getattr(InversionConstants, name)
-        monkeypatch.setattr(InversionConstants, name, lambda ic: 1e-7 * profile(ic))
+        setup, k = pipeline.spectral_setup, ("mean", "variance").index(branch)
+
+        def faint(*args):
+            # the branch's profile times 1e-7, which scales its p by 1e-14
+            out = setup(*args)
+            profiles = list(out["profiles"])
+            profiles[k] = 1e-7 * profiles[k]
+            out["profiles"] = tuple(profiles)
+            out[f"p{k + 1}"] *= 1e-14
+            return out
+
+        monkeypatch.setattr(pipeline, "spectral_setup", faint)
         with pytest.raises(PostSelectionError, match=branch):
             PreparedPipeline(fm, h, 6)
-        ic = InversionConstants.from_feature_model(fm, h.noise_std, default_delta_r(fm), 6)
+        delta_r, st2 = default_delta_r(fm), sigma_tilde_sq(fm, h)
+        profiles = faint(fm.normalized_singular_values, st2, delta_r, 6)["profiles"]
         with pytest.raises(PostSelectionError):
-            dense_oracle(prepare_data_state(fm), ic)
+            dense_oracle(prepare_data_state(fm), delta_r, 6, profiles)
 
     def test_uncompute_leakage_is_phase_register_mass(self, paper_pipeline, paper_oracle):
         _, _, ((mean_state, _), (variance_state, _)) = paper_oracle
@@ -326,11 +365,10 @@ class TestInversionBranches:
     def test_mean_state_matches_classical_target(
         self, paper_pipeline, paper_oracle, paper_feature_model
     ):
-        fm = paper_feature_model
-        ic = paper_pipeline.constants
+        fm, pipe = paper_feature_model, paper_pipeline
         lam_t = fm.normalized_singular_values
-        lam_hat2 = np.array(ic.bins) * ic.delta_r / 2**ic.tau
-        weights = lam_t * ic.c1 / (lam_hat2 + ic.sigma_tilde_sq)
+        lam_hat2 = decoded_bins(fm, pipe.delta_r, pipe.tau) * pipe.delta_r / 2**pipe.tau
+        weights = lam_t * pipe.c1 / (lam_hat2 + sigma_tilde_sq(fm, pipe.hyper))
         mean_state = paper_oracle[2][0][0]
         nr = mean_state.register("row").width
         nc = mean_state.register("col").width
@@ -681,7 +719,7 @@ class TestCapacityPlan:
         h, ds, fm = small_model(n_points=2, m_freq=64)
         tau = 10
         pipe = PreparedPipeline(fm, h, tau)
-        sv, circuit, _ = dense_oracle(prepare_data_state(fm), pipe.constants)
+        sv, circuit, _ = dense_oracle(prepare_data_state(fm), pipe.delta_r, tau, pipe.profiles)
         ladder_bytes = sum(op.matrices.nbytes for op in circuit)
         assert ladder_bytes <= sv.amplitudes.nbytes // 4
         pred = BinnedPrediction(fm, h.noise_std, pipe.delta_r, tau)

@@ -476,7 +476,7 @@ class TestPostselect:
 
     def test_matches_flag_circuit_on_paper_spectral_state(self, paper_pipeline, paper_oracle):
         sv = paper_oracle[0]
-        weights = paper_pipeline.constants.mean_rotation_profile()
+        weights = paper_pipeline.profiles[0]
         out, p = qsim.postselect(sv, "phase", weights)
         want, p_want = flag_circuit_postselect(sv, "phase", weights)
         assert abs(p - p_want) <= 1e-12
