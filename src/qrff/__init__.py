@@ -18,7 +18,6 @@ from .pipeline import (
 )
 from .rff import (
     FeatureModel,
-    FrequencySet,
     build_feature_model,
     feature_map,
     rff_posterior,
@@ -31,7 +30,6 @@ __all__ = [
     "ConfigError",
     "Dataset",
     "FeatureModel",
-    "FrequencySet",
     "IoError",
     "KernelHyper",
     "Posterior",

@@ -255,7 +255,7 @@ class PreparedPipeline:
         fm = self.fm
         y = _as_targets(y, fm)
         y_norm = target_norm(y)
-        phi = scaled_feature_vector(_as_points(xs, fm.freq.dim), fm.freq, self.hyper)
+        phi = scaled_feature_vector(_as_points(xs, fm.freq.shape[1]), fm.freq, self.hyper)
         phi_norm = np.linalg.norm(phi, axis=1)
         mean_sum, variance_sum, null_sq = spectral_sums(
             fm, phi, y, self.mean_weights, self.variance_weights

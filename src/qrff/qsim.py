@@ -485,7 +485,7 @@ def prepare_data_state(fm: FeatureModel) -> Statevector:
     reproduces the feature phases modulo 2*pi.
     """
     n_rows, n_cols = fm.design.shape
-    m_freq = fm.freq.n_frequencies
+    m_freq = fm.freq.shape[0]
     sv = Statevector.zero(
         [("row", (n_rows - 1).bit_length()), ("col", (n_cols - 1).bit_length())]
     )

@@ -21,29 +21,6 @@ RANK_CUTOFF = 1e-12
 
 
 @dataclass(frozen=True)
-class FrequencySet:
-    """Spectral frequencies, shape (M, d)."""
-
-    frequencies: np.ndarray
-
-    def __post_init__(self):
-        freq = np.atleast_2d(np.asarray(self.frequencies, dtype=float))
-        if freq.shape[0] < 1:
-            raise ConfigError("need at least one frequency")
-        if not np.isfinite(freq).all():
-            raise ConfigError("frequencies contain non-finite values")
-        object.__setattr__(self, "frequencies", freq)
-
-    @property
-    def n_frequencies(self) -> int:
-        return self.frequencies.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.frequencies.shape[1]
-
-
-@dataclass(frozen=True)
 class FeatureModel:
     """Scaled design matrix (N x 2M) together with its thin SVD.
 
@@ -52,7 +29,7 @@ class FeatureModel:
     rank-truncated SVD with ``v`` of shape (2M, R).
     """
 
-    freq: FrequencySet
+    freq: np.ndarray
     design: np.ndarray
     frobenius_norm: float
     u: np.ndarray
@@ -69,8 +46,18 @@ class FeatureModel:
         return self.singular_values / self.frobenius_norm
 
 
-def sample_frequencies(M: int, h: KernelHyper, d: int, seed: int) -> FrequencySet:
-    """Draw M i.i.d. frequencies from the normalized kernel spectrum.
+def _as_frequencies(freq) -> np.ndarray:
+    """Spectral frequencies as an (M, d) float array; a flat input is one frequency."""
+    freq = np.atleast_2d(np.asarray(freq, dtype=float))
+    if freq.shape[0] < 1:
+        raise ConfigError("need at least one frequency")
+    if not np.isfinite(freq).all():
+        raise ConfigError("frequencies contain non-finite values")
+    return freq
+
+
+def sample_frequencies(M: int, h: KernelHyper, d: int, seed: int) -> np.ndarray:
+    """Draw M i.i.d. frequencies, an (M, d) array, from the normalized kernel spectrum.
 
     In the ``2*pi*s.x`` feature convention each coordinate is
     Normal(0, (1 / (2*pi*length_scale))**2). Deterministic given the seed.
@@ -81,37 +68,45 @@ def sample_frequencies(M: int, h: KernelHyper, d: int, seed: int) -> FrequencySe
         raise ConfigError(f"d must be >= 1, got {d}")
     rng = np.random.default_rng(seed)
     scale = 1.0 / (2.0 * np.pi * h.length_scale)
-    freq = rng.normal(0.0, scale, size=(M, d))
-    return FrequencySet(frequencies=freq)
+    return rng.normal(0.0, scale, size=(M, d))
 
 
-def feature_map(x, freq: FrequencySet) -> np.ndarray:
+def feature_map(x, freq) -> np.ndarray:
     """Unscaled features (cos, sin interleaved), norm sqrt(M) per point.
 
     A single point of shape (d,) gives a vector of length 2M; a grid of shape
-    (G, d) gives one row per point, shape (G, 2M).
+    (G, d) gives one row per point, shape (G, 2M), for frequencies ``freq``
+    of shape (M, d).
     """
+    freq = _as_frequencies(freq)
+    m, d = freq.shape
     xv = np.atleast_1d(np.asarray(x, dtype=float))
-    if xv.ndim > 2 or xv.shape[-1] != freq.dim:
-        raise ConfigError(f"point shape {xv.shape} does not match frequency dimension {freq.dim}")
+    if xv.ndim > 2 or xv.shape[-1] != d:
+        raise ConfigError(f"point shape {xv.shape} does not match frequency dimension {d}")
     if not np.isfinite(xv).all():
         raise ConfigError("x contains non-finite values")
-    phase = 2.0 * np.pi * (xv @ freq.frequencies.T)
-    out = np.empty(phase.shape[:-1] + (2 * freq.n_frequencies,))
+    phase = 2.0 * np.pi * (xv @ freq.T)
+    out = np.empty(phase.shape[:-1] + (2 * m,))
     out[..., 0::2] = np.cos(phase)
     out[..., 1::2] = np.sin(phase)
     return out
 
 
-def scaled_feature_vector(x, freq: FrequencySet, h: KernelHyper) -> np.ndarray:
+def scaled_feature_vector(x, freq, h: KernelHyper) -> np.ndarray:
     """Features carrying the kernel prefactor: sqrt(signal_std**2 / M) * phi(x)."""
-    return np.sqrt(h.signal_std**2 / freq.n_frequencies) * feature_map(x, freq)
+    phi = feature_map(x, freq)
+    return np.sqrt(h.signal_std**2 / (phi.shape[-1] // 2)) * phi
 
 
-def build_feature_model(ds: Dataset, freq: FrequencySet, h: KernelHyper) -> FeatureModel:
-    """Assemble the scaled design matrix and its rank-truncated SVD."""
-    if ds.dim != freq.dim:
-        raise ConfigError(f"dataset dimension {ds.dim} != frequency dimension {freq.dim}")
+def build_feature_model(ds: Dataset, freq, h: KernelHyper) -> FeatureModel:
+    """Assemble the scaled design matrix and its rank-truncated SVD.
+
+    ``freq`` holds the M frequencies as an (M, d) array; a flat list is one
+    frequency.
+    """
+    freq = _as_frequencies(freq)
+    if ds.dim != freq.shape[1]:
+        raise ConfigError(f"dataset dimension {ds.dim} != frequency dimension {freq.shape[1]}")
     X = scaled_feature_vector(ds.inputs, freq, h)
     with np.errstate(over="ignore"):  # an overflowing sum of squares gives inf, refused below
         fro = float(np.linalg.norm(X))
@@ -166,7 +161,7 @@ def rff_posterior(fm: FeatureModel, y, xs, h: KernelHyper) -> Posterior:
     y = _as_targets(y, fm)
     if h.noise_std == 0.0 and fm.rank < fm.design.shape[1]:
         raise ConfigError("rank-deficient design with zero noise_std: posterior is singular")
-    phi_star = scaled_feature_vector(_as_points(xs, fm.freq.dim), fm.freq, h)
+    phi_star = scaled_feature_vector(_as_points(xs, fm.freq.shape[1]), fm.freq, h)
     lam = fm.singular_values
     denom = lam**2 + h.noise_std**2
     mean, spectral, null_sq = spectral_sums(fm, phi_star, y, lam / denom, 1.0 / denom)

@@ -33,7 +33,6 @@ from qrff.kernel import Dataset, KernelHyper, Posterior, _as_points
 from qrff.pipeline import DELTA_R_HEADROOM, PreparedPipeline, spectral_setup
 from qrff.qsim import dense_oracle, prepare_data_state
 from qrff.rff import (
-    FrequencySet,
     _as_targets,
     build_feature_model,
     feature_map,
@@ -162,8 +161,10 @@ INPUT_CHECKS = {
     "dataset-non-finite": lambda pipe: Dataset(np.array([[np.nan]]), np.zeros(1)),
     "grid-shape": lambda pipe: _as_points(np.zeros((2, 3)), 1),
     "grid-non-finite": lambda pipe: _as_points([np.inf], 1),
-    "no-frequencies": lambda pipe: FrequencySet(np.zeros((0, 1))),
-    "frequencies-non-finite": lambda pipe: FrequencySet(np.array([[np.nan]])),
+    "no-frequencies": lambda pipe: build_feature_model(
+        Dataset(np.zeros((2, 1)), np.ones(2)), np.zeros((0, 1)), pipe.hyper
+    ),
+    "frequencies-non-finite": lambda pipe: feature_map([1.0], [[np.nan]]),
     "sample-no-frequencies": lambda pipe: sample_frequencies(0, pipe.hyper, 1, 0),
     "sample-no-dimensions": lambda pipe: sample_frequencies(2, pipe.hyper, 0, 0),
     "feature-point-shape": lambda pipe: feature_map(np.zeros((2, 2)), pipe.fm.freq),

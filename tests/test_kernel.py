@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from qrff.kernel import BLOCK, Dataset, KernelHyper, Posterior, _cross_kernel, exact_posterior
@@ -160,6 +162,34 @@ class TestExactPosterior:
         alpha = np.linalg.solve(A, np.column_stack([ds.targets, k_star]))
         assert post.mean == pytest.approx(k_star.T @ alpha[:, 0], abs=1e-10)
         variance = 2.25 - np.sum(k_star * alpha[:, 1:], axis=0)
+        assert post.variance == pytest.approx(variance, abs=1e-10)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        # fewer points than one block, exact multiples of it and ragged ends
+        n=st.integers(1, 3 * BLOCK + 5) | st.sampled_from([BLOCK, 2 * BLOCK, 3 * BLOCK]),
+        g=st.integers(1, 12),
+        d=st.sampled_from([1, 2, 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_a_dense_solve_over_block_edges_and_dimensions(self, n, g, d, seed):
+        h = KernelHyper(1.5, 1.0, 0.1)
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.0, 12.0, size=(n, d))
+        xs = rng.uniform(0.0, 12.0, size=(g, d))
+        ds = Dataset(x, rng.normal(size=n))
+        post = exact_posterior(ds, h, xs)
+
+        def gram(a, b):
+            sq = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
+            return h.signal_std**2 * np.exp(-0.5 * sq / h.length_scale**2)
+
+        k_star = gram(x, xs)
+        alpha = np.linalg.solve(
+            gram(x, x) + h.noise_std**2 * np.eye(n), np.column_stack([ds.targets, k_star])
+        )
+        assert post.mean == pytest.approx(k_star.T @ alpha[:, 0], abs=1e-10)
+        variance = h.signal_std**2 - np.sum(k_star * alpha[:, 1:], axis=0)
         assert post.variance == pytest.approx(variance, abs=1e-10)
 
     def test_duplicate_pair_across_blocks_uses_logged_jitter(self, caplog):

@@ -19,7 +19,6 @@ from qrff.pipeline import PreparedPipeline, default_delta_r, phase_table, spectr
 from qrff.qsim import dense_oracle, prepare_data_state
 from qrff.rff import (
     FeatureModel,
-    FrequencySet,
     build_feature_model,
     rff_posterior,
     sample_frequencies,
@@ -72,7 +71,7 @@ class TestEncoding:
     def test_single_point_third_pi_phase(self):
         # frequency and input chosen so the feature phase is exactly pi/3
         h = KernelHyper(1.0, 1.0, 0.1)
-        freq = FrequencySet(frequencies=np.array([[1.0 / 6.0]]))
+        freq = np.array([[1.0 / 6.0]])
         ds = Dataset(np.array([[1.0]]), np.array([0.3]))
         fm = build_feature_model(ds, freq, h)
         sv = prepare_data_state(fm)
@@ -421,7 +420,7 @@ class TestPosteriorEstimates:
     def test_orthogonal_query_leaves_null_space_variance(self):
         # engineered so the query features are exactly orthogonal to the design
         h = KernelHyper(1.5, 1.0, 0.1)
-        freq = FrequencySet(frequencies=np.array([[0.25]]))
+        freq = np.array([[0.25]])
         ds = Dataset(np.array([[0.0]]), np.array([0.5]))
         fm = build_feature_model(ds, freq, h)
         pipe = PreparedPipeline(fm, h, tau=5, delta_r=2.0)
@@ -533,7 +532,7 @@ def _oracle_designs():
     ds = Dataset(np.array([[0.3]]), np.array([0.7]))
     fm = build_feature_model(ds, sample_frequencies(2, h, 1, 2), h)
     designs.append((h, ds, fm, 6, 2.0, np.array([0.0, 1.1, 4.0])))
-    freq = FrequencySet(frequencies=np.array([[0.25]]))
+    freq = np.array([[0.25]])
     ds = Dataset(np.array([[0.0]]), np.array([0.5]))
     fm = build_feature_model(ds, freq, h)
     designs.append((h, ds, fm, 5, 2.0, np.array([1.0, 0.4])))

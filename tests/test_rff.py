@@ -6,7 +6,6 @@ import pytest
 from qrff.errors import ConfigError
 from qrff.kernel import Dataset, KernelHyper
 from qrff.rff import (
-    FrequencySet,
     build_feature_model,
     feature_map,
     rff_posterior,
@@ -21,19 +20,19 @@ class TestSampleFrequencies:
     def test_deterministic(self, paper_hyper):
         a = sample_frequencies(64, paper_hyper, 2, seed=7)
         b = sample_frequencies(64, paper_hyper, 2, seed=7)
-        assert np.array_equal(a.frequencies, b.frequencies)
+        assert np.array_equal(a, b)
 
     def test_large_sample_std(self, paper_hyper):
         freq = sample_frequencies(100_000, paper_hyper, 1, seed=3)
-        std = freq.frequencies.std()
+        std = freq.std()
         target = 1.0 / (2.0 * np.pi)
         assert abs(std - target) / target < 0.02
 
     def test_length_scale_halves_spectral_width(self):
         h1 = KernelHyper(1.5, 1.0, 0.1)
         h2 = KernelHyper(1.5, 2.0, 0.1)
-        s1 = sample_frequencies(100_000, h1, 1, seed=5).frequencies.std()
-        s2 = sample_frequencies(100_000, h2, 1, seed=6).frequencies.std()
+        s1 = sample_frequencies(100_000, h1, 1, seed=5).std()
+        s2 = sample_frequencies(100_000, h2, 1, seed=6).std()
         assert 0.48 <= s2 / s1 <= 0.52
 
 
@@ -49,6 +48,12 @@ class TestFeatureMap:
         freq = sample_frequencies(17, paper_hyper, 3, seed=seed)
         phi = feature_map(rng.normal(size=3), freq)
         assert phi @ phi == pytest.approx(17.0, abs=1e-12)
+
+    def test_flat_frequency_list_is_one_frequency(self, paper_hyper):
+        x = np.array([0.3, 1.1])
+        assert np.array_equal(feature_map(x, [1, 2]), feature_map(x, np.array([[1.0, 2.0]])))
+        fm = build_feature_model(Dataset(x[None, :], np.ones(1)), [1, 2], paper_hyper)
+        assert fm.freq.shape == (1, 2) and fm.freq.dtype == float
 
     def test_monte_carlo_kernel_convergence(self, paper_hyper):
         # average the feature inner product over independent frequency draws
@@ -95,7 +100,7 @@ class TestFeatureModel:
 
     def test_interleaved_cos_sin_layout(self, paper_hyper):
         # column 2r holds cos, 2r+1 holds sin of the same phase
-        freq = FrequencySet(frequencies=np.array([[0.25]]))
+        freq = np.array([[0.25]])
         ds = Dataset(np.array([[1.0]]), np.array([0.0]))
         fm = build_feature_model(ds, freq, paper_hyper)
         phase = 2 * np.pi * 0.25 * 1.0
