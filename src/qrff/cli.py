@@ -36,7 +36,7 @@ from numpy.random import default_rng
 from . import __version__
 from .errors import CapacityError, ConfigError, IoError, QrffError
 from .kernel import Dataset, KernelHyper, exact_posterior
-from .pipeline import PreparedPipeline, target_norm
+from .pipeline import PreparedPipeline
 from .rff import build_feature_model, rff_posterior, sample_frequencies
 
 
@@ -195,8 +195,7 @@ def _run_stages(cfg: RunConfig, command: str) -> tuple[dict[str, np.ndarray], di
     if "quantum" in stages:
         # a config the pipeline or its targets refuse is refused before the exact solve
         t0 = time.perf_counter()
-        pipe = PreparedPipeline(fm, h, cfg.tau, cfg.delta_r)
-        target_norm(ds.targets)
+        pipe = PreparedPipeline(fm, cfg.tau, cfg.delta_r)
         timings["quantum_setup"] = time.perf_counter() - t0
 
     if "exact" in stages:
@@ -207,7 +206,7 @@ def _run_stages(cfg: RunConfig, command: str) -> tuple[dict[str, np.ndarray], di
 
     if "rff" in stages:
         t0 = time.perf_counter()
-        rff = rff_posterior(fm, ds.targets, grid, h)
+        rff = rff_posterior(fm, grid)
         columns["mean_rff"], columns["var_rff"] = rff.mean, rff.variance
         timings["rff_gpr"] = time.perf_counter() - t0
 
@@ -215,7 +214,7 @@ def _run_stages(cfg: RunConfig, command: str) -> tuple[dict[str, np.ndarray], di
     if "quantum" in stages:
         shots = 0 if cfg.mode == "exact" else cfg.shots
         t0 = time.perf_counter()
-        quantum, readout = pipe.posterior(ds.targets, grid, shots, cfg.seed_shots)
+        quantum, readout = pipe.posterior(grid, shots, cfg.seed_shots)
         timings["quantum_queries"] = time.perf_counter() - t0
         columns["mean_qrff"], columns["var_qrff"] = quantum.mean, quantum.variance
         columns["p1"], columns["p2"] = np.full(grid.size, pipe.p1), np.full(grid.size, pipe.p2)
@@ -271,7 +270,7 @@ def _run_selftest() -> int:
         return build_feature_model(Dataset(x[:, None], np.sin(x)), freq, hyper)
 
     # 8 points and 2 frequencies: 4 Schmidt components, bins 61, 55, 22, 13 of 64
-    gaps = closed_form_gaps(PreparedPipeline(model(8, 2), hyper, 6))
+    gaps = closed_form_gaps(PreparedPipeline(model(8, 2), 6))
     # 5 points and 3 frequencies: 5 of 8 rows and 6 of 8 columns, zero padding
     passed = {
         "phase table matches the dense pipeline": max(gaps.values()) <= 1e-12,

@@ -33,8 +33,8 @@ import numpy as np
 
 from . import errors
 from .errors import CapacityError, ConfigError, PostSelectionError
-from .kernel import KernelHyper, Posterior, _as_points
-from .rff import FeatureModel, _as_targets, scaled_feature_vector, spectral_sums
+from .kernel import Posterior, _as_points
+from .rff import FeatureModel, scaled_feature_vector, spectral_sums
 
 #: default headroom of the phase-window parameter over the top squared singular value
 DELTA_R_HEADROOM = 1.05
@@ -136,17 +136,6 @@ def spectral_setup(s: np.ndarray, sigma_tilde_sq: float, delta_r: float, tau: in
     }
 
 
-def target_norm(y: np.ndarray) -> float:
-    """|y|, the mean branch's target-state norm; ConfigError if it is 0 or overflows."""
-    with np.errstate(over="ignore"):  # an overflowing sum of squares gives inf
-        y_norm = float(np.linalg.norm(y))
-    if y_norm == 0:
-        raise ConfigError("targets must not be identically zero")
-    if y_norm == np.inf:
-        raise ConfigError("the targets' norm overflows a double; noise_std is too large")
-    return y_norm
-
-
 # ---------------------------------------------------------------------------
 # posterior estimation
 # ---------------------------------------------------------------------------
@@ -187,30 +176,27 @@ class PreparedPipeline:
     W diag(mean_weights) Vh with mean_weights = s c / sqrt(p), the variance
     branch's rho_col W diag(variance_weights) W^T with variance_weights =
     s^2 g / p, and the leakage 1 - sum_k s_k^2 c_k^2 / p. ``spectral_setup``
-    computes these, and the pipeline keeps its outputs as attributes of the
-    same names: only two length-rank weight vectors and scalars, besides the
-    profiles. ``qsim.dense_oracle`` on ``qsim.prepare_data_state(fm)`` is what
-    these are tested against. Before the setup the pipeline refuses a plan
-    over the width cap and a sigma~^2 that overflows; after it, a branch
-    accepted with probability below 1e-12.
+    computes these, and the pipeline keeps its outputs but the profiles
+    (2^tau doubles each, which ``posterior`` never reads) as attributes of
+    the same names, with ``sigma_tilde_sq``: only two length-rank weight
+    vectors and scalars. ``qsim.pipeline_oracle`` gets the profiles back and
+    runs the dense circuits these are tested against. Before the setup the
+    pipeline refuses a plan over the width cap and a sigma~^2 that
+    overflows; after it, a branch accepted with probability below 1e-12,
+    then the fit's targets if all zero or if their norm, kept as
+    ``target_norm``, overflows.
 
     ``posterior`` answers a whole grid of G query points by reading the
     Hadamard- and SWAP-test probabilities in closed form: P(0) = 1/2 +
     Re<b|a>/2 for the mean and P(0) = 1/2 + <q|rho_col|q>/2 for the
     variance, where both overlaps are ``rff.spectral_sums`` with these
-    weights, divided by |phi| |y| and |phi|^2. ``qsim.hadamard_test`` and
-    ``qsim.swap_test`` are the circuits these values are tested against.
+    weights, divided by |phi| |y| and |phi|^2 for the fit's targets y.
+    ``qsim.hadamard_test`` and ``qsim.swap_test`` are the circuits these
+    values are tested against.
     """
 
-    def __init__(
-        self,
-        fm: FeatureModel,
-        h: KernelHyper,
-        tau: int,
-        delta_r: float | None = None,
-    ):
+    def __init__(self, fm: FeatureModel, tau: int, delta_r: float | None = None):
         self.fm = fm
-        self.hyper = h
         self.tau = tau
         self.delta_r = default_delta_r(fm) if delta_r is None else delta_r
         # the paper circuit's register widths, ceil(log2) of the design's shape
@@ -225,6 +211,7 @@ class PreparedPipeline:
                 f"the phase table holds 2^{min(row, col) + tau} entries "
                 f"(min(row, col) + tau), cap {errors.MAX_QUBITS}"
             )
+        h = fm.hyper
         sigma_tilde_sq = h.noise_std**2 / fm.frobenius_norm**2
         if not sigma_tilde_sq < np.inf:
             raise ConfigError(
@@ -237,10 +224,17 @@ class PreparedPipeline:
                 raise PostSelectionError(
                     f"post-selection of the {branch} branch has probability {prob:.3e}"
                 )
-        # c1, c2, profiles, p1, p2, both weight vectors and both leakages
-        vars(self).update(setup)
+        # c1, c2, p1, p2, both weight vectors and both leakages
+        del setup["profiles"]
+        vars(self).update(setup, sigma_tilde_sq=sigma_tilde_sq)
+        with np.errstate(over="ignore"):  # an overflowing sum of squares gives inf
+            self.target_norm = float(np.linalg.norm(fm.targets))
+        if self.target_norm == 0:
+            raise ConfigError("targets must not be identically zero")
+        if self.target_norm == np.inf:
+            raise ConfigError("the targets' norm overflows a double; noise_std is too large")
 
-    def posterior(self, y, xs, shots: int = 0, seed=None) -> tuple[Posterior, dict]:
+    def posterior(self, xs, shots: int = 0, seed=None) -> tuple[Posterior, dict]:
         """Posterior means and variances over the grid ``xs``, and their readout.
 
         With ``shots`` the readout is sampled: ``SeedSequence(seed).spawn(2)``
@@ -252,13 +246,11 @@ class PreparedPipeline:
         the ``null_space_variance``; in sampled mode also the exact-mode
         ``exact_mean`` and ``exact_variance``.
         """
-        fm = self.fm
-        y = _as_targets(y, fm)
-        y_norm = target_norm(y)
-        phi = scaled_feature_vector(_as_points(xs, fm.freq.shape[1]), fm.freq, self.hyper)
+        fm, y_norm = self.fm, self.target_norm
+        phi = scaled_feature_vector(_as_points(xs, fm.freq.shape[1]), fm.freq, fm.hyper)
         phi_norm = np.linalg.norm(phi, axis=1)
         mean_sum, variance_sum, null_sq = spectral_sums(
-            fm, phi, y, self.mean_weights, self.variance_weights
+            fm, phi, self.mean_weights, self.variance_weights
         )
         exact_mean = mean_sum / (phi_norm * y_norm)
         exact_variance = variance_sum / phi_norm**2
@@ -274,7 +266,7 @@ class PreparedPipeline:
             )
         fro = fm.frobenius_norm
         mean_scale = np.sqrt(self.p1) / self.c1 * phi_norm * y_norm / fro
-        spectral_scale = self.hyper.noise_std**2 * self.p2 / self.c2**2 * phi_norm**2 / fro**2
+        spectral_scale = fm.hyper.noise_std**2 * self.p2 / self.c2**2 * phi_norm**2 / fro**2
 
         def variance(overlap):
             return spectral_scale * np.clip(overlap, 0.0, 1.0) + null_sq

@@ -24,16 +24,14 @@ encoding circuit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import errors
 from .errors import CapacityError, PostSelectionError
-
-if TYPE_CHECKING:
-    from .pipeline import PreparedPipeline
-    from .rff import FeatureModel
+from .pipeline import PreparedPipeline, spectral_setup
+from .rff import FeatureModel
 
 _UNITARY_TOL = 1e-10
 
@@ -536,6 +534,13 @@ def dense_oracle(
     return spectral, circuit, branches
 
 
+def pipeline_oracle(pipe: PreparedPipeline):
+    """``dense_oracle`` on ``pipe``'s encoded fit, with the profiles ``spectral_setup`` returns."""
+    s, delta_r, tau = pipe.fm.normalized_singular_values, pipe.delta_r, pipe.tau
+    profiles = spectral_setup(s, pipe.sigma_tilde_sq, delta_r, tau)["profiles"]
+    return dense_oracle(prepare_data_state(pipe.fm), delta_r, tau, profiles)
+
+
 def _padded_gap(dense: np.ndarray, closed: np.ndarray) -> float:
     """max |dense - closed|, ``closed`` zero-padded to ``dense``'s shape."""
     pad = [(0, n - m) for n, m in zip(dense.shape, closed.shape)]
@@ -544,11 +549,10 @@ def _padded_gap(dense: np.ndarray, closed: np.ndarray) -> float:
 
 def closed_form_gaps(pipe: PreparedPipeline, oracle=None) -> dict[str, float]:
     """Largest |closed form - dense circuit| per quantity ``pipe`` keeps, by attribute name,
-    against ``oracle`` (by default ``dense_oracle`` on ``prepare_data_state(pipe.fm)`` with
-    ``pipe``'s delta_r, tau and profiles). The weights are compared through the padded mean
-    phase-0 slice and variance rho_col."""
+    against ``oracle`` (by default ``pipeline_oracle(pipe)``). The weights are compared
+    through the padded mean phase-0 slice and variance rho_col."""
     if oracle is None:
-        oracle = dense_oracle(prepare_data_state(pipe.fm), pipe.delta_r, pipe.tau, pipe.profiles)
+        oracle = pipeline_oracle(pipe)
     _, _, ((mean, p1), (variance, p2)) = oracle
     dims = (-1, mean.register("col").dim, mean.register("row").dim)
     mean0, variance0 = (sv.amplitudes.reshape(dims)[0] for sv in (mean, variance))

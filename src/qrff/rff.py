@@ -3,8 +3,9 @@
 Frequencies are sampled from the kernel's normalized spectrum, features are
 interleaved cos/sin pairs evaluated at ``2*pi*s.x``, and the scaled design
 matrix carries the ``signal_std**2 / M`` kernel prefactor so that
-``X^T X`` approximates the Gram matrix directly. The reduced-rank posterior
-is evaluated in SVD form and is the classical twin of the quantum pipeline.
+``X^T X`` approximates the Gram matrix directly. ``FeatureModel`` is the
+fit (design SVD, hyperparameters, targets); its reduced-rank posterior is
+evaluated in SVD form and is the classical twin of the quantum pipeline.
 """
 
 from __future__ import annotations
@@ -22,14 +23,17 @@ RANK_CUTOFF = 1e-12
 
 @dataclass(frozen=True)
 class FeatureModel:
-    """Scaled design matrix (N x 2M) together with its thin SVD.
+    """Scaled design matrix (N x 2M) together with its thin SVD: the reduced-rank fit.
 
     ``design[i] = sqrt(signal_std**2 / M) * feature_map(x_i)``, columns
     alternating cos/sin per frequency. ``u, singular_values, v`` hold the
-    rank-truncated SVD with ``v`` of shape (2M, R).
+    rank-truncated SVD with ``v`` of shape (2M, R). Every posterior of the
+    fit reads its ``hyper`` and ``targets`` from here.
     """
 
     freq: np.ndarray
+    hyper: KernelHyper
+    targets: np.ndarray
     design: np.ndarray
     frobenius_norm: float
     u: np.ndarray
@@ -99,10 +103,10 @@ def scaled_feature_vector(x, freq, h: KernelHyper) -> np.ndarray:
 
 
 def build_feature_model(ds: Dataset, freq, h: KernelHyper) -> FeatureModel:
-    """Assemble the scaled design matrix and its rank-truncated SVD.
+    """Fit ``ds`` at ``h``: the scaled design matrix and its rank-truncated SVD.
 
     ``freq`` holds the M frequencies as an (M, d) array; a flat list is one
-    frequency.
+    frequency. The fit keeps ``h`` and ``ds.targets`` itself, not a copy.
     """
     freq = _as_frequencies(freq)
     if ds.dim != freq.shape[1]:
@@ -120,6 +124,8 @@ def build_feature_model(ds: Dataset, freq, h: KernelHyper) -> FeatureModel:
     rank = int(np.sum(s > RANK_CUTOFF * s[0]))
     return FeatureModel(
         freq=freq,
+        hyper=h,
+        targets=ds.targets,
         design=X,
         frobenius_norm=fro,
         u=u[:, :rank],
@@ -128,41 +134,35 @@ def build_feature_model(ds: Dataset, freq, h: KernelHyper) -> FeatureModel:
     )
 
 
-def _as_targets(y, fm: FeatureModel) -> np.ndarray:
-    """The targets as a float vector, one per design row."""
-    y = np.asarray(y, dtype=float).ravel()
-    if y.shape[0] != fm.design.shape[0]:
-        raise ConfigError(f"target length {y.shape[0]} != design rows {fm.design.shape[0]}")
-    return y
-
-
-def spectral_sums(fm: FeatureModel, phi: np.ndarray, y: np.ndarray, a, b):
+def spectral_sums(fm: FeatureModel, phi: np.ndarray, a, b):
     """The SVD spectral sums both posteriors read, one entry per row of ``phi``.
 
-    Returns sum_k a_k (phi^T v_k) (u_k^T y), sum_k b_k (phi^T v_k)^2 and the
-    feature-space null-space term max(||phi||^2 - ||V^T phi||^2, 0), for
-    per-component weights ``a`` and ``b`` of length ``fm.rank``.
+    Returns sum_k a_k (phi^T v_k) (u_k^T y) for the fit's targets y,
+    sum_k b_k (phi^T v_k)^2 and the feature-space null-space term
+    max(||phi||^2 - ||V^T phi||^2, 0), for per-component weights ``a`` and
+    ``b`` of length ``fm.rank``.
     """
     pv = phi @ fm.v
     null_sq = np.einsum("gk,gk->g", phi, phi) - np.einsum("gr,gr->g", pv, pv)
-    return pv @ (a * (fm.u.T @ y)), pv**2 @ b, np.maximum(null_sq, 0.0)
+    return pv @ (a * (fm.u.T @ fm.targets)), pv**2 @ b, np.maximum(null_sq, 0.0)
 
 
-def rff_posterior(fm: FeatureModel, y, xs, h: KernelHyper) -> Posterior:
-    """Reduced-rank posterior over the query grid ``xs`` via the spectral sum.
+def rff_posterior(fm: FeatureModel, xs) -> Posterior:
+    """The fit's reduced-rank posterior over the query grid ``xs`` via the spectral sum.
 
     mean      = sum_r lam_r / (lam_r^2 + noise^2) * (phi*^T v_r) (u_r^T y)
     variance  = noise^2 * sum_r (phi*^T v_r)^2 / (lam_r^2 + noise^2)
                 + ||phi* orthogonal to span(v)||^2
 
     The trailing term accounts for the feature-space null space so the result
-    matches the direct weight-space solve of (X^T X + noise^2 I).
+    matches the direct weight-space solve of (X^T X + noise^2 I). The
+    targets y and the noise come from the fit.
     """
-    y = _as_targets(y, fm)
+    h = fm.hyper
     if h.noise_std == 0.0 and fm.rank < fm.design.shape[1]:
         raise ConfigError("rank-deficient design with zero noise_std: posterior is singular")
     phi_star = scaled_feature_vector(_as_points(xs, fm.freq.shape[1]), fm.freq, h)
     lam = fm.singular_values
     denom = lam**2 + h.noise_std**2
-    mean, spectral, null_sq = spectral_sums(fm, phi_star, y, lam / denom, 1.0 / denom)
+    mean, spectral, null_sq = spectral_sums(fm, phi_star, lam / denom, 1.0 / denom)
     return Posterior(mean=mean, variance=h.noise_std**2 * spectral + null_sq)

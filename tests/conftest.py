@@ -6,7 +6,7 @@ import pytest
 from qrff.cli import RunConfig, generate_dataset
 from qrff.kernel import KernelHyper
 from qrff.pipeline import PreparedPipeline
-from qrff.qsim import dense_oracle, prepare_data_state
+from qrff.qsim import pipeline_oracle
 from qrff.rff import build_feature_model, sample_frequencies
 
 
@@ -34,20 +34,16 @@ def paper_feature_model(paper_dataset, paper_hyper, paper_config):
 
 
 @pytest.fixture(scope="session")
-def paper_pipeline(paper_feature_model, paper_hyper, paper_config):
-    return PreparedPipeline(paper_feature_model, paper_hyper, paper_config.tau)
+def paper_pipeline(paper_feature_model, paper_config):
+    return PreparedPipeline(paper_feature_model, paper_config.tau)
 
 
 @pytest.fixture(scope="session")
 def paper_oracle(paper_pipeline):
-    """``dense_oracle`` on the paper pipeline's encoded state: the post-QPE
-    state, the QPE ops, and each branch's un-computed state with its p."""
-    return dense_oracle(
-        prepare_data_state(paper_pipeline.fm),
-        paper_pipeline.delta_r,
-        paper_pipeline.tau,
-        paper_pipeline.profiles,
-    )
+    """``dense_oracle`` on the paper pipeline's encoded state, with the profiles
+    ``spectral_setup`` gives back for it: the post-QPE state, the QPE ops, and
+    each branch's un-computed state with its p."""
+    return pipeline_oracle(paper_pipeline)
 
 
 @pytest.fixture(scope="session")

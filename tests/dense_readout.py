@@ -1,7 +1,9 @@
 """The pipeline's readout taken from the dense oracle's states.
 
 ``dense_oracle`` runs phase estimation, post-selection and un-compute as
-circuits on the encoded state. ``dense_twin`` reads the factors the closed
+circuits on the encoded state; ``qsim.pipeline_oracle`` runs it on a
+pipeline's fit with the rotation profiles ``spectral_setup`` gives back for
+it, since the pipeline keeps none. ``dense_twin`` reads the factors the closed
 form's posterior uses (the per-component weights of the mean branch's phase-0
 slice and of the variance branch's rho_col, p1 and p2) off those states, so
 the twin's posterior is the dense-path readout. ``assert_matches_dense`` holds
@@ -18,7 +20,6 @@ import numpy as np
 
 from qrff import qsim
 from qrff.pipeline import PreparedPipeline
-from qrff.qsim import dense_oracle, prepare_data_state
 
 TOL = 1e-12
 
@@ -26,9 +27,8 @@ TOL = 1e-12
 def dense_twin(pipe: PreparedPipeline, oracle=None) -> PreparedPipeline:
     """A copy of ``pipe`` whose readout factors come from ``dense_oracle``.
 
-    ``oracle`` is ``dense_oracle`` on ``prepare_data_state(pipe.fm)`` with
-    ``pipe``'s delta_r, tau and profiles
-    when given, and is run otherwise. The copy keeps the dense branch states
+    ``oracle`` is ``qsim.pipeline_oracle(pipe)`` when given, and is run
+    otherwise. The copy keeps the dense branch states
     (``mean_state``, ``variance_state``) and the padded ``rho_col``. Its
     weights are the diagonals of V^T S U and V^T rho_col V, with S the
     phase-0 slice and V, U the feature model's SVD factors, both trimmed of
@@ -37,7 +37,7 @@ def dense_twin(pipe: PreparedPipeline, oracle=None) -> PreparedPipeline:
     untrimmed slice and rho_col.
     """
     if oracle is None:
-        oracle = dense_oracle(prepare_data_state(pipe.fm), pipe.delta_r, pipe.tau, pipe.profiles)
+        oracle = qsim.pipeline_oracle(pipe)
     _, _, ((mean, p1), (variance, p2)) = oracle
     n_rows, n_cols = pipe.fm.design.shape
     twin = copy.copy(pipe)
@@ -52,14 +52,14 @@ def dense_twin(pipe: PreparedPipeline, oracle=None) -> PreparedPipeline:
     return twin
 
 
-def assert_matches_dense(pipe: PreparedPipeline, targets, grid, oracle=None) -> None:
+def assert_matches_dense(pipe: PreparedPipeline, grid, oracle=None) -> None:
     """Slice, rho_col, p1, p2, leakages and grid posterior within 1e-12 of the oracle."""
     if oracle is None:
-        oracle = dense_oracle(prepare_data_state(pipe.fm), pipe.delta_r, pipe.tau, pipe.profiles)
+        oracle = qsim.pipeline_oracle(pipe)
     for name, gap in qsim.closed_form_gaps(pipe, oracle).items():
         assert gap <= TOL, name
     dense = dense_twin(pipe, oracle)
-    (post, _), (post_dense, _) = pipe.posterior(targets, grid), dense.posterior(targets, grid)
+    (post, _), (post_dense, _) = pipe.posterior(grid), dense.posterior(grid)
     assert np.max(np.abs(post.mean - post_dense.mean)) <= TOL
     assert np.max(np.abs(post.variance - post_dense.variance)) <= TOL
 

@@ -77,17 +77,11 @@ def test_criterion_2_variance_oracle_equivalence(paper_exact_report):
     )
 
 
-def test_criterion_3_sampled_mode_statistics(
-    paper_pipeline, paper_dataset, paper_feature_model, paper_hyper, grid50
-):
-    rff_means = rff_posterior(
-        paper_feature_model, paper_dataset.targets, grid50, paper_hyper
-    ).mean
+def test_criterion_3_sampled_mode_statistics(paper_pipeline, paper_feature_model, grid50):
+    rff_means = rff_posterior(paper_feature_model, grid50).mean
     rmses = []
     for shot_seed in range(5):
-        sampled = paper_pipeline.posterior(
-            paper_dataset.targets, grid50, shots=1_000_000, seed=shot_seed
-        )[0].mean
+        sampled = paper_pipeline.posterior(grid50, shots=1_000_000, seed=shot_seed)[0].mean
         rmse = float(np.sqrt(np.mean((sampled - rff_means) ** 2)))
         rmses.append(rmse)
         assert rmse <= 0.1
@@ -185,7 +179,7 @@ def test_criterion_6_post_selection_bookkeeping():
             h,
         )
         try:
-            pipe = PreparedPipeline(fm, h, tau)
+            pipe = PreparedPipeline(fm, tau)
         except ConfigError:
             continue  # spectrum below bin resolution: rejected by design
         pred = BinnedPrediction(fm, h.noise_std, pipe.delta_r, tau)
@@ -226,7 +220,7 @@ def test_criterion_7_rff_convergence(paper_dataset, paper_hyper, grid50):
         fm = build_feature_model(
             paper_dataset, sample_frequencies(256, paper_hyper, 1, seed=4000 + s), paper_hyper
         )
-        curves.append(rff_posterior(fm, paper_dataset.targets, grid50, paper_hyper).mean)
+        curves.append(rff_posterior(fm, grid50).mean)
     rmse = float(np.sqrt(np.mean((np.mean(curves, axis=0) - exact_means) ** 2)))
     assert rmse <= 0.05
     print(

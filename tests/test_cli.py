@@ -189,7 +189,7 @@ class TestRunExperiment:
         ds = generate_dataset(cfg)
         freq = sample_frequencies(cfg.n_frequencies, cfg.hyper, 1, cfg.seed_freq)
         fm = build_feature_model(ds, freq, cfg.hyper)
-        post = rff_posterior(fm, ds.targets, col["x"], cfg.hyper)
+        post = rff_posterior(fm, col["x"])
         for i in range(cfg.grid_count):
             assert col["mean_rff"][i] == pytest.approx(post.mean[i], abs=1e-8)
             assert col["var_rff"][i] == pytest.approx(post.variance[i], abs=1e-8)

@@ -33,7 +33,6 @@ from qrff.kernel import Dataset, KernelHyper, Posterior, _as_points
 from qrff.pipeline import DELTA_R_HEADROOM, PreparedPipeline, spectral_setup
 from qrff.qsim import dense_oracle, prepare_data_state
 from qrff.rff import (
-    _as_targets,
     build_feature_model,
     feature_map,
     sample_frequencies,
@@ -76,7 +75,7 @@ def test_pipeline_refuses_or_matches_binned_oracle(
     delta_r = headroom * float(fm.normalized_singular_values[0] ** 2)
     state = prepare_data_state(fm)
     assert_encodes_design(fm)
-    pipe, refused = _outcome(lambda: PreparedPipeline(fm, h, tau, delta_r))
+    pipe, refused = _outcome(lambda: PreparedPipeline(fm, tau, delta_r))
     oracle, dense_refused = _outcome(
         lambda: dense_oracle(
             state,
@@ -92,12 +91,12 @@ def test_pipeline_refuses_or_matches_binned_oracle(
         event(f"refused: {refused.__name__}")
         return
     event("estimated")
-    assert_matches_dense(pipe, y, GRID, oracle)
+    assert_matches_dense(pipe, GRID, oracle)
     pred = BinnedPrediction(fm, noise, delta_r, tau)
     assert 0 < pipe.p1 <= 1 and 0 < pipe.p2 <= 1
     assert pipe.p1 == pytest.approx(pred.p1(), abs=1e-10)
     assert pipe.p2 == pytest.approx(pred.p2(), abs=1e-10)
-    post, _ = pipe.posterior(y, GRID)
+    post, _ = pipe.posterior(GRID)
     for i, x_star in enumerate(GRID):
         phi_star = scaled_feature_vector([x_star], fm.freq, h)
         assert post.mean[i] == pytest.approx(pred.mean(phi_star, y), abs=1e-8)
@@ -122,7 +121,7 @@ def test_sampled_mode_with_few_shots(xs, m_freq, tau, shots, seed_freq, seed):
     )
 
     def estimate():
-        return PreparedPipeline(fm, h, tau).posterior(y, GRID, shots, seed)
+        return PreparedPipeline(fm, tau).posterior(GRID, shots, seed)
 
     try:
         post, readout = estimate()
@@ -145,10 +144,10 @@ def test_sampled_mode_with_few_shots(xs, m_freq, tau, shots, seed_freq, seed):
     assert np.array_equal(readout["variance_accepted"], readout2["variance_accepted"])
 
 
-def _fm_at_0(pipe, signal_std: float):
-    """The feature model of two points at 0 under ``pipe``'s frequencies."""
+def _fm_at_0(pipe, signal_std: float = 1.5, target: float = 1.0):
+    """The feature model of two points at 0, both with ``target``, under ``pipe``'s frequencies."""
     h = KernelHyper(signal_std, 1.0, 0.1)
-    return build_feature_model(Dataset(np.zeros((2, 1)), np.ones(2)), pipe.fm.freq, h)
+    return build_feature_model(Dataset(np.zeros((2, 1)), np.full(2, target)), pipe.fm.freq, h)
 
 
 #: each input check in kernel, rff and pipeline, called on the paper pipeline
@@ -162,23 +161,20 @@ INPUT_CHECKS = {
     "grid-shape": lambda pipe: _as_points(np.zeros((2, 3)), 1),
     "grid-non-finite": lambda pipe: _as_points([np.inf], 1),
     "no-frequencies": lambda pipe: build_feature_model(
-        Dataset(np.zeros((2, 1)), np.ones(2)), np.zeros((0, 1)), pipe.hyper
+        Dataset(np.zeros((2, 1)), np.ones(2)), np.zeros((0, 1)), pipe.fm.hyper
     ),
     "frequencies-non-finite": lambda pipe: feature_map([1.0], [[np.nan]]),
-    "sample-no-frequencies": lambda pipe: sample_frequencies(0, pipe.hyper, 1, 0),
-    "sample-no-dimensions": lambda pipe: sample_frequencies(2, pipe.hyper, 0, 0),
+    "sample-no-frequencies": lambda pipe: sample_frequencies(0, pipe.fm.hyper, 1, 0),
+    "sample-no-dimensions": lambda pipe: sample_frequencies(2, pipe.fm.hyper, 0, 0),
     "feature-point-shape": lambda pipe: feature_map(np.zeros((2, 2)), pipe.fm.freq),
     "feature-point-non-finite": lambda pipe: feature_map([np.nan], pipe.fm.freq),
     "design-dimension-mismatch": lambda pipe: build_feature_model(
-        Dataset(np.zeros((2, 2)), np.ones(2)), pipe.fm.freq, pipe.hyper
+        Dataset(np.zeros((2, 2)), np.ones(2)), pipe.fm.freq, pipe.fm.hyper
     ),
-    "target-length": lambda pipe: _as_targets(np.ones(3), pipe.fm),
-    "all-zero-targets": lambda pipe: pipe.posterior(np.zeros(pipe.fm.design.shape[0]), [1.0]),
+    "all-zero-targets": lambda pipe: PreparedPipeline(_fm_at_0(pipe, target=0.0), 6),
     "design-norm-underflows": lambda pipe: _fm_at_0(pipe, 2.3e-162),
-    "sigma-tilde-overflows": lambda pipe: PreparedPipeline(_fm_at_0(pipe, 1e-158), pipe.hyper, 6),
-    "targets-norm-overflows": lambda pipe: pipe.posterior(
-        np.full(pipe.fm.design.shape[0], 1e154), [1.0]
-    ),
+    "sigma-tilde-overflows": lambda pipe: PreparedPipeline(_fm_at_0(pipe, 1e-158), 6),
+    "targets-norm-overflows": lambda pipe: PreparedPipeline(_fm_at_0(pipe, target=1e154), 6),
 }
 
 

@@ -143,10 +143,10 @@ class TestSpectralExtraction:
         table = phase_table(np.array([0.5]), tau)
         assert table[0, 1 << (tau - 1)] == 1.0 and table.sum() == 1.0
 
-    def test_wraparound_rejected(self, paper_feature_model, paper_hyper):
+    def test_wraparound_rejected(self, paper_feature_model):
         lam_max2 = float(paper_feature_model.normalized_singular_values[0] ** 2)
         with pytest.raises(ConfigError):
-            PreparedPipeline(paper_feature_model, paper_hyper, 6, delta_r=0.5 * lam_max2)
+            PreparedPipeline(paper_feature_model, 6, delta_r=0.5 * lam_max2)
 
     @pytest.mark.parametrize("tau", [5, 6, 7])
     def test_resolution_law(self, tau):
@@ -192,7 +192,7 @@ class TestSpectralExtraction:
             h, ds, fm, _ = _schmidt_designs()[design]
         else:
             h, ds, fm = small_model(n_points=16, m_freq=2, seed_freq=21)
-        pipe = PreparedPipeline(fm, h, tau)
+        pipe = PreparedPipeline(fm, tau)
         sv = dense_spectral_state(fm, tau, pipe.delta_r)
         w, s, vh = np.linalg.svd(
             prepare_data_state(fm).amplitudes.reshape(sv.register("col").dim, -1),
@@ -212,6 +212,12 @@ class TestSpectralExtraction:
         for k, t in enumerate(theta):
             assert np.max(np.abs(table[k] - qpe_bin_weights(t, tau))) <= 1e-12
         assert np.max(np.abs(table.sum(axis=1) - 1.0)) <= 1e-12
+
+
+def _pipeline_on_targets(pipe, ds, y):
+    """``pipe`` rebuilt on a fit of ``ds``'s inputs with targets ``y``."""
+    fm = build_feature_model(Dataset(ds.inputs, y), pipe.fm.freq, pipe.fm.hyper)
+    return PreparedPipeline(fm, pipe.tau, pipe.delta_r)
 
 
 def sigma_tilde_sq(fm, h):
@@ -242,14 +248,14 @@ class TestSpectralSetup:
             spectral_setup(fm.normalized_singular_values, sigma_tilde_sq(fm, h), 1.05, 6)
 
     @pytest.mark.parametrize("tau", [1, 2, 3])
-    def test_top_bin_wrapping_to_zero_raises(self, tau, paper_feature_model, paper_hyper):
+    def test_top_bin_wrapping_to_zero_raises(self, tau, paper_feature_model):
         # default delta_r = 1.05 lam~0^2 rounds the top component to bin 2^tau
         # for tau <= 3, which the tau-qubit phase register reads as bin 0
         with pytest.raises(ConfigError):
-            PreparedPipeline(paper_feature_model, paper_hyper, tau)
+            PreparedPipeline(paper_feature_model, tau)
 
-    def test_tau_four_resolves_paper_config(self, paper_feature_model, paper_hyper):
-        pipe = PreparedPipeline(paper_feature_model, paper_hyper, 4)
+    def test_tau_four_resolves_paper_config(self, paper_feature_model):
+        pipe = PreparedPipeline(paper_feature_model, 4)
         bins = decoded_bins(paper_feature_model, pipe.delta_r, 4)
         assert max(bins) < 1 << 4
         assert min(bins) > 0
@@ -266,21 +272,24 @@ class TestSpectralSetup:
     def test_profiles_keep_their_arithmetic(self, paper_pipeline):
         # bit for bit: a reciprocal form moves the last digit of the leakage
         pipe = paper_pipeline
-        st2 = sigma_tilde_sq(pipe.fm, pipe.hyper)
+        st2 = sigma_tilde_sq(pipe.fm, pipe.fm.hyper)
         lam_hat2 = np.arange(1 << pipe.tau) * pipe.delta_r / (1 << pipe.tau)
         with np.errstate(divide="ignore"):
             mean = np.minimum(1.0, pipe.c1 / (lam_hat2 + st2))
             variance = np.minimum(1.0, pipe.c2 / np.sqrt(lam_hat2 * (lam_hat2 + st2)))
         mean[0] = variance[0] = 0.0
-        assert np.array_equal(pipe.profiles[0], mean)
-        assert np.array_equal(pipe.profiles[1], variance)
+        s = pipe.fm.normalized_singular_values
+        profiles = spectral_setup(s, pipe.sigma_tilde_sq, pipe.delta_r, pipe.tau)["profiles"]
+        assert np.array_equal(profiles[0], mean)
+        assert np.array_equal(profiles[1], variance)
 
     @pytest.mark.parametrize("tau", [8, 10, 13])
     def test_runs_without_a_pipeline(self, tau, paper_feature_model, paper_hyper):
         fm = paper_feature_model
-        pipe = PreparedPipeline(fm, paper_hyper, tau)
+        pipe = PreparedPipeline(fm, tau)
+        assert pipe.sigma_tilde_sq == sigma_tilde_sq(fm, paper_hyper)
         setup = spectral_setup(
-            fm.normalized_singular_values, sigma_tilde_sq(fm, paper_hyper), pipe.delta_r, tau
+            fm.normalized_singular_values, pipe.sigma_tilde_sq, pipe.delta_r, tau
         )
         assert sorted(setup) == [
             "c1",
@@ -293,6 +302,9 @@ class TestSpectralSetup:
             "uncompute_leakage_variance",
             "variance_weights",
         ]
+        # the pipeline keeps everything but the profiles, which posterior never reads
+        assert not hasattr(pipe, "profiles")
+        del setup["profiles"]
         for key, value in setup.items():
             assert np.array_equal(getattr(pipe, key), value), key
 
@@ -303,7 +315,7 @@ class TestInversionBranches:
         h = KernelHyper(1.5, 1.0, 0.0)
         ds = Dataset(np.array([[0.3]]), np.array([0.7]))
         fm = build_feature_model(ds, sample_frequencies(1, h, 1, 2), h)
-        pipe = PreparedPipeline(fm, h, tau=5, delta_r=2.0)
+        pipe = PreparedPipeline(fm, tau=5, delta_r=2.0)
         assert pipe.c1 == pytest.approx(1.0, abs=1e-12)
         assert pipe.p1 == pytest.approx(1.0, abs=1e-10)
         assert pipe.p2 == pytest.approx(1.0, abs=1e-10)
@@ -312,7 +324,7 @@ class TestInversionBranches:
     def test_acceptance_probabilities_match_oracle(self, seed):
         tau = 6
         h, ds, fm = resolved_small_model(tau, seed_data=seed, seed_freq=seed + 20)
-        pipe = PreparedPipeline(fm, h, tau)
+        pipe = PreparedPipeline(fm, tau)
         pred = BinnedPrediction(fm, h.noise_std, pipe.delta_r, tau)
         assert pipe.p1 == pytest.approx(pred.p1(), abs=1e-10)
         assert pipe.p2 == pytest.approx(pred.p2(), abs=1e-10)
@@ -322,9 +334,9 @@ class TestInversionBranches:
         h = KernelHyper(1.5, 1.0, 0.1)
         ds = Dataset(np.array([[0.3]]), np.array([0.7]))
         fm = build_feature_model(ds, sample_frequencies(2, h, 1, 2), h)
-        pipe = PreparedPipeline(fm, h, tau=6, delta_r=2.0)
+        pipe = PreparedPipeline(fm, tau=6, delta_r=2.0)
         assert 0 < pipe.p1 <= 1.0 and 0 < pipe.p2 <= 1.0
-        _, readout = pipe.posterior(ds.targets, [1.1], shots=1000, seed=3)
+        _, readout = pipe.posterior([1.1], shots=1000, seed=3)
         assert readout["mean_accepted"][0] == 1000
 
     @pytest.mark.parametrize("branch", ["mean", "variance"])
@@ -344,7 +356,7 @@ class TestInversionBranches:
 
         monkeypatch.setattr(pipeline, "spectral_setup", faint)
         with pytest.raises(PostSelectionError, match=branch):
-            PreparedPipeline(fm, h, 6)
+            PreparedPipeline(fm, 6)
         delta_r, st2 = default_delta_r(fm), sigma_tilde_sq(fm, h)
         profiles = faint(fm.normalized_singular_values, st2, delta_r, 6)["profiles"]
         with pytest.raises(PostSelectionError):
@@ -367,7 +379,7 @@ class TestInversionBranches:
         fm, pipe = paper_feature_model, paper_pipeline
         lam_t = fm.normalized_singular_values
         lam_hat2 = decoded_bins(fm, pipe.delta_r, pipe.tau) * pipe.delta_r / 2**pipe.tau
-        weights = lam_t * pipe.c1 / (lam_hat2 + sigma_tilde_sq(fm, pipe.hyper))
+        weights = lam_t * pipe.c1 / (lam_hat2 + sigma_tilde_sq(fm, fm.hyper))
         mean_state = paper_oracle[2][0][0]
         nr = mean_state.register("row").width
         nc = mean_state.register("col").width
@@ -390,9 +402,9 @@ class TestPosteriorEstimates:
         h = KernelHyper(1.5, 1.0, 0.1)
         ds = Dataset(np.array([[0.3]]), np.array([0.7]))
         fm = build_feature_model(ds, sample_frequencies(1, h, 1, 2), h)
-        pipe = PreparedPipeline(fm, h, tau=6, delta_r=2.0)
+        pipe = PreparedPipeline(fm, tau=6, delta_r=2.0)
         x_star = 1.1
-        est, _ = pipe.posterior(ds.targets, [x_star])
+        est, _ = pipe.posterior([x_star])
         phi1 = fm.design[0]
         phi_star = scaled_feature_vector([x_star], fm.freq, h)
         lam1 = fm.singular_values[0]
@@ -408,10 +420,10 @@ class TestPosteriorEstimates:
     def test_exact_mode_equals_binned_oracle(self, seed):
         tau = 7
         h, ds, fm = resolved_small_model(tau, seed_data=seed + 7, seed_freq=seed + 40)
-        pipe = PreparedPipeline(fm, h, tau)
+        pipe = PreparedPipeline(fm, tau)
         pred = BinnedPrediction(fm, h.noise_std, pipe.delta_r, tau)
         grid = np.linspace(0.3, 5.9, 5)
-        post, _ = pipe.posterior(ds.targets, grid)
+        post, _ = pipe.posterior(grid)
         for i, x in enumerate(grid):
             phi_star = scaled_feature_vector([x], fm.freq, h)
             assert post.mean[i] == pytest.approx(pred.mean(phi_star, ds.targets), abs=1e-8)
@@ -423,23 +435,23 @@ class TestPosteriorEstimates:
         freq = np.array([[0.25]])
         ds = Dataset(np.array([[0.0]]), np.array([0.5]))
         fm = build_feature_model(ds, freq, h)
-        pipe = PreparedPipeline(fm, h, tau=5, delta_r=2.0)
-        est, readout = pipe.posterior(ds.targets, [1.0])  # phase = pi/2: features (0, sigma)
+        pipe = PreparedPipeline(fm, tau=5, delta_r=2.0)
+        est, readout = pipe.posterior([1.0])  # phase = pi/2: features (0, sigma)
         assert readout["variance_overlap"][0] == pytest.approx(0.0, abs=1e-10)
         assert est.variance[0] == pytest.approx(h.signal_std**2, abs=1e-10)
-        direct = rff_posterior(fm, ds.targets, [1.0], h)
+        direct = rff_posterior(fm, [1.0])
         assert est.variance[0] == pytest.approx(direct.variance[0], abs=1e-10)
 
-    def test_zero_targets_rejected(self, paper_pipeline):
+    def test_zero_targets_rejected(self, paper_pipeline, paper_dataset):
         with pytest.raises(ValueError):
-            paper_pipeline.posterior(np.zeros(16), [1.0])
+            _pipeline_on_targets(paper_pipeline, paper_dataset, np.zeros(16))
 
     def test_sampled_mode_deterministic(self):
         h, ds, fm = resolved_small_model(6, seed_data=0, seed_freq=21)
-        pipe = PreparedPipeline(fm, h, tau=6)
-        a, a_readout = pipe.posterior(ds.targets, [1.0], shots=10_000, seed=5)
-        b, b_readout = pipe.posterior(ds.targets, [1.0], shots=10_000, seed=5)
-        c, _ = pipe.posterior(ds.targets, [1.0], shots=10_000, seed=6)
+        pipe = PreparedPipeline(fm, tau=6)
+        a, a_readout = pipe.posterior([1.0], shots=10_000, seed=5)
+        b, b_readout = pipe.posterior([1.0], shots=10_000, seed=5)
+        c, _ = pipe.posterior([1.0], shots=10_000, seed=6)
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a_readout["mean_accepted"], b_readout["mean_accepted"])
         assert c.mean[0] != a.mean[0]
@@ -447,25 +459,29 @@ class TestPosteriorEstimates:
 
     def test_sampled_variance_nonnegative(self):
         h, ds, fm = resolved_small_model(6, seed_data=2, seed_freq=6)
-        pipe = PreparedPipeline(fm, h, tau=6)
-        est, _ = pipe.posterior(ds.targets, [4.0] * 10, shots=200, seed=10)
+        pipe = PreparedPipeline(fm, tau=6)
+        est, _ = pipe.posterior([4.0] * 10, shots=200, seed=10)
         assert np.all(est.variance >= 0.0)
 
     @pytest.mark.parametrize("branch", ["mean", "variance"])
     def test_sampled_mode_refuses_a_point_with_no_accepted_shot(
-        self, branch, paper_pipeline, monkeypatch
+        self, branch, paper_pipeline, paper_dataset
     ):
         # one shot per point at p < 1: some of 64 points draw 0 accepted shots
-        assert paper_pipeline.p1 < 1.0 and paper_pipeline.p2 < 1.0
+        pipe = _pipeline_on_targets(paper_pipeline, paper_dataset, np.ones(16))
+        assert pipe.p1 < 1.0 and pipe.p2 < 1.0
         if branch == "variance":
             # the mean branch then accepts every shot, so only the SWAP test can refuse
-            monkeypatch.setattr(paper_pipeline, "p1", 1.0)
+            pipe.p1 = 1.0
         grid = np.linspace(0.0, 6.0, 64)
         with pytest.raises(PostSelectionError, match="no accepted shots out of 1 "):
-            paper_pipeline.posterior(np.ones(16), grid, shots=1, seed=0)
+            pipe.posterior(grid, shots=1, seed=0)
 
     @pytest.mark.parametrize("branch", ["mean", "variance"])
-    def test_sampled_grid_builds_one_generator(self, branch, paper_pipeline, monkeypatch):
+    def test_sampled_grid_builds_one_generator(
+        self, branch, paper_pipeline, paper_dataset, monkeypatch
+    ):
+        pipe = _pipeline_on_targets(paper_pipeline, paper_dataset, np.ones(16))
         calls = []
         default_rng = np.random.default_rng
 
@@ -475,7 +491,7 @@ class TestPosteriorEstimates:
 
         monkeypatch.setattr(np.random, "default_rng", counting_rng)
         grid = np.linspace(0.0, 6.0, 1000)
-        _, readout = paper_pipeline.posterior(np.ones(16), grid, shots=1000, seed=7)
+        _, readout = pipe.posterior(grid, shots=1000, seed=7)
         # the mean branch's generator, then the variance branch's, both spawned from 7
         assert [(c.entropy, c.spawn_key) for c in calls] == [(7, (0,)), (7, (1,))]
         # one generator serves the branch's whole grid, so each point has a count
@@ -484,8 +500,8 @@ class TestPosteriorEstimates:
         assert [c.spawn_key for c in calls].count(spawn_key) == 1
 
     def test_sampled_mode_keeps_the_exact_readout(self, paper_pipeline, paper_dataset, grid50):
-        _, readout = paper_pipeline.posterior(paper_dataset.targets, grid50, 1000, seed=1)
-        exact, exact_readout = paper_pipeline.posterior(paper_dataset.targets, grid50)
+        _, readout = paper_pipeline.posterior(grid50, 1000, seed=1)
+        exact, exact_readout = paper_pipeline.posterior(grid50)
         assert np.array_equal(readout["exact_mean"], exact.mean)
         assert np.array_equal(readout["exact_variance"], exact.variance)
         assert "exact_mean" not in exact_readout
@@ -493,7 +509,7 @@ class TestPosteriorEstimates:
     @pytest.mark.parametrize("shots", [0, 1000])
     def test_one_call_evaluates_the_query_features_once(self, shots, monkeypatch):
         h, ds, fm = resolved_small_model(6, seed_data=1, seed_freq=21)
-        pipe = PreparedPipeline(fm, h, tau=6)
+        pipe = PreparedPipeline(fm, tau=6)
         calls = []
 
         def counting_features(*args):
@@ -501,7 +517,7 @@ class TestPosteriorEstimates:
             return scaled_feature_vector(*args)
 
         monkeypatch.setattr(pipeline, "scaled_feature_vector", counting_features)
-        pipe.posterior(ds.targets, np.linspace(0.0, 6.0, 7), shots, seed=3)
+        pipe.posterior(np.linspace(0.0, 6.0, 7), shots, seed=3)
         assert len(calls) == 1
 
     def test_config_validation(self):
@@ -514,9 +530,9 @@ class TestPosteriorEstimates:
 
     def test_grid_estimates_shapes_and_acceptance(self):
         h, ds, fm = resolved_small_model(6, seed_data=1, seed_freq=21)
-        pipe = PreparedPipeline(fm, h, tau=6)
+        pipe = PreparedPipeline(fm, tau=6)
         grid = np.linspace(0.0, 6.0, 7)
-        post, readout = pipe.posterior(ds.targets, grid)
+        post, readout = pipe.posterior(grid)
         assert post.mean.shape == (7,) and post.variance.shape == (7,)
         assert 0 < pipe.p1 <= 1 and 0 < pipe.p2 <= 1
         assert not readout["mean_accepted"].any() and not readout["variance_accepted"].any()
@@ -544,7 +560,7 @@ def _circuit_references(pipe, y, x):
     col_w = pipe.mean_state.register("col").width
     row_w = pipe.mean_state.register("row").width
     phase_dim = pipe.mean_state.register("phase").dim
-    phi = scaled_feature_vector([x], pipe.fm.freq, pipe.hyper)
+    phi = scaled_feature_vector([x], pipe.fm.freq, pipe.fm.hyper)
     col = np.zeros(1 << col_w)
     col[: phi.size] = phi / np.linalg.norm(phi)
     row = np.zeros(1 << row_w)
@@ -562,9 +578,9 @@ class TestBatchedReadoutMatchesCircuits:
     @pytest.mark.parametrize("design", range(5))
     def test_exact_overlaps(self, design):
         h, ds, fm, tau, delta_r, grid = _oracle_designs()[design]
-        pipe = PreparedPipeline(fm, h, tau, delta_r)
+        pipe = PreparedPipeline(fm, tau, delta_r)
         dense = dense_twin(pipe)
-        _, readout = pipe.posterior(ds.targets, grid)
+        _, readout = pipe.posterior(grid)
         for i, x in enumerate(grid):
             reference, query = _circuit_references(dense, ds.targets, x)
             hadamard = qsim.hadamard_test(dense.mean_state, reference)
@@ -575,10 +591,10 @@ class TestBatchedReadoutMatchesCircuits:
     @pytest.mark.parametrize("design", range(5))
     def test_sampled_draws(self, design):
         h, ds, fm, tau, delta_r, grid = _oracle_designs()[design]
-        pipe = PreparedPipeline(fm, h, tau, delta_r)
+        pipe = PreparedPipeline(fm, tau, delta_r)
         dense = dense_twin(pipe)
         shots = 5_000
-        _, readout = pipe.posterior(ds.targets, grid, shots, seed=design)
+        _, readout = pipe.posterior(grid, shots, seed=design)
         mean_seed, var_seed = np.random.SeedSequence(design).spawn(2)
         # each branch draws every point's accepted shots, then the readouts in grid order
         mean_rng = np.random.default_rng(mean_seed)
@@ -604,11 +620,16 @@ class TestBatchedReadoutMatchesCircuits:
 
 
 def _schmidt_designs():
-    """Designs with more rows than features, fewer (N=3, M=4) and a single row."""
+    """Designs with more rows than features, fewer (N=3, M=4) and a single row,
+    then one fit at hyperparameters other than the paper's."""
     designs = []
     for n_points, m_freq, tau in ((64, 2, 6), (5, 1, 6), (3, 4, 6), (1, 3, 6), (1, 1, 5)):
         h, ds, fm = resolved_small_model(tau, n_points=n_points, m_freq=m_freq)
         designs.append((h, ds, fm, tau))
+    h = KernelHyper(3.0, 0.7, 0.2)
+    x = np.linspace(0, 2 * np.pi, 8)
+    ds = Dataset(x[:, None], np.sin(x))
+    designs.append((h, ds, build_feature_model(ds, sample_frequencies(3, h, 1, 5), h), 6))
     return designs
 
 
@@ -617,7 +638,7 @@ class TestSchmidtRowsMatchDense:
     ``prepare_data_state(fm)`` as circuits (``dense_oracle``), and that
     state against the scaled design."""
 
-    def test_paper_config(self, paper_pipeline, paper_oracle, paper_dataset, grid50):
+    def test_paper_config(self, paper_pipeline, paper_oracle, grid50):
         assert_encodes_design(paper_pipeline.fm)
         # the pipeline holds no encoded state
         assert not any(isinstance(v, qsim.Statevector) for v in vars(paper_pipeline).values())
@@ -626,15 +647,24 @@ class TestSchmidtRowsMatchDense:
         arrays = [v for v in vars(paper_pipeline).values() if isinstance(v, np.ndarray)]
         assert arrays and all(a.size <= paper_pipeline.fm.rank for a in arrays)
         assert paper_pipeline.tau == 13
-        assert_matches_dense(paper_pipeline, paper_dataset.targets, grid50, paper_oracle)
+        assert_matches_dense(paper_pipeline, grid50, paper_oracle)
 
-    @pytest.mark.parametrize("design", range(5))
+    @pytest.mark.parametrize("design", range(6))
     def test_small_designs(self, design):
         h, ds, fm, tau = _schmidt_designs()[design]
         assert_encodes_design(fm)
-        pipe = PreparedPipeline(fm, h, tau)
+        pipe = PreparedPipeline(fm, tau)
         assert pipe.mean_weights.shape == (fm.rank,)
-        assert_matches_dense(pipe, ds.targets, np.linspace(0.0, 6.0, 7))
+        grid = np.linspace(0.0, 6.0, 7)
+        assert_matches_dense(pipe, grid)
+        # the dense twin shares the readout's scaling, so the fit's own
+        # hyperparameters are held to the binned oracle at them
+        pred = BinnedPrediction(fm, h.noise_std, pipe.delta_r, tau)
+        post, _ = pipe.posterior(grid)
+        for i, x in enumerate(grid):
+            phi_star = scaled_feature_vector([x], fm.freq, h)
+            assert post.mean[i] == pytest.approx(pred.mean(phi_star, ds.targets), abs=1e-8)
+            assert post.variance[i] == pytest.approx(pred.variance(phi_star), abs=1e-8)
 
     @pytest.mark.parametrize(
         "name",
@@ -657,10 +687,10 @@ class TestCapacityPlan:
         tau = 6
         h, ds, fm = resolved_small_model(tau, n_points=64, m_freq=2)
         monkeypatch.setattr(errors, "MAX_QUBITS", 8)
-        pipe = PreparedPipeline(fm, h, tau)
+        pipe = PreparedPipeline(fm, tau)
         pred = BinnedPrediction(fm, h.noise_std, pipe.delta_r, tau)
         grid = np.linspace(0.0, 6.0, 4)
-        post, _ = pipe.posterior(ds.targets, grid)
+        post, _ = pipe.posterior(grid)
         for i, x in enumerate(grid):
             phi_star = scaled_feature_vector([x], fm.freq, h)
             assert post.mean[i] == pytest.approx(pred.mean(phi_star, ds.targets), abs=1e-8)
@@ -674,7 +704,7 @@ class TestCapacityPlan:
         monkeypatch.setattr(errors, "MAX_QUBITS", 6)
         monkeypatch.setattr(pipeline, "phase_table", lambda *args: table_calls.append(args))
         with pytest.raises(CapacityError, match="encoding"):
-            PreparedPipeline(fm, h, tau=2)
+            PreparedPipeline(fm, tau=2)
         assert table_calls == []
 
     def test_refused_before_encoding(self, monkeypatch):
@@ -685,7 +715,7 @@ class TestCapacityPlan:
         monkeypatch.setattr(errors, "MAX_QUBITS", 12)
         monkeypatch.setattr(pipeline, "phase_table", lambda *args: table_calls.append(args))
         with pytest.raises(CapacityError, match="phase table"):
-            PreparedPipeline(fm, h, tau=11)
+            PreparedPipeline(fm, tau=11)
         assert table_calls == []
 
     def test_wide_column_register_runs_without_column_matrices(self, monkeypatch):
@@ -694,11 +724,11 @@ class TestCapacityPlan:
         h, ds, fm = small_model(n_points=1, m_freq=64)
         monkeypatch.setattr(errors, "MAX_QUBITS", 12)
         tau = 4
-        pipe = PreparedPipeline(fm, h, tau)
+        pipe = PreparedPipeline(fm, tau)
         assert pipe.variance_weights.shape == (1,)
         pred = BinnedPrediction(fm, h.noise_std, pipe.delta_r, tau)
         grid = np.array([0.5, 2.0])
-        post, _ = pipe.posterior(ds.targets, grid)
+        post, _ = pipe.posterior(grid)
         for i, x in enumerate(grid):
             phi_star = scaled_feature_vector([x], fm.freq, h)
             assert post.mean[i] == pytest.approx(pred.mean(phi_star, ds.targets), abs=1e-8)
@@ -708,7 +738,7 @@ class TestCapacityPlan:
         # N=1, M=32: the readout factors span a 64-dimensional col register
         h, ds, fm = small_model(n_points=1, m_freq=32)
         monkeypatch.setattr(errors, "MAX_QUBITS", 12)
-        pipe = PreparedPipeline(fm, h, tau=4)
+        pipe = PreparedPipeline(fm, tau=4)
         assert pipe.variance_weights.shape == (1,) and pipe.mean_weights.shape == (1,)
         assert 0 < pipe.p1 <= 1 and 0 < pipe.p2 <= 1
 
@@ -717,13 +747,13 @@ class TestCapacityPlan:
         # register; a stack of every power U^v would take 2^10 * 128^2 * 16 B
         h, ds, fm = small_model(n_points=2, m_freq=64)
         tau = 10
-        pipe = PreparedPipeline(fm, h, tau)
-        sv, circuit, _ = dense_oracle(prepare_data_state(fm), pipe.delta_r, tau, pipe.profiles)
+        pipe = PreparedPipeline(fm, tau)
+        sv, circuit, _ = qsim.pipeline_oracle(pipe)
         ladder_bytes = sum(op.matrices.nbytes for op in circuit)
         assert ladder_bytes <= sv.amplitudes.nbytes // 4
         pred = BinnedPrediction(fm, h.noise_std, pipe.delta_r, tau)
         grid = np.array([0.5, 2.0])
-        post, _ = pipe.posterior(ds.targets, grid)
+        post, _ = pipe.posterior(grid)
         assert 0 < pipe.p1 <= 1 and 0 < pipe.p2 <= 1
         for i, x in enumerate(grid):
             phi_star = scaled_feature_vector([x], fm.freq, h)
@@ -745,9 +775,9 @@ with open(config) as fh:
     cfg = RunConfig(**json.load(fh))
 ds = generate_dataset(cfg)
 freq = sample_frequencies(cfg.n_frequencies, cfg.hyper, cfg.dim, cfg.seed_freq)
-pipe = PreparedPipeline(build_feature_model(ds, freq, cfg.hyper), cfg.hyper, cfg.tau)
+pipe = PreparedPipeline(build_feature_model(ds, freq, cfg.hyper), cfg.tau)
 for shots in (0, 1000):
-    pipe.posterior(ds.targets, cfg.grid, shots, seed=1)
+    pipe.posterior(cfg.grid, shots, seed=1)
 commands = (["compare"], ["compare", "--mode", "sampled", "--shots", "1000"], ["fit-exact"])
 codes = [main([*args, "--config", config, "--out", out]) for args in commands]
 loaded = {name: name in sys.modules for name in ("qrff.qsim", "logging")}
@@ -794,6 +824,8 @@ class TestGaugeInvariance:
         signs = np.where(np.arange(fm.rank) % 2 == 0, -1.0, 1.0)
         flipped = FeatureModel(
             freq=fm.freq,
+            hyper=fm.hyper,
+            targets=fm.targets,
             design=fm.design,
             frobenius_norm=fm.frobenius_norm,
             u=fm.u * signs,
@@ -812,20 +844,16 @@ class TestGaugeInvariance:
 
 
 class TestTauMonotonicity:
-    def test_mean_deviation_non_increasing(
-        self, paper_feature_model, paper_dataset, paper_hyper, paper_pipeline
-    ):
+    def test_mean_deviation_non_increasing(self, paper_feature_model, paper_pipeline):
         grid = np.linspace(0, 2 * np.pi, 10)
-        rff_means = rff_posterior(
-            paper_feature_model, paper_dataset.targets, grid, paper_hyper
-        ).mean
+        rff_means = rff_posterior(paper_feature_model, grid).mean
 
         def max_dev(pipe):
-            q = pipe.posterior(paper_dataset.targets, grid)[0].mean
+            q = pipe.posterior(grid)[0].mean
             return np.max(np.abs(q - rff_means))
 
         devs = []
         for tau in (8, 10):
-            devs.append(max_dev(PreparedPipeline(paper_feature_model, paper_hyper, tau)))
+            devs.append(max_dev(PreparedPipeline(paper_feature_model, tau)))
         devs.append(max_dev(paper_pipeline))  # tau = 13
         assert devs[0] >= devs[1] >= devs[2]

@@ -6,6 +6,7 @@ import scipy.linalg
 
 from qrff import qsim
 from qrff.errors import CapacityError, PostSelectionError
+from qrff.pipeline import spectral_setup
 from qrff.qsim import GateOp, Statevector
 
 
@@ -476,7 +477,9 @@ class TestPostselect:
 
     def test_matches_flag_circuit_on_paper_spectral_state(self, paper_pipeline, paper_oracle):
         sv = paper_oracle[0]
-        weights = paper_pipeline.profiles[0]
+        pipe = paper_pipeline
+        s = pipe.fm.normalized_singular_values
+        weights = spectral_setup(s, pipe.sigma_tilde_sq, pipe.delta_r, pipe.tau)["profiles"][0]
         out, p = qsim.postselect(sv, "phase", weights)
         want, p_want = flag_circuit_postselect(sv, "phase", weights)
         assert abs(p - p_want) <= 1e-12

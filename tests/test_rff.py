@@ -110,16 +110,19 @@ class TestFeatureModel:
 
 
 class TestRffPosterior:
-    def test_zero_targets_give_zero_mean(self, paper_feature_model, paper_hyper):
-        post = rff_posterior(paper_feature_model, np.zeros(16), [0.0, 1.0, 4.4], paper_hyper)
+    def test_zero_targets_give_zero_mean(self, paper_feature_model, paper_dataset, paper_hyper):
+        ds = Dataset(paper_dataset.inputs, np.zeros(16))
+        fm = build_feature_model(ds, paper_feature_model.freq, paper_hyper)
+        post = rff_posterior(fm, [0.0, 1.0, 4.4])
         assert np.all(post.mean == 0.0)
 
     def test_spectral_sum_matches_dense_solve(
         self, paper_feature_model, paper_dataset, paper_hyper, grid50
     ):
         # the paper design has full rank; with more features than rows (N, M) =
-        # (3, 4) and (1, 3) the null-space term carries part of the variance
-        models = [(paper_feature_model, paper_dataset)]
+        # (3, 4) and (1, 3) the null-space term carries part of the variance;
+        # a fit at other hyperparameters must answer with its own
+        models = [(paper_feature_model, paper_dataset, paper_hyper)]
         for n_points, m_freq in ((3, 4), (1, 3)):
             x = np.linspace(0.5, 5.0, n_points)
             ds = Dataset(x[:, None], np.sin(x))
@@ -127,17 +130,20 @@ class TestRffPosterior:
                 ds, sample_frequencies(m_freq, paper_hyper, 1, seed=n_points), paper_hyper
             )
             assert fm.rank < fm.design.shape[1]
-            models.append((fm, ds))
-        for fm, ds in models:
+            models.append((fm, ds, paper_hyper))
+        h = KernelHyper(3.0, 0.7, 0.2)
+        fm = build_feature_model(paper_dataset, sample_frequencies(2, h, 1, seed=21), h)
+        models.append((fm, paper_dataset, h))
+        for fm, ds, h in models:
             # independent oracle: direct weight-space solve
             X = fm.design
-            A = X.T @ X + paper_hyper.noise_std**2 * np.eye(X.shape[1])
-            post = rff_posterior(fm, ds.targets, grid50, paper_hyper)
+            A = X.T @ X + h.noise_std**2 * np.eye(X.shape[1])
+            post = rff_posterior(fm, grid50)
             for i, x in enumerate(grid50):
-                phi = scaled_feature_vector([x], fm.freq, paper_hyper)
+                phi = scaled_feature_vector([x], fm.freq, h)
                 w = np.linalg.solve(A, X.T @ ds.targets)
                 mean_direct = float(phi @ w)
-                var_direct = float(paper_hyper.noise_std**2 * phi @ np.linalg.solve(A, phi))
+                var_direct = float(h.noise_std**2 * phi @ np.linalg.solve(A, phi))
                 assert post.mean[i] == pytest.approx(mean_direct, abs=1e-8)
                 assert post.variance[i] == pytest.approx(var_direct, abs=1e-8)
 
@@ -148,8 +154,8 @@ class TestRffPosterior:
         perm = rng.permutation(16)
         shuffled = Dataset(paper_dataset.inputs[perm], paper_dataset.targets[perm])
         fm_perm = build_feature_model(shuffled, freq, paper_hyper)
-        a = rff_posterior(fm, paper_dataset.targets, [0.7, 3.1], paper_hyper)
-        b = rff_posterior(fm_perm, shuffled.targets, [0.7, 3.1], paper_hyper)
+        a = rff_posterior(fm, [0.7, 3.1])
+        b = rff_posterior(fm_perm, [0.7, 3.1])
         assert a.mean == pytest.approx(b.mean, abs=1e-10)
         assert a.variance == pytest.approx(b.variance, abs=1e-10)
 
@@ -158,7 +164,7 @@ class TestRffPosterior:
         freq = sample_frequencies(3, paper_hyper, 1, seed=seed)
         fm = build_feature_model(paper_dataset, freq, paper_hyper)
         rng = np.random.default_rng(seed)
-        post = rff_posterior(fm, paper_dataset.targets, rng.uniform(-2, 9, size=8), paper_hyper)
+        post = rff_posterior(fm, rng.uniform(-2, 9, size=8))
         assert np.all(post.variance >= 0.0)
 
     def test_zero_noise_rank_deficient_raises(self, paper_dataset):
@@ -166,4 +172,4 @@ class TestRffPosterior:
         freq = sample_frequencies(32, h, 1, seed=0)  # 64 features > 16 rows
         fm = build_feature_model(paper_dataset, freq, h)
         with pytest.raises(ConfigError, match="posterior is singular"):
-            rff_posterior(fm, paper_dataset.targets, [1.0], h)
+            rff_posterior(fm, [1.0])
