@@ -1,13 +1,23 @@
 """Exact Gaussian process regression with the squared-exponential kernel.
 
 This module is the ground truth for everything else in the package: the
-kernel and the dense GP posterior computed through a blocked Cholesky
-factorization in numpy alone. Inputs may live in any dimension even though
-the bundled experiment is one-dimensional.
+kernel and the GP posterior, in numpy alone. Inputs may live in any dimension
+even though the bundled experiment is one-dimensional.
+
+The posterior is first tried in O((N + G) r^2) for N inputs and G queries: a
+pivoted Cholesky of the noise-free kernel over inputs and queries, stopped
+once every residual diagonal is at most eps * signal_std^2, then a solve in
+the r pivots' weight space. The residual kernel is positive semi-definite, so
+none of its entries is then larger than the rounding error of evaluating one
+kernel entry: the answer is the exact posterior of a kernel within rounding
+of the true one. A blocked dense Cholesky in O(N^2 (N + G)) answers instead
+when N is at most one block, when the noise is zero, or when the pivots reach
+a cap set so that a failed try costs about 10% of the dense solve.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,19 +201,148 @@ def _forward_solve_spd(
             ) from exc
 
 
+def _dense_posterior(
+    inputs: np.ndarray, queries: np.ndarray, targets: np.ndarray, h: KernelHyper
+) -> Posterior:
+    """The posterior from ``_forward_solve_spd``: mean = Z*^T z_y, variance = s^2 - ||Z*||^2."""
+    z = _forward_solve_spd(inputs, queries, targets, h)
+    z_star, z_y = z[:-1], z[-1]
+    mean = z_star @ z_y
+    variance = h.signal_std**2 - np.einsum("gn,gn->g", z_star, z_star)
+    # numerical round-off can leave a tiny negative residue
+    return Posterior(mean=mean, variance=np.maximum(variance, 0.0))
+
+
+def _pivoted_cholesky(points: np.ndarray, h: KernelHyper, cap: int):
+    """Greedy pivoted Cholesky of the noise-free kernel over ``points``, or None.
+
+    Returns ``(factor, residual)``: ``factor`` of shape (r, P) with K ~ factor^T
+    factor, and ``residual`` the diagonal of K - factor^T factor, once every
+    residual entry is at most eps * signal_std^2 (Harbrecht, Peters &
+    Schneider, *Appl. Numer. Math.* 62, 2012). Step j pivots on the largest
+    residual: one kernel column, less a (j x P) matrix-vector product, scaled
+    by the pivot's root. None when ``cap`` pivots leave a larger residual.
+    """
+    floor = np.finfo(float).eps * h.signal_std**2
+    coords = np.ascontiguousarray(points.T)
+    factor = np.empty((cap, len(points)))
+    residual = np.full(len(points), h.signal_std**2)
+    scratch = np.empty(len(points))
+    # each column as _cross_kernel builds it, but without that function's
+    # per-call setup, which would cost a third of a step
+    with np.errstate(over="ignore"):  # an overflow here gives exp(-inf) = 0
+        for j in range(cap + 1):
+            p = residual.argmax()
+            if residual[p] <= floor:
+                return factor[:j], residual
+            if j == cap:
+                return None
+            row = factor[j]
+            np.square(np.subtract(coords[0], coords[0, p], out=row), out=row)
+            for c in coords[1:]:
+                row += np.square(np.subtract(c, c[p], out=scratch), out=scratch)
+            row *= -0.5
+            row /= h.length_scale**2
+            np.exp(row, out=row)
+            row *= h.signal_std**2
+            row -= np.matmul(factor[:j, p], factor[:j], out=scratch)
+            row /= np.sqrt(residual[p])
+            residual -= np.square(row, out=scratch)
+            residual[p] = 0.0
+
+
+def _pivot_cap(n: int, g: int) -> int:
+    """Most pivots the low-rank solve tries: about 10% of the dense solve's cost.
+
+    The dense solve's matmuls take n^2 (n / 3 + g) / 2 multiply-adds for n
+    inputs and g queries; r pivot steps take (n + g) r^2 / 2 in matrix-vector
+    products. Per multiply-add a pivot step costs about 5 times as much,
+    its kernel column and vector passes included (one BLAS thread, 2-core
+    x86-64). With g = 64, a failed try added 4-10% to the dense solve's time
+    at n = 1024 and 2048, and 10-18% at n = 512, where the steps' fixed costs
+    weigh more.
+    """
+    return math.isqrt(n * n * (n + 3 * g) // (150 * (n + g)))
+
+
+def _forward_substitute(lower: np.ndarray, rhs: np.ndarray) -> None:
+    """Overwrite ``rhs``, of shape (r,) or (r, m), with lower^-1 rhs row by row."""
+    for i in range(len(lower)):
+        rhs[i] -= lower[i, :i] @ rhs[:i]
+        rhs[i] /= lower[i, i]
+
+
+def _low_rank_posterior(
+    inputs: np.ndarray, queries: np.ndarray, targets: np.ndarray, h: KernelHyper, cap: int
+) -> Posterior | None:
+    """The posterior from at most ``cap`` pivots of ``_pivoted_cholesky``, or None.
+
+    The pivots run over [inputs; queries], so the factor's columns are the
+    training rows Phi (N x r) and the query rows Phi* (G x r). With
+    C = Phi^T Phi + noise_std^2 I_r = R R^T (the weight-space form of Foster
+    et al., *JMLR* 10, 2009):
+
+    mean = Phi* C^-1 Phi^T y = (R^-1 Phi*^T)^T (R^-1 Phi^T y)
+    variance = d* + noise_std^2 ||R^-1 phi*^T||^2
+
+    where d* is each query's residual diagonal, so the variance has no
+    s^2 - (...) cancellation. R^-1 Phi*^T overwrites the factor's query
+    columns, so the path holds one cap x (N + G) array. None when the pivots
+    reach ``cap``, or when C's Cholesky fails or a step overflows.
+    """
+    n = inputs.shape[0]
+    try:
+        # an overflow anywhere here (at extreme scales) leaves the answer to
+        # the dense solve
+        with np.errstate(all="raise", under="ignore"):
+            found = _pivoted_cholesky(np.vstack([inputs, queries]), h, cap)
+            if found is None:
+                return None
+            factor, residual = found
+            phi, z_star = factor[:, :n], factor[:, n:]
+            system = phi @ phi.T
+            system.flat[:: len(system) + 1] += h.noise_std**2
+            lower = np.linalg.cholesky(system)
+            z_y = phi @ targets
+            _forward_substitute(lower, z_y)
+            _forward_substitute(lower, z_star)
+            mean = z_star.T @ z_y
+            # the residual's round-off can leave a tiny negative entry
+            variance = np.maximum(residual[n:], 0.0)
+            variance += h.noise_std**2 * np.einsum("rg,rg->g", z_star, z_star)
+    except (FloatingPointError, np.linalg.LinAlgError):
+        return None
+    return Posterior(mean=mean, variance=variance)
+
+
 def exact_posterior(ds: Dataset, h: KernelHyper, xs) -> Posterior:
-    """Dense GP posterior over the query grid ``xs`` (see ``_as_points``).
+    """GP posterior over the query grid ``xs`` (see ``_as_points``).
 
     mean = K*^T (K + noise_std^2 I)^{-1} y
     variance = k(x*, x*) - diag(K*^T (K + noise_std^2 I)^{-1} K*)
 
-    With L L^T = K + noise_std^2 I and [Z*, z_y] = L^-1 [K*, y], mean =
-    Z*^T z_y and variance = k(x*, x*) - ||Z*||^2 per query: one forward
-    solve, no back-substitution, in one (N + G + 1) x N array of doubles (see
-    ``_forward_solve_spd``). Raises ``CapacityError`` before allocating when
-    the N x N Gram matrix would take more bytes than one statevector at the
-    qubit cap, 16 * 2^errors.MAX_QUBITS; that check counts only the N^2
-    part of the array, not its G + 1 right-hand-side rows.
+    First a low-rank solve (``_low_rank_posterior``) in O((N + G) r^2): a
+    pivoted Cholesky of the noise-free kernel over inputs and queries,
+    stopped once every residual diagonal is at most eps * signal_std^2. The
+    residual kernel is positive semi-definite, so each of its entries is then
+    at most eps * signal_std^2 in size, the rounding error of evaluating one
+    kernel entry. The answer is thus the exact posterior of a kernel matrix
+    within rounding of the one the dense solve factors: a backward error no
+    larger than the dense solve's own. On the driver's 1-D inputs r is 37-49
+    for N from 256 to 4096.
+
+    The dense solve (``_forward_solve_spd``) answers instead, with exactly
+    its own arrays, when N <= BLOCK, when noise_std is 0 (its jitter retry
+    handles a singular K), or when the pivots reach ``_pivot_cap`` first,
+    which bounds what a failed try costs to about 10% of the dense solve. It
+    builds its answer in one (N + G + 1) x N array of doubles: with
+    L L^T = K + noise_std^2 I and [Z*, z_y] = L^-1 [K*, y], mean = Z*^T z_y
+    and variance = k(x*, x*) - ||Z*||^2 per query.
+
+    Raises ``CapacityError`` before allocating when the N x N Gram matrix
+    would take more bytes than one statevector at the qubit cap,
+    16 * 2^errors.MAX_QUBITS; that check counts only the N^2 part of the
+    dense array, not its G + 1 right-hand-side rows.
     """
     gram_bytes, cap_bytes = 8 * ds.n_points**2, 16 << errors.MAX_QUBITS
     if gram_bytes > cap_bytes:
@@ -211,9 +350,10 @@ def exact_posterior(ds: Dataset, h: KernelHyper, xs) -> Posterior:
             f"the exact baseline's {ds.n_points} x {ds.n_points} Gram matrix takes "
             f"{gram_bytes} bytes, more than a {errors.MAX_QUBITS}-qubit state ({cap_bytes})"
         )
-    z = _forward_solve_spd(ds.inputs, _as_points(xs, ds.dim), ds.targets, h)
-    z_star, z_y = z[:-1], z[-1]
-    mean = z_star @ z_y
-    variance = h.signal_std**2 - np.einsum("gn,gn->g", z_star, z_star)
-    # numerical round-off can leave a tiny negative residue
-    return Posterior(mean=mean, variance=np.maximum(variance, 0.0))
+    queries = _as_points(xs, ds.dim)
+    if ds.n_points > BLOCK and h.noise_std > 0:
+        cap = _pivot_cap(ds.n_points, len(queries))
+        post = _low_rank_posterior(ds.inputs, queries, ds.targets, h, cap)
+        if post is not None:
+            return post
+    return _dense_posterior(ds.inputs, queries, ds.targets, h)

@@ -614,6 +614,16 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_fit_exact_at_n1024_reproduces_the_committed_results(tmp_path):
+    # written by the blocked dense solve alone, before the exact baseline first
+    # tried a low-rank solve; the benchmark's classical_n1024 config at seed 0
+    data = pathlib.Path(__file__).parent / "data"
+    config = str(data / "fit_exact_n1024_config.json")
+    assert main(["fit-exact", "--config", config, "--out", str(tmp_path)]) == 0
+    golden = (data / "fit_exact_n1024_results.csv").read_bytes()
+    assert (tmp_path / "results.csv").read_bytes() == golden
+
+
 class TestProgramEntry:
     """``python -m qrff.cli`` as a process: its frozen start-up heap still exits cleanly."""
 
