@@ -10,9 +10,8 @@ once every residual diagonal is at most eps * signal_std^2, then a solve in
 the r pivots' weight space. The residual kernel is positive semi-definite, so
 none of its entries is then larger than the rounding error of evaluating one
 kernel entry: the answer is the exact posterior of a kernel within rounding
-of the true one. A blocked dense Cholesky in O(N^2 (N + G)) answers instead
-when N is at most one block, when the noise is zero, or when the pivots reach
-a cap set so that a failed try costs about 10% of the dense solve.
+of the true one. Where that try is not made or fails, a blocked dense
+Cholesky in O(N^2 (N + G)) answers; ``exact_posterior`` states the rule.
 """
 
 from __future__ import annotations
@@ -130,38 +129,43 @@ def _cross_kernel(a: np.ndarray, b: np.ndarray, h: KernelHyper, out=None) -> np.
 
     Built in place in the (A, B) result, ``out`` when given (for d = 1 no
     other (A, B) array). Between a point set and itself the result is exactly
-    symmetric: a_i - a_j is exactly -(a_j - a_i).
+    symmetric: a_i - a_j is exactly -(a_j - a_i). Callers hold
+    ``np.errstate(over="ignore")``, under which an overflowing squared
+    distance gives exp(-inf) = 0. Entering that context here, once per pivot
+    column, made the low-rank solve 5-8% slower (N = 512-2048, one BLAS
+    thread, 2-core x86-64).
     """
-    with np.errstate(over="ignore"):  # an overflow here gives exp(-inf) = 0
-        K = np.subtract.outer(a[:, 0], b[:, 0], out=out)
-        np.square(K, out=K)
-        for j in range(1, a.shape[1]):
-            K += np.subtract.outer(a[:, j], b[:, j]) ** 2
-        K *= -0.5
-        K /= h.length_scale**2
+    K = np.subtract(a[:, :1], b[:, 0], out=out)
+    np.square(K, out=K)
+    for j in range(1, a.shape[1]):
+        K += (a[:, j : j + 1] - b[:, j]) ** 2
+    K *= -0.5
+    K /= h.length_scale**2
     np.exp(K, out=K)
     K *= h.signal_std**2
     return K
 
 
-def _forward_solve_spd(
+def _dense_posterior(
     inputs: np.ndarray, queries: np.ndarray, targets: np.ndarray, h: KernelHyper
-) -> np.ndarray:
-    """[Z*^T; z_y^T] for [Z*, z_y] = L^-1 [K*, y], where L L^T = K + noise, shape (G + 1, N).
+) -> Posterior:
+    """The posterior by one blocked Cholesky: mean = Z*^T z_y, variance = s^2 - ||Z*||^2.
 
-    A left-looking blocked Cholesky (Golub & Van Loan, *Matrix Computations*,
-    section 4.2) in one (N + G + 1) x N array whose rows stand for inputs,
-    queries and targets: its first N rows end as L, on and below the diagonal
-    blocks only, and its last G + 1 as the answer. The Cholesky factor of [[K + noise, K*, y], [K*^T, ., .],
-    [y^T, ., .]] has Z*^T and z_y^T as its lower-left block, so the block
-    steps that factor K + noise carry the forward solve in the same matmuls.
-    Block column k is built from one ``_cross_kernel`` call between rows k:
-    of [inputs; queries] and inputs k:e (the Gram column on and below the
-    diagonal, then the K* rows) above the targets' slice, less one matmul
-    against the columns already factored, and scaled by the inverse of its
-    diagonal block's Cholesky factor. A non-positive-definite diagonal block
-    raises ``LinAlgError``; the one retry adds a logged diagonal jitter, and a
-    second failure raises ``ConfigError``.
+    [Z*, z_y] = L^-1 [K*, y], where L L^T = K + noise. A left-looking
+    blocked Cholesky (Golub & Van Loan, *Matrix Computations*, section 4.2)
+    in one (N + G + 1) x N array whose rows stand for inputs, queries and
+    targets: its first N rows end as L, on and below the diagonal blocks
+    only, and its last G + 1 as [Z*^T; z_y^T]. The Cholesky factor of
+    [[K + noise, K*, y], [K*^T, ., .], [y^T, ., .]] has Z*^T and z_y^T as its
+    lower-left block, so the block steps that factor K + noise carry the
+    forward solve in the same matmuls. Block column k is built from one
+    ``_cross_kernel`` call between rows k: of [inputs; queries] and inputs
+    k:e (the Gram column on and below the diagonal, then the K* rows) above
+    the targets' slice, less one matmul against the columns already
+    factored, and scaled by the inverse of its diagonal block's Cholesky
+    factor. A non-positive-definite diagonal block raises ``LinAlgError``;
+    the one retry adds a logged diagonal jitter, and a second failure raises
+    ``ConfigError``.
     """
     n = inputs.shape[0]
     rows = np.vstack([inputs, queries])
@@ -171,7 +175,8 @@ def _forward_solve_spd(
         for k in range(0, n, BLOCK):
             e = min(k + BLOCK, n)
             panel = np.empty((L.shape[0] - k, e - k))
-            _cross_kernel(rows[k:], inputs[k:e], h, out=panel[:-1])
+            with np.errstate(over="ignore"):  # as _cross_kernel requires
+                _cross_kernel(rows[k:], inputs[k:e], h, out=panel[:-1])
             panel[-1] = targets[k:e]
             # flat indexing writes through whatever the memory layout
             panel[: e - k].flat[:: e - k + 1] += h.noise_std**2 + jitter
@@ -182,7 +187,7 @@ def _forward_solve_spd(
         return L[n:]
 
     try:
-        return factor(0.0)
+        z = factor(0.0)
     except np.linalg.LinAlgError:
         # imported here, not at the top: after numpy, importing logging (with
         # string and traceback) costs every run 3-8 ms for this one warning
@@ -193,24 +198,16 @@ def _forward_solve_spd(
             "Cholesky of (K + noise) failed; retrying with diagonal jitter %.3e", jitter
         )
         try:
-            return factor(jitter)
+            z = factor(jitter)
         except np.linalg.LinAlgError as exc:
             raise ConfigError(
                 "kernel system is singular even after jitter; "
                 "duplicate inputs with zero noise_std?"
             ) from exc
-
-
-def _dense_posterior(
-    inputs: np.ndarray, queries: np.ndarray, targets: np.ndarray, h: KernelHyper
-) -> Posterior:
-    """The posterior from ``_forward_solve_spd``: mean = Z*^T z_y, variance = s^2 - ||Z*||^2."""
-    z = _forward_solve_spd(inputs, queries, targets, h)
     z_star, z_y = z[:-1], z[-1]
-    mean = z_star @ z_y
     variance = h.signal_std**2 - np.einsum("gn,gn->g", z_star, z_star)
     # numerical round-off can leave a tiny negative residue
-    return Posterior(mean=mean, variance=np.maximum(variance, 0.0))
+    return Posterior(mean=z_star @ z_y, variance=np.maximum(variance, 0.0))
 
 
 def _pivoted_cholesky(points: np.ndarray, h: KernelHyper, cap: int):
@@ -220,17 +217,15 @@ def _pivoted_cholesky(points: np.ndarray, h: KernelHyper, cap: int):
     factor, and ``residual`` the diagonal of K - factor^T factor, once every
     residual entry is at most eps * signal_std^2 (Harbrecht, Peters &
     Schneider, *Appl. Numer. Math.* 62, 2012). Step j pivots on the largest
-    residual: one kernel column, less a (j x P) matrix-vector product, scaled
-    by the pivot's root. None when ``cap`` pivots leave a larger residual.
+    residual: one ``_cross_kernel`` column, less a (j x P) matrix-vector
+    product, scaled by the pivot's root. None when ``cap`` pivots leave a
+    larger residual.
     """
     floor = np.finfo(float).eps * h.signal_std**2
-    coords = np.ascontiguousarray(points.T)
     factor = np.empty((cap, len(points)))
     residual = np.full(len(points), h.signal_std**2)
     scratch = np.empty(len(points))
-    # each column as _cross_kernel builds it, but without that function's
-    # per-call setup, which would cost a third of a step
-    with np.errstate(over="ignore"):  # an overflow here gives exp(-inf) = 0
+    with np.errstate(over="ignore"):  # as _cross_kernel requires
         for j in range(cap + 1):
             p = residual.argmax()
             if residual[p] <= floor:
@@ -238,15 +233,9 @@ def _pivoted_cholesky(points: np.ndarray, h: KernelHyper, cap: int):
             if j == cap:
                 return None
             row = factor[j]
-            np.square(np.subtract(coords[0], coords[0, p], out=row), out=row)
-            for c in coords[1:]:
-                row += np.square(np.subtract(c, c[p], out=scratch), out=scratch)
-            row *= -0.5
-            row /= h.length_scale**2
-            np.exp(row, out=row)
-            row *= h.signal_std**2
+            _cross_kernel(points, points[p : p + 1], h, out=row[:, None])
             row -= np.matmul(factor[:j, p], factor[:j], out=scratch)
-            row /= np.sqrt(residual[p])
+            row /= math.sqrt(residual[p])
             residual -= np.square(row, out=scratch)
             residual[p] = 0.0
 
@@ -331,11 +320,12 @@ def exact_posterior(ds: Dataset, h: KernelHyper, xs) -> Posterior:
     larger than the dense solve's own. On the driver's 1-D inputs r is 37-49
     for N from 256 to 4096.
 
-    The dense solve (``_forward_solve_spd``) answers instead, with exactly
+    The dense solve (``_dense_posterior``) answers instead, with exactly
     its own arrays, when N <= BLOCK, when noise_std is 0 (its jitter retry
-    handles a singular K), or when the pivots reach ``_pivot_cap`` first,
-    which bounds what a failed try costs to about 10% of the dense solve. It
-    builds its answer in one (N + G + 1) x N array of doubles: with
+    handles a singular K), when the pivots reach ``_pivot_cap`` first, which
+    bounds what a failed try costs to about 10% of the dense solve, or when
+    the weight-space Cholesky fails or a low-rank step overflows. It builds
+    its answer in one (N + G + 1) x N array of doubles: with
     L L^T = K + noise_std^2 I and [Z*, z_y] = L^-1 [K*, y], mean = Z*^T z_y
     and variance = k(x*, x*) - ||Z*||^2 per query.
 

@@ -241,10 +241,10 @@ class PreparedPipeline:
         gives the mean branch (Hadamard test) the first generator and the
         variance branch (SWAP test) the second, each serving the whole grid.
         ``readout`` holds each test's ``2 P(0) - 1`` (``mean_overlap``,
-        ``variance_overlap``), the accepted shots per point
-        (``mean_accepted``, ``variance_accepted``, zeros in exact mode) and
-        the ``null_space_variance``; in sampled mode also the exact-mode
-        ``exact_mean`` and ``exact_variance``.
+        ``variance_overlap``) and the accepted shots per point
+        (``mean_accepted``, ``variance_accepted``, zeros in exact mode); in
+        sampled mode also the exact-mode ``exact_mean`` and
+        ``exact_variance``.
         """
         fm, y_norm = self.fm, self.target_norm
         phi = scaled_feature_vector(_as_points(xs, fm.freq.shape[1]), fm.freq, fm.hyper)
@@ -276,7 +276,6 @@ class PreparedPipeline:
             "variance_overlap": variance_overlap,
             "mean_accepted": mean_accepted,
             "variance_accepted": variance_accepted,
-            "null_space_variance": null_sq,
         }
         if shots:
             readout["exact_mean"] = mean_scale * exact_mean

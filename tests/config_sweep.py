@@ -1,8 +1,9 @@
 """Extreme-value sweep over every ``RunConfig`` key.
 
-Each key gets a fixed list of values for its type, written as a one-key JSON
-config, and each config runs through ``qrff.cli.main`` in-process for
-``fit-exact``, ``fit-rff``, ``run-quantum`` and ``compare``. A run passes when
+Each key gets a fixed list of values for its type, written as a JSON config
+of that key over a base config (empty by default), and each config runs
+through ``qrff.cli.main`` in-process for ``fit-exact``, ``fit-rff``,
+``run-quantum`` and ``compare``. A run passes when
 it returns 0, 2, 3, 4 or 5, lets no exception escape, and writes at most one
 line to stderr (Python warnings and the package's log records included).
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import logging
 import os
 import sys
@@ -51,11 +53,13 @@ def runs():
                 yield command, f.name, text
 
 
-def run_one(workdir: str, command: str, key: str, text: str):
-    """One run's exit code (or escaped exception), its stderr and its duration."""
+def run_one(workdir: str, command: str, key: str, text: str, base: dict):
+    """One run's exit code (or escaped exception), its stderr and its duration;
+    ``key`` takes the JSON value ``text`` over the ``base`` config."""
     path = os.path.join(workdir, "cfg.json")
+    items = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in base.items() if k != key]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f'{{"{key}": {text}}}')
+        fh.write("{" + ", ".join([*items, f'"{key}": {text}']) + "}")
     args = [command, "--config", path]
     if key != "out_dir":
         args += ["--out", os.path.join(workdir, "out")]
@@ -77,15 +81,16 @@ def run_one(workdir: str, command: str, key: str, text: str):
     return outcome, err.getvalue(), time.perf_counter() - start
 
 
-def sweep(workdir: str):
-    """Run the whole sweep with ``workdir`` as the working directory (a relative
-    ``out_dir`` writes there); returns the failures and the slowest run."""
+def sweep(workdir: str, base: dict | None = None):
+    """Run the whole sweep over the ``base`` config with ``workdir`` as the
+    working directory (a relative ``out_dir`` writes there); returns the
+    failures and the slowest run."""
     failures, slowest = [], (0.0, ())
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
         for command, key, text in runs():
-            outcome, err, seconds = run_one(workdir, command, key, text)
+            outcome, err, seconds = run_one(workdir, command, key, text, base or {})
             slowest = max(slowest, (seconds, (command, key, text[:24])))
             if outcome not in EXIT_CODES or err.count("\n") > 1:
                 failures.append((command, key, text[:24], repr(outcome), err.strip()[:200]))

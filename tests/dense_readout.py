@@ -8,8 +8,10 @@ form's posterior uses (the per-component weights of the mean branch's phase-0
 slice and of the variance branch's rho_col, p1 and p2) off those states, so
 the twin's posterior is the dense-path readout. ``assert_matches_dense`` holds
 a pipeline to the oracle through ``qsim.closed_form_gaps`` and its posterior
-to the twin's, at 1e-12; ``assert_encodes_design`` holds the encoding circuit
-to the scaled design through ``qsim.encoding_gap``.
+to the twin's, at 1e-12, and, since the twin shares the pipeline's scale
+recovery, its posterior to ``BinnedPrediction`` at 1e-8 too;
+``assert_encodes_design`` holds the encoding circuit to the scaled design
+through ``qsim.encoding_gap``.
 """
 
 from __future__ import annotations
@@ -17,9 +19,14 @@ from __future__ import annotations
 import copy
 
 import numpy as np
+import pytest
 
 from qrff import qsim
+from qrff.kernel import _as_points
 from qrff.pipeline import PreparedPipeline
+from qrff.rff import scaled_feature_vector
+
+from spectral_oracle import BinnedPrediction
 
 TOL = 1e-12
 
@@ -53,7 +60,9 @@ def dense_twin(pipe: PreparedPipeline, oracle=None) -> PreparedPipeline:
 
 
 def assert_matches_dense(pipe: PreparedPipeline, grid, oracle=None) -> None:
-    """Slice, rho_col, p1, p2, leakages and grid posterior within 1e-12 of the oracle."""
+    """Slice, rho_col, p1, p2, leakages and grid posterior within 1e-12 of the
+    oracle, and the grid posterior within 1e-8 of the binned spectral sums at
+    the fit's own noise, targets, ``delta_r`` and ``tau``."""
     if oracle is None:
         oracle = qsim.pipeline_oracle(pipe)
     for name, gap in qsim.closed_form_gaps(pipe, oracle).items():
@@ -62,6 +71,12 @@ def assert_matches_dense(pipe: PreparedPipeline, grid, oracle=None) -> None:
     (post, _), (post_dense, _) = pipe.posterior(grid), dense.posterior(grid)
     assert np.max(np.abs(post.mean - post_dense.mean)) <= TOL
     assert np.max(np.abs(post.variance - post_dense.variance)) <= TOL
+    fm = pipe.fm
+    pred = BinnedPrediction(fm, fm.hyper.noise_std, pipe.delta_r, pipe.tau)
+    for i, point in enumerate(_as_points(grid, fm.freq.shape[1])):
+        phi_star = scaled_feature_vector(point, fm.freq, fm.hyper)
+        assert post.mean[i] == pytest.approx(pred.mean(phi_star, fm.targets), abs=1e-8)
+        assert post.variance[i] == pytest.approx(pred.variance(phi_star), abs=1e-8)
 
 
 def assert_encodes_design(fm) -> None:

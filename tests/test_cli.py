@@ -445,8 +445,10 @@ class TestMainExitCodes:
             assert code == (3 if error == "CapacityError" else 2)
             assert err.startswith(f"error: {error}: ") and err.count("\n") == 1
 
-    def test_extreme_value_sweep_exits_cleanly(self, tmp_path):
-        failures, _ = config_sweep.sweep(str(tmp_path))
+    # at N=512 the exact baseline's valid configs take the low-rank path
+    @pytest.mark.parametrize("base", [{}, {"n_points": 512}], ids=["defaults", "n512"])
+    def test_extreme_value_sweep_exits_cleanly(self, tmp_path, base):
+        failures, _ = config_sweep.sweep(str(tmp_path), base)
         assert failures == []
 
     def test_exact_baseline_larger_than_a_state_is_3(self, tmp_path, capsys, monkeypatch):
@@ -621,6 +623,17 @@ def test_fit_exact_at_n1024_reproduces_the_committed_results(tmp_path):
     config = str(data / "fit_exact_n1024_config.json")
     assert main(["fit-exact", "--config", config, "--out", str(tmp_path)]) == 0
     golden = (data / "fit_exact_n1024_results.csv").read_bytes()
+    assert (tmp_path / "results.csv").read_bytes() == golden
+
+
+def test_compare_at_n512_reproduces_the_committed_results(tmp_path):
+    # written before the exact baseline's kernel columns came from one function;
+    # the benchmark's wide_n512 config at seed 0, where the pivot cap sits
+    # closest to the rank
+    data = pathlib.Path(__file__).parent / "data"
+    config = str(data / "compare_n512_config.json")
+    assert main(["compare", "--config", config, "--out", str(tmp_path)]) == 0
+    golden = (data / "compare_n512_results.csv").read_bytes()
     assert (tmp_path / "results.csv").read_bytes() == golden
 
 

@@ -32,12 +32,7 @@ from qrff.errors import ConfigError, PostSelectionError, QrffError
 from qrff.kernel import Dataset, KernelHyper, Posterior, _as_points
 from qrff.pipeline import DELTA_R_HEADROOM, PreparedPipeline, spectral_setup
 from qrff.qsim import dense_oracle, prepare_data_state
-from qrff.rff import (
-    build_feature_model,
-    feature_map,
-    sample_frequencies,
-    scaled_feature_vector,
-)
+from qrff.rff import build_feature_model, feature_map, sample_frequencies
 
 from dense_readout import assert_encodes_design, assert_matches_dense
 from spectral_oracle import BinnedPrediction
@@ -96,11 +91,6 @@ def test_pipeline_refuses_or_matches_binned_oracle(
     assert 0 < pipe.p1 <= 1 and 0 < pipe.p2 <= 1
     assert pipe.p1 == pytest.approx(pred.p1(), abs=1e-10)
     assert pipe.p2 == pytest.approx(pred.p2(), abs=1e-10)
-    post, _ = pipe.posterior(GRID)
-    for i, x_star in enumerate(GRID):
-        phi_star = scaled_feature_vector([x_star], fm.freq, h)
-        assert post.mean[i] == pytest.approx(pred.mean(phi_star, y), abs=1e-8)
-        assert post.variance[i] == pytest.approx(pred.variance(phi_star), abs=1e-8)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

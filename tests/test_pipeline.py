@@ -651,20 +651,12 @@ class TestSchmidtRowsMatchDense:
 
     @pytest.mark.parametrize("design", range(6))
     def test_small_designs(self, design):
-        h, ds, fm, tau = _schmidt_designs()[design]
+        _, _, fm, tau = _schmidt_designs()[design]
         assert_encodes_design(fm)
         pipe = PreparedPipeline(fm, tau)
         assert pipe.mean_weights.shape == (fm.rank,)
         grid = np.linspace(0.0, 6.0, 7)
         assert_matches_dense(pipe, grid)
-        # the dense twin shares the readout's scaling, so the fit's own
-        # hyperparameters are held to the binned oracle at them
-        pred = BinnedPrediction(fm, h.noise_std, pipe.delta_r, tau)
-        post, _ = pipe.posterior(grid)
-        for i, x in enumerate(grid):
-            phi_star = scaled_feature_vector([x], fm.freq, h)
-            assert post.mean[i] == pytest.approx(pred.mean(phi_star, ds.targets), abs=1e-8)
-            assert post.variance[i] == pytest.approx(pred.variance(phi_star), abs=1e-8)
 
     @pytest.mark.parametrize(
         "name",
