@@ -317,8 +317,9 @@ def exact_posterior(ds: Dataset, h: KernelHyper, xs) -> Posterior:
     at most eps * signal_std^2 in size, the rounding error of evaluating one
     kernel entry. The answer is thus the exact posterior of a kernel matrix
     within rounding of the one the dense solve factors: a backward error no
-    larger than the dense solve's own. On the driver's 1-D inputs r is 37-49
-    for N from 256 to 4096.
+    larger than the dense solve's own. On the CLI's 1-D inputs with G from
+    2 to 64, r is 37-48 for N from 512 to 4096; at N = 256 the pivots reach
+    the cap of 21-24 first and the dense solve answers.
 
     The dense solve (``_dense_posterior``) answers instead, with exactly
     its own arrays, when N <= BLOCK, when noise_std is 0 (its jitter retry

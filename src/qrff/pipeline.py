@@ -126,7 +126,8 @@ def spectral_setup(s: np.ndarray, sigma_tilde_sq: float, delta_r: float, tau: in
         "profiles": profiles,
         "p1": min(p1, 1.0),
         "p2": min(p2, 1.0),
-        # the mean branch's phase-0 slice is fm.v diag(mean_weights) fm.u^T
+        # the mean branch's phase-0 slice is fm.v diag(mean_weights) U^T, with U
+        # the design's left singular vectors, which the fit does not keep
         "mean_weights": s * c_mean / np.sqrt(p1),
         # the variance branch's rho_col is fm.v diag(variance_weights) fm.v^T
         "variance_weights": s2 * g_var / p2,
@@ -166,11 +167,12 @@ class PreparedPipeline:
 
     The encoded amplitudes over (col, row) are A = design.T / frobenius_norm
     = W diag(s) Vh with W = ``fm.v``, s = ``fm.normalized_singular_values``
-    and Vh = ``fm.u.T``, so no state is built. Then rho_col = W diag(s^2) W^T,
-    and phase estimation, both inversion branches and the un-compute act on
-    each Schmidt component k alone: QPE leaves its phase register with the
-    distribution ``phase_table`` gives for
-    theta_k = s_k^2 / delta_r, and a branch with rotation profile w keeps
+    and Vh = U^T, the design's left singular vectors, which only enter
+    through ``fm.projected_targets``, so neither Vh nor a state is built.
+    Then rho_col = W diag(s^2) W^T, and phase estimation, both inversion
+    branches and the un-compute act on each Schmidt component k alone: QPE
+    leaves its phase register with the distribution ``phase_table`` gives
+    for theta_k = s_k^2 / delta_r, and a branch with rotation profile w keeps
     c_k = sum_b w_b |a_k(b)|^2 of it at phase 0 and g_k = sum_b w_b^2 |a_k(b)|^2
     in all. Hence p = sum_k s_k^2 g_k, the mean branch's phase-0 slice
     W diag(mean_weights) Vh with mean_weights = s c / sqrt(p), the variance
@@ -199,8 +201,8 @@ class PreparedPipeline:
         self.fm = fm
         self.tau = tau
         self.delta_r = default_delta_r(fm) if delta_r is None else delta_r
-        # the paper circuit's register widths, ceil(log2) of the design's shape
-        row, col = ((n - 1).bit_length() for n in fm.design.shape)
+        # the paper circuit's register widths, ceil(log2) of the design's shape (N, 2M)
+        row, col = ((n - 1).bit_length() for n in (fm.targets.size, 2 * fm.freq.shape[0]))
         if row + col > errors.MAX_QUBITS:
             raise CapacityError(
                 f"encoding needs {row + col} qubits (row + col), cap {errors.MAX_QUBITS}"

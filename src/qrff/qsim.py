@@ -31,7 +31,7 @@ import numpy as np
 from . import errors
 from .errors import CapacityError, PostSelectionError
 from .pipeline import PreparedPipeline, spectral_setup
-from .rff import FeatureModel
+from .rff import FeatureModel, scaled_feature_vector
 
 _UNITARY_TOL = 1e-10
 
@@ -478,11 +478,13 @@ def prepare_data_state(fm: FeatureModel) -> Statevector:
     and ``qrff selftest``.
 
     Registers: ``row`` (low bits) and ``col``; the amplitude at column m,
-    row j equals ``design[j, m] / frobenius_norm``, zero on padding. The
-    cos/sin qubit's angles are read back from each (cos, sin) pair, which
-    reproduces the feature phases modulo 2*pi.
+    row j equals ``design[j, m] / frobenius_norm``, zero on padding, for the
+    design rebuilt from the fit's inputs. The cos/sin qubit's angles are read
+    back from each (cos, sin) pair, which reproduces the feature phases
+    modulo 2*pi.
     """
-    n_rows, n_cols = fm.design.shape
+    design = scaled_feature_vector(fm.inputs, fm.freq, fm.hyper)
+    n_rows, n_cols = design.shape
     m_freq = fm.freq.shape[0]
     sv = Statevector.zero(
         [("row", (n_rows - 1).bit_length()), ("col", (n_cols - 1).bit_length())]
@@ -495,7 +497,7 @@ def prepare_data_state(fm: FeatureModel) -> Statevector:
     ops += uniform_prep_ops(m_freq, pair_qubits)
     # control value v = row + padded rows * pair, zero angles on padding
     theta = np.zeros((1 << len(pair_qubits), sv.register("row").dim))
-    theta[:m_freq, :n_rows] = np.arctan2(fm.design[:, 1::2], fm.design[:, 0::2]).T
+    theta[:m_freq, :n_rows] = np.arctan2(design[:, 1::2], design[:, 0::2]).T
     ops.append(GateOp.ry(theta.ravel(), trig_qubit, row_qubits + pair_qubits))
     return apply_circuit(sv, ops)
 
@@ -550,17 +552,20 @@ def _padded_gap(dense: np.ndarray, closed: np.ndarray) -> float:
 def closed_form_gaps(pipe: PreparedPipeline, oracle=None) -> dict[str, float]:
     """Largest |closed form - dense circuit| per quantity ``pipe`` keeps, by attribute name,
     against ``oracle`` (by default ``pipeline_oracle(pipe)``). The weights are compared
-    through the padded mean phase-0 slice and variance rho_col."""
+    through the padded mean phase-0 slice and variance rho_col, the former with the
+    design's left singular vectors rebuilt as U = design V / s."""
     if oracle is None:
         oracle = pipeline_oracle(pipe)
+    fm = pipe.fm
+    u = scaled_feature_vector(fm.inputs, fm.freq, fm.hyper) @ fm.v / fm.singular_values
     _, _, ((mean, p1), (variance, p2)) = oracle
     dims = (-1, mean.register("col").dim, mean.register("row").dim)
     mean0, variance0 = (sv.amplitudes.reshape(dims)[0] for sv in (mean, variance))
     rho = partial_trace(variance, "col")
     leakages = [1.0 - np.vdot(s, s).real for s in (mean0, variance0)]
     return {
-        "mean_weights": _padded_gap(mean0, (pipe.fm.v * pipe.mean_weights) @ pipe.fm.u.T),
-        "variance_weights": _padded_gap(rho, (pipe.fm.v * pipe.variance_weights) @ pipe.fm.v.T),
+        "mean_weights": _padded_gap(mean0, (fm.v * pipe.mean_weights) @ u.T),
+        "variance_weights": _padded_gap(rho, (fm.v * pipe.variance_weights) @ fm.v.T),
         "p1": abs(pipe.p1 - p1),
         "p2": abs(pipe.p2 - p2),
         "uncompute_leakage_mean": abs(pipe.uncompute_leakage_mean - leakages[0]),
@@ -572,4 +577,5 @@ def encoding_gap(fm: FeatureModel) -> float:
     """Largest |encoding circuit amplitude - zero-padded design.T / frobenius_norm|."""
     sv = prepare_data_state(fm)
     shape = (sv.register("col").dim, sv.register("row").dim)
-    return _padded_gap(sv.amplitudes.reshape(shape), fm.design.T / fm.frobenius_norm)
+    design = scaled_feature_vector(fm.inputs, fm.freq, fm.hyper)
+    return _padded_gap(sv.amplitudes.reshape(shape), design.T / fm.frobenius_norm)

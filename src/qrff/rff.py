@@ -2,10 +2,13 @@
 
 Frequencies are sampled from the kernel's normalized spectrum, features are
 interleaved cos/sin pairs evaluated at ``2*pi*s.x``, and the scaled design
-matrix carries the ``signal_std**2 / M`` kernel prefactor so that
+matrix X carries the ``signal_std**2 / M`` kernel prefactor so that
 ``X^T X`` approximates the Gram matrix directly. ``FeatureModel`` is the
-fit (design SVD, hyperparameters, targets); its reduced-rank posterior is
-evaluated in SVD form and is the classical twin of the quantum pipeline.
+fit: X's singular values and right singular vectors and the projected
+targets U^T y, all from the R factor of one QR of [X y] (Golub & Van Loan,
+*Matrix Computations*, section 5.3), but neither X nor U. Its reduced-rank
+posterior is evaluated in SVD form and is the classical twin of the
+quantum pipeline.
 """
 
 from __future__ import annotations
@@ -23,22 +26,25 @@ RANK_CUTOFF = 1e-12
 
 @dataclass(frozen=True)
 class FeatureModel:
-    """Scaled design matrix (N x 2M) together with its thin SVD: the reduced-rank fit.
+    """The reduced-rank fit: the rank-truncated SVD of the scaled design, without its U.
 
-    ``design[i] = sqrt(signal_std**2 / M) * feature_map(x_i)``, columns
-    alternating cos/sin per frequency. ``u, singular_values, v`` hold the
-    rank-truncated SVD with ``v`` of shape (2M, R). Every posterior of the
-    fit reads its ``hyper`` and ``targets`` from here.
+    The design X (N x 2M) has rows ``sqrt(signal_std**2 / M) *
+    feature_map(x_i)``, columns alternating cos/sin per frequency, and
+    X = U diag(singular_values) V^T with ``v`` of shape (2M, R).
+    ``projected_targets`` is U^T y, length R, for the fit's ``targets`` y.
+    Every posterior of the fit reads its ``hyper`` and ``targets`` from
+    here; code that needs X rebuilds it as ``scaled_feature_vector(inputs,
+    freq, hyper)``, and U as X V / singular_values.
     """
 
     freq: np.ndarray
     hyper: KernelHyper
+    inputs: np.ndarray
     targets: np.ndarray
-    design: np.ndarray
     frobenius_norm: float
-    u: np.ndarray
     singular_values: np.ndarray
     v: np.ndarray
+    projected_targets: np.ndarray
 
     @property
     def rank(self) -> int:
@@ -103,10 +109,13 @@ def scaled_feature_vector(x, freq, h: KernelHyper) -> np.ndarray:
 
 
 def build_feature_model(ds: Dataset, freq, h: KernelHyper) -> FeatureModel:
-    """Fit ``ds`` at ``h``: the scaled design matrix and its rank-truncated SVD.
+    """Fit ``ds`` at ``h``: the rank-truncated SVD of the scaled design X and U^T y.
 
     ``freq`` holds the M frequencies as an (M, d) array; a flat list is one
-    frequency. The fit keeps ``h`` and ``ds.targets`` itself, not a copy.
+    frequency. One R-only QR of [X y] gives R = [R_X r_y] with at most 2M + 1
+    rows; the SVD R_X = U_R diag(s) V^T gives X's s and V, and U^T y =
+    U_R^T r_y, so neither Q nor U is formed. The fit keeps ``h``,
+    ``ds.inputs`` and ``ds.targets`` themselves, not copies.
     """
     freq = _as_frequencies(freq)
     if ds.dim != freq.shape[1]:
@@ -120,31 +129,34 @@ def build_feature_model(ds: Dataset, freq, h: KernelHyper) -> FeatureModel:
             f"the design's Frobenius norm {fro} has no positive finite square; "
             "signal_std is too small or too large for this dataset"
         )
-    u, s, vt = np.linalg.svd(X, full_matrices=False)
+    stacked = np.column_stack([X, ds.targets])
+    del X  # np.linalg.qr copies its input, so X alive would make a third N x 2M array
+    r = np.linalg.qr(stacked, mode="r")
+    u_r, s, vt = np.linalg.svd(r[:, :-1], full_matrices=False)
     rank = int(np.sum(s > RANK_CUTOFF * s[0]))
     return FeatureModel(
         freq=freq,
         hyper=h,
+        inputs=ds.inputs,
         targets=ds.targets,
-        design=X,
         frobenius_norm=fro,
-        u=u[:, :rank],
         singular_values=s[:rank],
         v=vt[:rank].T,
+        projected_targets=u_r[:, :rank].T @ r[:, -1],
     )
 
 
 def spectral_sums(fm: FeatureModel, phi: np.ndarray, a, b):
     """The SVD spectral sums both posteriors read, one entry per row of ``phi``.
 
-    Returns sum_k a_k (phi^T v_k) (u_k^T y) for the fit's targets y,
-    sum_k b_k (phi^T v_k)^2 and the feature-space null-space term
-    max(||phi||^2 - ||V^T phi||^2, 0), for per-component weights ``a`` and
-    ``b`` of length ``fm.rank``.
+    Returns sum_k a_k (phi^T v_k) (u_k^T y), with u_k^T y read from the fit's
+    ``projected_targets``, sum_k b_k (phi^T v_k)^2 and the feature-space
+    null-space term max(||phi||^2 - ||V^T phi||^2, 0), for per-component
+    weights ``a`` and ``b`` of length ``fm.rank``.
     """
     pv = phi @ fm.v
     null_sq = np.einsum("gk,gk->g", phi, phi) - np.einsum("gr,gr->g", pv, pv)
-    return pv @ (a * (fm.u.T @ fm.targets)), pv**2 @ b, np.maximum(null_sq, 0.0)
+    return pv @ (a * fm.projected_targets), pv**2 @ b, np.maximum(null_sq, 0.0)
 
 
 def rff_posterior(fm: FeatureModel, xs) -> Posterior:
@@ -159,7 +171,7 @@ def rff_posterior(fm: FeatureModel, xs) -> Posterior:
     targets y and the noise come from the fit.
     """
     h = fm.hyper
-    if h.noise_std == 0.0 and fm.rank < fm.design.shape[1]:
+    if h.noise_std == 0.0 and fm.rank < 2 * fm.freq.shape[0]:
         raise ConfigError("rank-deficient design with zero noise_std: posterior is singular")
     phi_star = scaled_feature_vector(_as_points(xs, fm.freq.shape[1]), fm.freq, h)
     lam = fm.singular_values

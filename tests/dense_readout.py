@@ -26,7 +26,7 @@ from qrff.kernel import _as_points
 from qrff.pipeline import PreparedPipeline
 from qrff.rff import scaled_feature_vector
 
-from spectral_oracle import BinnedPrediction
+from spectral_oracle import BinnedPrediction, left_singular_vectors
 
 TOL = 1e-12
 
@@ -38,19 +38,19 @@ def dense_twin(pipe: PreparedPipeline, oracle=None) -> PreparedPipeline:
     otherwise. The copy keeps the dense branch states
     (``mean_state``, ``variance_state``) and the padded ``rho_col``. Its
     weights are the diagonals of V^T S U and V^T rho_col V, with S the
-    phase-0 slice and V, U the feature model's SVD factors, both trimmed of
-    the registers' padding and taken real, as the design is; what the
-    diagonals leave out, ``qsim.closed_form_gaps`` catches by comparing the
-    untrimmed slice and rho_col.
+    phase-0 slice, V the feature model's and U rebuilt from it as X V / s,
+    both trimmed of the registers' padding and taken real, as the design
+    is; what the diagonals leave out, ``qsim.closed_form_gaps`` catches by
+    comparing the untrimmed slice and rho_col.
     """
     if oracle is None:
         oracle = qsim.pipeline_oracle(pipe)
     _, _, ((mean, p1), (variance, p2)) = oracle
-    n_rows, n_cols = pipe.fm.design.shape
+    n_rows, n_cols = pipe.fm.targets.size, 2 * pipe.fm.freq.shape[0]
     twin = copy.copy(pipe)
     twin.mean_state, twin.p1 = mean, p1
     twin.variance_state, twin.p2 = variance, p2
-    v, u = pipe.fm.v, pipe.fm.u
+    v, u = pipe.fm.v, left_singular_vectors(pipe.fm)
     # the phase register is the highest, so its |0> slice is the leading (col, row) block
     slice0 = mean.amplitudes.reshape(-1, mean.register("col").dim, mean.register("row").dim)[0]
     twin.mean_weights = np.diag(v.T @ slice0[:n_cols, :n_rows].real @ u)

@@ -3,12 +3,71 @@
 Everything here is derived analytically from the classical SVD of the design
 matrix and the exact phase-estimation bin distribution; no statevector is
 ever constructed, so these values are an independent check on the simulated
-pipeline.
+pipeline. The feature model keeps neither the design nor its left singular
+vectors, so ``design_matrix`` and ``left_singular_vectors`` rebuild them from
+the fit, and ``direct_svd_fit`` refits it from the design's own thin SVD, the
+reference that ``assert_matches_direct_svd`` holds the fit's posteriors to.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
+
+from qrff.errors import ConfigError, PostSelectionError
+from qrff.pipeline import PreparedPipeline, default_delta_r
+from qrff.rff import RANK_CUTOFF, rff_posterior, scaled_feature_vector
+
+
+def design_matrix(fm) -> np.ndarray:
+    """The fit's scaled design matrix X (N x 2M), rebuilt from its inputs."""
+    return scaled_feature_vector(fm.inputs, fm.freq, fm.hyper)
+
+
+def left_singular_vectors(fm) -> np.ndarray:
+    """The fit's U (N x R), rebuilt as X V / s."""
+    return design_matrix(fm) @ fm.v / fm.singular_values
+
+
+def direct_svd_fit(fm):
+    """``fm`` refitted from ``np.linalg.svd`` of its design, with U^T y from that U."""
+    u, s, vt = np.linalg.svd(design_matrix(fm), full_matrices=False)
+    rank = int(np.sum(s > RANK_CUTOFF * s[0]))
+    return dataclasses.replace(
+        fm,
+        singular_values=s[:rank],
+        v=vt[:rank].T,
+        projected_targets=u[:, :rank].T @ fm.targets,
+    )
+
+
+def outcome(build):
+    """``build()`` and None, or None and the type of the refusal it raised."""
+    try:
+        return build(), None
+    except (ConfigError, PostSelectionError) as exc:
+        return None, type(exc)
+
+
+def assert_matches_direct_svd(fm, grid, tau: int, delta_r: float | None = None) -> None:
+    """The fit's rank equals the direct SVD's, and its RFF and exact-mode
+    quantum posteriors over ``grid`` are within 1e-12 of the direct fit's, or
+    both are refused alike. Both pipelines take ``delta_r``, by default
+    ``fm``'s."""
+    ref = direct_svd_fit(fm)
+    assert fm.rank == ref.rank
+    delta_r = default_delta_r(fm) if delta_r is None else delta_r
+    for run in (
+        lambda f: rff_posterior(f, grid),
+        lambda f: PreparedPipeline(f, tau, delta_r).posterior(grid)[0],
+    ):
+        post, refused = outcome(lambda: run(fm))
+        post_ref, refused_ref = outcome(lambda: run(ref))
+        assert refused is refused_ref
+        if not refused:
+            assert np.max(np.abs(post.mean - post_ref.mean)) <= 1e-12
+            assert np.max(np.abs(post.variance - post_ref.variance)) <= 1e-12
 
 
 def qpe_bin_weights(theta: float, tau: int) -> np.ndarray:
@@ -60,7 +119,7 @@ class BinnedPrediction:
 
     def mean(self, phi_star: np.ndarray, y: np.ndarray) -> float:
         pv = self.fm.v.T @ phi_star
-        uy = self.fm.u.T @ np.asarray(y, dtype=float)
+        uy = left_singular_vectors(self.fm).T @ np.asarray(y, dtype=float)
         return float(
             np.sum(self.lam_t * self.mean_factor * pv * uy)
             / (self.c1 * self.fm.frobenius_norm)

@@ -29,7 +29,7 @@ from qrff.rff import (
 )
 
 from kernel_reference import rbf_kernel
-from spectral_oracle import BinnedPrediction
+from spectral_oracle import BinnedPrediction, design_matrix
 
 
 def one_pattern_ry(theta, target, control, bit):
@@ -107,7 +107,7 @@ def test_criterion_4_state_preparation_exactness():
         )
         sv = prepare_data_state(fm)
         padded = np.zeros((sv.register("col").dim, sv.register("row").dim))
-        padded[: fm.design.shape[1], : fm.design.shape[0]] = fm.design.T
+        padded[: 2 * m, :n] = design_matrix(fm).T
         target = padded.ravel() / fm.frobenius_norm
         worst = min(worst, abs(np.vdot(target, sv.amplitudes)) ** 2)
     assert worst >= 1 - 1e-10

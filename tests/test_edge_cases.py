@@ -4,9 +4,11 @@ Draws tiny designs with duplicate inputs, more frequencies than points
 (M > N, including N = 1 with a width-0 row register), one-qubit phase
 registers and zero noise, at the default phase window and at twice the top
 squared singular value (where tau = 1 can resolve a rank-one design). The
-encoding circuit must give each design's zero-padded design.T /
-frobenius_norm to 1e-12. Each design must then either be refused with
-``ConfigError`` or ``PostSelectionError`` before any posterior is read,
+fit must keep the rank of the design's direct SVD and give RFF and quantum
+posteriors within 1e-12 of it, or the same refusal, and the encoding
+circuit must give each design's zero-padded design.T / frobenius_norm to
+1e-12. Each design must then either be refused with ``ConfigError`` or
+``PostSelectionError`` before any posterior is read,
 exactly when the dense circuits refuse it and with the same error, or give
 exact-mode means and variances equal to the binned spectral-sum oracle and,
 to 1e-12, to the dense circuits' readout.
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from qrff.errors import ConfigError, PostSelectionError, QrffError
@@ -35,15 +37,8 @@ from qrff.qsim import dense_oracle, prepare_data_state
 from qrff.rff import build_feature_model, feature_map, sample_frequencies
 
 from dense_readout import assert_encodes_design, assert_matches_dense
-from spectral_oracle import BinnedPrediction
+from spectral_oracle import BinnedPrediction, assert_matches_direct_svd, outcome
 
-
-def _outcome(build):
-    """``build()`` and None, or None and the type of the refusal it raised."""
-    try:
-        return build(), None
-    except (ConfigError, PostSelectionError) as exc:
-        return None, type(exc)
 
 #: a small input set, so that drawn designs repeat points
 INPUTS = (0.0, 0.4, 1.9, 3.1, 5.2)
@@ -59,6 +54,7 @@ GRID = np.array([0.3, 2.5, 5.0])
     seed_freq=st.integers(0, 20),
     headroom=st.sampled_from([DELTA_R_HEADROOM, 2.0]),
 )
+@example(xs=[0.4], m_freq=3, tau=6, noise=0.1, seed_freq=0, headroom=DELTA_R_HEADROOM)
 def test_pipeline_refuses_or_matches_binned_oracle(
     xs, m_freq, tau, noise, seed_freq, headroom
 ):
@@ -68,10 +64,11 @@ def test_pipeline_refuses_or_matches_binned_oracle(
     ds = Dataset(x[:, None], y)
     fm = build_feature_model(ds, sample_frequencies(m_freq, h, 1, seed_freq), h)
     delta_r = headroom * float(fm.normalized_singular_values[0] ** 2)
+    assert_matches_direct_svd(fm, GRID, tau, delta_r)
     state = prepare_data_state(fm)
     assert_encodes_design(fm)
-    pipe, refused = _outcome(lambda: PreparedPipeline(fm, tau, delta_r))
-    oracle, dense_refused = _outcome(
+    pipe, refused = outcome(lambda: PreparedPipeline(fm, tau, delta_r))
+    oracle, dense_refused = outcome(
         lambda: dense_oracle(
             state,
             delta_r,

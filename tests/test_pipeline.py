@@ -26,7 +26,12 @@ from qrff.rff import (
 )
 
 from dense_readout import assert_encodes_design, assert_matches_dense, dense_twin
-from spectral_oracle import BinnedPrediction, qpe_bin_weights
+from spectral_oracle import (
+    BinnedPrediction,
+    assert_matches_direct_svd,
+    left_singular_vectors,
+    qpe_bin_weights,
+)
 
 
 def small_model(n_points=4, m_freq=2, seed_data=3, seed_freq=5, noise=0.1):
@@ -384,11 +389,12 @@ class TestInversionBranches:
         nr = mean_state.register("row").width
         nc = mean_state.register("col").width
         target = np.zeros((1 << nc, 1 << nr))
+        fm_u = left_singular_vectors(fm)
         for r in range(fm.rank):
             v = np.zeros(1 << nc)
             v[: fm.v.shape[0]] = fm.v[:, r]
             u = np.zeros(1 << nr)
-            u[: fm.u.shape[0]] = fm.u[:, r]
+            u[: fm_u.shape[0]] = fm_u[:, r]
             target += weights[r] * np.outer(v, u)
         target = target.ravel() / np.linalg.norm(target)
         full = np.zeros_like(mean_state.amplitudes)
@@ -405,7 +411,7 @@ class TestPosteriorEstimates:
         pipe = PreparedPipeline(fm, tau=6, delta_r=2.0)
         x_star = 1.1
         est, _ = pipe.posterior([x_star])
-        phi1 = fm.design[0]
+        phi1 = scaled_feature_vector(ds.inputs[0], fm.freq, h)
         phi_star = scaled_feature_vector([x_star], fm.freq, h)
         lam1 = fm.singular_values[0]
         expected = (
@@ -635,8 +641,8 @@ def _schmidt_designs():
 
 class TestSchmidtRowsMatchDense:
     """The closed form in the Schmidt basis against every step applied to
-    ``prepare_data_state(fm)`` as circuits (``dense_oracle``), and that
-    state against the scaled design."""
+    ``prepare_data_state(fm)`` as circuits (``dense_oracle``), that state
+    against the scaled design, and the fit against the design's direct SVD."""
 
     def test_paper_config(self, paper_pipeline, paper_oracle, grid50):
         assert_encodes_design(paper_pipeline.fm)
@@ -648,6 +654,7 @@ class TestSchmidtRowsMatchDense:
         assert arrays and all(a.size <= paper_pipeline.fm.rank for a in arrays)
         assert paper_pipeline.tau == 13
         assert_matches_dense(paper_pipeline, grid50, paper_oracle)
+        assert_matches_direct_svd(paper_pipeline.fm, grid50, paper_pipeline.tau)
 
     @pytest.mark.parametrize("design", range(6))
     def test_small_designs(self, design):
@@ -657,6 +664,7 @@ class TestSchmidtRowsMatchDense:
         assert pipe.mean_weights.shape == (fm.rank,)
         grid = np.linspace(0.0, 6.0, 7)
         assert_matches_dense(pipe, grid)
+        assert_matches_direct_svd(fm, grid, tau)
 
     @pytest.mark.parametrize(
         "name",
@@ -814,15 +822,16 @@ class TestGaugeInvariance:
         tau = 6
         h, ds, fm = resolved_small_model(tau, seed_data=4, seed_freq=11)
         signs = np.where(np.arange(fm.rank) % 2 == 0, -1.0, 1.0)
+        # flipping v_k flips u_k = X v_k / s_k, and so u_k^T y
         flipped = FeatureModel(
             freq=fm.freq,
             hyper=fm.hyper,
+            inputs=fm.inputs,
             targets=fm.targets,
-            design=fm.design,
             frobenius_norm=fm.frobenius_norm,
-            u=fm.u * signs,
             singular_values=fm.singular_values,
             v=fm.v * signs,
+            projected_targets=fm.projected_targets * signs,
         )
         delta_r = 1.05 * float(fm.normalized_singular_values[0] ** 2)
         a = BinnedPrediction(fm, h.noise_std, delta_r, tau)
@@ -832,6 +841,15 @@ class TestGaugeInvariance:
             b.mean(phi_star, ds.targets), abs=1e-14
         )
         assert a.variance(phi_star) == pytest.approx(b.variance(phi_star), abs=1e-14)
+        for post_a, post_b in (
+            (rff_posterior(fm, [1.7]), rff_posterior(flipped, [1.7])),
+            (
+                PreparedPipeline(fm, tau, delta_r).posterior([1.7])[0],
+                PreparedPipeline(flipped, tau, delta_r).posterior([1.7])[0],
+            ),
+        ):
+            assert post_a.mean == pytest.approx(post_b.mean, abs=1e-14)
+            assert post_a.variance == pytest.approx(post_b.variance, abs=1e-14)
         assert a.p1() == b.p1() and a.p2() == b.p2()
 
 

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qrff.errors import ConfigError
 from qrff.kernel import Dataset, KernelHyper
 from qrff.rff import (
+    RANK_CUTOFF,
     build_feature_model,
     feature_map,
     rff_posterior,
@@ -14,6 +17,7 @@ from qrff.rff import (
 )
 
 from kernel_reference import rbf_kernel
+from spectral_oracle import design_matrix, left_singular_vectors
 
 
 class TestSampleFrequencies:
@@ -75,7 +79,7 @@ class TestFeatureModel:
         h = KernelHyper(1.0, 1.0, 0.1)
         ds = Dataset(np.array([[0.0]]), np.array([1.0]))
         fm = build_feature_model(ds, sample_frequencies(1, h, 1, seed=0), h)
-        assert np.allclose(fm.design, [[1.0, 0.0]], atol=1e-14)
+        assert np.allclose(design_matrix(fm), [[1.0, 0.0]], atol=1e-14)
         assert fm.singular_values == pytest.approx([1.0], abs=1e-12)
 
     def test_frobenius_norm_identity(self, paper_feature_model, paper_dataset):
@@ -84,8 +88,8 @@ class TestFeatureModel:
 
     def test_svd_invariants(self, paper_feature_model):
         fm = paper_feature_model
-        r = fm.rank
-        assert np.max(np.abs(fm.u.T @ fm.u - np.eye(r))) < 1e-10
+        r, u = fm.rank, left_singular_vectors(fm)
+        assert np.max(np.abs(u.T @ u - np.eye(r))) < 1e-10
         assert np.max(np.abs(fm.v.T @ fm.v - np.eye(r))) < 1e-10
         assert np.all(np.diff(fm.singular_values) <= 0)
         assert fm.singular_values[-1] > 0
@@ -95,8 +99,26 @@ class TestFeatureModel:
 
     def test_svd_reconstruction(self, paper_feature_model):
         fm = paper_feature_model
-        rebuilt = fm.u @ np.diag(fm.singular_values) @ fm.v.T
-        assert np.max(np.abs(fm.design - rebuilt)) < 1e-10
+        rebuilt = left_singular_vectors(fm) @ np.diag(fm.singular_values) @ fm.v.T
+        assert np.max(np.abs(design_matrix(fm) - rebuilt)) < 1e-10
+
+    def test_large_fit_keeps_only_what_the_posteriors_read(self, paper_hyper):
+        # 1-D, N = 65536, M = 32: the design alone is 32 MiB; the fit keeps
+        # s, V and U^T y, a few KiB, and peaks at the stacked [X y] and the
+        # copy np.linalg.qr factors
+        x = np.linspace(0.0, 2.0 * np.pi, 65536)
+        ds = Dataset(x[:, None], np.sin(x))
+        freq = sample_frequencies(32, paper_hyper, 1, seed=21)
+        tracemalloc.start()
+        try:
+            fm = build_feature_model(ds, freq, paper_hyper)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained <= 2**20
+        assert peak <= 66 * 2**20
+        s = np.linalg.svd(design_matrix(fm), compute_uv=False)
+        assert fm.rank == int(np.sum(s > RANK_CUTOFF * s[0]))
 
     def test_interleaved_cos_sin_layout(self, paper_hyper):
         # column 2r holds cos, 2r+1 holds sin of the same phase
@@ -105,8 +127,9 @@ class TestFeatureModel:
         fm = build_feature_model(ds, freq, paper_hyper)
         phase = 2 * np.pi * 0.25 * 1.0
         scale = np.sqrt(paper_hyper.signal_std**2)
-        assert fm.design[0, 0] == pytest.approx(scale * np.cos(phase), abs=1e-12)
-        assert fm.design[0, 1] == pytest.approx(scale * np.sin(phase), abs=1e-12)
+        X = design_matrix(fm)
+        assert X[0, 0] == pytest.approx(scale * np.cos(phase), abs=1e-12)
+        assert X[0, 1] == pytest.approx(scale * np.sin(phase), abs=1e-12)
 
 
 class TestRffPosterior:
@@ -129,14 +152,14 @@ class TestRffPosterior:
             fm = build_feature_model(
                 ds, sample_frequencies(m_freq, paper_hyper, 1, seed=n_points), paper_hyper
             )
-            assert fm.rank < fm.design.shape[1]
+            assert fm.rank < 2 * m_freq
             models.append((fm, ds, paper_hyper))
         h = KernelHyper(3.0, 0.7, 0.2)
         fm = build_feature_model(paper_dataset, sample_frequencies(2, h, 1, seed=21), h)
         models.append((fm, paper_dataset, h))
         for fm, ds, h in models:
             # independent oracle: direct weight-space solve
-            X = fm.design
+            X = design_matrix(fm)
             A = X.T @ X + h.noise_std**2 * np.eye(X.shape[1])
             post = rff_posterior(fm, grid50)
             for i, x in enumerate(grid50):
