@@ -4,14 +4,12 @@ This module is the ground truth for everything else in the package: the
 kernel and the GP posterior, in numpy alone. Inputs may live in any dimension
 even though the bundled experiment is one-dimensional.
 
-The posterior is first tried in O((N + G) r^2) for N inputs and G queries: a
-pivoted Cholesky of the noise-free kernel over inputs and queries, stopped
-once every residual diagonal is at most eps * signal_std^2, then a solve in
-the r pivots' weight space. The residual kernel is positive semi-definite, so
-none of its entries is then larger than the rounding error of evaluating one
-kernel entry: the answer is the exact posterior of a kernel within rounding
-of the true one. Where that try is not made or fails, a blocked dense
-Cholesky in O(N^2 (N + G)) answers; ``exact_posterior`` states the rule.
+The posterior has two solves, each one function. ``_low_rank_posterior``
+runs a pivoted Cholesky of the noise-free kernel over N inputs and G
+queries, stopped at the rounding floor of one kernel entry, and solves in
+the r pivots' weight space in O((N + G) r^2). ``_dense_posterior`` runs one
+blocked Cholesky in O(N^2 (N + G)). ``exact_posterior`` tries the first and
+states when the second answers.
 """
 
 from __future__ import annotations
@@ -210,36 +208,6 @@ def _dense_posterior(
     return Posterior(mean=z_star @ z_y, variance=np.maximum(variance, 0.0))
 
 
-def _pivoted_cholesky(points: np.ndarray, h: KernelHyper, cap: int):
-    """Greedy pivoted Cholesky of the noise-free kernel over ``points``, or None.
-
-    Returns ``(factor, residual)``: ``factor`` of shape (r, P) with K ~ factor^T
-    factor, and ``residual`` the diagonal of K - factor^T factor, once every
-    residual entry is at most eps * signal_std^2 (Harbrecht, Peters &
-    Schneider, *Appl. Numer. Math.* 62, 2012). Step j pivots on the largest
-    residual: one ``_cross_kernel`` column, less a (j x P) matrix-vector
-    product, scaled by the pivot's root. None when ``cap`` pivots leave a
-    larger residual.
-    """
-    floor = np.finfo(float).eps * h.signal_std**2
-    factor = np.empty((cap, len(points)))
-    residual = np.full(len(points), h.signal_std**2)
-    scratch = np.empty(len(points))
-    with np.errstate(over="ignore"):  # as _cross_kernel requires
-        for j in range(cap + 1):
-            p = residual.argmax()
-            if residual[p] <= floor:
-                return factor[:j], residual
-            if j == cap:
-                return None
-            row = factor[j]
-            _cross_kernel(points, points[p : p + 1], h, out=row[:, None])
-            row -= np.matmul(factor[:j, p], factor[:j], out=scratch)
-            row /= math.sqrt(residual[p])
-            residual -= np.square(row, out=scratch)
-            residual[p] = 0.0
-
-
 def _pivot_cap(n: int, g: int) -> int:
     """Most pivots the low-rank solve tries: about 10% of the dense solve's cost.
 
@@ -254,47 +222,67 @@ def _pivot_cap(n: int, g: int) -> int:
     return math.isqrt(n * n * (n + 3 * g) // (150 * (n + g)))
 
 
-def _forward_substitute(lower: np.ndarray, rhs: np.ndarray) -> None:
-    """Overwrite ``rhs``, of shape (r,) or (r, m), with lower^-1 rhs row by row."""
-    for i in range(len(lower)):
-        rhs[i] -= lower[i, :i] @ rhs[:i]
-        rhs[i] /= lower[i, i]
-
-
 def _low_rank_posterior(
     inputs: np.ndarray, queries: np.ndarray, targets: np.ndarray, h: KernelHyper, cap: int
 ) -> Posterior | None:
-    """The posterior from at most ``cap`` pivots of ``_pivoted_cholesky``, or None.
+    """The posterior from at most ``cap`` pivots of a pivoted Cholesky, or None.
 
-    The pivots run over [inputs; queries], so the factor's columns are the
-    training rows Phi (N x r) and the query rows Phi* (G x r). With
-    C = Phi^T Phi + noise_std^2 I_r = R R^T (the weight-space form of Foster
-    et al., *JMLR* 10, 2009):
+    A greedy pivoted Cholesky of the noise-free kernel over the P = N + G
+    points [inputs; queries] (Harbrecht, Peters & Schneider, *Appl. Numer.
+    Math.* 62, 2012) builds a factor F of shape (r, P) with K ~ F^T F: step
+    j pivots on the largest residual diagonal of K - F^T F, one
+    ``_cross_kernel`` column less a (j x P) matrix-vector product, scaled
+    by the pivot's root. It stops once every residual is at most
+    eps * signal_std^2. The residual kernel is positive semi-definite, so
+    none of its entries is then larger than the rounding error of
+    evaluating one kernel entry.
+
+    F's columns are the training rows Phi (N x r) and the query rows Phi*
+    (G x r). With C = Phi^T Phi + noise_std^2 I_r = R R^T (the weight-space
+    form of Foster et al., *JMLR* 10, 2009):
 
     mean = Phi* C^-1 Phi^T y = (R^-1 Phi*^T)^T (R^-1 Phi^T y)
     variance = d* + noise_std^2 ||R^-1 phi*^T||^2
 
     where d* is each query's residual diagonal, so the variance has no
-    s^2 - (...) cancellation. R^-1 Phi*^T overwrites the factor's query
-    columns, so the path holds one cap x (N + G) array. None when the pivots
-    reach ``cap``, or when C's Cholesky fails or a step overflows.
+    s^2 - (...) cancellation. One row loop forward-substitutes R^-1 Phi^T y
+    and, over F's query columns, R^-1 Phi*^T, so the path holds one
+    cap x (N + G) array. None when the pivots reach ``cap``, or when C's
+    Cholesky fails or a step overflows.
     """
     n = inputs.shape[0]
     try:
         # an overflow anywhere here (at extreme scales) leaves the answer to
         # the dense solve
         with np.errstate(all="raise", under="ignore"):
-            found = _pivoted_cholesky(np.vstack([inputs, queries]), h, cap)
-            if found is None:
-                return None
-            factor, residual = found
-            phi, z_star = factor[:, :n], factor[:, n:]
+            points = np.vstack([inputs, queries])
+            floor = np.finfo(float).eps * h.signal_std**2
+            factor = np.empty((cap, len(points)))
+            residual = np.full(len(points), h.signal_std**2)
+            scratch = np.empty(len(points))
+            with np.errstate(over="ignore"):  # as _cross_kernel requires
+                for r in range(cap + 1):
+                    p = residual.argmax()
+                    if residual[p] <= floor:
+                        break
+                    if r == cap:
+                        return None
+                    row = factor[r]
+                    _cross_kernel(points, points[p : p + 1], h, out=row[:, None])
+                    row -= np.matmul(factor[:r, p], factor[:r], out=scratch)
+                    row /= math.sqrt(residual[p])
+                    residual -= np.square(row, out=scratch)
+                    residual[p] = 0.0
+            phi, z_star = factor[:r, :n], factor[:r, n:]
             system = phi @ phi.T
-            system.flat[:: len(system) + 1] += h.noise_std**2
+            system.flat[:: r + 1] += h.noise_std**2
             lower = np.linalg.cholesky(system)
             z_y = phi @ targets
-            _forward_substitute(lower, z_y)
-            _forward_substitute(lower, z_star)
+            for i in range(r):
+                z_y[i] -= lower[i, :i] @ z_y[:i]
+                z_y[i] /= lower[i, i]
+                z_star[i] -= lower[i, :i] @ z_star[:i]
+                z_star[i] /= lower[i, i]
             mean = z_star.T @ z_y
             # the residual's round-off can leave a tiny negative entry
             variance = np.maximum(residual[n:], 0.0)
@@ -310,16 +298,16 @@ def exact_posterior(ds: Dataset, h: KernelHyper, xs) -> Posterior:
     mean = K*^T (K + noise_std^2 I)^{-1} y
     variance = k(x*, x*) - diag(K*^T (K + noise_std^2 I)^{-1} K*)
 
-    First a low-rank solve (``_low_rank_posterior``) in O((N + G) r^2): a
-    pivoted Cholesky of the noise-free kernel over inputs and queries,
-    stopped once every residual diagonal is at most eps * signal_std^2. The
-    residual kernel is positive semi-definite, so each of its entries is then
-    at most eps * signal_std^2 in size, the rounding error of evaluating one
-    kernel entry. The answer is thus the exact posterior of a kernel matrix
-    within rounding of the one the dense solve factors: a backward error no
-    larger than the dense solve's own. On the CLI's 1-D inputs with G from
-    2 to 64, r is 37-48 for N from 512 to 4096; at N = 256 the pivots reach
-    the cap of 21-24 first and the dense solve answers.
+    First the low-rank solve, ``_low_rank_posterior``, in O((N + G) r^2)
+    for r pivots. Its pivots stop once every residual diagonal is at most
+    eps * signal_std^2, the rounding error of evaluating one kernel entry,
+    so its answer is the exact posterior of a kernel matrix within rounding
+    of the one the dense solve factors: a backward error no larger than the
+    dense solve's own. On the CLI's 1-D inputs with G from 2 to 64, r is
+    37-48 for N from 512 to 4096: 40 of a cap of 41 at N = 512, G = 2, one
+    pivot short of the dense fallback, and 44 of 88 at N = 1024, G = 64. At
+    N = 256 the pivots reach the cap of 21-24 first and the dense solve
+    answers.
 
     The dense solve (``_dense_posterior``) answers instead, with exactly
     its own arrays, when N <= BLOCK, when noise_std is 0 (its jitter retry

@@ -115,6 +115,7 @@ def spectral_setup(s: np.ndarray, sigma_tilde_sq: float, delta_r: float, tau: in
             np.minimum(1.0, c1 / (lam2 + sigma_tilde_sq)),
             np.minimum(1.0, c2 / np.sqrt(lam2 * (lam2 + sigma_tilde_sq))),
         )
+    del lam2  # 2^tau doubles that would otherwise sit next to the table built below
     for prof in profiles:
         prof[0] = 0.0  # below-resolution bins are excluded from the inversion
     table = phase_table(s2 / delta_r, tau)

@@ -115,7 +115,9 @@ def build_feature_model(ds: Dataset, freq, h: KernelHyper) -> FeatureModel:
     frequency. One R-only QR of [X y] gives R = [R_X r_y] with at most 2M + 1
     rows; the SVD R_X = U_R diag(s) V^T gives X's s and V, and U^T y =
     U_R^T r_y, so neither Q nor U is formed. The fit keeps ``h``,
-    ``ds.inputs`` and ``ds.targets`` themselves, not copies.
+    ``ds.inputs`` and ``ds.targets`` themselves, not copies. Refuses
+    (ConfigError) a design whose Frobenius norm has no positive finite
+    square, and targets so large that U^T y is not finite.
     """
     freq = _as_frequencies(freq)
     if ds.dim != freq.shape[1]:
@@ -134,6 +136,11 @@ def build_feature_model(ds: Dataset, freq, h: KernelHyper) -> FeatureModel:
     r = np.linalg.qr(stacked, mode="r")
     u_r, s, vt = np.linalg.svd(r[:, :-1], full_matrices=False)
     rank = int(np.sum(s > RANK_CUTOFF * s[0]))
+    # targets near the double range give U^T y entries of inf or nan, refused here
+    with np.errstate(over="ignore", invalid="ignore"):
+        projected = u_r[:, :rank].T @ r[:, -1]
+    if not np.isfinite(projected).all():
+        raise ConfigError("the projected targets U^T y are not finite; the targets are too large")
     return FeatureModel(
         freq=freq,
         hyper=h,
@@ -142,7 +149,7 @@ def build_feature_model(ds: Dataset, freq, h: KernelHyper) -> FeatureModel:
         frobenius_norm=fro,
         singular_values=s[:rank],
         v=vt[:rank].T,
-        projected_targets=u_r[:, :rank].T @ r[:, -1],
+        projected_targets=projected,
     )
 
 

@@ -158,6 +158,9 @@ INPUT_CHECKS = {
     "design-dimension-mismatch": lambda pipe: build_feature_model(
         Dataset(np.zeros((2, 2)), np.ones(2)), pipe.fm.freq, pipe.fm.hyper
     ),
+    "projected-targets-non-finite": lambda pipe: build_feature_model(
+        Dataset(np.arange(3.0)[:, None], [1.7e308, -1.7e308, 1.7e308]), pipe.fm.freq, pipe.fm.hyper
+    ),
     "all-zero-targets": lambda pipe: PreparedPipeline(_fm_at_0(pipe, target=0.0), 6),
     "design-norm-underflows": lambda pipe: _fm_at_0(pipe, 2.3e-162),
     "sigma-tilde-overflows": lambda pipe: PreparedPipeline(_fm_at_0(pipe, 1e-158), 6),

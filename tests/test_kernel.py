@@ -345,18 +345,18 @@ class TestDenseFallback:
         ds = Dataset(x, rng.normal(size=n))
         h = KernelHyper(1.5, length_scale, 0.1)
         tries = []
-        pivot, exp = kernel._pivoted_cholesky, np.exp
+        low_rank, exp = kernel._low_rank_posterior, np.exp
 
-        def counted(points, hyper, cap):
+        def counted(inputs, queries, targets, hyper, cap):
             # one exp call per pivot: its kernel column
             columns = []
             with monkeypatch.context() as m:
                 m.setattr(np, "exp", lambda *a, **kw: columns.append(1) or exp(*a, **kw))
-                found = pivot(points, hyper, cap)
+                found = low_rank(inputs, queries, targets, hyper, cap)
             tries.append((cap, found, len(columns)))
             return found
 
-        monkeypatch.setattr(kernel, "_pivoted_cholesky", counted)
+        monkeypatch.setattr(kernel, "_low_rank_posterior", counted)
         post = exact_posterior(ds, h, xs)
         [(cap, found, columns)] = tries
         assert found is None

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -312,6 +313,19 @@ class TestSpectralSetup:
         del setup["profiles"]
         for key, value in setup.items():
             assert np.array_equal(getattr(pipe, key), value), key
+
+    def test_setup_peak_counts_the_table_and_three_profiles(self):
+        # the rank x 2^tau table, both rotation profiles and one squared profile
+        h = KernelHyper(1.5, 1.0, 0.1)
+        fm = build_feature_model(Dataset([[0.5]], [0.7]), sample_frequencies(1, h, 1, 21), h)
+        tau = 20
+        tracemalloc.start()
+        try:
+            PreparedPipeline(fm, tau)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**tau * (fm.rank + 3) + 2**20
 
 
 class TestInversionBranches:
@@ -815,6 +829,9 @@ class TestNoDenseStepsInTheRunPath:
     def test_package_import_leaves_the_simulator_unloaded(self):
         code = "import sys, qrff; print('qrff.qsim' in sys.modules)"
         assert _last_line_of_fresh_run(code) == "False"
+        # the error types alone load neither the simulator nor numpy
+        code = "import sys, qrff.errors; print('qrff.qsim' in sys.modules, 'numpy' in sys.modules)"
+        assert _last_line_of_fresh_run(code) == "False False"
 
 
 class TestGaugeInvariance:
