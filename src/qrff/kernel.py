@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import errors
-from .errors import CapacityError, ConfigError
+from .errors import ConfigError, check_bytes
 
 #: Column-block width of the exact baseline's Cholesky factorization. Each
 #: block pays one numpy ``cholesky`` and one ``inv`` of a BLOCK x BLOCK matrix;
@@ -112,13 +111,13 @@ class Posterior:
             raise ValueError(f"negative posterior variance {np.min(self.variance)}")
 
 
-def _as_points(xs, dim: int, name: str = "xs") -> np.ndarray:
+def _as_points(xs, dim: int) -> np.ndarray:
     """Query grid as a (G, dim) array; a flat input lists the points one after another."""
     pts = np.asarray(xs, dtype=float)
     if pts.ndim > 2 or pts.size == 0 or pts.size % dim or pts.ndim == 2 and pts.shape[1] != dim:
-        raise ConfigError(f"{name} of shape {pts.shape} is not a grid of {dim}-d points")
+        raise ConfigError(f"xs of shape {pts.shape} is not a grid of {dim}-d points")
     if not np.isfinite(pts).all():
-        raise ConfigError(f"{name} contains non-finite values")
+        raise ConfigError("xs contains non-finite values")
     return pts.reshape(-1, dim)
 
 
@@ -318,17 +317,12 @@ def exact_posterior(ds: Dataset, h: KernelHyper, xs) -> Posterior:
     L L^T = K + noise_std^2 I and [Z*, z_y] = L^-1 [K*, y], mean = Z*^T z_y
     and variance = k(x*, x*) - ||Z*||^2 per query.
 
-    Raises ``CapacityError`` before allocating when the N x N Gram matrix
-    would take more bytes than one statevector at the qubit cap,
-    16 * 2^errors.MAX_QUBITS; that check counts only the N^2 part of the
-    dense array, not its G + 1 right-hand-side rows.
+    Refuses, before allocating, an N x N Gram matrix over
+    ``errors.check_bytes``' cap. It counts only the N^2 part of the dense
+    array, not its G + 1 right-hand-side rows: counting those before the
+    low-rank try would refuse runs that the low-rank solve answers.
     """
-    gram_bytes, cap_bytes = 8 * ds.n_points**2, 16 << errors.MAX_QUBITS
-    if gram_bytes > cap_bytes:
-        raise CapacityError(
-            f"the exact baseline's {ds.n_points} x {ds.n_points} Gram matrix takes "
-            f"{gram_bytes} bytes, more than a {errors.MAX_QUBITS}-qubit state ({cap_bytes})"
-        )
+    check_bytes(f"the exact baseline's Gram matrix at N = {ds.n_points}", 8 * ds.n_points**2)
     queries = _as_points(xs, ds.dim)
     if ds.n_points > BLOCK and h.noise_std > 0:
         cap = _pivot_cap(ds.n_points, len(queries))

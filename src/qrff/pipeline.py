@@ -17,7 +17,7 @@ the QPE outcome distribution per eigenvalue (``phase_table``), and builds no
 state or gate; ``spectral_setup`` is that evaluation, one pure function of
 the spectrum. ``qsim.prepare_data_state`` and ``qsim.dense_oracle``, on
 ``spectral_setup``'s rotation profiles, run the same steps as circuits for
-the tests. ``PreparedPipeline``'s two width checks read ``errors.MAX_QUBITS``.
+the tests. This module's two capacity checks are ``errors.check_bytes`` calls.
 
 All amplitudes are normalized by the design's Frobenius norm, so classical
 scale recovery multiplies estimated overlaps back by the Frobenius norm, the
@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import errors
-from .errors import CapacityError, ConfigError, PostSelectionError
+from .errors import ConfigError, PostSelectionError, check_bytes
 from .kernel import Posterior, _as_points
 from .rff import FeatureModel, scaled_feature_vector, spectral_sums
 
@@ -80,7 +79,8 @@ def spectral_setup(s: np.ndarray, sigma_tilde_sq: float, delta_r: float, tau: in
     normalized singular values ``s`` (descending); ``PreparedPipeline`` gives
     the branch sums.
 
-    Refuses (ConfigError) s_0^2 >= delta_r (phase wraparound) and any s_k^2
+    Refuses its peak (``errors.check_bytes``) before building any of it, then
+    (ConfigError) s_0^2 >= delta_r (phase wraparound) and any s_k^2
     whose bin round(s_k^2 / delta_r * 2^tau) reads as 0. With lam_hat^2 the
     decoded eigenvalues, c1 = min(lam_hat^2 + sigma~^2) and c2 =
     min(lam_hat sqrt(lam_hat^2 + sigma~^2)) keep both ``profiles``, the flag
@@ -91,6 +91,7 @@ def spectral_setup(s: np.ndarray, sigma_tilde_sq: float, delta_r: float, tau: in
     weight vectors and the two un-compute leakages, keyed by the names of
     ``PreparedPipeline``'s attributes.
     """
+    check_bytes("the phase table and its three profiles", 8 * (s.size + 3), tau)
     s2 = s**2
     if delta_r <= s2[0]:
         raise ConfigError(
@@ -184,8 +185,9 @@ class PreparedPipeline:
     the same names, with ``sigma_tilde_sq``: only two length-rank weight
     vectors and scalars. ``qsim.pipeline_oracle`` gets the profiles back and
     runs the dense circuits these are tested against. Before the setup the
-    pipeline refuses a plan over the width cap and a sigma~^2 that
-    overflows; after it, a branch accepted with probability below 1e-12,
+    pipeline refuses an encoded state over ``errors.check_bytes``' cap and a
+    sigma~^2 that overflows; the setup refuses its own peak; after it, a
+    branch accepted with probability below 1e-12,
     then the fit's targets if all zero or if their norm, kept as
     ``target_norm``, overflows.
 
@@ -204,16 +206,7 @@ class PreparedPipeline:
         self.delta_r = default_delta_r(fm) if delta_r is None else delta_r
         # the paper circuit's register widths, ceil(log2) of the design's shape (N, 2M)
         row, col = ((n - 1).bit_length() for n in (fm.targets.size, 2 * fm.freq.shape[0]))
-        if row + col > errors.MAX_QUBITS:
-            raise CapacityError(
-                f"encoding needs {row + col} qubits (row + col), cap {errors.MAX_QUBITS}"
-            )
-        # the phase table has one row per Schmidt component, at most 2^min(row, col)
-        if min(row, col) + tau > errors.MAX_QUBITS:
-            raise CapacityError(
-                f"the phase table holds 2^{min(row, col) + tau} entries "
-                f"(min(row, col) + tau), cap {errors.MAX_QUBITS}"
-            )
+        check_bytes(f"the encoding's {row + col}-qubit state (row + col)", 16, row + col)
         h = fm.hyper
         sigma_tilde_sq = h.noise_std**2 / fm.frobenius_norm**2
         if not sigma_tilde_sq < np.inf:

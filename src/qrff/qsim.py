@@ -9,7 +9,8 @@ un-compute (``dense_oracle``, on the rotation profiles of
 and SWAP tests read overlaps off one measured test qubit. ``closed_form_gaps``
 and ``encoding_gap`` hold ``pipeline.PreparedPipeline``'s closed form to them
 for the tests and ``qrff selftest``; the run path never imports this module.
-One check refuses a state wider than ``errors.MAX_QUBITS`` before allocating.
+Every state and ``realized_matrix``'s dense matrix pass ``errors.check_bytes``
+before they are allocated.
 
 Basis convention: qubit ``q`` carries weight ``2**q`` in the amplitude index,
 registers are contiguous qubit ranges, and the first-listed register occupies
@@ -28,8 +29,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import errors
-from .errors import CapacityError, PostSelectionError
+from .errors import PostSelectionError, check_bytes
 from .pipeline import PreparedPipeline, spectral_setup
 from .rff import FeatureModel, scaled_feature_vector
 
@@ -39,13 +39,6 @@ _H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 _SWAP_MATRIX = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
-
-
-def _check_width(n: int) -> None:
-    """Refuse a state of ``n`` qubits wider than ``errors.MAX_QUBITS``; called
-    before the state is allocated."""
-    if n > errors.MAX_QUBITS:
-        raise CapacityError(f"{n} qubits exceed the simulator cap of {errors.MAX_QUBITS}")
 
 
 class Register(NamedTuple):
@@ -128,7 +121,7 @@ class Statevector:
 
     def __post_init__(self):
         n = self.n_qubits
-        _check_width(n)
+        check_bytes(f"a {n}-qubit state", 16, n)
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (1 << n,):
             raise ValueError(
@@ -150,7 +143,7 @@ class Statevector:
     @classmethod
     def zero(cls, register_spec: Sequence[tuple[str, int]]) -> Statevector:
         n = sum(width for _, width in register_spec)
-        _check_width(n)
+        check_bytes(f"a {n}-qubit state", 16, n)
         amps = np.zeros(1 << n, dtype=complex)
         amps[0] = 1.0
         return cls.from_amplitudes(amps, register_spec)
@@ -205,9 +198,8 @@ def apply_circuit(sv: Statevector, gates: Sequence[GateOp]) -> Statevector:
 
 def realized_matrix(gate: GateOp, n_qubits: int) -> np.ndarray:
     """Dense matrix of a gate on an ``n_qubits`` space (small n only)."""
+    check_bytes(f"a {n_qubits}-qubit gate matrix", 16, 2 * n_qubits)
     dim = 1 << n_qubits
-    if n_qubits > 12:
-        raise CapacityError("realized_matrix supports at most 12 qubits")
     mat = np.eye(dim, dtype=complex)
     for col in range(dim):
         _apply_inplace(mat[:, col], n_qubits, gate)
@@ -222,7 +214,7 @@ def realized_matrix(gate: GateOp, n_qubits: int) -> np.ndarray:
 def append_register(sv: Statevector, name: str, width: int) -> Statevector:
     """Append a register in state |0...0> above the existing qubits."""
     n = sv.n_qubits
-    _check_width(n + width)
+    check_bytes(f"a {n + width}-qubit state", 16, n + width)
     amps = np.zeros(1 << (n + width), dtype=complex)
     amps[: 1 << n] = sv.amplitudes
     regs = sv.registers + (Register(name, n, width),)
@@ -333,10 +325,8 @@ def qpe_circuit(
     return ops
 
 
-def qpe(
-    sv: Statevector, ops: Sequence[GateOp], tau: int, phase_register: str = "phase"
-) -> Statevector:
-    """Quantum phase estimation: append a ``tau``-qubit phase register, apply ``ops``.
+def qpe(sv: Statevector, ops: Sequence[GateOp], tau: int) -> Statevector:
+    """Quantum phase estimation: append a ``tau``-qubit register ``phase``, apply ``ops``.
 
     ``ops`` come from ``qpe_circuit``; an eigenphase of exactly ``j / 2**tau``
     turns leaves the register reading ``j``. From the |0...0> phase
@@ -346,7 +336,7 @@ def qpe(
     the textbook one with the phase qubits in reverse order; the reversal
     fixes |0...0>, so the phase-0 slice and the leakage are unchanged.
     """
-    return apply_circuit(append_register(sv, phase_register, tau), ops)
+    return apply_circuit(append_register(sv, "phase", tau), ops)
 
 
 def inverse_qpe(sv: Statevector, ops: Sequence[GateOp]) -> Statevector:
@@ -386,7 +376,7 @@ def hadamard_test(
     n = sv_a.n_qubits
     if sv_b.n_qubits != n:
         raise ValueError(f"state dimensions differ: {n} vs {sv_b.n_qubits} qubits")
-    _check_width(n + 1)
+    check_bytes(f"a {n + 1}-qubit state", 16, n + 1)
     amps = np.concatenate([sv_b.amplitudes, sv_a.amplitudes]) / np.sqrt(2.0)
     composite = Statevector.from_amplitudes(amps, [("state", n), ("test", 1)])
     return _test_qubit_overlap(apply_circuit(composite, [GateOp.h(n)]), shots, seed)
@@ -410,7 +400,7 @@ def swap_test(
     if len(swap_qubits) != n_b:
         raise ValueError(f"{len(swap_qubits)} qubits of the first state swap against {n_b}")
     anc = n_a + n_b
-    _check_width(anc + 1)
+    check_bytes(f"a {anc + 1}-qubit state", 16, anc + 1)
     pair = Statevector.from_amplitudes(
         np.kron(sv_b.amplitudes, sv_a.amplitudes), [("a", n_a), ("b", n_b)]
     )
@@ -528,7 +518,7 @@ def dense_oracle(
     theta = np.zeros(col.dim)
     theta[: s.size] = s**2 / delta_r
     circuit = qpe_circuit(sv, "col", basis, theta, tau)
-    spectral = qpe(sv, circuit, tau, phase_register="phase")
+    spectral = qpe(sv, circuit, tau)
     branches = []
     for profile in profiles:
         state, prob = postselect(spectral, "phase", profile)

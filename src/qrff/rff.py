@@ -175,7 +175,8 @@ def rff_posterior(fm: FeatureModel, xs) -> Posterior:
 
     The trailing term accounts for the feature-space null space so the result
     matches the direct weight-space solve of (X^T X + noise^2 I). The
-    targets y and the noise come from the fit.
+    targets y and the noise come from the fit. Refuses (ConfigError) a mean
+    or variance that is not finite, which targets near the double range give.
     """
     h = fm.hyper
     if h.noise_std == 0.0 and fm.rank < 2 * fm.freq.shape[0]:
@@ -183,5 +184,9 @@ def rff_posterior(fm: FeatureModel, xs) -> Posterior:
     phi_star = scaled_feature_vector(_as_points(xs, fm.freq.shape[1]), fm.freq, h)
     lam = fm.singular_values
     denom = lam**2 + h.noise_std**2
-    mean, spectral, null_sq = spectral_sums(fm, phi_star, lam / denom, 1.0 / denom)
-    return Posterior(mean=mean, variance=h.noise_std**2 * spectral + null_sq)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, spectral, null_sq = spectral_sums(fm, phi_star, lam / denom, 1.0 / denom)
+        variance = h.noise_std**2 * spectral + null_sq
+    if not np.isfinite([mean, variance]).all():
+        raise ConfigError("the RFF posterior is not finite; the targets are too large")
+    return Posterior(mean=mean, variance=variance)

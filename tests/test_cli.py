@@ -201,8 +201,8 @@ class TestRunExperiment:
         assert np.isfinite(columns["mean_qrff"]).all()
 
     def test_setup_width_is_the_whole_qubit_budget(self, monkeypatch):
-        # min(4 row, 2 col) + 11 phase = 13: the phase table fits the cap
-        # exactly, and nothing after it may need a wider state
+        # the setup's table and profiles fit a cap of 13 under the count the
+        # errors module documents, and nothing after it may need more
         monkeypatch.setattr(errors, "MAX_QUBITS", 13)
         cfg = RunConfig(n_points=16, n_frequencies=2, tau=11, grid_count=3)
         columns, _ = cli._run_stages(cfg, "compare")

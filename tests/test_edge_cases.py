@@ -34,7 +34,7 @@ from qrff.errors import ConfigError, PostSelectionError, QrffError
 from qrff.kernel import Dataset, KernelHyper, Posterior, _as_points
 from qrff.pipeline import DELTA_R_HEADROOM, PreparedPipeline, spectral_setup
 from qrff.qsim import dense_oracle, prepare_data_state
-from qrff.rff import build_feature_model, feature_map, sample_frequencies
+from qrff.rff import build_feature_model, feature_map, rff_posterior, sample_frequencies
 
 from dense_readout import assert_encodes_design, assert_matches_dense
 from spectral_oracle import BinnedPrediction, assert_matches_direct_svd, outcome
@@ -160,6 +160,14 @@ INPUT_CHECKS = {
     ),
     "projected-targets-non-finite": lambda pipe: build_feature_model(
         Dataset(np.arange(3.0)[:, None], [1.7e308, -1.7e308, 1.7e308]), pipe.fm.freq, pipe.fm.hyper
+    ),
+    "rff-posterior-non-finite": lambda pipe: rff_posterior(
+        build_feature_model(
+            Dataset(np.arange(3.0)[:, None], [1e308, -1e308, 1e308]),
+            sample_frequencies(8, pipe.fm.hyper, 1, 0),
+            pipe.fm.hyper,
+        ),
+        [0.5, 1.0],
     ),
     "all-zero-targets": lambda pipe: PreparedPipeline(_fm_at_0(pipe, target=0.0), 6),
     "design-norm-underflows": lambda pipe: _fm_at_0(pipe, 2.3e-162),

@@ -732,6 +732,32 @@ class TestCapacityPlan:
             PreparedPipeline(fm, tau=11)
         assert table_calls == []
 
+    def test_setup_counts_the_fits_rank_and_three_profiles(self, monkeypatch):
+        # N=1, M=1: min(0 row, 1 col) + 10 phase = 10 qubits would fit a cap of
+        # 10, but the rank-1 table and three profiles, (1 + 3) x 2^10 doubles,
+        # take 32 KiB against the 16 KiB of one 10-qubit state
+        h, ds, fm = small_model(n_points=1, m_freq=1)
+        table_calls = []
+        monkeypatch.setattr(errors, "MAX_QUBITS", 10)
+        monkeypatch.setattr(pipeline, "phase_table", lambda *args: table_calls.append(args))
+        with pytest.raises(CapacityError, match="phase table"):
+            PreparedPipeline(fm, tau=10)
+        assert table_calls == []
+
+    def test_setup_refuses_a_huge_tau_without_forming_its_power(self):
+        with pytest.raises(CapacityError, match="phase table"):
+            spectral_setup(np.array([0.5]), 0.01, 1.0, 10**20)
+
+    def test_check_bytes_allows_exactly_one_state(self, monkeypatch):
+        # cap 4: one state is 16 * 2^4 = 256 bytes, counted plainly or shifted
+        monkeypatch.setattr(errors, "MAX_QUBITS", 4)
+        errors.check_bytes("x", 256)
+        errors.check_bytes("x", 32, 3)
+        with pytest.raises(CapacityError, match=r"^x: 257 x 2\^0 bytes, .* \(256\)$"):
+            errors.check_bytes("x", 257)
+        with pytest.raises(CapacityError, match=r"^x: 33 x 2\^3 bytes"):
+            errors.check_bytes("x", 33, 3)
+
     def test_wide_column_register_runs_without_column_matrices(self, monkeypatch):
         # N=1, M=64: 0 row + 7 col to encode and min(0, 7) + 4 phase for the
         # table fit a cap of 12; no 128 x 128 matrix of the col register is built

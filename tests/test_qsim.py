@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qrff import qsim
+from qrff import errors, qsim
 from qrff.errors import CapacityError, PostSelectionError
 from qrff.pipeline import spectral_setup
 from qrff.qsim import GateOp, Statevector
@@ -302,6 +302,13 @@ class TestRegisters:
         sv = Statevector.zero([("r", 2)])
         with pytest.raises(CapacityError):
             qsim.append_register(sv, "more", 25)
+
+    def test_realized_matrix_counts_its_bytes(self, monkeypatch):
+        # cap 6: a 3-qubit matrix takes 16 * 4^3 bytes, one 6-qubit state
+        monkeypatch.setattr(errors, "MAX_QUBITS", 6)
+        assert qsim.realized_matrix(GateOp.h(0), 3).shape == (8, 8)
+        with pytest.raises(CapacityError, match="4-qubit gate matrix"):
+            qsim.realized_matrix(GateOp.h(0), 4)
 
     def test_unknown_register(self):
         sv = Statevector.zero([("r", 2)])
