@@ -28,8 +28,7 @@ class ConfigError(QrffError, ValueError):
 
 class CapacityError(QrffError):
     """An array over ``check_bytes``' cap, refused before it is allocated: the
-    encoded state, 16 * 2^(row + col) bytes (``pipeline.PreparedPipeline``);
-    the phase table and three 2^tau profiles, 8 * (rank + 3) * 2^tau bytes
+    phase table and three 2^tau profiles, 8 * (rank + 3) * 2^tau bytes
     (``pipeline.spectral_setup``); the N x N Gram matrix, 8 * N^2 bytes
     (``kernel.exact_posterior``); an n-qubit state, 16 * 2^n bytes, or gate
     matrix, 16 * 4^n bytes (``qsim``). Or a size of 2**59 or more, which

@@ -17,7 +17,8 @@ the QPE outcome distribution per eigenvalue (``phase_table``), and builds no
 state or gate; ``spectral_setup`` is that evaluation, one pure function of
 the spectrum. ``qsim.prepare_data_state`` and ``qsim.dense_oracle``, on
 ``spectral_setup``'s rotation profiles, run the same steps as circuits for
-the tests. This module's two capacity checks are ``errors.check_bytes`` calls.
+the tests. This module's one capacity check is ``spectral_setup``'s
+``errors.check_bytes`` call; the dense circuits count their own states.
 
 All amplitudes are normalized by the design's Frobenius norm, so classical
 scale recovery multiplies estimated overlaps back by the Frobenius norm, the
@@ -79,8 +80,9 @@ def spectral_setup(s: np.ndarray, sigma_tilde_sq: float, delta_r: float, tau: in
     normalized singular values ``s`` (descending); ``PreparedPipeline`` gives
     the branch sums.
 
-    Refuses its peak (``errors.check_bytes``) before building any of it, then
-    (ConfigError) s_0^2 >= delta_r (phase wraparound) and any s_k^2
+    Refuses (ConfigError) tau < 1, a sigma~^2 outside [0, inf) and a delta_r
+    that is NaN or at most s_0^2 (phase wraparound), then its peak
+    (``errors.check_bytes``) before building any of it, then any s_k^2
     whose bin round(s_k^2 / delta_r * 2^tau) reads as 0. With lam_hat^2 the
     decoded eigenvalues, c1 = min(lam_hat^2 + sigma~^2) and c2 =
     min(lam_hat sqrt(lam_hat^2 + sigma~^2)) keep both ``profiles``, the flag
@@ -91,13 +93,20 @@ def spectral_setup(s: np.ndarray, sigma_tilde_sq: float, delta_r: float, tau: in
     weight vectors and the two un-compute leakages, keyed by the names of
     ``PreparedPipeline``'s attributes.
     """
-    check_bytes("the phase table and its three profiles", 8 * (s.size + 3), tau)
+    if tau < 1:
+        raise ConfigError(f"tau must be >= 1, got {tau}")
+    if not 0 <= sigma_tilde_sq < np.inf:
+        raise ConfigError(
+            f"sigma~^2 = noise_std**2 / frobenius_norm**2 = {sigma_tilde_sq:.6g} is not a "
+            "finite double >= 0; it overflows when signal_std is too small for noise_std"
+        )
     s2 = s**2
-    if delta_r <= s2[0]:
+    if not delta_r > s2[0]:
         raise ConfigError(
             f"delta_r={delta_r:.6g} must exceed the top squared normalized "
             f"singular value {s2[0]:.6g} (phase wraparound)"
         )
+    check_bytes("the phase table and its three profiles", 8 * (s.size + 3), tau)
     bins = np.round(s2 / delta_r * (1 << tau)).astype(int)
     # bin 2^tau wraps: the tau-qubit phase register reads it as bin 0
     if (bins % (1 << tau) == 0).any():
@@ -184,12 +193,10 @@ class PreparedPipeline:
     (2^tau doubles each, which ``posterior`` never reads) as attributes of
     the same names, with ``sigma_tilde_sq``: only two length-rank weight
     vectors and scalars. ``qsim.pipeline_oracle`` gets the profiles back and
-    runs the dense circuits these are tested against. Before the setup the
-    pipeline refuses an encoded state over ``errors.check_bytes``' cap and a
-    sigma~^2 that overflows; the setup refuses its own peak; after it, a
-    branch accepted with probability below 1e-12,
-    then the fit's targets if all zero or if their norm, kept as
-    ``target_norm``, overflows.
+    runs the dense circuits these are tested against. The setup refuses its
+    inputs and its own peak; after it the pipeline refuses a branch accepted
+    with probability below 1e-12, then the fit's targets if all zero or if
+    their norm, kept as ``target_norm``, overflows.
 
     ``posterior`` answers a whole grid of G query points by reading the
     Hadamard- and SWAP-test probabilities in closed form: P(0) = 1/2 +
@@ -204,16 +211,7 @@ class PreparedPipeline:
         self.fm = fm
         self.tau = tau
         self.delta_r = default_delta_r(fm) if delta_r is None else delta_r
-        # the paper circuit's register widths, ceil(log2) of the design's shape (N, 2M)
-        row, col = ((n - 1).bit_length() for n in (fm.targets.size, 2 * fm.freq.shape[0]))
-        check_bytes(f"the encoding's {row + col}-qubit state (row + col)", 16, row + col)
-        h = fm.hyper
-        sigma_tilde_sq = h.noise_std**2 / fm.frobenius_norm**2
-        if not sigma_tilde_sq < np.inf:
-            raise ConfigError(
-                f"noise_std**2 / frobenius_norm**2 overflows a double (noise_std {h.noise_std}, "
-                f"design norm {fm.frobenius_norm}); signal_std is too small for this noise_std"
-            )
+        sigma_tilde_sq = fm.hyper.noise_std**2 / fm.frobenius_norm**2
         setup = spectral_setup(fm.normalized_singular_values, sigma_tilde_sq, self.delta_r, tau)
         for branch, prob in (("mean", setup["p1"]), ("variance", setup["p2"])):
             if prob < 1e-12:
@@ -240,8 +238,11 @@ class PreparedPipeline:
         ``variance_overlap``) and the accepted shots per point
         (``mean_accepted``, ``variance_accepted``, zeros in exact mode); in
         sampled mode also the exact-mode ``exact_mean`` and
-        ``exact_variance``.
+        ``exact_variance``. Refuses (ConfigError) ``shots`` that are not an
+        integer in [0, 2**63) before any draw.
         """
+        if not 0 <= shots < 2**63 or shots != int(shots):
+            raise ConfigError(f"shots must be an integer in [0, 2**63), got {shots!r}")
         fm, y_norm = self.fm, self.target_norm
         phi = scaled_feature_vector(_as_points(xs, fm.freq.shape[1]), fm.freq, fm.hyper)
         phi_norm = np.linalg.norm(phi, axis=1)

@@ -86,7 +86,7 @@ def feature_map(x, freq) -> np.ndarray:
 
     A single point of shape (d,) gives a vector of length 2M; a grid of shape
     (G, d) gives one row per point, shape (G, 2M), for frequencies ``freq``
-    of shape (M, d).
+    of shape (M, d). Refuses (ConfigError) a phase 2*pi*x.s that overflows.
     """
     freq = _as_frequencies(freq)
     m, d = freq.shape
@@ -95,7 +95,10 @@ def feature_map(x, freq) -> np.ndarray:
         raise ConfigError(f"point shape {xv.shape} does not match frequency dimension {d}")
     if not np.isfinite(xv).all():
         raise ConfigError("x contains non-finite values")
-    phase = 2.0 * np.pi * (xv @ freq.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        phase = 2.0 * np.pi * (xv @ freq.T)
+    if not np.isfinite(phase).all():
+        raise ConfigError("the feature phase 2*pi*x.s overflows a double; x or freq is too large")
     out = np.empty(phase.shape[:-1] + (2 * m,))
     out[..., 0::2] = np.cos(phase)
     out[..., 1::2] = np.sin(phase)

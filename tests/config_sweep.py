@@ -69,15 +69,18 @@ def run_one(workdir: str, command: str, key: str, text: str, base: dict):
     logger.addHandler(handler)
     start = time.perf_counter()
     try:
-        # each run reports its own warnings, as a fresh process would
-        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
+        # each run records its own warnings, as a fresh process would print
+        # them, whatever hook the caller (pytest, say) has installed
+        with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with contextlib.redirect_stderr(err):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 outcome = main(args)
     except Exception as exc:  # an escaped exception is what the sweep reports
         outcome = exc
     finally:
         logger.removeHandler(handler)
+    for w in caught:
+        err.write(warnings.formatwarning(w.message, w.category, w.filename, w.lineno))
     return outcome, err.getvalue(), time.perf_counter() - start
 
 

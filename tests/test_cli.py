@@ -39,6 +39,11 @@ def _ten_to(digits: int) -> str:
 #: bad inputs, as config text, and the error each command reports (None: exit 0)
 _BAD_INPUTS = {
     "grid-span-overflows": ('{"grid_lo": -1e308, "grid_hi": 1e308}', ["ConfigError"] * 4),
+    # the feature phase 2*pi*x.s overflows; the exact baseline builds no features
+    "feature-phase-overflows": (
+        '{"grid_hi": 1e308, "length_scale": 0.001}',
+        [None, "ConfigError", "ConfigError", "ConfigError"],
+    ),
     "one-noiseless-point": (
         '{"n_points": 1, "noise_std": 0}',
         [None, "ConfigError", "ConfigError", "ConfigError"],
@@ -200,9 +205,10 @@ class TestRunExperiment:
         assert len(columns["x"]) == 3
         assert np.isfinite(columns["mean_qrff"]).all()
 
-    def test_setup_width_is_the_whole_qubit_budget(self, monkeypatch):
-        # the setup's table and profiles fit a cap of 13 under the count the
-        # errors module documents, and nothing after it may need more
+    def test_setup_fits_its_byte_budget(self, monkeypatch):
+        # N=16, M=2, tau 11: the rank-4 table and three profiles take
+        # 8 x (4 + 3) x 2^11 bytes = 112 KiB of the 128 KiB of one 13-qubit
+        # state, and nothing after the setup is counted against the cap
         monkeypatch.setattr(errors, "MAX_QUBITS", 13)
         cfg = RunConfig(n_points=16, n_frequencies=2, tau=11, grid_count=3)
         columns, _ = cli._run_stages(cfg, "compare")
@@ -445,8 +451,13 @@ class TestMainExitCodes:
             assert code == (3 if error == "CapacityError" else 2)
             assert err.startswith(f"error: {error}: ") and err.count("\n") == 1
 
-    # at N=512 the exact baseline's valid configs take the low-rank path
-    @pytest.mark.parametrize("base", [{}, {"n_points": 512}], ids=["defaults", "n512"])
+    # at N=512 the exact baseline's valid configs take the low-rank path; at
+    # M=64 a grid end of 1e308 overflows the feature phase
+    @pytest.mark.parametrize(
+        "base",
+        [{}, {"n_points": 512}, {"n_frequencies": 64}],
+        ids=["defaults", "n512", "m64"],
+    )
     def test_extreme_value_sweep_exits_cleanly(self, tmp_path, base):
         failures, _ = config_sweep.sweep(str(tmp_path), base)
         assert failures == []

@@ -155,6 +155,7 @@ INPUT_CHECKS = {
     "sample-no-dimensions": lambda pipe: sample_frequencies(2, pipe.fm.hyper, 0, 0),
     "feature-point-shape": lambda pipe: feature_map(np.zeros((2, 2)), pipe.fm.freq),
     "feature-point-non-finite": lambda pipe: feature_map([np.nan], pipe.fm.freq),
+    "feature-phase-overflows": lambda pipe: feature_map([1e308], [[1.0]]),
     "design-dimension-mismatch": lambda pipe: build_feature_model(
         Dataset(np.zeros((2, 2)), np.ones(2)), pipe.fm.freq, pipe.fm.hyper
     ),
@@ -173,6 +174,18 @@ INPUT_CHECKS = {
     "design-norm-underflows": lambda pipe: _fm_at_0(pipe, 2.3e-162),
     "sigma-tilde-overflows": lambda pipe: PreparedPipeline(_fm_at_0(pipe, 1e-158), 6),
     "targets-norm-overflows": lambda pipe: PreparedPipeline(_fm_at_0(pipe, target=1e154), 6),
+    "setup-tau-below-1": lambda pipe: spectral_setup(
+        pipe.fm.normalized_singular_values, pipe.sigma_tilde_sq, pipe.delta_r, -1
+    ),
+    "setup-delta-r-nan": lambda pipe: spectral_setup(
+        pipe.fm.normalized_singular_values, pipe.sigma_tilde_sq, np.nan, pipe.tau
+    ),
+    "setup-sigma-tilde-nan": lambda pipe: spectral_setup(
+        pipe.fm.normalized_singular_values, np.nan, pipe.delta_r, pipe.tau
+    ),
+    "shots-negative": lambda pipe: pipe.posterior([0.5], shots=-1),
+    "shots-fractional": lambda pipe: pipe.posterior([0.5], shots=1.5),
+    "shots-past-int64": lambda pipe: pipe.posterior([0.5], shots=2**63),
 }
 
 

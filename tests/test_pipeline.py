@@ -695,9 +695,9 @@ class TestSchmidtRowsMatchDense:
 
 class TestCapacityPlan:
     def test_phase_estimation_counts_the_schmidt_rows(self, monkeypatch):
-        # N=64, M=2: the phase table has min(6 row, 2 col) + 6 phase = 8 qubits'
-        # worth of entries, which fits a cap of 8 (as does encoding, 6 + 2);
-        # a table over the full row register would need 6 + 6 = 12
+        # N=64, M=2, tau 6: the rank-4 table and three profiles take
+        # 8 x (4 + 3) x 2^6 = 3,584 bytes, within the 4,096 of one 8-qubit
+        # state; a table over the 64 rows would take 8 x 67 x 2^6 = 34,304
         tau = 6
         h, ds, fm = resolved_small_model(tau, n_points=64, m_freq=2)
         monkeypatch.setattr(errors, "MAX_QUBITS", 8)
@@ -710,20 +710,27 @@ class TestCapacityPlan:
             assert post.mean[i] == pytest.approx(pred.mean(phi_star, ds.targets), abs=1e-8)
             assert post.variance[i] == pytest.approx(pred.variance(phi_star), abs=1e-8)
 
-    def test_encoding_refused_before_encoding(self, monkeypatch):
-        # N=64, M=1: 6 row + 1 col = 7 qubits to encode against a cap of 6, while
-        # the phase table would need only min(6, 1) + 2 phase = 3
-        h, ds, fm = small_model(n_points=64, m_freq=1)
-        table_calls = []
+    def test_run_counts_no_encoded_state(self, monkeypatch):
+        # N=64, M=1: the encoded state has 6 row + 1 col = 7 qubits, over a cap
+        # of 6, but the run never builds it; its rank-2 setup takes
+        # 8 x (2 + 3) x 2^4 = 640 of 1,024 bytes. The dense oracle refuses it.
+        tau = 4
+        h, ds, fm = resolved_small_model(tau, n_points=64, m_freq=1)
         monkeypatch.setattr(errors, "MAX_QUBITS", 6)
-        monkeypatch.setattr(pipeline, "phase_table", lambda *args: table_calls.append(args))
-        with pytest.raises(CapacityError, match="encoding"):
-            PreparedPipeline(fm, tau=2)
-        assert table_calls == []
+        pipe = PreparedPipeline(fm, tau)
+        pred = BinnedPrediction(fm, h.noise_std, pipe.delta_r, tau)
+        grid = np.linspace(0.0, 6.0, 4)
+        post, _ = pipe.posterior(grid)
+        for i, x in enumerate(grid):
+            phi_star = scaled_feature_vector([x], fm.freq, h)
+            assert post.mean[i] == pytest.approx(pred.mean(phi_star, ds.targets), abs=1e-8)
+            assert post.variance[i] == pytest.approx(pred.variance(phi_star), abs=1e-8)
+        with pytest.raises(CapacityError, match="a 7-qubit state"):
+            qsim.prepare_data_state(fm)
 
-    def test_refused_before_encoding(self, monkeypatch):
-        # N=16, M=2: min(4 row, 2 col) + 11 phase = 13 against a cap of 12,
-        # while encoding needs only 4 + 2 = 6
+    def test_setup_refused_before_its_table(self, monkeypatch):
+        # N=16, M=2, tau 11: the rank-4 table and three profiles take
+        # 8 x (4 + 3) x 2^11 bytes = 112 KiB against the 64 KiB of one 12-qubit state
         h, ds, fm = small_model(n_points=16, m_freq=2)
         table_calls = []
         monkeypatch.setattr(errors, "MAX_QUBITS", 12)
