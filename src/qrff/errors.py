@@ -30,7 +30,9 @@ class CapacityError(QrffError):
     """An array over ``check_bytes``' cap, refused before it is allocated: the
     phase table and three 2^tau profiles, 8 * (rank + 3) * 2^tau bytes
     (``pipeline.spectral_setup``); the N x N Gram matrix, 8 * N^2 bytes
-    (``kernel.exact_posterior``); an n-qubit state, 16 * 2^n bytes, or gate
+    (``kernel.exact_posterior``); the dense solve's (N + G + 1) x N factor,
+    8 * N * (N + G + 1) bytes for G queries, when it runs
+    (``kernel._dense_posterior``); an n-qubit state, 16 * 2^n bytes, or gate
     matrix, 16 * 4^n bytes (``qsim``). Or a size of 2**59 or more, which
     numpy cannot index (``cli.RunConfig``)."""
 

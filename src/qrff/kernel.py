@@ -4,12 +4,12 @@ This module is the ground truth for everything else in the package: the
 kernel and the GP posterior, in numpy alone. Inputs may live in any dimension
 even though the bundled experiment is one-dimensional.
 
-The posterior has two solves, each one function. ``_low_rank_posterior``
-runs a pivoted Cholesky of the noise-free kernel over N inputs and G
-queries, stopped at the rounding floor of one kernel entry, and solves in
-the r pivots' weight space in O((N + G) r^2). ``_dense_posterior`` runs one
-blocked Cholesky in O(N^2 (N + G)). ``exact_posterior`` tries the first and
-states when the second answers.
+The posterior has two solves, each one function, over the N inputs stacked
+above the G queries. ``_low_rank_posterior`` runs a pivoted Cholesky of the
+noise-free kernel, one kernel row per pivot, to the rounding floor of one
+kernel entry, and solves in the r pivots' weight space in O((N + G) r^2).
+``_dense_posterior`` runs one blocked Cholesky in O(N^2 (N + G)).
+``exact_posterior`` tries the first and states when the second answers.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ def _cross_kernel(a: np.ndarray, b: np.ndarray, h: KernelHyper, out=None) -> np.
     symmetric: a_i - a_j is exactly -(a_j - a_i). Callers hold
     ``np.errstate(over="ignore")``, under which an overflowing squared
     distance gives exp(-inf) = 0. Entering that context here, once per pivot
-    column, made the low-rank solve 5-8% slower (N = 512-2048, one BLAS
+    row, made the low-rank solve 5-8% slower (N = 512-2048, one BLAS
     thread, 2-core x86-64).
     """
     K = np.subtract(a[:, :1], b[:, 0], out=out)
@@ -143,37 +143,37 @@ def _cross_kernel(a: np.ndarray, b: np.ndarray, h: KernelHyper, out=None) -> np.
     return K
 
 
-def _dense_posterior(
-    inputs: np.ndarray, queries: np.ndarray, targets: np.ndarray, h: KernelHyper
-) -> Posterior:
+def _dense_posterior(points: np.ndarray, targets: np.ndarray, h: KernelHyper) -> Posterior:
     """The posterior by one blocked Cholesky: mean = Z*^T z_y, variance = s^2 - ||Z*||^2.
 
+    ``points`` holds the N = ``targets.size`` inputs, then the G queries.
     [Z*, z_y] = L^-1 [K*, y], where L L^T = K + noise. A left-looking
     blocked Cholesky (Golub & Van Loan, *Matrix Computations*, section 4.2)
-    in one (N + G + 1) x N array whose rows stand for inputs, queries and
-    targets: its first N rows end as L, on and below the diagonal blocks
-    only, and its last G + 1 as [Z*^T; z_y^T]. The Cholesky factor of
+    in one (N + G + 1) x N array, checked by ``errors.check_bytes`` before
+    it is allocated, whose rows stand for the points and targets: its
+    first N rows end as L, on and below the diagonal blocks only, and its
+    last G + 1 as [Z*^T; z_y^T]. The Cholesky factor of
     [[K + noise, K*, y], [K*^T, ., .], [y^T, ., .]] has Z*^T and z_y^T as its
     lower-left block, so the block steps that factor K + noise carry the
     forward solve in the same matmuls. Block column k is built from one
-    ``_cross_kernel`` call between rows k: of [inputs; queries] and inputs
-    k:e (the Gram column on and below the diagonal, then the K* rows) above
-    the targets' slice, less one matmul against the columns already
-    factored, and scaled by the inverse of its diagonal block's Cholesky
-    factor. A non-positive-definite diagonal block raises ``LinAlgError``;
-    the one retry adds a logged diagonal jitter, and a second failure raises
+    ``_cross_kernel`` call between points k: and inputs k:e (the Gram
+    column on and below the diagonal, then the K* rows) above the targets'
+    slice, less one matmul against the columns already factored, and scaled
+    by the inverse of its diagonal block's Cholesky factor. A
+    non-positive-definite diagonal block raises ``LinAlgError``; the one
+    retry adds a logged diagonal jitter, and a second failure raises
     ``ConfigError``.
     """
-    n = inputs.shape[0]
-    rows = np.vstack([inputs, queries])
+    n = targets.size
+    check_bytes(f"the exact baseline's dense factor at N = {n}", 8 * n * (len(points) + 1))
 
     def factor(jitter: float) -> np.ndarray:
-        L = np.empty((rows.shape[0] + 1, n))
+        L = np.empty((len(points) + 1, n))
         for k in range(0, n, BLOCK):
             e = min(k + BLOCK, n)
             panel = np.empty((L.shape[0] - k, e - k))
             with np.errstate(over="ignore"):  # as _cross_kernel requires
-                _cross_kernel(rows[k:], inputs[k:e], h, out=panel[:-1])
+                _cross_kernel(points[k:], points[k:e], h, out=panel[:-1])
             panel[-1] = targets[k:e]
             # flat indexing writes through whatever the memory layout
             panel[: e - k].flat[:: e - k + 1] += h.noise_std**2 + jitter
@@ -208,33 +208,34 @@ def _dense_posterior(
 
 
 def _pivot_cap(n: int, g: int) -> int:
-    """Most pivots the low-rank solve tries: about 10% of the dense solve's cost.
+    """Most pivots the low-rank solve tries, priced at 10% of the dense solve's cost.
 
     The dense solve's matmuls take n^2 (n / 3 + g) / 2 multiply-adds for n
     inputs and g queries; r pivot steps take (n + g) r^2 / 2 in matrix-vector
-    products. Per multiply-add a pivot step costs about 5 times as much,
-    its kernel column and vector passes included (one BLAS thread, 2-core
-    x86-64). With g = 64, a failed try added 4-10% to the dense solve's time
-    at n = 1024 and 2048, and 10-18% at n = 512, where the steps' fixed costs
-    weigh more.
+    products, at about 5 times the cost per multiply-add with the kernel row
+    and vector passes (one BLAS thread, 2-core x86-64). Each step's fixed
+    ~15 numpy calls (20-25 us) are left out: a failed try added 4-10% to the
+    dense solve's time at n = 1024 and 2048 (g = 64) but 10-18% at n = 512.
+    A per-step term would send n = 512, g = 2, the benchmark's ``wide_n512``
+    (40 pivots of a cap of 41), to the dense solve.
     """
     return math.isqrt(n * n * (n + 3 * g) // (150 * (n + g)))
 
 
 def _low_rank_posterior(
-    inputs: np.ndarray, queries: np.ndarray, targets: np.ndarray, h: KernelHyper, cap: int
+    points: np.ndarray, targets: np.ndarray, h: KernelHyper, cap: int
 ) -> Posterior | None:
     """The posterior from at most ``cap`` pivots of a pivoted Cholesky, or None.
 
-    A greedy pivoted Cholesky of the noise-free kernel over the P = N + G
-    points [inputs; queries] (Harbrecht, Peters & Schneider, *Appl. Numer.
-    Math.* 62, 2012) builds a factor F of shape (r, P) with K ~ F^T F: step
-    j pivots on the largest residual diagonal of K - F^T F, one
-    ``_cross_kernel`` column less a (j x P) matrix-vector product, scaled
-    by the pivot's root. It stops once every residual is at most
-    eps * signal_std^2. The residual kernel is positive semi-definite, so
-    none of its entries is then larger than the rounding error of
-    evaluating one kernel entry.
+    ``points`` holds the N = ``targets.size`` inputs, then the G queries. A
+    greedy pivoted Cholesky of the noise-free kernel over these P points
+    (Harbrecht, Peters & Schneider, *Appl. Numer. Math.* 62, 2012) builds a
+    factor F of shape (r, P) with K ~ F^T F: step j pivots on the largest
+    residual diagonal of K - F^T F, and F's row j is the pivot's kernel row
+    less a (j x P) matrix-vector product, scaled by the pivot's root. It
+    stops once every residual is at most eps * signal_std^2. The residual
+    kernel is positive semi-definite, so none of its entries is then larger
+    than the rounding error of evaluating one kernel entry.
 
     F's columns are the training rows Phi (N x r) and the query rows Phi*
     (G x r). With C = Phi^T Phi + noise_std^2 I_r = R R^T (the weight-space
@@ -249,28 +250,26 @@ def _low_rank_posterior(
     cap x (N + G) array. None when the pivots reach ``cap``, or when C's
     Cholesky fails or a step overflows.
     """
-    n = inputs.shape[0]
+    n = targets.size
     try:
         # an overflow anywhere here (at extreme scales) leaves the answer to
         # the dense solve
         with np.errstate(all="raise", under="ignore"):
-            points = np.vstack([inputs, queries])
             floor = np.finfo(float).eps * h.signal_std**2
             factor = np.empty((cap, len(points)))
             residual = np.full(len(points), h.signal_std**2)
-            scratch = np.empty(len(points))
             with np.errstate(over="ignore"):  # as _cross_kernel requires
                 for r in range(cap + 1):
                     p = residual.argmax()
-                    if residual[p] <= floor:
+                    pivot = residual[p]
+                    if pivot <= floor:
                         break
                     if r == cap:
                         return None
-                    row = factor[r]
-                    _cross_kernel(points, points[p : p + 1], h, out=row[:, None])
-                    row -= np.matmul(factor[:r, p], factor[:r], out=scratch)
-                    row /= math.sqrt(residual[p])
-                    residual -= np.square(row, out=scratch)
+                    row = _cross_kernel(points[p : p + 1], points, h, out=factor[r : r + 1])[0]
+                    row -= factor[:r, p] @ factor[:r]
+                    row /= math.sqrt(pivot)
+                    residual -= row * row
                     residual[p] = 0.0
             phi, z_star = factor[:r, :n], factor[:r, n:]
             system = phi @ phi.T
@@ -297,36 +296,35 @@ def exact_posterior(ds: Dataset, h: KernelHyper, xs) -> Posterior:
     mean = K*^T (K + noise_std^2 I)^{-1} y
     variance = k(x*, x*) - diag(K*^T (K + noise_std^2 I)^{-1} K*)
 
-    First the low-rank solve, ``_low_rank_posterior``, in O((N + G) r^2)
-    for r pivots. Its pivots stop once every residual diagonal is at most
-    eps * signal_std^2, the rounding error of evaluating one kernel entry,
-    so its answer is the exact posterior of a kernel matrix within rounding
-    of the one the dense solve factors: a backward error no larger than the
-    dense solve's own. On the CLI's 1-D inputs with G from 2 to 64, r is
-    37-48 for N from 512 to 4096: 40 of a cap of 41 at N = 512, G = 2, one
-    pivot short of the dense fallback, and 44 of 88 at N = 1024, G = 64. At
+    Both solves take the inputs stacked above the queries. First the
+    low-rank solve, ``_low_rank_posterior``, in O((N + G) r^2) for r
+    pivots, stopped once every residual diagonal is at most
+    eps * signal_std^2, the rounding error of one kernel entry: its answer
+    is the exact posterior of a kernel matrix within rounding of the one
+    the dense solve factors, a backward error no larger than the dense
+    solve's own. On the CLI's 1-D inputs with G from 2 to 64, r is 37-48
+    for N from 512 to 4096: 40 of a cap of 41 at N = 512, G = 2, one pivot
+    short of the dense fallback, and 44 of 88 at N = 1024, G = 64. At
     N = 256 the pivots reach the cap of 21-24 first and the dense solve
     answers.
 
     The dense solve (``_dense_posterior``) answers instead, with exactly
     its own arrays, when N <= BLOCK, when noise_std is 0 (its jitter retry
     handles a singular K), when the pivots reach ``_pivot_cap`` first, which
-    bounds what a failed try costs to about 10% of the dense solve, or when
-    the weight-space Cholesky fails or a low-rank step overflows. It builds
-    its answer in one (N + G + 1) x N array of doubles: with
-    L L^T = K + noise_std^2 I and [Z*, z_y] = L^-1 [K*, y], mean = Z*^T z_y
-    and variance = k(x*, x*) - ||Z*||^2 per query.
+    bounds what a failed try costs to 4-18% of the dense solve, or when
+    the weight-space Cholesky fails or a low-rank step overflows.
 
     Refuses, before allocating, an N x N Gram matrix over
-    ``errors.check_bytes``' cap. It counts only the N^2 part of the dense
-    array, not its G + 1 right-hand-side rows: counting those before the
-    low-rank try would refuse runs that the low-rank solve answers.
+    ``errors.check_bytes``' cap. The G + 1 right-hand-side rows of the dense
+    solve's array are counted only when that solve runs: counted here, they
+    would refuse runs that the low-rank solve answers.
     """
     check_bytes(f"the exact baseline's Gram matrix at N = {ds.n_points}", 8 * ds.n_points**2)
     queries = _as_points(xs, ds.dim)
+    points = np.vstack([ds.inputs, queries])
     if ds.n_points > BLOCK and h.noise_std > 0:
         cap = _pivot_cap(ds.n_points, len(queries))
-        post = _low_rank_posterior(ds.inputs, queries, ds.targets, h, cap)
+        post = _low_rank_posterior(points, ds.targets, h, cap)
         if post is not None:
             return post
-    return _dense_posterior(ds.inputs, queries, ds.targets, h)
+    return _dense_posterior(points, ds.targets, h)

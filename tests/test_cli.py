@@ -159,6 +159,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(str(path), {})
 
+    @pytest.mark.parametrize("text", ["[1, 2]", "7", "null"], ids=["array", "number", "null"])
+    def test_a_file_not_holding_an_object_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert main(["fit-exact", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: ConfigError: config file must hold a JSON object\n"
+
 
 class TestGenerateDataset:
     def test_zero_noise_exact_sine(self):
@@ -462,19 +470,28 @@ class TestMainExitCodes:
         failures, _ = config_sweep.sweep(str(tmp_path), base)
         assert failures == []
 
-    def test_exact_baseline_larger_than_a_state_is_3(self, tmp_path, capsys, monkeypatch):
-        # cap 10: the 8 N^2 bytes of the Gram matrix fit 16 * 2^10 up to N = 45
+    @pytest.mark.parametrize(
+        "n_points, refused",
+        [(46, "Gram matrix at N = 46"), (44, "dense factor at N = 44"), (43, None)],
+        ids=["gram-matrix", "dense-factor", "fits"],
+    )
+    def test_exact_baseline_larger_than_a_state_is_3(
+        self, tmp_path, capsys, monkeypatch, n_points, refused
+    ):
+        # cap 10, 16 * 2^10 bytes: the Gram matrix's 8 N^2 fit up to N = 45,
+        # the dense solve's (N + 3) x N factor up to N = 43; with the default
+        # length scale the low-rank try fails at N = 44, so the dense solve runs
         monkeypatch.setattr(errors, "MAX_QUBITS", 10)
-        for n_points, code in ((46, 3), (45, 0)):
-            path = tmp_path / f"cfg{n_points}.json"
-            path.write_text(json.dumps({"n_points": n_points, "grid_count": 2}))
-            out = str(tmp_path / f"out{n_points}")
-            assert main(["fit-exact", "--config", str(path), "--out", out]) == code
-            err = capsys.readouterr().err
-            if code:
-                assert err.startswith("error: CapacityError: ") and err.count("\n") == 1
-            else:
-                assert err == ""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n_points": n_points, "grid_count": 2}))
+        code = main(["fit-exact", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        if refused:
+            assert code == 3
+            assert err.startswith("error: CapacityError: the exact baseline's " + refused)
+            assert err.count("\n") == 1
+        else:
+            assert code == 0 and err == ""
 
     @pytest.mark.parametrize(
         "config, code, message",
@@ -634,6 +651,17 @@ def test_fit_exact_at_n1024_reproduces_the_committed_results(tmp_path):
     config = str(data / "fit_exact_n1024_config.json")
     assert main(["fit-exact", "--config", config, "--out", str(tmp_path)]) == 0
     golden = (data / "fit_exact_n1024_results.csv").read_bytes()
+    assert (tmp_path / "results.csv").read_bytes() == golden
+
+
+def test_fit_exact_dense_at_n512_reproduces_the_committed_results(tmp_path):
+    # written before both exact solves took one point set; at length scale
+    # 0.05 the low-rank try reaches its cap of 46 and the dense solve answers
+    # in 16 blocks
+    data = pathlib.Path(__file__).parent / "data"
+    config = str(data / "fit_exact_dense_n512_config.json")
+    assert main(["fit-exact", "--config", config, "--out", str(tmp_path)]) == 0
+    golden = (data / "fit_exact_dense_n512_results.csv").read_bytes()
     assert (tmp_path / "results.csv").read_bytes() == golden
 
 

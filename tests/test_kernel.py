@@ -264,7 +264,7 @@ class TestLowRankPath:
         xs = np.concatenate([np.linspace(0.0, 2.0 * np.pi, 23), x[::37, 0], [200.0, -150.0]])
         mean, variance = _solve_reference(x, y, xs[:, None], paper_hyper)
         # with no binding cap, the low-rank path answers at every N
-        low = _low_rank_posterior(x, xs[:, None], y, paper_hyper, n + len(xs))
+        low = _low_rank_posterior(np.vstack([x, xs[:, None]]), y, paper_hyper, n + len(xs))
         for post in (low, exact_posterior(Dataset(x, y), paper_hyper, xs)):
             assert post.mean == pytest.approx(mean, abs=1e-10)
             assert post.variance == pytest.approx(variance, abs=1e-10)
@@ -287,7 +287,7 @@ class TestLowRankPath:
         xs = rng.uniform(-1.0, 2.0 * np.pi + 1.0, size=(9, 1))
         y = np.sin(x[:, 0]) + noise_std * rng.normal(size=n)
         mean, variance = _solve_reference(x, y, xs, h)
-        post = _low_rank_posterior(x, xs, y, h, n + 9)
+        post = _low_rank_posterior(np.vstack([x, xs]), y, h, n + 9)
         assert post.mean == pytest.approx(mean, abs=1e-10)
         assert post.variance == pytest.approx(variance, abs=1e-10)
 
@@ -295,8 +295,9 @@ class TestLowRankPath:
     def test_agrees_with_the_blocked_forward_solve(self, layout, paper_hyper):
         x, y = _inputs_1d(1024, layout, seed=3)
         xs = np.linspace(-1.0, 2.0 * np.pi + 1.0, 64)[:, None]
-        dense = _dense_posterior(x, xs, y, paper_hyper)
-        low = _low_rank_posterior(x, xs, y, paper_hyper, _pivot_cap(1024, 64))
+        points = np.vstack([x, xs])
+        dense = _dense_posterior(points, y, paper_hyper)
+        low = _low_rank_posterior(points, y, paper_hyper, _pivot_cap(1024, 64))
         assert low.mean == pytest.approx(dense.mean, abs=1e-10)
         assert low.variance == pytest.approx(dense.variance, abs=1e-10)
 
@@ -347,21 +348,21 @@ class TestDenseFallback:
         tries = []
         low_rank, exp = kernel._low_rank_posterior, np.exp
 
-        def counted(inputs, queries, targets, hyper, cap):
-            # one exp call per pivot: its kernel column
-            columns = []
+        def counted(points, targets, hyper, cap):
+            # one exp call per pivot: its kernel row
+            rows = []
             with monkeypatch.context() as m:
-                m.setattr(np, "exp", lambda *a, **kw: columns.append(1) or exp(*a, **kw))
-                found = low_rank(inputs, queries, targets, hyper, cap)
-            tries.append((cap, found, len(columns)))
+                m.setattr(np, "exp", lambda *a, **kw: rows.append(1) or exp(*a, **kw))
+                found = low_rank(points, targets, hyper, cap)
+            tries.append((cap, found, len(rows)))
             return found
 
         monkeypatch.setattr(kernel, "_low_rank_posterior", counted)
         post = exact_posterior(ds, h, xs)
-        [(cap, found, columns)] = tries
+        [(cap, found, pivots)] = tries
         assert found is None
-        assert cap == _pivot_cap(n, g) and columns == cap
-        dense = _dense_posterior(ds.inputs, xs, ds.targets, h)
+        assert cap == _pivot_cap(n, g) and pivots == cap
+        dense = _dense_posterior(np.vstack([x, xs]), ds.targets, h)
         assert np.array_equal(post.mean, dense.mean)
         assert np.array_equal(post.variance, dense.variance)
 
@@ -371,9 +372,9 @@ class TestDenseFallback:
         xs = np.linspace(0.0, 2.0 * np.pi, 7)[:, None]
         scale = 1.3e154 / paper_hyper.signal_std
         h = KernelHyper(1.3e154, 1.0, scale * paper_hyper.noise_std)
-        assert _low_rank_posterior(x, xs, scale * y, h, 207) is None
+        assert _low_rank_posterior(np.vstack([x, xs]), scale * y, h, 207) is None
         post = exact_posterior(Dataset(x, scale * y), h, xs)
-        unit = _dense_posterior(x, xs, y, paper_hyper)
+        unit = _dense_posterior(np.vstack([x, xs]), y, paper_hyper)
         assert post.mean / scale == pytest.approx(unit.mean, rel=1e-10, abs=1e-10)
         assert post.variance / scale**2 == pytest.approx(unit.variance, rel=1e-10, abs=1e-10)
 

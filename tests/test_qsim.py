@@ -601,3 +601,53 @@ class TestStatePreparation:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             qsim.real_amplitude_prep_ops(np.zeros(4), [0, 1])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: GateOp(np.eye(4)[None], (0, 0)), "duplicate target qubits"),
+        (
+            lambda: Statevector(np.ones(3) / np.sqrt(3), (qsim.Register("r", 0, 2),)),
+            r"amplitude length \(3,\) does not match 2 qubits",
+        ),
+        (
+            lambda: Statevector.from_amplitudes(np.ones(4), [("r", 2)]),
+            "statevector norm 2.0 is not 1",
+        ),
+        (
+            lambda: Statevector(
+                np.eye(4)[0], (qsim.Register("a", 0, 1), qsim.Register("b", 2, 1))
+            ),
+            "register map is not contiguous at 'b'",
+        ),
+        (
+            lambda: Statevector.from_amplitudes(np.eye(4)[0], [("a", 1), ("a", 1)]),
+            "duplicate register names",
+        ),
+        (
+            lambda: qsim.qpe_circuit(Statevector.zero([("t", 1)]), "t", np.eye(2), [0, 0], 0),
+            "tau must be >= 1, got 0",
+        ),
+        (
+            lambda: qsim.real_amplitude_prep_ops(np.ones(3), [0, 1]),
+            r"vector length \(3,\) does not match 2 qubits",
+        ),
+        (lambda: qsim.uniform_prep_ops(5, [0, 1]), "count 5 does not fit 2 qubits"),
+        (lambda: qsim.uniform_prep_ops(0, [0, 1]), "count 0 does not fit 2 qubits"),
+    ],
+    ids=[
+        "duplicate-targets",
+        "amplitude-length",
+        "non-unit-norm",
+        "non-contiguous-registers",
+        "duplicate-register-names",
+        "qpe-tau-below-1",
+        "prep-vector-length",
+        "uniform-count-above",
+        "uniform-count-zero",
+    ],
+)
+def test_the_dense_oracle_refuses_malformed_inputs(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
