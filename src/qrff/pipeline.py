@@ -20,12 +20,11 @@ the spectrum. ``qsim.prepare_data_state`` and ``qsim.dense_oracle``, on
 the tests. This module's one capacity check is ``spectral_setup``'s
 ``errors.check_bytes`` call; the dense circuits count their own states.
 
-All amplitudes are normalized by the design's Frobenius norm, so classical
-scale recovery multiplies estimated overlaps back by the Frobenius norm, the
-target norm, the query feature norm, the flag acceptance probability, and the
-inversion bound; the recovered numbers equal the classical spectral-sum
-posterior evaluated with bin-discretized eigenvalues. Both read the same
-``rff.spectral_sums``; only the per-component weights differ.
+The recovered posterior is the classical spectral-sum posterior with
+bin-discretized eigenvalues: both read ``rff.spectral_sums`` with
+per-component coefficients in design units, which alone differ. The overlaps
+the tests read rescale those sums by the Frobenius, target and query feature
+norms, the flag acceptance probability and the inversion bound.
 """
 
 from __future__ import annotations
@@ -90,8 +89,9 @@ def spectral_setup(s: np.ndarray, sigma_tilde_sq: float, delta_r: float, tau: in
     (lam^2 + sigma~^2)) for the mean and min(1, c2 / (lam sqrt(lam^2 +
     sigma~^2))) for the variance, 0 at bin 0. Both constants cancel out of the
     recovered posterior. Returns them with p1 and p2 (clamped to 1), the two
-    weight vectors and the two un-compute leakages, keyed by the names of
-    ``PreparedPipeline``'s attributes.
+    un-compute leakages and the per-component coefficients per unit Frobenius
+    norm, ``mean_coefficients`` s c / c1 and ``variance_coefficients``
+    s^2 g / c2^2, keyed by the names of ``PreparedPipeline``'s attributes.
     """
     if tau < 1:
         raise ConfigError(f"tau must be >= 1, got {tau}")
@@ -137,11 +137,8 @@ def spectral_setup(s: np.ndarray, sigma_tilde_sq: float, delta_r: float, tau: in
         "profiles": profiles,
         "p1": min(p1, 1.0),
         "p2": min(p2, 1.0),
-        # the mean branch's phase-0 slice is fm.v diag(mean_weights) U^T, with U
-        # the design's left singular vectors, which the fit does not keep
-        "mean_weights": s * c_mean / np.sqrt(p1),
-        # the variance branch's rho_col is fm.v diag(variance_weights) fm.v^T
-        "variance_weights": s2 * g_var / p2,
+        "mean_coefficients": s * c_mean / c1,
+        "variance_coefficients": s2 * g_var / c2**2,
         # 1 - phase-register mass at |0> after the inverse QPE, per branch
         "uncompute_leakage_mean": 1.0 - float(s2 @ c_mean**2) / p1,
         "uncompute_leakage_variance": 1.0 - float(s2 @ c_var**2) / p2,
@@ -186,25 +183,28 @@ class PreparedPipeline:
     for theta_k = s_k^2 / delta_r, and a branch with rotation profile w keeps
     c_k = sum_b w_b |a_k(b)|^2 of it at phase 0 and g_k = sum_b w_b^2 |a_k(b)|^2
     in all. Hence p = sum_k s_k^2 g_k, the mean branch's phase-0 slice
-    W diag(mean_weights) Vh with mean_weights = s c / sqrt(p), the variance
-    branch's rho_col W diag(variance_weights) W^T with variance_weights =
-    s^2 g / p, and the leakage 1 - sum_k s_k^2 c_k^2 / p. ``spectral_setup``
-    computes these, and the pipeline keeps its outputs but the profiles
-    (2^tau doubles each, which ``posterior`` never reads) as attributes of
-    the same names, with ``sigma_tilde_sq``: only two length-rank weight
-    vectors and scalars. ``qsim.pipeline_oracle`` gets the profiles back and
-    runs the dense circuits these are tested against. The setup refuses its
+    W diag(s c / sqrt(p1)) Vh, the variance branch's rho_col
+    W diag(s^2 g / p2) W^T, and the leakage 1 - sum_k s_k^2 c_k^2 / p.
+    ``spectral_setup`` computes these, and the pipeline keeps its outputs
+    but the profiles (2^tau doubles each, which ``posterior`` never reads)
+    as attributes of the same names, with ``sigma_tilde_sq``: scalars and
+    two length-rank coefficient vectors, put in design units as
+    ``rff.rff_posterior``'s: ``mean_coefficients`` s c / (c1 |X|_F) ~ lam /
+    (lam^2 + noise^2) and ``variance_coefficients`` s^2 g / (c2^2 |X|_F^2)
+    ~ 1 / (lam^2 + noise^2), for the design X's singular values lam.
+    ``qsim.pipeline_oracle`` gets the profiles back and runs the dense
+    circuits these are tested against. The setup refuses its
     inputs and its own peak; after it the pipeline refuses a branch accepted
     with probability below 1e-12, then the fit's targets if all zero or if
     their norm, kept as ``target_norm``, overflows.
 
-    ``posterior`` answers a whole grid of G query points by reading the
-    Hadamard- and SWAP-test probabilities in closed form: P(0) = 1/2 +
-    Re<b|a>/2 for the mean and P(0) = 1/2 + <q|rho_col|q>/2 for the
-    variance, where both overlaps are ``rff.spectral_sums`` with these
-    weights, divided by |phi| |y| and |phi|^2 for the fit's targets y.
-    ``qsim.hadamard_test`` and ``qsim.swap_test`` are the circuits these
-    values are tested against.
+    ``posterior`` answers a whole grid of query points as
+    ``rff.rff_posterior`` does, from ``rff.spectral_sums`` on these
+    coefficients. Only the tests' readout is in overlap units: the Hadamard
+    test's Re<b|a> = 2 P(0) - 1 is the mean sum over sqrt(p1) / c1 |phi| |y|
+    / |X|_F and the SWAP test's <q|rho_col|q> the variance sum over p2 /
+    c2^2 |phi|^2 / |X|_F^2, for the fit's targets y; ``qsim.hadamard_test``
+    and ``qsim.swap_test`` are the circuits these are tested against.
     """
 
     def __init__(self, fm: FeatureModel, tau: int, delta_r: float | None = None):
@@ -218,8 +218,10 @@ class PreparedPipeline:
                 raise PostSelectionError(
                     f"post-selection of the {branch} branch has probability {prob:.3e}"
                 )
-        # c1, c2, p1, p2, both weight vectors and both leakages
+        # c1, c2, p1, p2, both leakages and both coefficient vectors, put in design units
         del setup["profiles"]
+        setup["mean_coefficients"] /= fm.frobenius_norm
+        setup["variance_coefficients"] /= fm.frobenius_norm**2
         vars(self).update(setup, sigma_tilde_sq=sigma_tilde_sq)
         with np.errstate(over="ignore"):  # an overflowing sum of squares gives inf
             self.target_norm = float(np.linalg.norm(fm.targets))
@@ -237,44 +239,37 @@ class PreparedPipeline:
         ``readout`` holds each test's ``2 P(0) - 1`` (``mean_overlap``,
         ``variance_overlap``) and the accepted shots per point
         (``mean_accepted``, ``variance_accepted``, zeros in exact mode); in
-        sampled mode also the exact-mode ``exact_mean`` and
-        ``exact_variance``. Refuses (ConfigError) ``shots`` that are not an
-        integer in [0, 2**63) before any draw.
+        sampled mode the posterior scales the sampled overlaps back, the
+        variance's clipped to [0, 1], and ``readout`` also holds the exact
+        mode's ``exact_mean`` and ``exact_variance``. Refuses (ConfigError)
+        ``shots`` that are not an integer in [0, 2**63) before any draw.
         """
         if not 0 <= shots < 2**63 or shots != int(shots):
             raise ConfigError(f"shots must be an integer in [0, 2**63), got {shots!r}")
-        fm, y_norm = self.fm, self.target_norm
+        fm, a, b = self.fm, self.mean_coefficients, self.variance_coefficients
         phi = scaled_feature_vector(_as_points(xs, fm.freq.shape[1]), fm.freq, fm.hyper)
         phi_norm = np.linalg.norm(phi, axis=1)
-        mean_sum, variance_sum, null_sq = spectral_sums(
-            fm, phi, self.mean_weights, self.variance_weights
-        )
-        exact_mean = mean_sum / (phi_norm * y_norm)
-        exact_variance = variance_sum / phi_norm**2
-        mean_overlap, variance_overlap = exact_mean, exact_variance
-        mean_accepted = variance_accepted = np.zeros(phi.shape[0], dtype=int)
-        if shots:
-            mean_seed, variance_seed = np.random.SeedSequence(seed).spawn(2)
-            mean_overlap, mean_accepted = _sampled_overlaps(
-                self.p1, 0.5 + 0.5 * exact_mean, shots, mean_seed
-            )
-            variance_overlap, variance_accepted = _sampled_overlaps(
-                self.p2, 0.5 + 0.5 * exact_variance, shots, variance_seed
-            )
+        mean, spectral, null_sq = spectral_sums(fm, phi, a, b)
+        exact = Posterior(mean, fm.hyper.noise_std**2 * spectral + null_sq)
         fro = fm.frobenius_norm
-        mean_scale = np.sqrt(self.p1) / self.c1 * phi_norm * y_norm / fro
-        spectral_scale = fm.hyper.noise_std**2 * self.p2 / self.c2**2 * phi_norm**2 / fro**2
-
-        def variance(overlap):
-            return spectral_scale * np.clip(overlap, 0.0, 1.0) + null_sq
-
+        mean_unit = np.sqrt(self.p1) / self.c1 * phi_norm * self.target_norm / fro
+        accepted = np.zeros(phi.shape[0], dtype=int)
         readout = {
-            "mean_overlap": mean_overlap,
-            "variance_overlap": variance_overlap,
-            "mean_accepted": mean_accepted,
-            "variance_accepted": variance_accepted,
+            "mean_overlap": mean / mean_unit,
+            "variance_overlap": spectral / (self.p2 / self.c2**2 * phi_norm**2 / fro**2),
+            "mean_accepted": accepted,
+            "variance_accepted": accepted,
         }
-        if shots:
-            readout["exact_mean"] = mean_scale * exact_mean
-            readout["exact_variance"] = variance(exact_variance)
-        return Posterior(mean_scale * mean_overlap, variance(variance_overlap)), readout
+        if not shots:
+            return exact, readout
+        mean_seed, variance_seed = np.random.SeedSequence(seed).spawn(2)
+        readout["mean_overlap"], readout["mean_accepted"] = _sampled_overlaps(
+            self.p1, 0.5 + 0.5 * readout["mean_overlap"], shots, mean_seed
+        )
+        readout["variance_overlap"], readout["variance_accepted"] = _sampled_overlaps(
+            self.p2, 0.5 + 0.5 * readout["variance_overlap"], shots, variance_seed
+        )
+        readout.update(exact_mean=exact.mean, exact_variance=exact.variance)
+        spectral_scale = fm.hyper.noise_std**2 * self.p2 / self.c2**2 * phi_norm**2 / fro**2
+        variance = spectral_scale * np.clip(readout["variance_overlap"], 0.0, 1.0) + null_sq
+        return Posterior(mean_unit * readout["mean_overlap"], variance), readout

@@ -541,21 +541,24 @@ def _padded_gap(dense: np.ndarray, closed: np.ndarray) -> float:
 
 def closed_form_gaps(pipe: PreparedPipeline, oracle=None) -> dict[str, float]:
     """Largest |closed form - dense circuit| per quantity ``pipe`` keeps, by attribute name,
-    against ``oracle`` (by default ``pipeline_oracle(pipe)``). The weights are compared
-    through the padded mean phase-0 slice and variance rho_col, the former with the
-    design's left singular vectors rebuilt as U = design V / s."""
+    against ``oracle`` (by default ``pipeline_oracle(pipe)``). The coefficients a and b
+    are compared through the padded mean phase-0 slice V diag(a c1 |X|_F / sqrt(p1)) U^T
+    and variance rho_col V diag(b c2^2 |X|_F^2 / p2) V^T, at the oracle's p1 and p2, with
+    the design X's left singular vectors rebuilt as U = X V / s."""
     if oracle is None:
         oracle = pipeline_oracle(pipe)
-    fm = pipe.fm
+    fm, fro = pipe.fm, pipe.fm.frobenius_norm
     u = scaled_feature_vector(fm.inputs, fm.freq, fm.hyper) @ fm.v / fm.singular_values
     _, _, ((mean, p1), (variance, p2)) = oracle
+    a = pipe.mean_coefficients * pipe.c1 * fro / np.sqrt(p1)
+    b = pipe.variance_coefficients * pipe.c2**2 * fro**2 / p2
     dims = (-1, mean.register("col").dim, mean.register("row").dim)
     mean0, variance0 = (sv.amplitudes.reshape(dims)[0] for sv in (mean, variance))
     rho = partial_trace(variance, "col")
     leakages = [1.0 - np.vdot(s, s).real for s in (mean0, variance0)]
     return {
-        "mean_weights": _padded_gap(mean0, (fm.v * pipe.mean_weights) @ u.T),
-        "variance_weights": _padded_gap(rho, (fm.v * pipe.variance_weights) @ fm.v.T),
+        "mean_coefficients": _padded_gap(mean0, (fm.v * a) @ u.T),
+        "variance_coefficients": _padded_gap(rho, (fm.v * b) @ fm.v.T),
         "p1": abs(pipe.p1 - p1),
         "p2": abs(pipe.p2 - p2),
         "uncompute_leakage_mean": abs(pipe.uncompute_leakage_mean - leakages[0]),

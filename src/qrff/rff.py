@@ -162,7 +162,8 @@ def spectral_sums(fm: FeatureModel, phi: np.ndarray, a, b):
     Returns sum_k a_k (phi^T v_k) (u_k^T y), with u_k^T y read from the fit's
     ``projected_targets``, sum_k b_k (phi^T v_k)^2 and the feature-space
     null-space term max(||phi||^2 - ||V^T phi||^2, 0), for per-component
-    weights ``a`` and ``b`` of length ``fm.rank``.
+    coefficients ``a`` and ``b`` of length ``fm.rank`` in design units; the
+    caller multiplies the variance sum by noise^2, leaving ``b`` finite at noise 0.
     """
     pv = phi @ fm.v
     null_sq = np.einsum("gk,gk->g", phi, phi) - np.einsum("gr,gr->g", pv, pv)

@@ -4,14 +4,14 @@
 circuits on the encoded state; ``qsim.pipeline_oracle`` runs it on a
 pipeline's fit with the rotation profiles ``spectral_setup`` gives back for
 it, since the pipeline keeps none. ``dense_twin`` reads the factors the closed
-form's posterior uses (the per-component weights of the mean branch's phase-0
-slice and of the variance branch's rho_col, p1 and p2) off those states, so
-the twin's posterior is the dense-path readout. ``assert_matches_dense`` holds
-a pipeline to the oracle through ``qsim.closed_form_gaps`` and its posterior
-to the twin's, at 1e-12, and, since the twin shares the pipeline's scale
-recovery, its posterior to ``BinnedPrediction`` at 1e-8 too;
-``assert_encodes_design`` holds the encoding circuit to the scaled design
-through ``qsim.encoding_gap``.
+form's posterior uses (the per-component coefficients, from the mean branch's
+phase-0 slice and the variance branch's rho_col, and p1 and p2) off those
+states, so the twin's posterior is the dense-path readout.
+``assert_matches_dense`` holds a pipeline to the oracle through
+``qsim.closed_form_gaps`` and its posterior to the twin's, at 1e-12, and,
+since the twin shares the pipeline's inversion bounds c1 and c2, its
+posterior to ``BinnedPrediction`` at 1e-8 too; ``assert_encodes_design``
+holds the encoding circuit to the scaled design through ``qsim.encoding_gap``.
 """
 
 from __future__ import annotations
@@ -37,11 +37,12 @@ def dense_twin(pipe: PreparedPipeline, oracle=None) -> PreparedPipeline:
     ``oracle`` is ``qsim.pipeline_oracle(pipe)`` when given, and is run
     otherwise. The copy keeps the dense branch states
     (``mean_state``, ``variance_state``) and the padded ``rho_col``. Its
-    weights are the diagonals of V^T S U and V^T rho_col V, with S the
+    coefficients are the diagonals of V^T S U and V^T rho_col V, with S the
     phase-0 slice, V the feature model's and U rebuilt from it as X V / s,
     both trimmed of the registers' padding and taken real, as the design
-    is; what the diagonals leave out, ``qsim.closed_form_gaps`` catches by
-    comparing the untrimmed slice and rho_col.
+    is, times sqrt(p1) / (c1 |X|_F) and p2 / (c2^2 |X|_F^2) at the dense p1
+    and p2; what the diagonals leave out, ``qsim.closed_form_gaps`` catches
+    by comparing the untrimmed slice and rho_col.
     """
     if oracle is None:
         oracle = qsim.pipeline_oracle(pipe)
@@ -50,12 +51,14 @@ def dense_twin(pipe: PreparedPipeline, oracle=None) -> PreparedPipeline:
     twin = copy.copy(pipe)
     twin.mean_state, twin.p1 = mean, p1
     twin.variance_state, twin.p2 = variance, p2
-    v, u = pipe.fm.v, left_singular_vectors(pipe.fm)
+    v, u, fro = pipe.fm.v, left_singular_vectors(pipe.fm), pipe.fm.frobenius_norm
     # the phase register is the highest, so its |0> slice is the leading (col, row) block
     slice0 = mean.amplitudes.reshape(-1, mean.register("col").dim, mean.register("row").dim)[0]
-    twin.mean_weights = np.diag(v.T @ slice0[:n_cols, :n_rows].real @ u)
+    mean_diag = np.diag(v.T @ slice0[:n_cols, :n_rows].real @ u)
+    twin.mean_coefficients = mean_diag * np.sqrt(p1) / (pipe.c1 * fro)
     twin.rho_col = qsim.partial_trace(variance, "col")
-    twin.variance_weights = np.diag(v.T @ twin.rho_col[:n_cols, :n_cols].real @ v)
+    variance_diag = np.diag(v.T @ twin.rho_col[:n_cols, :n_cols].real @ v)
+    twin.variance_coefficients = variance_diag * p2 / (pipe.c2**2 * fro**2)
     return twin
 
 

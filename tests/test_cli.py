@@ -566,7 +566,7 @@ class TestMainExitCodes:
 
         def perturbed(self, *args, **kwargs):
             init(self, *args, **kwargs)
-            self.mean_weights = self.mean_weights * (1 + 1e-9)
+            self.mean_coefficients = self.mean_coefficients * (1 + 1e-9)
 
         monkeypatch.setattr(PreparedPipeline, "__init__", perturbed)
         assert main(["selftest"]) == 1
@@ -673,6 +673,16 @@ def test_compare_at_n512_reproduces_the_committed_results(tmp_path):
     config = str(data / "compare_n512_config.json")
     assert main(["compare", "--config", config, "--out", str(tmp_path)]) == 0
     golden = (data / "compare_n512_results.csv").read_bytes()
+    assert (tmp_path / "results.csv").read_bytes() == golden
+
+
+def test_sampled_run_quantum_at_n512_reproduces_the_committed_results(tmp_path):
+    # written before the quantum closed form kept its coefficients in design
+    # units; the wide_n512 fit read out with 1e6 shots over 64 grid points
+    data = pathlib.Path(__file__).parent / "data"
+    config = str(data / "run_quantum_sampled_n512_config.json")
+    assert main(["run-quantum", "--config", config, "--out", str(tmp_path)]) == 0
+    golden = (data / "run_quantum_sampled_n512_results.csv").read_bytes()
     assert (tmp_path / "results.csv").read_bytes() == golden
 
 

@@ -7,13 +7,14 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import qrff
 from qrff import errors, pipeline, qsim
-from qrff.cli import RunConfig
+from qrff.cli import RunConfig, generate_dataset
 from qrff.errors import CapacityError, ConfigError, PostSelectionError
 from qrff.kernel import Dataset, KernelHyper
 from qrff.pipeline import PreparedPipeline, default_delta_r, phase_table, spectral_setup
@@ -24,6 +25,7 @@ from qrff.rff import (
     rff_posterior,
     sample_frequencies,
     scaled_feature_vector,
+    spectral_sums,
 )
 
 from dense_readout import assert_encodes_design, assert_matches_dense, dense_twin
@@ -300,17 +302,20 @@ class TestSpectralSetup:
         assert sorted(setup) == [
             "c1",
             "c2",
-            "mean_weights",
+            "mean_coefficients",
             "p1",
             "p2",
             "profiles",
             "uncompute_leakage_mean",
             "uncompute_leakage_variance",
-            "variance_weights",
+            "variance_coefficients",
         ]
-        # the pipeline keeps everything but the profiles, which posterior never reads
+        # the pipeline keeps everything but the profiles, which posterior never
+        # reads, and puts the coefficients per unit Frobenius norm in design units
         assert not hasattr(pipe, "profiles")
         del setup["profiles"]
+        setup["mean_coefficients"] /= fm.frobenius_norm
+        setup["variance_coefficients"] /= fm.frobenius_norm**2
         for key, value in setup.items():
             assert np.array_equal(getattr(pipe, key), value), key
 
@@ -435,6 +440,39 @@ class TestPosteriorEstimates:
             * ds.targets[0]
         )
         assert est.mean[0] == pytest.approx(expected, abs=1e-10)
+
+    def test_coefficients_tend_to_rffs_as_tau_grows(self, paper_feature_model):
+        # bin rounding and the phase spread shrink as the phase register grows
+        fm = paper_feature_model
+        lam = fm.singular_values
+        denom = lam**2 + fm.hyper.noise_std**2
+        gaps = {}
+        for tau in (13, 20):
+            pipe = PreparedPipeline(fm, tau)
+            gaps[tau] = (
+                np.max(np.abs(pipe.mean_coefficients / (lam / denom) - 1.0)),
+                np.max(np.abs(pipe.variance_coefficients / (1.0 / denom) - 1.0)),
+            )
+        assert max(gaps[13]) < 1e-3
+        assert max(gaps[20]) < 1e-5
+        assert gaps[20][0] < gaps[13][0] and gaps[20][1] < gaps[13][1]
+
+    @pytest.mark.parametrize("shots", [0, 1_000_000])
+    def test_zero_noise_variance_is_the_null_space_term(self, shots):
+        # the spectral term carries noise_std^2 outside its coefficients, so at
+        # noise_std 0 it vanishes and the SWAP-test overlap stays finite
+        cfg = RunConfig(noise_std=0.0)
+        freq = sample_frequencies(cfg.n_frequencies, cfg.hyper, cfg.dim, cfg.seed_freq)
+        fm = build_feature_model(generate_dataset(cfg), freq, cfg.hyper)
+        pipe = PreparedPipeline(fm, cfg.tau)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            post, readout = pipe.posterior(cfg.grid, shots, cfg.seed_shots)
+        phi = scaled_feature_vector(cfg.grid[:, None], fm.freq, fm.hyper)
+        _, _, null_sq = spectral_sums(fm, phi, pipe.mean_coefficients, pipe.variance_coefficients)
+        assert np.array_equal(post.variance, null_sq)
+        assert np.isfinite(readout["mean_overlap"]).all()
+        assert np.isfinite(readout["variance_overlap"]).all()
 
     @pytest.mark.parametrize("seed", range(3))
     def test_exact_mode_equals_binned_oracle(self, seed):
@@ -662,8 +700,8 @@ class TestSchmidtRowsMatchDense:
         assert_encodes_design(paper_pipeline.fm)
         # the pipeline holds no encoded state
         assert not any(isinstance(v, qsim.Statevector) for v in vars(paper_pipeline).values())
-        assert paper_pipeline.mean_weights.shape == (paper_pipeline.fm.rank,)
-        # beyond the feature model it keeps per-component weights, no basis matrix
+        assert paper_pipeline.mean_coefficients.shape == (paper_pipeline.fm.rank,)
+        # beyond the feature model it keeps per-component coefficients, no basis matrix
         arrays = [v for v in vars(paper_pipeline).values() if isinstance(v, np.ndarray)]
         assert arrays and all(a.size <= paper_pipeline.fm.rank for a in arrays)
         assert paper_pipeline.tau == 13
@@ -675,14 +713,14 @@ class TestSchmidtRowsMatchDense:
         _, _, fm, tau = _schmidt_designs()[design]
         assert_encodes_design(fm)
         pipe = PreparedPipeline(fm, tau)
-        assert pipe.mean_weights.shape == (fm.rank,)
+        assert pipe.mean_coefficients.shape == (fm.rank,)
         grid = np.linspace(0.0, 6.0, 7)
         assert_matches_dense(pipe, grid)
         assert_matches_direct_svd(fm, grid, tau)
 
     @pytest.mark.parametrize(
         "name",
-        ["mean_weights", "variance_weights", "p1", "p2"]
+        ["mean_coefficients", "variance_coefficients", "p1", "p2"]
         + ["uncompute_leakage_mean", "uncompute_leakage_variance"],
     )
     def test_gaps_see_each_perturbed_quantity(self, paper_pipeline, paper_oracle, name):
@@ -772,7 +810,7 @@ class TestCapacityPlan:
         monkeypatch.setattr(errors, "MAX_QUBITS", 12)
         tau = 4
         pipe = PreparedPipeline(fm, tau)
-        assert pipe.variance_weights.shape == (1,)
+        assert pipe.variance_coefficients.shape == (1,)
         pred = BinnedPrediction(fm, h.noise_std, pipe.delta_r, tau)
         grid = np.array([0.5, 2.0])
         post, _ = pipe.posterior(grid)
@@ -786,7 +824,7 @@ class TestCapacityPlan:
         h, ds, fm = small_model(n_points=1, m_freq=32)
         monkeypatch.setattr(errors, "MAX_QUBITS", 12)
         pipe = PreparedPipeline(fm, tau=4)
-        assert pipe.variance_weights.shape == (1,) and pipe.mean_weights.shape == (1,)
+        assert pipe.variance_coefficients.shape == (1,) and pipe.mean_coefficients.shape == (1,)
         assert 0 < pipe.p1 <= 1 and 0 < pipe.p2 <= 1
 
     def test_wide_column_register_keeps_the_ladder_small(self):
