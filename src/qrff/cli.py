@@ -225,6 +225,10 @@ def _run_stages(cfg: RunConfig, command: str) -> tuple[dict[str, np.ndarray], di
             summary["rmse_mean_qrff_vs_exact"] = _rmse(quantum.mean, exact.mean)
         for key in ("p1", "p2", "uncompute_leakage_mean", "uncompute_leakage_variance"):
             summary[key] = getattr(pipe, key)
+        # the components below the phase resolution, which the inversion filtered
+        dropped = pipe.fm.normalized_singular_values[~pipe.kept]
+        summary["unresolved_components"] = dropped.size
+        summary["unresolved_mass"] = float(dropped @ dropped)
         if shots:
             # shot-noise term of the error budget: sampled vs exact-mode readout
             summary["rmse_mean_shot_noise"] = _rmse(quantum.mean, readout["exact_mean"])

@@ -22,7 +22,10 @@ the tests. This module's one capacity check is ``spectral_setup``'s
 
 The recovered posterior is the classical spectral-sum posterior with
 bin-discretized eigenvalues: both read ``rff.spectral_sums`` with
-per-component coefficients in design units, which alone differ. The overlaps
+per-component coefficients in design units, which alone differ. A component
+whose eigenvalue rounds to bin 0 sits where both rotation profiles vanish, so
+the inversion filters it, as HHL's filter does an ill-conditioned eigenvalue;
+the posterior gives it its prior variance, as the null space has. The overlaps
 the tests read rescale those sums by the Frobenius, target and query feature
 norms, the flag acceptance probability and the inversion bound.
 """
@@ -81,17 +84,22 @@ def spectral_setup(s: np.ndarray, sigma_tilde_sq: float, delta_r: float, tau: in
 
     Refuses (ConfigError) tau < 1, a sigma~^2 outside [0, inf) and a delta_r
     that is NaN or at most s_0^2 (phase wraparound), then its peak
-    (``errors.check_bytes``) before building any of it, then any s_k^2
-    whose bin round(s_k^2 / delta_r * 2^tau) reads as 0. With lam_hat^2 the
-    decoded eigenvalues, c1 = min(lam_hat^2 + sigma~^2) and c2 =
+    (``errors.check_bytes``) before building any of it, then a top component
+    whose bin round(s_0^2 / delta_r * 2^tau) reads as 0: it wraps past 2^tau,
+    or it and so every smaller one rounds to 0. Any other component in bin 0
+    is filtered, ``kept`` False: the circuit's profiles drop it, and the
+    bounds skip it. With lam_hat^2 the kept components' decoded eigenvalues,
+    c1 = min(lam_hat^2 + sigma~^2) and c2 =
     min(lam_hat sqrt(lam_hat^2 + sigma~^2)) keep both ``profiles``, the flag
     qubit's |1> amplitude per phase-register value, within [0, 1]: min(1, c1 /
     (lam^2 + sigma~^2)) for the mean and min(1, c2 / (lam sqrt(lam^2 +
     sigma~^2))) for the variance, 0 at bin 0. Both constants cancel out of the
-    recovered posterior. Returns them with p1 and p2 (clamped to 1), the two
-    un-compute leakages and the per-component coefficients per unit Frobenius
-    norm, ``mean_coefficients`` s c / c1 and ``variance_coefficients``
-    s^2 g / c2^2, keyed by the names of ``PreparedPipeline``'s attributes.
+    recovered posterior. Returns them with ``kept``, p1 and p2 (clamped to
+    1), the two un-compute leakages and the per-component coefficients per
+    unit Frobenius norm, ``mean_coefficients`` s c / c1 and
+    ``variance_coefficients`` s^2 g / c2^2, for every component as the
+    circuit gives them, a filtered one's from its QPE mass outside bin 0,
+    keyed by the names of ``PreparedPipeline``'s attributes.
     """
     if tau < 1:
         raise ConfigError(f"tau must be >= 1, got {tau}")
@@ -108,14 +116,16 @@ def spectral_setup(s: np.ndarray, sigma_tilde_sq: float, delta_r: float, tau: in
         )
     check_bytes("the phase table and its three profiles", 8 * (s.size + 3), tau)
     bins = np.round(s2 / delta_r * (1 << tau)).astype(int)
-    # bin 2^tau wraps: the tau-qubit phase register reads it as bin 0
-    if (bins % (1 << tau) == 0).any():
+    # bin 2^tau wraps: the tau-qubit phase register reads it as bin 0; s is
+    # descending, so a top bin of 0 also leaves no component kept
+    if bins[0] % (1 << tau) == 0:
         raise ConfigError(
             "a retained singular value decodes to eigenvalue bin 0 "
             f"(or rounds up to 2^tau = {1 << tau}, which wraps to 0); "
             "increase tau or change delta_r"
         )
-    lam_hat2 = bins * delta_r / (1 << tau)
+    kept = bins > 0
+    lam_hat2 = bins[kept] * delta_r / (1 << tau)
     c1 = float(np.min(lam_hat2 + sigma_tilde_sq))
     c2 = float(np.min(np.sqrt(lam_hat2) * np.sqrt(lam_hat2 + sigma_tilde_sq)))
     lam2 = np.arange(1 << tau) * delta_r / (1 << tau)
@@ -134,6 +144,7 @@ def spectral_setup(s: np.ndarray, sigma_tilde_sq: float, delta_r: float, tau: in
     return {
         "c1": c1,
         "c2": c2,
+        "kept": kept,
         "profiles": profiles,
         "p1": min(p1, 1.0),
         "p2": min(p2, 1.0),
@@ -187,20 +198,22 @@ class PreparedPipeline:
     W diag(s^2 g / p2) W^T, and the leakage 1 - sum_k s_k^2 c_k^2 / p.
     ``spectral_setup`` computes these, and the pipeline keeps its outputs
     but the profiles (2^tau doubles each, which ``posterior`` never reads)
-    as attributes of the same names, with ``sigma_tilde_sq``: scalars and
-    two length-rank coefficient vectors, put in design units as
+    as attributes of the same names, with ``sigma_tilde_sq``: scalars, the
+    ``kept`` mask and two length-rank coefficient vectors, put in design units as
     ``rff.rff_posterior``'s: ``mean_coefficients`` s c / (c1 |X|_F) ~ lam /
     (lam^2 + noise^2) and ``variance_coefficients`` s^2 g / (c2^2 |X|_F^2)
     ~ 1 / (lam^2 + noise^2), for the design X's singular values lam.
     ``qsim.pipeline_oracle`` gets the profiles back and runs the dense
-    circuits these are tested against. The setup refuses its
+    circuits these are tested against. The columns of W for the components
+    the setup filtered are kept too, as ``dropped_v``. The setup refuses its
     inputs and its own peak; after it the pipeline refuses a branch accepted
     with probability below 1e-12, then the fit's targets if all zero or if
     their norm, kept as ``target_norm``, overflows.
 
     ``posterior`` answers a whole grid of query points as
     ``rff.rff_posterior`` does, from ``rff.spectral_sums`` on these
-    coefficients. Only the tests' readout is in overlap units: the Hadamard
+    coefficients, with the filtered components in the null-space term.
+    Only the tests' readout is in overlap units: the Hadamard
     test's Re<b|a> = 2 P(0) - 1 is the mean sum over sqrt(p1) / c1 |phi| |y|
     / |X|_F and the SWAP test's <q|rho_col|q> the variance sum over p2 /
     c2^2 |phi|^2 / |X|_F^2, for the fit's targets y; ``qsim.hadamard_test``
@@ -218,11 +231,12 @@ class PreparedPipeline:
                 raise PostSelectionError(
                     f"post-selection of the {branch} branch has probability {prob:.3e}"
                 )
-        # c1, c2, p1, p2, both leakages and both coefficient vectors, put in design units
+        # c1, c2, kept, p1, p2, both leakages and both coefficient vectors, put in design units
         del setup["profiles"]
         setup["mean_coefficients"] /= fm.frobenius_norm
         setup["variance_coefficients"] /= fm.frobenius_norm**2
         vars(self).update(setup, sigma_tilde_sq=sigma_tilde_sq)
+        self.dropped_v = fm.v[:, ~self.kept]
         with np.errstate(over="ignore"):  # an overflowing sum of squares gives inf
             self.target_norm = float(np.linalg.norm(fm.targets))
         if self.target_norm == 0:
@@ -243,6 +257,11 @@ class PreparedPipeline:
         variance's clipped to [0, 1], and ``readout`` also holds the exact
         mode's ``exact_mean`` and ``exact_variance``. Refuses (ConfigError)
         ``shots`` that are not an integer in [0, 2**63) before any draw.
+
+        A component the setup filtered joins the null-space term with its
+        (phi^T v_k)^2: the mean all but drops it, and its prior variance is
+        what the variance keeps, in both modes. Its spectral-sum term, from
+        its QPE mass outside bin 0, stays as the circuit gives it.
         """
         if not 0 <= shots < 2**63 or shots != int(shots):
             raise ConfigError(f"shots must be an integer in [0, 2**63), got {shots!r}")
@@ -250,6 +269,8 @@ class PreparedPipeline:
         phi = scaled_feature_vector(_as_points(xs, fm.freq.shape[1]), fm.freq, fm.hyper)
         phi_norm = np.linalg.norm(phi, axis=1)
         mean, spectral, null_sq = spectral_sums(fm, phi, a, b)
+        dropped = phi @ self.dropped_v
+        null_sq += np.einsum("gk,gk->g", dropped, dropped)
         exact = Posterior(mean, fm.hyper.noise_std**2 * spectral + null_sq)
         fro = fm.frobenius_norm
         mean_unit = np.sqrt(self.p1) / self.c1 * phi_norm * self.target_norm / fro

@@ -85,7 +85,15 @@ def qpe_bin_weights(theta: float, tau: int) -> np.ndarray:
 
 
 class BinnedPrediction:
-    """Spectral-sum posterior and acceptance probabilities with binned eigenvalues."""
+    """Spectral-sum posterior and acceptance probabilities with binned eigenvalues.
+
+    A component whose squared singular value rounds to bin 0 sits where both
+    rotation profiles vanish, so the inversion filters it: the bounds c1 and
+    c2 are minima over the components in bins >= 1 only, and a filtered
+    component, which the mean all but loses, keeps its prior variance
+    (phi^T v_k)^2, as the feature-space null space does. Its QPE mass
+    smeared into bins >= 1 still enters the sums, as on the circuit.
+    """
 
     def __init__(self, fm, noise_std: float, delta_r: float, tau: int):
         self.fm = fm
@@ -98,7 +106,8 @@ class BinnedPrediction:
         self.noise_std = noise_std
         T = 1 << tau
         bins = np.round(lam_t2 / delta_r * T).astype(int)
-        lam_hat2 = bins * delta_r / T
+        self.filtered = bins == 0
+        lam_hat2 = bins[~self.filtered] * delta_r / T
         self.c1 = float(np.min(lam_hat2 + self.sigma_t2))
         self.c2 = float(np.min(np.sqrt(lam_hat2 * (lam_hat2 + self.sigma_t2))))
         grid = np.arange(T) * delta_r / T
@@ -133,6 +142,7 @@ class BinnedPrediction:
             * np.sum(self.lam_t**2 * self.var_factor_sq * pv**2)
         )
         null_sq = max(float(phi_star @ phi_star - pv @ pv), 0.0)
+        null_sq += float(pv[self.filtered] @ pv[self.filtered])
         return float(spectral + null_sq)
 
     def modal_bins(self) -> np.ndarray:

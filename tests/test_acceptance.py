@@ -17,7 +17,6 @@ import pytest
 
 from qrff import qsim
 from qrff.cli import RunConfig, _run_stages, emit_outputs
-from qrff.errors import ConfigError
 from qrff.kernel import Dataset, KernelHyper, exact_posterior
 from qrff.pipeline import PreparedPipeline, spectral_setup
 from qrff.qsim import GateOp, Statevector, dense_oracle, prepare_data_state
@@ -166,9 +165,10 @@ def test_criterion_6_post_selection_bookkeeping():
     rng = np.random.default_rng(777)
     h = KernelHyper(1.5, 1.0, 0.1)
     tau = 6
-    checked = 0
     worst = 0.0
-    while checked < 20:
+    # components below the bin resolution are filtered, not refused, so
+    # every drawn design is checked
+    for _ in range(20):
         n = int(rng.integers(2, 9))
         m = int(rng.integers(1, 3))
         x = np.sort(rng.uniform(0, 2 * np.pi, size=n))
@@ -178,13 +178,9 @@ def test_criterion_6_post_selection_bookkeeping():
             sample_frequencies(m, h, 1, seed=int(rng.integers(1 << 31))),
             h,
         )
-        try:
-            pipe = PreparedPipeline(fm, tau)
-        except ConfigError:
-            continue  # spectrum below bin resolution: rejected by design
+        pipe = PreparedPipeline(fm, tau)
         pred = BinnedPrediction(fm, h.noise_std, pipe.delta_r, tau)
         worst = max(worst, abs(pipe.p1 - pred.p1()), abs(pipe.p2 - pred.p2()))
-        checked += 1
     assert worst <= 1e-6
     print(
         f"\nPASS criterion 6: p1/p2 vs spectral-sum predictions on 20 designs, "

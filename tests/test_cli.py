@@ -549,6 +549,21 @@ class TestMainExitCodes:
         assert err.startswith("error: ConfigError: ") and err.count("\n") == 1
         assert "singular even after jitter" in err
 
+    @pytest.mark.parametrize("n_frequencies", [4, 8, 32])
+    def test_compare_filters_components_below_the_phase_resolution(
+        self, tmp_path, capsys, n_frequencies
+    ):
+        # at the default tau 13 the smallest components of these fits round to
+        # bin 0: the run drops them, as the circuit does, and reports them
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n_frequencies": n_frequencies, "grid_count": 2}))
+        assert main(["compare", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+        lines = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+        summary = dict(line.split(" = ") for line in lines)
+        assert int(summary["unresolved_components"]) >= 1
+        assert 0 < float(summary["unresolved_mass"]) < 1e-4
+
     def test_largest_shot_count_runs(self, tmp_path):
         args = ["run-quantum", "--mode", "sampled", "--shots", str(2**63 - 1)]
         assert main([*args, "--out", str(tmp_path)]) == 0
@@ -673,6 +688,16 @@ def test_compare_at_n512_reproduces_the_committed_results(tmp_path):
     config = str(data / "compare_n512_config.json")
     assert main(["compare", "--config", config, "--out", str(tmp_path)]) == 0
     golden = (data / "compare_n512_results.csv").read_bytes()
+    assert (tmp_path / "results.csv").read_bytes() == golden
+
+
+def test_compare_at_m4_reproduces_the_committed_results(tmp_path):
+    # written when components below the phase resolution were first filtered
+    # rather than refused: at N=16, M=4 and tau 13 one of the eight rounds to bin 0
+    data = pathlib.Path(__file__).parent / "data"
+    config = str(data / "compare_m4_config.json")
+    assert main(["compare", "--config", config, "--out", str(tmp_path)]) == 0
+    golden = (data / "compare_m4_results.csv").read_bytes()
     assert (tmp_path / "results.csv").read_bytes() == golden
 
 

@@ -51,8 +51,8 @@ def resolved_small_model(tau, n_points=4, m_freq=2, seed_data=3, seed_freq=5, no
     """First frequency seed >= seed_freq whose spectrum is resolvable at tau.
 
     Random tiny designs can have squared singular values below the phase
-    register's bin width, which the pipeline rejects by design; screening
-    keeps these tests on the supported path deterministically.
+    register's bin width, which the pipeline filters out; screening keeps
+    these tests on designs whose every component is inverted.
     """
     for trial in range(seed_freq, seed_freq + 100):
         h, ds, fm = small_model(n_points, m_freq, seed_data, trial, noise)
@@ -246,14 +246,25 @@ class TestSpectralSetup:
             assert setup["c1"] / (lam_hat2 + st2) <= 1 + 1e-12
             assert setup["c2"] / np.sqrt(lam_hat2 * (lam_hat2 + st2)) <= 1 + 1e-12
 
-    def test_below_resolution_raises(self):
-        # two nearly identical rows give a tiny retained singular value
+    def test_below_resolution_component_is_filtered(self):
+        # two nearly identical rows give a tiny retained singular value, which
+        # rounds to bin 0 where both profiles vanish: the run drops it, as the
+        # circuit does, and the variance gives it back its prior (phi^T v_1)^2
         h = KernelHyper(1.5, 1.0, 0.1)
         ds = Dataset(np.array([[0.5], [0.5 + 1e-5]]), np.array([0.2, 0.2]))
         fm = build_feature_model(ds, sample_frequencies(1, h, 1, 4), h)
         assert fm.rank == 2  # above the rank cutoff, below bin resolution
-        with pytest.raises(ConfigError):
-            spectral_setup(fm.normalized_singular_values, sigma_tilde_sq(fm, h), 1.05, 6)
+        pipe = PreparedPipeline(fm, 6, 1.05)
+        assert pipe.kept.tolist() == [True, False]
+        assert max(qsim.closed_form_gaps(pipe).values()) <= 1e-12
+        assert_matches_dense(pipe, np.linspace(0.0, 2 * np.pi, 7))
+
+    def test_top_bin_below_resolution_raises(self, paper_feature_model):
+        # at delta_r = 1e3 even the top component rounds to bin 0 at tau 6,
+        # so no component would be kept
+        assert decoded_bins(paper_feature_model, 1e3, 6)[0] == 0
+        with pytest.raises(ConfigError, match="decodes to eigenvalue bin 0"):
+            PreparedPipeline(paper_feature_model, 6, 1e3)
 
     @pytest.mark.parametrize("tau", [1, 2, 3])
     def test_top_bin_wrapping_to_zero_raises(self, tau, paper_feature_model):
@@ -302,6 +313,7 @@ class TestSpectralSetup:
         assert sorted(setup) == [
             "c1",
             "c2",
+            "kept",
             "mean_coefficients",
             "p1",
             "p2",
