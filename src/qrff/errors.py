@@ -3,8 +3,8 @@
 Each error class carries the process exit code used by the CLI so that
 failures stay machine-distinguishable all the way to the shell.
 ``check_bytes`` is the capacity rule and ``MAX_QUBITS`` its one limit, read
-when it runs, so setting it here moves every cap at once. ``CapacityError``
-lists each check and the bytes it counts.
+by ``byte_cap`` when a check runs, so setting it here moves every cap at
+once. ``CapacityError`` lists each check and the bytes it counts.
 """
 
 from __future__ import annotations
@@ -29,12 +29,12 @@ class ConfigError(QrffError, ValueError):
 class CapacityError(QrffError):
     """An array over ``check_bytes``' cap, refused before it is allocated: the
     phase table and three 2^tau profiles, 8 * (rank + 3) * 2^tau bytes
-    (``pipeline.spectral_setup``); the N x N Gram matrix, 8 * N^2 bytes
-    (``kernel.exact_posterior``); the dense solve's (N + G + 1) x N factor,
-    8 * N * (N + G + 1) bytes for G queries, when it runs
+    (``pipeline.spectral_setup``); the exact baseline's dense (N + G + 1) x N
+    factor, 8 * N * (N + G + 1) bytes for G queries, when it runs
     (``kernel._dense_posterior``); an n-qubit state, 16 * 2^n bytes, or gate
     matrix, 16 * 4^n bytes (``qsim``). Or a size of 2**59 or more, which
-    numpy cannot index (``cli.RunConfig``)."""
+    numpy cannot index (``cli.RunConfig``). The low-rank solve's factor is
+    bounded by the cap, not refused (``kernel.exact_posterior``)."""
 
     exit_code = 3
 
@@ -51,11 +51,15 @@ class IoError(QrffError):
     exit_code = 5
 
 
+def byte_cap() -> int:
+    """The most bytes one array may take: one statevector at the cap, 16 * 2^MAX_QUBITS."""
+    return 16 << MAX_QUBITS
+
+
 def check_bytes(what: str, nbytes: int, shift: int = 0) -> None:
-    """Refuse (``CapacityError``) ``what``, nbytes * 2^shift bytes, when it is
-    more than one statevector at the cap, 16 * 2^MAX_QUBITS bytes. The cap is
-    shifted down, so a huge ``shift`` (a tau of 10**20) never builds 2^shift."""
-    cap = 16 << MAX_QUBITS
+    """Refuse (``CapacityError``) ``what``, nbytes * 2^shift bytes, over ``byte_cap``.
+    The cap is shifted down, so a huge ``shift`` (a tau of 10**20) never builds 2^shift."""
+    cap = byte_cap()
     if nbytes > cap >> shift:
         raise CapacityError(
             f"{what}: {nbytes} x 2^{shift} bytes, more than one {MAX_QUBITS}-qubit state ({cap})"

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, check_bytes
+from .errors import ConfigError, byte_cap, check_bytes
 
 #: Column-block width of the exact baseline's Cholesky factorization. Each
 #: block pays one numpy ``cholesky`` and one ``inv`` of a BLOCK x BLOCK matrix;
@@ -303,27 +303,22 @@ def exact_posterior(ds: Dataset, h: KernelHyper, xs) -> Posterior:
     is the exact posterior of a kernel matrix within rounding of the one
     the dense solve factors, a backward error no larger than the dense
     solve's own. On the CLI's 1-D inputs with G from 2 to 64, r is 37-48
-    for N from 512 to 4096: 40 of a cap of 41 at N = 512, G = 2, one pivot
-    short of the dense fallback, and 44 of 88 at N = 1024, G = 64. At
-    N = 256 the pivots reach the cap of 21-24 first and the dense solve
-    answers.
+    for N from 512 to 4096 (44 of a cap of 88 at N = 1024, G = 64; see
+    ``_pivot_cap`` for N = 512, G = 2). At N = 256 the pivots reach the cap
+    of 21-24 first and the dense solve answers.
 
-    The dense solve (``_dense_posterior``) answers instead, with exactly
-    its own arrays, when N <= BLOCK, when noise_std is 0 (its jitter retry
-    handles a singular K), when the pivots reach ``_pivot_cap`` first, which
-    bounds what a failed try costs to 4-18% of the dense solve, or when
-    the weight-space Cholesky fails or a low-rank step overflows.
-
-    Refuses, before allocating, an N x N Gram matrix over
-    ``errors.check_bytes``' cap. The G + 1 right-hand-side rows of the dense
-    solve's array are counted only when that solve runs: counted here, they
-    would refuse runs that the low-rank solve answers.
+    Its pivots stop at ``_pivot_cap``, which bounds what a failed try costs
+    to 4-18% of the dense solve, and at the rows of N + G doubles that fit
+    ``errors.byte_cap`` (binding from N of about 40,000 at the default cap).
+    The dense solve (``_dense_posterior``), which refuses its own factor over
+    that cap, answers instead when N <= BLOCK, when noise_std is 0 (its
+    jitter retry handles a singular K), when the pivots reach the cap first,
+    or when the weight-space Cholesky fails or a low-rank step overflows.
     """
-    check_bytes(f"the exact baseline's Gram matrix at N = {ds.n_points}", 8 * ds.n_points**2)
     queries = _as_points(xs, ds.dim)
     points = np.vstack([ds.inputs, queries])
     if ds.n_points > BLOCK and h.noise_std > 0:
-        cap = _pivot_cap(ds.n_points, len(queries))
+        cap = min(_pivot_cap(ds.n_points, len(queries)), byte_cap() // (8 * len(points)))
         post = _low_rank_posterior(points, ds.targets, h, cap)
         if post is not None:
             return post

@@ -471,20 +471,31 @@ class TestMainExitCodes:
         assert failures == []
 
     @pytest.mark.parametrize(
-        "n_points, refused",
-        [(46, "Gram matrix at N = 46"), (44, "dense factor at N = 44"), (43, None)],
-        ids=["gram-matrix", "dense-factor", "fits"],
+        "max_qubits, n_points, refused",
+        [
+            (10, 46, "dense factor at N = 46"),
+            (10, 44, "dense factor at N = 44"),
+            (10, 43, None),
+            (14, 512, None),
+            (12, 512, "dense factor at N = 512"),
+        ],
+        ids=["dense-factor-n46", "dense-factor", "fits", "low-rank-fits", "low-rank-bound"],
     )
     def test_exact_baseline_larger_than_a_state_is_3(
-        self, tmp_path, capsys, monkeypatch, n_points, refused
+        self, tmp_path, capsys, monkeypatch, max_qubits, n_points, refused
     ):
-        # cap 10, 16 * 2^10 bytes: the Gram matrix's 8 N^2 fit up to N = 45,
-        # the dense solve's (N + 3) x N factor up to N = 43; with the default
-        # length scale the low-rank try fails at N = 44, so the dense solve runs
-        monkeypatch.setattr(errors, "MAX_QUBITS", 10)
+        # cap 10, 16 * 2^10 bytes: the dense solve's (N + 3) x N factor fits up
+        # to N = 43, and with the default length scale the low-rank try fails
+        # there, so the dense solve runs. At N = 512 (wide_n512's exact stage)
+        # the try takes 40 of 41 pivots, rows of 514 doubles: 63 rows fit at
+        # cap 14, but 15 at cap 12, so the try stops and the dense factor is
+        # refused. A run the cap lets through writes the default cap's bytes.
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"n_points": n_points, "grid_count": 2}))
-        code = main(["fit-exact", "--config", str(path), "--out", str(tmp_path / "out")])
+        default, out = tmp_path / "default", tmp_path / "out"
+        assert main(["fit-exact", "--config", str(path), "--out", str(default)]) == 0
+        monkeypatch.setattr(errors, "MAX_QUBITS", max_qubits)
+        code = main(["fit-exact", "--config", str(path), "--out", str(out)])
         err = capsys.readouterr().err
         if refused:
             assert code == 3
@@ -492,6 +503,8 @@ class TestMainExitCodes:
             assert err.count("\n") == 1
         else:
             assert code == 0 and err == ""
+            results = (out / "results.csv").read_bytes()
+            assert results == (default / "results.csv").read_bytes()
 
     @pytest.mark.parametrize(
         "config, code, message",
@@ -667,6 +680,17 @@ def test_fit_exact_at_n1024_reproduces_the_committed_results(tmp_path):
     assert main(["fit-exact", "--config", config, "--out", str(tmp_path)]) == 0
     golden = (data / "fit_exact_n1024_results.csv").read_bytes()
     assert (tmp_path / "results.csv").read_bytes() == golden
+
+
+def test_fit_exact_at_n65536_answers_on_the_low_rank_path(tmp_path):
+    # past N = 11585, where an N x N Gram matrix would exceed the cap; no
+    # golden, as at this size a 9th printed digit of var_exact sits at rounding
+    config = str(pathlib.Path(__file__).parent / "data" / "fit_exact_n65536_config.json")
+    assert main(["fit-exact", "--config", config, "--out", str(tmp_path)]) == 0
+    rows = np.genfromtxt(tmp_path / "results.csv", delimiter=",", names=True)
+    assert rows.size == 64
+    assert all(np.isfinite(rows[name]).all() for name in rows.dtype.names)
+    assert np.abs(rows["mean_exact"] - np.sin(rows["x"])).max() < 0.05
 
 
 def test_fit_exact_dense_at_n512_reproduces_the_committed_results(tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from qrff import kernel
+from qrff import errors, kernel
 from qrff.kernel import (
     BLOCK,
     Dataset,
@@ -327,6 +327,40 @@ class TestLowRankPath:
         mean, variance = _solve_reference(ds.inputs, ds.targets, grid[::64, None], paper_hyper)
         assert post.mean[::64] == pytest.approx(mean, abs=1e-10)
         assert post.variance[::64] == pytest.approx(variance, abs=1e-10)
+
+
+    @pytest.mark.parametrize("max_qubits, rows", [(17, 63), (14, 7)], ids=["answers", "stops"])
+    def test_the_factor_stays_within_the_byte_cap(
+        self, max_qubits, rows, paper_hyper, monkeypatch
+    ):
+        # N = 4096, G = 64: pivot rows of 4,160 doubles under a pivot cap of
+        # 339. 63 rows fit 16 * 2^17 bytes and the ~45 pivots give the default
+        # cap's answer; 7 fit 16 * 2^14, so the try stops and the dense solve
+        # refuses its factor
+        n, g = 4096, 64
+        x = np.linspace(0.0, 2.0 * np.pi, n)
+        ds = Dataset(x[:, None], np.sin(x))
+        grid = np.linspace(0.0, 2.0 * np.pi, g)
+        default = exact_posterior(ds, paper_hyper, grid)
+        monkeypatch.setattr(errors, "MAX_QUBITS", max_qubits)
+        allocated, empty = [], np.empty
+
+        def spy(shape, *args, **kwargs):
+            out = empty(shape, *args, **kwargs)
+            allocated.append((out.shape, out.nbytes))
+            return out
+
+        monkeypatch.setattr(np, "empty", spy)
+        if rows == 7:
+            with pytest.raises(errors.CapacityError, match="dense factor at N = 4096"):
+                exact_posterior(ds, paper_hyper, grid)
+        else:
+            monkeypatch.setattr(kernel, "_dense_posterior", None)
+            post = exact_posterior(ds, paper_hyper, grid)
+            assert np.array_equal(post.mean, default.mean)
+            assert np.array_equal(post.variance, default.variance)
+        assert ((rows, n + g), rows * (n + g) * 8) in allocated
+        assert max(nbytes for _, nbytes in allocated) <= errors.byte_cap()
 
 
 class TestDenseFallback:
