@@ -95,10 +95,8 @@ class RunConfig:
             raise ConfigError("seed_data, seed_freq, and seed_shots must be non-negative")
         if self.delta_r is not None and self.delta_r <= 0:
             raise ConfigError(f"delta_r must be positive, got {self.delta_r!r}")
-        if self.n_points < 1 or self.n_frequencies < 1 or self.tau < 1:
-            raise ConfigError("n_points, n_frequencies, and tau must be positive")
-        if self.dim != 1:
-            raise ConfigError("the experiment driver supports dim=1 only")
+        if min(self.n_points, self.n_frequencies, self.dim, self.tau) < 1:
+            raise ConfigError("n_points, n_frequencies, dim, and tau must be positive")
         if self.grid_count < 1:
             raise ConfigError("grid_count must be positive")
         if not abs(self.grid_hi - self.grid_lo) <= sys.float_info.max:
@@ -113,17 +111,17 @@ class RunConfig:
                 f"input_layout must be 'uniform' or 'random', got {_shown(self.input_layout)}"
             )
         KernelHyper(self.signal_std, self.length_scale, self.noise_std)
-        if max(self.n_points, self.n_frequencies, self.grid_count) >= 2**59:
-            # numpy refuses such shapes with a ValueError before it tries to allocate
-            raise CapacityError("n_points, n_frequencies and grid_count must be below 2**59")
+        if max(self.n_points, self.n_frequencies, self.grid_count) * self.dim >= 2**59:
+            # numpy refuses (N, dim), (M, dim) or (G, dim) arrays this large with a ValueError
+            raise CapacityError("n_points, n_frequencies and grid_count times dim must be < 2**59")
 
     @property
     def hyper(self) -> KernelHyper:
         return KernelHyper(self.signal_std, self.length_scale, self.noise_std)
 
-    @property
-    def grid(self) -> np.ndarray:
-        return np.linspace(self.grid_lo, self.grid_hi, self.grid_count)
+    def diagonal(self, count: int) -> np.ndarray:
+        """``count`` evenly spaced points on the diagonal of [grid_lo, grid_hi]^dim."""
+        return np.linspace(self.grid_lo, self.grid_hi, count)[:, None].repeat(self.dim, axis=1)
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
@@ -151,14 +149,16 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 
 
 def generate_dataset(cfg: RunConfig) -> Dataset:
-    """Inputs on [grid_lo, grid_hi] with seeded Gaussian-noise sine targets."""
+    """Inputs in [grid_lo, grid_hi]^dim, on its diagonal (``uniform``) or drawn in the box
+    and sorted by first coordinate (``random``), with seeded targets sin(sum x) + noise."""
     rng = default_rng(cfg.seed_data)
     if cfg.input_layout == "uniform":
-        x = np.linspace(cfg.grid_lo, cfg.grid_hi, cfg.n_points)
+        x = cfg.diagonal(cfg.n_points)
     else:
-        x = np.sort(rng.uniform(cfg.grid_lo, cfg.grid_hi, size=cfg.n_points))
-    y = np.sin(x) + cfg.noise_std * rng.normal(size=cfg.n_points)
-    return Dataset(inputs=x[:, None], targets=y)
+        x = rng.uniform(cfg.grid_lo, cfg.grid_hi, size=(cfg.n_points, cfg.dim))
+        x = x[np.argsort(x[:, 0], kind="stable")]
+    y = np.sin(x.sum(axis=1)) + cfg.noise_std * rng.normal(size=cfg.n_points)
+    return Dataset(inputs=x, targets=y)
 
 
 def _fmt(value: float) -> str:
@@ -182,8 +182,8 @@ def _run_stages(cfg: RunConfig, command: str) -> tuple[dict[str, np.ndarray], di
     h = cfg.hyper
     timings["dataset"] = time.perf_counter() - t0
 
-    grid = cfg.grid
-    columns = {"x": grid}
+    grid = cfg.diagonal(cfg.grid_count)
+    columns = {"x": grid[:, 0]}
 
     fm = None
     if "rff" in stages or "quantum" in stages:
@@ -217,7 +217,7 @@ def _run_stages(cfg: RunConfig, command: str) -> tuple[dict[str, np.ndarray], di
         quantum, readout = pipe.posterior(grid, shots, cfg.seed_shots)
         timings["quantum_queries"] = time.perf_counter() - t0
         columns["mean_qrff"], columns["var_qrff"] = quantum.mean, quantum.variance
-        columns["p1"], columns["p2"] = np.full(grid.size, pipe.p1), np.full(grid.size, pipe.p2)
+        columns["p1"], columns["p2"] = np.full(len(grid), pipe.p1), np.full(len(grid), pipe.p2)
         if "rff" in stages:
             summary["rmse_mean_qrff_vs_rff"] = _rmse(quantum.mean, rff.mean)
             summary["max_abs_var_gap_qrff_vs_rff"] = _max_gap(quantum.variance, rff.variance)

@@ -32,9 +32,9 @@ class CapacityError(QrffError):
     (``pipeline.spectral_setup``); the exact baseline's dense (N + G + 1) x N
     factor, 8 * N * (N + G + 1) bytes for G queries, when it runs
     (``kernel._dense_posterior``); an n-qubit state, 16 * 2^n bytes, or gate
-    matrix, 16 * 4^n bytes (``qsim``). Or a size of 2**59 or more, which
-    numpy cannot index (``cli.RunConfig``). The low-rank solve's factor is
-    bounded by the cap, not refused (``kernel.exact_posterior``)."""
+    matrix, 16 * 4^n bytes (``qsim``). Or an (N, dim), (M, dim) or (G, dim) array
+    of 2**59 or more entries, which numpy cannot index (``cli.RunConfig``). The
+    low-rank solve's factor is bounded by the cap, not refused (``kernel.exact_posterior``)."""
 
     exit_code = 3
 

@@ -1,8 +1,8 @@
 """Exact Gaussian process regression with the squared-exponential kernel.
 
 This module is the ground truth for everything else in the package: the
-kernel and the GP posterior, in numpy alone. Inputs may live in any dimension
-even though the bundled experiment is one-dimensional.
+kernel and the GP posterior, in numpy alone. Inputs and queries are (N, d)
+points in any dimension d, as the driver's are (``cli.RunConfig.dim``).
 
 The posterior has two solves, each one function, over the N inputs stacked
 above the G queries. ``_low_rank_posterior`` runs a pivoted Cholesky of the

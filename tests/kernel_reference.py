@@ -1,8 +1,11 @@
-"""Pointwise reference forms of the squared-exponential kernel and its spectrum.
+"""Pointwise reference forms of the squared-exponential kernel and its spectrum,
+and a reference GP solve.
 
 The package evaluates the kernel only in bulk (``kernel._cross_kernel``) and
 never needs its spectral density; these one-point forms are what the tests
 check the bulk code, the random features and the exact baseline against.
+``solve_reference`` is the posterior by ``np.linalg.solve``, independent of
+both of the exact baseline's solves.
 """
 
 from __future__ import annotations
@@ -47,3 +50,18 @@ def spectral_density(omega, h: KernelHyper) -> float:
         * float((2.0 * np.pi * l2) ** (d / 2.0))
         * float(np.exp(-0.5 * l2 * np.sum(w**2)))
     )
+
+
+def solve_reference(x, y, xs, h: KernelHyper):
+    """Mean and variance by ``np.linalg.solve`` on the dense noisy Gram matrix,
+    for (N, d) inputs ``x``, targets ``y`` and (G, d) queries ``xs``."""
+
+    def gram(a, b):
+        sq = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
+        return h.signal_std**2 * np.exp(-0.5 * sq / h.length_scale**2)
+
+    k_star = gram(x, xs)
+    alpha = np.linalg.solve(
+        gram(x, x) + h.noise_std**2 * np.eye(len(x)), np.column_stack([y, k_star])
+    )
+    return k_star.T @ alpha[:, 0], h.signal_std**2 - np.sum(k_star * alpha[:, 1:], axis=0)

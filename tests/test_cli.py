@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import contextlib
 import gc
+import io
 import json
 import logging
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import qrff
 from qrff import cli, errors
@@ -25,6 +30,7 @@ from qrff.pipeline import PreparedPipeline
 from qrff.rff import build_feature_model, rff_posterior, sample_frequencies
 
 import config_sweep
+from kernel_reference import solve_reference
 
 SMALL = dict(n_points=4, n_frequencies=2, tau=8, grid_count=6, seed_freq=1)
 
@@ -66,6 +72,15 @@ _BAD_INPUTS = {
         f"{key}-2**60": (f'{{"{key}": {2**60}}}', ["CapacityError"] * 2)
         for key in ("n_points", "grid_count", "n_frequencies")
     },
+    # 16 points of 2**58 coordinates each: bounded alone, dim would reach
+    # numpy's "array is too big" ValueError
+    **{
+        f"dim-2**58-{layout}": (
+            json.dumps({"dim": 2**58, "input_layout": layout}),
+            ["CapacityError"] * 4,
+        )
+        for layout in ("uniform", "random")
+    },
 }
 _BAD_INPUT_RUNS = [
     pytest.param(command, text, error, id=f"{name}-{command}")
@@ -98,8 +113,10 @@ class TestConfig:
             RunConfig(grid_count=0)
         with pytest.raises(ConfigError):
             RunConfig(mode="banana")
-        with pytest.raises(ConfigError):
-            RunConfig(dim=2)
+        for dim in (0, -1):
+            with pytest.raises(ConfigError, match="dim"):
+                RunConfig(dim=dim)
+        assert RunConfig(dim=2).dim == 2
         with pytest.raises(ConfigError):
             RunConfig(noise_std=-1.0)
         # numpy's binomial draws take a C long
@@ -145,9 +162,12 @@ class TestConfig:
 
     @pytest.mark.parametrize("key", ["n_points", "n_frequencies", "grid_count"])
     def test_sizes_are_below_2_to_the_59(self, key):
-        with pytest.raises(CapacityError, match=key):
-            RunConfig(**{key: 2**59})
-        assert getattr(RunConfig(**{key: 2**59 - 1}), key) == 2**59 - 1
+        # the bound is on the entries of the (size, dim) array numpy allocates
+        for dim in (1, 16):
+            size = 2**59 // dim
+            with pytest.raises(CapacityError, match=key):
+                RunConfig(**{key: size, "dim": dim})
+            assert getattr(RunConfig(**{key: size - 1, "dim": dim}), key) == size - 1
 
     def test_unreadable_file(self):
         with pytest.raises(ConfigError):
@@ -190,6 +210,35 @@ class TestGenerateDataset:
         ds = generate_dataset(cfg)
         assert ds.inputs.min() >= cfg.grid_lo and ds.inputs.max() <= cfg.grid_hi
         assert not np.allclose(np.diff(ds.inputs[:, 0]), np.diff(ds.inputs[:, 0])[0])
+
+    @pytest.mark.parametrize("layout", ["uniform", "random"])
+    def test_one_dimension_makes_the_one_dimensional_draws(self, layout):
+        cfg = RunConfig(**SMALL, input_layout=layout)
+        rng = np.random.default_rng(cfg.seed_data)
+        if layout == "uniform":
+            x = np.linspace(cfg.grid_lo, cfg.grid_hi, cfg.n_points)
+        else:
+            x = np.sort(rng.uniform(cfg.grid_lo, cfg.grid_hi, size=cfg.n_points))
+        y = np.sin(x) + cfg.noise_std * rng.normal(size=cfg.n_points)
+        ds = generate_dataset(cfg)
+        assert np.array_equal(ds.inputs, x[:, None]) and np.array_equal(ds.targets, y)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_inputs_lie_on_the_diagonal_or_in_the_box(self, dim):
+        values = {**SMALL, "dim": dim, "noise_std": 0.0}
+        cfg = RunConfig(**values)
+        uniform = generate_dataset(cfg)
+        assert np.array_equal(uniform.inputs, cfg.diagonal(cfg.n_points))
+        assert (uniform.inputs == uniform.inputs[:, :1]).all()
+        random = generate_dataset(RunConfig(**values, input_layout="random"))
+        # whole rows of one (N, dim) draw, sorted by their first coordinate
+        draws = np.random.default_rng(cfg.seed_data).uniform(
+            cfg.grid_lo, cfg.grid_hi, size=(cfg.n_points, dim)
+        )
+        assert np.array_equal(np.unique(random.inputs, axis=0), np.unique(draws, axis=0))
+        assert np.all(np.diff(random.inputs[:, 0]) >= 0)
+        for ds in (uniform, random):
+            assert np.array_equal(ds.targets, np.sin(ds.inputs.sum(axis=1)))
 
 
 class TestRunExperiment:
@@ -723,6 +772,70 @@ def test_compare_at_m4_reproduces_the_committed_results(tmp_path):
     assert main(["compare", "--config", config, "--out", str(tmp_path)]) == 0
     golden = (data / "compare_m4_results.csv").read_bytes()
     assert (tmp_path / "results.csv").read_bytes() == golden
+
+
+@pytest.mark.parametrize("threads", [None, "1"], ids=["default-threads", "one-thread"])
+def test_compare_at_d2_reproduces_the_committed_results(tmp_path, monkeypatch, threads):
+    # written when the driver first took d-dimensional inputs: random inputs
+    # in [0, 2 pi]^2, where at N=1024 the low-rank try reaches its cap and the
+    # dense solve answers
+    if threads is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+    data = pathlib.Path(__file__).parent / "data"
+    config = str(data / "compare_d2_config.json")
+    run = _fresh("-m", "qrff.cli", "compare", "--config", config, "--out", str(tmp_path))
+    assert run.returncode == 0, run.stderr
+    golden = (data / "compare_d2_results.csv").read_bytes()
+    assert (tmp_path / "results.csv").read_bytes() == golden
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2, 3]),
+    layout=st.sampled_from(["uniform", "random"]),
+    n_points=st.integers(1, 48),
+    n_frequencies=st.integers(1, 8),
+    seed_data=st.integers(0, 2**16),
+)
+def test_compare_in_d_dimensions_exits_cleanly_and_matches_a_reference_solve(
+    dim, layout, n_points, n_frequencies, seed_data
+):
+    config = dict(
+        dim=dim,
+        input_layout=layout,
+        n_points=n_points,
+        n_frequencies=n_frequencies,
+        seed_data=seed_data,
+        grid_count=7,
+    )
+    emit, columns, err = cli.emit_outputs, {}, io.StringIO()
+
+    def keep(cols, summary, out_dir):
+        columns.update(cols)
+        return emit(cols, summary, out_dir)
+
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        mp.setattr(cli, "emit_outputs", keep)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["compare", "--config", path, "--out", os.path.join(tmp, "out")])
+    event(f"exit {code}")
+    if code:
+        assert code in (2, 3, 4)
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        return
+    assert err.getvalue() == ""
+    cfg = RunConfig(**config)
+    queries = cfg.diagonal(cfg.grid_count)
+    assert np.array_equal(columns["x"], queries[:, 0])
+    ds = generate_dataset(cfg)
+    mean, variance = solve_reference(ds.inputs, ds.targets, queries, cfg.hyper)
+    assert np.abs(columns["mean_exact"] - mean).max() <= 1e-10
+    assert np.abs(columns["var_exact"] - variance).max() <= 1e-10
 
 
 def test_sampled_run_quantum_at_n512_reproduces_the_committed_results(tmp_path):

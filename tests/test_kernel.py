@@ -24,23 +24,9 @@ from qrff.kernel import (
     exact_posterior,
 )
 
-from kernel_reference import rbf_kernel, spectral_density
+from kernel_reference import rbf_kernel, solve_reference, spectral_density
 
 DATA = pathlib.Path(__file__).parent / "data"
-
-
-def _solve_reference(x, y, xs, h):
-    """Mean and variance by ``np.linalg.solve`` on the dense noisy Gram matrix."""
-
-    def gram(a, b):
-        sq = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
-        return h.signal_std**2 * np.exp(-0.5 * sq / h.length_scale**2)
-
-    k_star = gram(x, xs)
-    alpha = np.linalg.solve(
-        gram(x, x) + h.noise_std**2 * np.eye(len(x)), np.column_stack([y, k_star])
-    )
-    return k_star.T @ alpha[:, 0], h.signal_std**2 - np.sum(k_star * alpha[:, 1:], axis=0)
 
 
 class TestHyperAndTypes:
@@ -204,7 +190,7 @@ class TestExactPosterior:
         xs = rng.uniform(0.0, 12.0, size=(g, d))
         ds = Dataset(x, rng.normal(size=n))
         post = exact_posterior(ds, h, xs)
-        mean, variance = _solve_reference(x, ds.targets, xs, h)
+        mean, variance = solve_reference(x, ds.targets, xs, h)
         assert post.mean == pytest.approx(mean, abs=1e-10)
         assert post.variance == pytest.approx(variance, abs=1e-10)
 
@@ -262,7 +248,7 @@ class TestLowRankPath:
         x, y = _inputs_1d(n, layout)
         # a grid, queries on the inputs, and far queries, which recover the prior
         xs = np.concatenate([np.linspace(0.0, 2.0 * np.pi, 23), x[::37, 0], [200.0, -150.0]])
-        mean, variance = _solve_reference(x, y, xs[:, None], paper_hyper)
+        mean, variance = solve_reference(x, y, xs[:, None], paper_hyper)
         # with no binding cap, the low-rank path answers at every N
         low = _low_rank_posterior(np.vstack([x, xs[:, None]]), y, paper_hyper, n + len(xs))
         for post in (low, exact_posterior(Dataset(x, y), paper_hyper, xs)):
@@ -286,7 +272,7 @@ class TestLowRankPath:
         x = rng.uniform(0.0, 2.0 * np.pi, size=(n, 1))
         xs = rng.uniform(-1.0, 2.0 * np.pi + 1.0, size=(9, 1))
         y = np.sin(x[:, 0]) + noise_std * rng.normal(size=n)
-        mean, variance = _solve_reference(x, y, xs, h)
+        mean, variance = solve_reference(x, y, xs, h)
         post = _low_rank_posterior(np.vstack([x, xs]), y, h, n + 9)
         assert post.mean == pytest.approx(mean, abs=1e-10)
         assert post.variance == pytest.approx(variance, abs=1e-10)
@@ -324,7 +310,7 @@ class TestLowRankPath:
         finally:
             tracemalloc.stop()
         assert peak <= 1.2 * 8 * (n + g) * _pivot_cap(n, g)
-        mean, variance = _solve_reference(ds.inputs, ds.targets, grid[::64, None], paper_hyper)
+        mean, variance = solve_reference(ds.inputs, ds.targets, grid[::64, None], paper_hyper)
         assert post.mean[::64] == pytest.approx(mean, abs=1e-10)
         assert post.variance[::64] == pytest.approx(variance, abs=1e-10)
 

@@ -477,10 +477,11 @@ class TestPosteriorEstimates:
         freq = sample_frequencies(cfg.n_frequencies, cfg.hyper, cfg.dim, cfg.seed_freq)
         fm = build_feature_model(generate_dataset(cfg), freq, cfg.hyper)
         pipe = PreparedPipeline(fm, cfg.tau)
+        grid = cfg.diagonal(cfg.grid_count)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            post, readout = pipe.posterior(cfg.grid, shots, cfg.seed_shots)
-        phi = scaled_feature_vector(cfg.grid[:, None], fm.freq, fm.hyper)
+            post, readout = pipe.posterior(grid, shots, cfg.seed_shots)
+        phi = scaled_feature_vector(grid, fm.freq, fm.hyper)
         _, _, null_sq = spectral_sums(fm, phi, pipe.mean_coefficients, pipe.variance_coefficients)
         assert np.array_equal(post.variance, null_sq)
         assert np.isfinite(readout["mean_overlap"]).all()
@@ -730,6 +731,16 @@ class TestSchmidtRowsMatchDense:
         assert_matches_dense(pipe, grid)
         assert_matches_direct_svd(fm, grid, tau)
 
+    @pytest.mark.parametrize("layout", ["uniform", "random"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_driver_fits_in_more_dimensions(self, dim, layout):
+        # the circuits see only the design, so d reaches them through the features
+        cfg = RunConfig(n_points=8, n_frequencies=3, dim=dim, tau=7, input_layout=layout)
+        freq = sample_frequencies(cfg.n_frequencies, cfg.hyper, dim, cfg.seed_freq)
+        fm = build_feature_model(generate_dataset(cfg), freq, cfg.hyper)
+        assert_encodes_design(fm)
+        assert_matches_dense(PreparedPipeline(fm, cfg.tau), cfg.diagonal(5))
+
     @pytest.mark.parametrize(
         "name",
         ["mean_coefficients", "variance_coefficients", "p1", "p2"]
@@ -874,7 +885,7 @@ ds = generate_dataset(cfg)
 freq = sample_frequencies(cfg.n_frequencies, cfg.hyper, cfg.dim, cfg.seed_freq)
 pipe = PreparedPipeline(build_feature_model(ds, freq, cfg.hyper), cfg.tau)
 for shots in (0, 1000):
-    pipe.posterior(cfg.grid, shots, seed=1)
+    pipe.posterior(cfg.diagonal(cfg.grid_count), shots, seed=1)
 commands = (["compare"], ["compare", "--mode", "sampled", "--shots", "1000"], ["fit-exact"])
 codes = [main([*args, "--config", config, "--out", out]) for args in commands]
 loaded = {name: name in sys.modules for name in ("qrff.qsim", "logging")}
