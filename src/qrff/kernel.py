@@ -217,7 +217,8 @@ def _pivot_cap(n: int, g: int) -> int:
     ~15 numpy calls (20-25 us) are left out: a failed try added 4-10% to the
     dense solve's time at n = 1024 and 2048 (g = 64) but 10-18% at n = 512.
     A per-step term would send n = 512, g = 2, the benchmark's ``wide_n512``
-    (40 pivots of a cap of 41), to the dense solve.
+    (40 pivots of a cap of 41), to the dense solve. The cap is priced on 1-D
+    pivot counts; at d >= 2 the rank outgrows it (see ``exact_posterior``).
     """
     return math.isqrt(n * n * (n + 3 * g) // (150 * (n + g)))
 
@@ -304,8 +305,10 @@ def exact_posterior(ds: Dataset, h: KernelHyper, xs) -> Posterior:
     the dense solve factors, a backward error no larger than the dense
     solve's own. On the CLI's 1-D inputs with G from 2 to 64, r is 37-48
     for N from 512 to 4096 (44 of a cap of 88 at N = 1024, G = 64; see
-    ``_pivot_cap`` for N = 512, G = 2). At N = 256 the pivots reach the cap
-    of 21-24 first and the dense solve answers.
+    ``_pivot_cap`` for N = 512, G = 2). The pivots reach the cap first, and
+    the dense solve answers, at N = 256 (a cap of 21-24) and at d >= 2: on
+    the ``compare_d2`` golden (d = 2, N = 1024, G = 50) at its cap of 87,
+    and at d = 4, N = 4096, G = 50 at 338.
 
     Its pivots stop at ``_pivot_cap``, which bounds what a failed try costs
     to 4-18% of the dense solve, and at the rows of N + G doubles that fit

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import qrff
 from qrff.cli import RunConfig, generate_dataset
 from qrff.kernel import KernelHyper
 from qrff.pipeline import PreparedPipeline
@@ -49,3 +55,19 @@ def paper_oracle(paper_pipeline):
 @pytest.fixture(scope="session")
 def grid50(paper_config):
     return np.linspace(paper_config.grid_lo, paper_config.grid_hi, 50)
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """Runs ``python *args`` in a new interpreter that imports this package,
+    under this process's environment at the call."""
+    src = str(pathlib.Path(qrff.__file__).resolve().parents[1])
+
+    def run(*args: str) -> subprocess.CompletedProcess:
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        return subprocess.run(
+            [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+        )
+
+    return run

@@ -19,14 +19,11 @@ from __future__ import annotations
 import copy
 
 import numpy as np
-import pytest
 
 from qrff import qsim
-from qrff.kernel import _as_points
 from qrff.pipeline import PreparedPipeline
-from qrff.rff import scaled_feature_vector
 
-from spectral_oracle import BinnedPrediction, left_singular_vectors
+from spectral_oracle import assert_matches_binned, left_singular_vectors
 
 TOL = 1e-12
 
@@ -74,12 +71,7 @@ def assert_matches_dense(pipe: PreparedPipeline, grid, oracle=None) -> None:
     (post, _), (post_dense, _) = pipe.posterior(grid), dense.posterior(grid)
     assert np.max(np.abs(post.mean - post_dense.mean)) <= TOL
     assert np.max(np.abs(post.variance - post_dense.variance)) <= TOL
-    fm = pipe.fm
-    pred = BinnedPrediction(fm, fm.hyper.noise_std, pipe.delta_r, pipe.tau)
-    for i, point in enumerate(_as_points(grid, fm.freq.shape[1])):
-        phi_star = scaled_feature_vector(point, fm.freq, fm.hyper)
-        assert post.mean[i] == pytest.approx(pred.mean(phi_star, fm.targets), abs=1e-8)
-        assert post.variance[i] == pytest.approx(pred.variance(phi_star), abs=1e-8)
+    assert_matches_binned(pipe, grid)
 
 
 def assert_encodes_design(fm) -> None:

@@ -14,8 +14,10 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+import pytest
 
 from qrff.errors import ConfigError, PostSelectionError
+from qrff.kernel import _as_points
 from qrff.pipeline import PreparedPipeline, default_delta_r
 from qrff.rff import RANK_CUTOFF, rff_posterior, scaled_feature_vector
 
@@ -52,11 +54,14 @@ def outcome(build):
 
 def assert_matches_direct_svd(fm, grid, tau: int, delta_r: float | None = None) -> None:
     """The fit's rank equals the direct SVD's, and its RFF and exact-mode
-    quantum posteriors over ``grid`` are within 1e-12 of the direct fit's, or
-    both are refused alike. Both pipelines take ``delta_r``, by default
-    ``fm``'s."""
+    quantum posteriors over ``grid`` are within max(1e-12, kappa eps |ref|) of
+    the direct fit's, or both are refused alike: at noise 0 the solve is
+    unregularised, so the two SVDs' rounding is scaled by the design's kappa
+    (over the kept rank) and by the compared array's largest magnitude |ref|.
+    Both pipelines take ``delta_r``, by default ``fm``'s."""
     ref = direct_svd_fit(fm)
     assert fm.rank == ref.rank
+    kappa_eps = ref.singular_values[0] / ref.singular_values[-1] * np.finfo(float).eps
     delta_r = default_delta_r(fm) if delta_r is None else delta_r
     for run in (
         lambda f: rff_posterior(f, grid),
@@ -66,8 +71,20 @@ def assert_matches_direct_svd(fm, grid, tau: int, delta_r: float | None = None) 
         post_ref, refused_ref = outcome(lambda: run(ref))
         assert refused is refused_ref
         if not refused:
-            assert np.max(np.abs(post.mean - post_ref.mean)) <= 1e-12
-            assert np.max(np.abs(post.variance - post_ref.variance)) <= 1e-12
+            for got, want in ((post.mean, post_ref.mean), (post.variance, post_ref.variance)):
+                bound = max(1e-12, kappa_eps * np.max(np.abs(want)))
+                assert np.max(np.abs(got - want)) <= bound
+
+
+def assert_matches_binned(pipe: PreparedPipeline, grid) -> None:
+    """The pipeline's exact-mode posterior over ``grid`` is within 1e-8 of
+    ``BinnedPrediction`` at the fit's own noise, targets, ``delta_r`` and ``tau``."""
+    fm = pipe.fm
+    pred = BinnedPrediction(fm, fm.hyper.noise_std, pipe.delta_r, pipe.tau)
+    post, _ = pipe.posterior(grid)
+    phis = [scaled_feature_vector(x, fm.freq, fm.hyper) for x in _as_points(grid, fm.freq.shape[1])]
+    assert post.mean == pytest.approx([pred.mean(phi, fm.targets) for phi in phis], abs=1e-8)
+    assert post.variance == pytest.approx([pred.variance(phi) for phi in phis], abs=1e-8)
 
 
 def qpe_bin_weights(theta: float, tau: int) -> np.ndarray:

@@ -7,8 +7,6 @@ import json
 import logging
 import os
 import pathlib
-import subprocess
-import sys
 import tempfile
 
 import numpy as np
@@ -16,7 +14,6 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-import qrff
 from qrff import cli, errors
 from qrff.cli import (
     RunConfig,
@@ -30,6 +27,7 @@ from qrff.pipeline import PreparedPipeline
 from qrff.rff import build_feature_model, rff_posterior, sample_frequencies
 
 import config_sweep
+import goldens
 from kernel_reference import solve_reference
 
 SMALL = dict(n_points=4, n_frequencies=2, tau=8, grid_count=6, seed_freq=1)
@@ -689,46 +687,32 @@ class TestDeterminism:
                 )
             assert outs[0] == outs[1]
 
-    @pytest.mark.parametrize("mode", ["exact", "sampled"])
-    def test_paper_config_matches_its_golden_csv(self, tmp_path, mode):
-        # the bytes `qrff compare` wrote on the default config, frozen in tests/data
-        cfg = RunConfig(mode=mode, out_dir=str(tmp_path))
-        emit_outputs(*cli._run_stages(cfg, "compare"), cfg.out_dir)
-        golden = pathlib.Path(__file__).parent / "data" / f"compare_{mode}_results.csv"
-        assert (tmp_path / "results.csv").read_bytes() == golden.read_bytes()
+
+@pytest.mark.parametrize("threads", [None, "1"], ids=["default-threads", "one-thread"])
+@pytest.mark.parametrize("name", goldens.GOLDENS)
+def test_golden_run_reproduces_its_committed_results(fresh_python, monkeypatch, name, threads):
+    # in a fresh interpreter, so OpenBLAS reads the thread count as it starts
+    if threads is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+    run = fresh_python(goldens.__file__, name)
+    assert run.returncode == 0, run.stdout + run.stderr
 
 
-def _fresh(*args: str) -> subprocess.CompletedProcess:
-    """Run ``python *args`` in a new interpreter that imports this package."""
-    src = str(pathlib.Path(qrff.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+def test_every_committed_results_csv_has_one_golden_row():
+    committed = [path.name for path in goldens.DATA.glob("*_results.csv")]
+    assert sorted(committed) == sorted(f"{name}_results.csv" for name in goldens.GOLDENS)
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def test_cli_import_leaves_scipy_unloaded(fresh_python):
     code = (
         "import sys, qrff.cli; "
         "print([m for m in sys.modules if m.split('.')[0] in ('scipy', 'logging')])"
     )
-    out = _fresh("-c", code)
+    out = fresh_python("-c", code)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
-
-
-def test_fit_exact_at_n1024_reproduces_the_committed_results(tmp_path):
-    # written by the blocked dense solve alone, before the exact baseline first
-    # tried a low-rank solve; the benchmark's classical_n1024 config at seed 0
-    data = pathlib.Path(__file__).parent / "data"
-    config = str(data / "fit_exact_n1024_config.json")
-    assert main(["fit-exact", "--config", config, "--out", str(tmp_path)]) == 0
-    golden = (data / "fit_exact_n1024_results.csv").read_bytes()
-    assert (tmp_path / "results.csv").read_bytes() == golden
 
 
 def test_fit_exact_at_n65536_answers_on_the_low_rank_path(tmp_path):
@@ -740,55 +724,6 @@ def test_fit_exact_at_n65536_answers_on_the_low_rank_path(tmp_path):
     assert rows.size == 64
     assert all(np.isfinite(rows[name]).all() for name in rows.dtype.names)
     assert np.abs(rows["mean_exact"] - np.sin(rows["x"])).max() < 0.05
-
-
-def test_fit_exact_dense_at_n512_reproduces_the_committed_results(tmp_path):
-    # written before both exact solves took one point set; at length scale
-    # 0.05 the low-rank try reaches its cap of 46 and the dense solve answers
-    # in 16 blocks
-    data = pathlib.Path(__file__).parent / "data"
-    config = str(data / "fit_exact_dense_n512_config.json")
-    assert main(["fit-exact", "--config", config, "--out", str(tmp_path)]) == 0
-    golden = (data / "fit_exact_dense_n512_results.csv").read_bytes()
-    assert (tmp_path / "results.csv").read_bytes() == golden
-
-
-def test_compare_at_n512_reproduces_the_committed_results(tmp_path):
-    # written before the exact baseline's kernel columns came from one function;
-    # the benchmark's wide_n512 config at seed 0, where the pivot cap sits
-    # closest to the rank
-    data = pathlib.Path(__file__).parent / "data"
-    config = str(data / "compare_n512_config.json")
-    assert main(["compare", "--config", config, "--out", str(tmp_path)]) == 0
-    golden = (data / "compare_n512_results.csv").read_bytes()
-    assert (tmp_path / "results.csv").read_bytes() == golden
-
-
-def test_compare_at_m4_reproduces_the_committed_results(tmp_path):
-    # written when components below the phase resolution were first filtered
-    # rather than refused: at N=16, M=4 and tau 13 one of the eight rounds to bin 0
-    data = pathlib.Path(__file__).parent / "data"
-    config = str(data / "compare_m4_config.json")
-    assert main(["compare", "--config", config, "--out", str(tmp_path)]) == 0
-    golden = (data / "compare_m4_results.csv").read_bytes()
-    assert (tmp_path / "results.csv").read_bytes() == golden
-
-
-@pytest.mark.parametrize("threads", [None, "1"], ids=["default-threads", "one-thread"])
-def test_compare_at_d2_reproduces_the_committed_results(tmp_path, monkeypatch, threads):
-    # written when the driver first took d-dimensional inputs: random inputs
-    # in [0, 2 pi]^2, where at N=1024 the low-rank try reaches its cap and the
-    # dense solve answers
-    if threads is None:
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
-    data = pathlib.Path(__file__).parent / "data"
-    config = str(data / "compare_d2_config.json")
-    run = _fresh("-m", "qrff.cli", "compare", "--config", config, "--out", str(tmp_path))
-    assert run.returncode == 0, run.stderr
-    golden = (data / "compare_d2_results.csv").read_bytes()
-    assert (tmp_path / "results.csv").read_bytes() == golden
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -838,22 +773,12 @@ def test_compare_in_d_dimensions_exits_cleanly_and_matches_a_reference_solve(
     assert np.abs(columns["var_exact"] - variance).max() <= 1e-10
 
 
-def test_sampled_run_quantum_at_n512_reproduces_the_committed_results(tmp_path):
-    # written before the quantum closed form kept its coefficients in design
-    # units; the wide_n512 fit read out with 1e6 shots over 64 grid points
-    data = pathlib.Path(__file__).parent / "data"
-    config = str(data / "run_quantum_sampled_n512_config.json")
-    assert main(["run-quantum", "--config", config, "--out", str(tmp_path)]) == 0
-    golden = (data / "run_quantum_sampled_n512_results.csv").read_bytes()
-    assert (tmp_path / "results.csv").read_bytes() == golden
-
-
 class TestProgramEntry:
     """``python -m qrff.cli`` as a process: its frozen start-up heap still exits cleanly."""
 
-    def test_paper_compare_writes_and_prints_everything(self, tmp_path):
+    def test_paper_compare_writes_and_prints_everything(self, fresh_python, tmp_path):
         out_dir = tmp_path / "out"
-        run = _fresh("-m", "qrff.cli", "compare", "--out", str(out_dir))
+        run = fresh_python("-m", "qrff.cli", "compare", "--out", str(out_dir))
         assert run.returncode == 0, run.stderr
         assert run.stderr == ""
         golden = pathlib.Path(__file__).parent / "data" / "compare_exact_results.csv"
@@ -866,19 +791,19 @@ class TestProgramEntry:
             *summary,
         ]
 
-    def test_refusal_prints_one_error_line(self, tmp_path):
-        run = _fresh("-m", "qrff.cli", "compare", "--tau", "25", "--out", str(tmp_path))
+    def test_refusal_prints_one_error_line(self, fresh_python, tmp_path):
+        run = fresh_python("-m", "qrff.cli", "compare", "--tau", "25", "--out", str(tmp_path))
         assert run.returncode == 3
         assert run.stderr.startswith("error: CapacityError: ")
         assert run.stderr.count("\n") == 1 and run.stdout == ""
 
-    def test_program_entry_freezes_the_start_up_heap(self, tmp_path):
+    def test_program_entry_freezes_the_start_up_heap(self, fresh_python, tmp_path):
         code = (
             "import gc, sys; from qrff.cli import main; "
             "sys.argv[1:] = ['fit-rff', '--out', sys.argv[1]]; "
             "print(main(), gc.get_freeze_count() > 0)"
         )
-        run = _fresh("-c", code, str(tmp_path))
+        run = fresh_python("-c", code, str(tmp_path))
         assert run.returncode == 0, run.stderr
         assert run.stdout.splitlines()[-1] == "0 True"
 

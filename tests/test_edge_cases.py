@@ -5,13 +5,13 @@ Draws tiny designs with duplicate inputs, more frequencies than points
 registers and zero noise, at the default phase window and at twice the top
 squared singular value (where tau = 1 can resolve a rank-one design). The
 fit must keep the rank of the design's direct SVD and give RFF and quantum
-posteriors within 1e-12 of it, or the same refusal, and the encoding
-circuit must give each design's zero-padded design.T / frobenius_norm to
-1e-12. Each design must then either be refused with ``ConfigError`` or
-``PostSelectionError`` before any posterior is read,
-exactly when the dense circuits refuse it and with the same error, or give
-exact-mode means and variances equal to the binned spectral-sum oracle and,
-to 1e-12, to the dense circuits' readout.
+posteriors within 1e-12 of it (kappa(X) eps of their size, when larger), or
+the same refusal, and the encoding circuit must give each design's
+zero-padded design.T / frobenius_norm to 1e-12. Each design must then
+either be refused with ``ConfigError`` or ``PostSelectionError`` before any
+posterior is read, exactly when the dense circuits refuse it and with the
+same error, or give exact-mode means and variances equal to the binned
+spectral-sum oracle and, to 1e-12, to the dense circuits' readout.
 
 Every library input check raises ``ConfigError``, which ``except ValueError``
 also catches; the one internal invariant, a non-negative posterior variance,
@@ -55,6 +55,10 @@ GRID = np.array([0.3, 2.5, 5.0])
     headroom=st.sampled_from([DELTA_R_HEADROOM, 2.0]),
 )
 @example(xs=[0.4], m_freq=3, tau=6, noise=0.1, seed_freq=0, headroom=DELTA_R_HEADROOM)
+# kappa(X) = 1.0e5 at noise 0: the RFF mean is 1.4e-12 off the direct-SVD refit
+@example(
+    xs=[1.9, 3.1, 0, 0, 0, 0.4], m_freq=2, tau=6, noise=0.0, seed_freq=0, headroom=DELTA_R_HEADROOM
+)
 def test_pipeline_refuses_or_matches_binned_oracle(
     xs, m_freq, tau, noise, seed_freq, headroom
 ):

@@ -2,17 +2,12 @@ from __future__ import annotations
 
 import copy
 import json
-import os
-import pathlib
-import subprocess
-import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-import qrff
 from qrff import errors, pipeline, qsim
 from qrff.cli import RunConfig, generate_dataset
 from qrff.errors import CapacityError, ConfigError, PostSelectionError
@@ -31,6 +26,7 @@ from qrff.rff import (
 from dense_readout import assert_encodes_design, assert_matches_dense, dense_twin
 from spectral_oracle import (
     BinnedPrediction,
+    assert_matches_binned,
     assert_matches_direct_svd,
     left_singular_vectors,
     qpe_bin_weights,
@@ -492,13 +488,7 @@ class TestPosteriorEstimates:
         tau = 7
         h, ds, fm = resolved_small_model(tau, seed_data=seed + 7, seed_freq=seed + 40)
         pipe = PreparedPipeline(fm, tau)
-        pred = BinnedPrediction(fm, h.noise_std, pipe.delta_r, tau)
-        grid = np.linspace(0.3, 5.9, 5)
-        post, _ = pipe.posterior(grid)
-        for i, x in enumerate(grid):
-            phi_star = scaled_feature_vector([x], fm.freq, h)
-            assert post.mean[i] == pytest.approx(pred.mean(phi_star, ds.targets), abs=1e-8)
-            assert post.variance[i] == pytest.approx(pred.variance(phi_star), abs=1e-8)
+        assert_matches_binned(pipe, np.linspace(0.3, 5.9, 5))
 
     def test_orthogonal_query_leaves_null_space_variance(self):
         # engineered so the query features are exactly orthogonal to the design
@@ -763,13 +753,7 @@ class TestCapacityPlan:
         h, ds, fm = resolved_small_model(tau, n_points=64, m_freq=2)
         monkeypatch.setattr(errors, "MAX_QUBITS", 8)
         pipe = PreparedPipeline(fm, tau)
-        pred = BinnedPrediction(fm, h.noise_std, pipe.delta_r, tau)
-        grid = np.linspace(0.0, 6.0, 4)
-        post, _ = pipe.posterior(grid)
-        for i, x in enumerate(grid):
-            phi_star = scaled_feature_vector([x], fm.freq, h)
-            assert post.mean[i] == pytest.approx(pred.mean(phi_star, ds.targets), abs=1e-8)
-            assert post.variance[i] == pytest.approx(pred.variance(phi_star), abs=1e-8)
+        assert_matches_binned(pipe, np.linspace(0.0, 6.0, 4))
 
     def test_run_counts_no_encoded_state(self, monkeypatch):
         # N=64, M=1: the encoded state has 6 row + 1 col = 7 qubits, over a cap
@@ -779,13 +763,7 @@ class TestCapacityPlan:
         h, ds, fm = resolved_small_model(tau, n_points=64, m_freq=1)
         monkeypatch.setattr(errors, "MAX_QUBITS", 6)
         pipe = PreparedPipeline(fm, tau)
-        pred = BinnedPrediction(fm, h.noise_std, pipe.delta_r, tau)
-        grid = np.linspace(0.0, 6.0, 4)
-        post, _ = pipe.posterior(grid)
-        for i, x in enumerate(grid):
-            phi_star = scaled_feature_vector([x], fm.freq, h)
-            assert post.mean[i] == pytest.approx(pred.mean(phi_star, ds.targets), abs=1e-8)
-            assert post.variance[i] == pytest.approx(pred.variance(phi_star), abs=1e-8)
+        assert_matches_binned(pipe, np.linspace(0.0, 6.0, 4))
         with pytest.raises(CapacityError, match="a 7-qubit state"):
             qsim.prepare_data_state(fm)
 
@@ -834,13 +812,7 @@ class TestCapacityPlan:
         tau = 4
         pipe = PreparedPipeline(fm, tau)
         assert pipe.variance_coefficients.shape == (1,)
-        pred = BinnedPrediction(fm, h.noise_std, pipe.delta_r, tau)
-        grid = np.array([0.5, 2.0])
-        post, _ = pipe.posterior(grid)
-        for i, x in enumerate(grid):
-            phi_star = scaled_feature_vector([x], fm.freq, h)
-            assert post.mean[i] == pytest.approx(pred.mean(phi_star, ds.targets), abs=1e-8)
-            assert post.variance[i] == pytest.approx(pred.variance(phi_star), abs=1e-8)
+        assert_matches_binned(pipe, np.array([0.5, 2.0]))
 
     def test_column_matrices_at_the_cap_fit(self, monkeypatch):
         # N=1, M=32: the readout factors span a 64-dimensional col register
@@ -859,14 +831,8 @@ class TestCapacityPlan:
         sv, circuit, _ = qsim.pipeline_oracle(pipe)
         ladder_bytes = sum(op.matrices.nbytes for op in circuit)
         assert ladder_bytes <= sv.amplitudes.nbytes // 4
-        pred = BinnedPrediction(fm, h.noise_std, pipe.delta_r, tau)
-        grid = np.array([0.5, 2.0])
-        post, _ = pipe.posterior(grid)
         assert 0 < pipe.p1 <= 1 and 0 < pipe.p2 <= 1
-        for i, x in enumerate(grid):
-            phi_star = scaled_feature_vector([x], fm.freq, h)
-            assert post.mean[i] == pytest.approx(pred.mean(phi_star, ds.targets), abs=1e-8)
-            assert post.variance[i] == pytest.approx(pred.variance(phi_star), abs=1e-8)
+        assert_matches_binned(pipe, np.array([0.5, 2.0]))
 
 
 # builds a pipeline, runs its posterior exactly and sampled, then the CLI's
@@ -893,39 +859,25 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
 
-def _last_line_of_fresh_run(code: str, *args: str) -> str:
-    """Run ``code`` in a new interpreter that imports this package; return its last output line."""
-    src = str(pathlib.Path(qrff.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", code, *args],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=120,
-        check=True,
-    )
-    return out.stdout.strip().splitlines()[-1]
-
-
 class TestNoDenseStepsInTheRunPath:
-    def test_run_path_never_loads_the_simulator(self, tmp_path):
+    def test_run_path_never_loads_the_simulator(self, fresh_python, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(
             json.dumps(dict(n_points=4, n_frequencies=2, tau=8, grid_count=6, seed_freq=1))
         )
-        line = _last_line_of_fresh_run(_RUN_PATH, str(config), str(tmp_path / "out"))
-        assert json.loads(line) == {
+        run = fresh_python("-c", _RUN_PATH, str(config), str(tmp_path / "out"))
+        assert run.returncode == 0, run.stderr
+        assert json.loads(run.stdout.splitlines()[-1]) == {
             "codes": [0, 0, 0],
             "loaded": {"qrff.qsim": False, "logging": False},
         }
 
-    def test_package_import_leaves_the_simulator_unloaded(self):
+    def test_package_import_leaves_the_simulator_unloaded(self, fresh_python):
         code = "import sys, qrff; print('qrff.qsim' in sys.modules)"
-        assert _last_line_of_fresh_run(code) == "False"
+        assert fresh_python("-c", code).stdout == "False\n"
         # the error types alone load neither the simulator nor numpy
         code = "import sys, qrff.errors; print('qrff.qsim' in sys.modules, 'numpy' in sys.modules)"
-        assert _last_line_of_fresh_run(code) == "False False"
+        assert fresh_python("-c", code).stdout == "False False\n"
 
 
 class TestGaugeInvariance:
