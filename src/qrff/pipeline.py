@@ -204,15 +204,15 @@ class PreparedPipeline:
     (lam^2 + noise^2) and ``variance_coefficients`` s^2 g / (c2^2 |X|_F^2)
     ~ 1 / (lam^2 + noise^2), for the design X's singular values lam.
     ``qsim.pipeline_oracle`` gets the profiles back and runs the dense
-    circuits these are tested against. The columns of W for the components
-    the setup filtered are kept too, as ``dropped_v``. The setup refuses its
-    inputs and its own peak; after it the pipeline refuses a branch accepted
-    with probability below 1e-12, then the fit's targets if all zero or if
-    their norm, kept as ``target_norm``, overflows.
+    circuits these are tested against. The setup refuses its inputs and its
+    own peak; after it the pipeline refuses a branch accepted with
+    probability below 1e-12, then the fit's targets if all zero or if their
+    norm, kept as ``target_norm``, overflows.
 
     ``posterior`` answers a whole grid of query points as
     ``rff.rff_posterior`` does, from ``rff.spectral_sums`` on these
-    coefficients, with the filtered components in the null-space term.
+    coefficients and the ``kept`` mask, so the null-space term is the query
+    features' residual after projection onto the kept columns of W alone.
     Only the tests' readout is in overlap units: the Hadamard
     test's Re<b|a> = 2 P(0) - 1 is the mean sum over sqrt(p1) / c1 |phi| |y|
     / |X|_F and the SWAP test's <q|rho_col|q> the variance sum over p2 /
@@ -236,7 +236,6 @@ class PreparedPipeline:
         setup["mean_coefficients"] /= fm.frobenius_norm
         setup["variance_coefficients"] /= fm.frobenius_norm**2
         vars(self).update(setup, sigma_tilde_sq=sigma_tilde_sq)
-        self.dropped_v = fm.v[:, ~self.kept]
         with np.errstate(over="ignore"):  # an overflowing sum of squares gives inf
             self.target_norm = float(np.linalg.norm(fm.targets))
         if self.target_norm == 0:
@@ -268,9 +267,7 @@ class PreparedPipeline:
         fm, a, b = self.fm, self.mean_coefficients, self.variance_coefficients
         phi = scaled_feature_vector(_as_points(xs, fm.freq.shape[1]), fm.freq, fm.hyper)
         phi_norm = np.linalg.norm(phi, axis=1)
-        mean, spectral, null_sq = spectral_sums(fm, phi, a, b)
-        dropped = phi @ self.dropped_v
-        null_sq += np.einsum("gk,gk->g", dropped, dropped)
+        mean, spectral, null_sq = spectral_sums(fm, phi, a, b, self.kept)
         exact = Posterior(mean, fm.hyper.noise_std**2 * spectral + null_sq)
         fro = fm.frobenius_norm
         mean_unit = np.sqrt(self.p1) / self.c1 * phi_norm * self.target_norm / fro

@@ -8,7 +8,8 @@ fit: X's singular values and right singular vectors and the projected
 targets U^T y, all from the R factor of one QR of [X y] (Golub & Van Loan,
 *Matrix Computations*, section 5.3), but neither X nor U. Its reduced-rank
 posterior is evaluated in SVD form and is the classical twin of the
-quantum pipeline.
+quantum pipeline. Both take the variance's null-space term as a sum of
+squares, the query features' residual after projection onto V's columns.
 """
 
 from __future__ import annotations
@@ -156,18 +157,19 @@ def build_feature_model(ds: Dataset, freq, h: KernelHyper) -> FeatureModel:
     )
 
 
-def spectral_sums(fm: FeatureModel, phi: np.ndarray, a, b):
+def spectral_sums(fm: FeatureModel, phi: np.ndarray, a, b, kept=slice(None)):
     """The SVD spectral sums both posteriors read, one entry per row of ``phi``.
 
     Returns sum_k a_k (phi^T v_k) (u_k^T y), with u_k^T y read from the fit's
-    ``projected_targets``, sum_k b_k (phi^T v_k)^2 and the feature-space
-    null-space term max(||phi||^2 - ||V^T phi||^2, 0), for per-component
-    coefficients ``a`` and ``b`` of length ``fm.rank`` in design units; the
-    caller multiplies the variance sum by noise^2, leaving ``b`` finite at noise 0.
+    ``projected_targets``, sum_k b_k (phi^T v_k)^2 and the null-space term
+    ||phi - V_kept V_kept^T phi||^2, phi's squared residual outside the span
+    of V's ``kept`` columns (all by default), for per-component coefficients
+    ``a`` and ``b`` of length ``fm.rank`` in design units; the caller
+    multiplies the variance sum by noise^2, leaving ``b`` finite at noise 0.
     """
     pv = phi @ fm.v
-    null_sq = np.einsum("gk,gk->g", phi, phi) - np.einsum("gr,gr->g", pv, pv)
-    return pv @ (a * fm.projected_targets), pv**2 @ b, np.maximum(null_sq, 0.0)
+    residual = phi - pv[:, kept] @ fm.v[:, kept].T
+    return pv @ (a * fm.projected_targets), pv**2 @ b, np.einsum("gk,gk->g", residual, residual)
 
 
 def rff_posterior(fm: FeatureModel, xs) -> Posterior:
@@ -175,10 +177,10 @@ def rff_posterior(fm: FeatureModel, xs) -> Posterior:
 
     mean      = sum_r lam_r / (lam_r^2 + noise^2) * (phi*^T v_r) (u_r^T y)
     variance  = noise^2 * sum_r (phi*^T v_r)^2 / (lam_r^2 + noise^2)
-                + ||phi* orthogonal to span(v)||^2
+                + ||phi* - V V^T phi*||^2
 
-    The trailing term accounts for the feature-space null space so the result
-    matches the direct weight-space solve of (X^T X + noise^2 I). The
+    The trailing term, phi*'s squared residual outside span(V), makes the
+    result match the direct weight-space solve of (X^T X + noise^2 I). The
     targets y and the noise come from the fit. Refuses (ConfigError) a mean
     or variance that is not finite, which targets near the double range give.
     """

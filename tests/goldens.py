@@ -64,6 +64,13 @@ GOLDENS = {
         "written before the quantum closed form kept its coefficients in design units; "
         "the wide_n512 fit read out with 1e6 shots over 64 grid points",
     ),
+    "compare_n65536": (
+        "compare",
+        "written when both posteriors first took the variance's null-space term as a "
+        "projection residual; before, 8 of its 64 rows changed with the BLAS thread count. "
+        "At N=65536 the exact baseline answers on its low-rank path, and the exact and RFF "
+        "columns are what fit-exact and fit-rff write",
+    ),
 }
 
 

@@ -715,17 +715,6 @@ def test_cli_import_leaves_scipy_unloaded(fresh_python):
     assert out.stdout.strip() == "[]"
 
 
-def test_fit_exact_at_n65536_answers_on_the_low_rank_path(tmp_path):
-    # past N = 11585, where an N x N Gram matrix would exceed the cap; no
-    # golden, as at this size a 9th printed digit of var_exact sits at rounding
-    config = str(pathlib.Path(__file__).parent / "data" / "fit_exact_n65536_config.json")
-    assert main(["fit-exact", "--config", config, "--out", str(tmp_path)]) == 0
-    rows = np.genfromtxt(tmp_path / "results.csv", delimiter=",", names=True)
-    assert rows.size == 64
-    assert all(np.isfinite(rows[name]).all() for name in rows.dtype.names)
-    assert np.abs(rows["mean_exact"] - np.sin(rows["x"])).max() < 0.05
-
-
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(
     dim=st.sampled_from([1, 2, 3]),

@@ -466,20 +466,34 @@ class TestPosteriorEstimates:
         assert gaps[20][0] < gaps[13][0] and gaps[20][1] < gaps[13][1]
 
     @pytest.mark.parametrize("shots", [0, 1_000_000])
-    def test_zero_noise_variance_is_the_null_space_term(self, shots):
+    @pytest.mark.parametrize("filtered", [False, True])
+    def test_zero_noise_variance_is_the_null_space_term(self, shots, filtered):
         # the spectral term carries noise_std^2 outside its coefficients, so at
-        # noise_std 0 it vanishes and the SWAP-test overlap stays finite
+        # noise_std 0 it vanishes and the SWAP-test overlap stays finite; a
+        # component filtered below the phase resolution (two nearly identical
+        # rows, as in TestSpectralSetup) joins the residual with its (phi^T v_k)^2
         cfg = RunConfig(noise_std=0.0)
-        freq = sample_frequencies(cfg.n_frequencies, cfg.hyper, cfg.dim, cfg.seed_freq)
-        fm = build_feature_model(generate_dataset(cfg), freq, cfg.hyper)
-        pipe = PreparedPipeline(fm, cfg.tau)
+        if filtered:
+            ds = Dataset(np.array([[0.5], [0.5 + 1e-5]]), np.array([0.2, 0.2]))
+            freq, tau, delta_r = sample_frequencies(1, cfg.hyper, 1, 4), 6, 1.05
+        else:
+            ds = generate_dataset(cfg)
+            freq = sample_frequencies(cfg.n_frequencies, cfg.hyper, cfg.dim, cfg.seed_freq)
+            tau, delta_r = cfg.tau, None
+        fm = build_feature_model(ds, freq, cfg.hyper)
+        pipe = PreparedPipeline(fm, tau, delta_r)
+        assert pipe.kept.all() != filtered
         grid = cfg.diagonal(cfg.grid_count)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             post, readout = pipe.posterior(grid, shots, cfg.seed_shots)
         phi = scaled_feature_vector(grid, fm.freq, fm.hyper)
-        _, _, null_sq = spectral_sums(fm, phi, pipe.mean_coefficients, pipe.variance_coefficients)
+        a, b = pipe.mean_coefficients, pipe.variance_coefficients
+        _, _, null_sq = spectral_sums(fm, phi, a, b, pipe.kept)
         assert np.array_equal(post.variance, null_sq)
+        dropped = phi @ fm.v[:, ~pipe.kept]
+        rff_null_sq = spectral_sums(fm, phi, a, b)[2]
+        assert np.abs(null_sq - rff_null_sq - np.sum(dropped**2, axis=1)).max() <= 1e-14
         assert np.isfinite(readout["mean_overlap"]).all()
         assert np.isfinite(readout["variance_overlap"]).all()
 

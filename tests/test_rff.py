@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qrff.cli import RunConfig, generate_dataset
 from qrff.errors import ConfigError
 from qrff.kernel import Dataset, KernelHyper
 from qrff.rff import (
@@ -14,6 +15,7 @@ from qrff.rff import (
     rff_posterior,
     sample_frequencies,
     scaled_feature_vector,
+    spectral_sums,
 )
 
 from kernel_reference import rbf_kernel
@@ -169,6 +171,20 @@ class TestRffPosterior:
                 var_direct = float(h.noise_std**2 * phi @ np.linalg.solve(A, phi))
                 assert post.mean[i] == pytest.approx(mean_direct, abs=1e-8)
                 assert post.variance[i] == pytest.approx(var_direct, abs=1e-8)
+
+    @pytest.mark.parametrize("n_points, n_frequencies", [(16, 2), (65536, 32)])
+    def test_null_space_term_vanishes_at_the_fits_inputs(self, n_points, n_frequencies):
+        # each input's features are a row of the design, in span(V) but for the
+        # components below the rank cutoff, so the term is a residual at rounding;
+        # the difference ||phi||^2 - ||V^T phi||^2 would leave ~1e-15 signal_std^2
+        cfg = RunConfig(n_points=n_points, n_frequencies=n_frequencies)
+        ds = generate_dataset(cfg)
+        freq = sample_frequencies(n_frequencies, cfg.hyper, cfg.dim, cfg.seed_freq)
+        fm = build_feature_model(ds, freq, cfg.hyper)
+        phi = scaled_feature_vector(ds.inputs, fm.freq, fm.hyper)
+        zeros = np.zeros(fm.rank)
+        _, _, null_sq = spectral_sums(fm, phi, zeros, zeros)
+        assert null_sq.max() < 1e-20 * cfg.signal_std**2
 
     def test_permutation_invariance(self, paper_dataset, paper_hyper):
         freq = sample_frequencies(2, paper_hyper, 1, seed=21)
