@@ -34,7 +34,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from . import __version__
-from .errors import CapacityError, ConfigError, IoError, QrffError
+from .errors import CapacityError, ConfigError, IoError, QrffError, check_bytes
 from .kernel import Dataset, KernelHyper, exact_posterior
 from .pipeline import PreparedPipeline
 from .rff import build_feature_model, rff_posterior, sample_frequencies
@@ -111,9 +111,9 @@ class RunConfig:
                 f"input_layout must be 'uniform' or 'random', got {_shown(self.input_layout)}"
             )
         KernelHyper(self.signal_std, self.length_scale, self.noise_std)
-        if max(self.n_points, self.n_frequencies, self.grid_count) * self.dim >= 2**59:
-            # numpy refuses (N, dim), (M, dim) or (G, dim) arrays this large with a ValueError
-            raise CapacityError("n_points, n_frequencies and grid_count times dim must be < 2**59")
+        for key in ("n_points", "n_frequencies", "grid_count"):
+            # the (size, dim) inputs, frequencies and queries, refused before any is built
+            check_bytes(f"the ({key}, dim) array", 8 * getattr(self, key) * self.dim)
 
     @property
     def hyper(self) -> KernelHyper:

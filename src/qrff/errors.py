@@ -32,9 +32,12 @@ class CapacityError(QrffError):
     (``pipeline.spectral_setup``); the exact baseline's dense (N + G + 1) x N
     factor, 8 * N * (N + G + 1) bytes for G queries, when it runs
     (``kernel._dense_posterior``); an n-qubit state, 16 * 2^n bytes, or gate
-    matrix, 16 * 4^n bytes (``qsim``). Or an (N, dim), (M, dim) or (G, dim) array
-    of 2**59 or more entries, which numpy cannot index (``cli.RunConfig``). The
-    low-rank solve's factor is bounded by the cap, not refused (``kernel.exact_posterior``)."""
+    matrix, 16 * 4^n bytes (``qsim``); the (N, dim) inputs, (M, dim)
+    frequencies and (G, dim) queries, 8 * size * dim bytes each, before any
+    command builds its dataset (``cli.RunConfig``); the fit's stacked [X y],
+    8 * N * (2M + 1) bytes (``rff.build_feature_model``); the exact baseline's
+    stacked (N + G, dim) points (``kernel.exact_posterior``). The low-rank
+    solve's factor is bounded by the cap, not refused (``kernel.exact_posterior``)."""
 
     exit_code = 3
 
@@ -61,6 +64,8 @@ def check_bytes(what: str, nbytes: int, shift: int = 0) -> None:
     The cap is shifted down, so a huge ``shift`` (a tau of 10**20) never builds 2^shift."""
     cap = byte_cap()
     if nbytes > cap >> shift:
+        # past 64 bits nbytes is named by its size: past 4,300 digits str() raises
+        size = nbytes if nbytes.bit_length() <= 64 else f"2^{nbytes.bit_length() - 1}+"
         raise CapacityError(
-            f"{what}: {nbytes} x 2^{shift} bytes, more than one {MAX_QUBITS}-qubit state ({cap})"
+            f"{what}: {size} x 2^{shift} bytes, more than one {MAX_QUBITS}-qubit state ({cap})"
         )

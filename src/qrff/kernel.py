@@ -297,7 +297,8 @@ def exact_posterior(ds: Dataset, h: KernelHyper, xs) -> Posterior:
     mean = K*^T (K + noise_std^2 I)^{-1} y
     variance = k(x*, x*) - diag(K*^T (K + noise_std^2 I)^{-1} K*)
 
-    Both solves take the inputs stacked above the queries. First the
+    Both solves take the inputs stacked above the queries, an (N + G, d)
+    array refused (``errors.check_bytes``) before it is built. First the
     low-rank solve, ``_low_rank_posterior``, in O((N + G) r^2) for r
     pivots, stopped once every residual diagonal is at most
     eps * signal_std^2, the rounding error of one kernel entry: its answer
@@ -319,6 +320,7 @@ def exact_posterior(ds: Dataset, h: KernelHyper, xs) -> Posterior:
     or when the weight-space Cholesky fails or a low-rank step overflows.
     """
     queries = _as_points(xs, ds.dim)
+    check_bytes("the exact baseline's stacked points", 8 * (ds.n_points + len(queries)) * ds.dim)
     points = np.vstack([ds.inputs, queries])
     if ds.n_points > BLOCK and h.noise_std > 0:
         cap = min(_pivot_cap(ds.n_points, len(queries)), byte_cap() // (8 * len(points)))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_bytes
 from .kernel import Dataset, KernelHyper, Posterior, _as_points
 
 #: singular values below this fraction of the largest are dropped from the rank
@@ -120,12 +120,15 @@ def build_feature_model(ds: Dataset, freq, h: KernelHyper) -> FeatureModel:
     rows; the SVD R_X = U_R diag(s) V^T gives X's s and V, and U^T y =
     U_R^T r_y, so neither Q nor U is formed. The fit keeps ``h``,
     ``ds.inputs`` and ``ds.targets`` themselves, not copies. Refuses
-    (ConfigError) a design whose Frobenius norm has no positive finite
-    square, and targets so large that U^T y is not finite.
+    (CapacityError) an N x (2M + 1) [X y] over ``errors.byte_cap`` before X
+    is built, and (ConfigError) a design whose Frobenius norm has no
+    positive finite square, and targets so large that U^T y is not finite.
     """
     freq = _as_frequencies(freq)
     if ds.dim != freq.shape[1]:
         raise ConfigError(f"dataset dimension {ds.dim} != frequency dimension {freq.shape[1]}")
+    n, m = ds.n_points, freq.shape[0]
+    check_bytes(f"the fit's stacked [X y] at N = {n}, M = {m}", 8 * n * (2 * m + 1))
     X = scaled_feature_vector(ds.inputs, freq, h)
     with np.errstate(over="ignore"):  # an overflowing sum of squares gives inf, refused below
         fro = float(np.linalg.norm(X))

@@ -8,6 +8,7 @@ import logging
 import os
 import pathlib
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,8 +71,7 @@ _BAD_INPUTS = {
         f"{key}-2**60": (f'{{"{key}": {2**60}}}', ["CapacityError"] * 2)
         for key in ("n_points", "grid_count", "n_frequencies")
     },
-    # 16 points of 2**58 coordinates each: bounded alone, dim would reach
-    # numpy's "array is too big" ValueError
+    # 16 points of 2**58 coordinates each: each key is small alone, not their product
     **{
         f"dim-2**58-{layout}": (
             json.dumps({"dim": 2**58, "input_layout": layout}),
@@ -79,6 +79,11 @@ _BAD_INPUTS = {
         )
         for layout in ("uniform", "random")
     },
+    # the refused bytes have 8,000 digits, past what str() of an int prints
+    "n-points-and-dim-1e4000": (
+        f'{{"n_points": {_ten_to(4000)}, "dim": {_ten_to(4000)}}}',
+        ["CapacityError"] * 4,
+    ),
 }
 _BAD_INPUT_RUNS = [
     pytest.param(command, text, error, id=f"{name}-{command}")
@@ -159,13 +164,13 @@ class TestConfig:
             load_config(None, {key: 1 for key in "edcba"})
 
     @pytest.mark.parametrize("key", ["n_points", "n_frequencies", "grid_count"])
-    def test_sizes_are_below_2_to_the_59(self, key):
-        # the bound is on the entries of the (size, dim) array numpy allocates
+    def test_sizes_fit_the_byte_cap(self, key):
+        # the bound is on the bytes of the (size, dim) float64 array the key sizes
         for dim in (1, 16):
-            size = 2**59 // dim
+            rows = errors.byte_cap() // (8 * dim)
+            assert getattr(RunConfig(**{key: rows, "dim": dim}), key) == rows
             with pytest.raises(CapacityError, match=key):
-                RunConfig(**{key: size, "dim": dim})
-            assert getattr(RunConfig(**{key: size - 1, "dim": dim}), key) == size - 1
+                RunConfig(**{key: rows + 1, "dim": dim})
 
     def test_unreadable_file(self):
         with pytest.raises(ConfigError):
@@ -585,12 +590,29 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize("key", ["grid_count", "n_points"])
     def test_impossible_allocation_is_3(self, tmp_path, capsys, key):
-        # 2^40 float64 values are 8 TiB, an array numpy cannot allocate
+        # 2^40 float64 values are 8 TiB, refused before any array is built
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({key: 2**40}))
-        assert main(["fit-rff", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+        tracemalloc.start()
+        try:
+            code = main(["fit-rff", "--config", str(path), "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and peak < 2**20
         err = capsys.readouterr().err
-        assert err.startswith("error: MemoryError: ") and err.count("\n") == 1
+        assert err.startswith(f"error: CapacityError: the ({key}, dim) array: ")
+        assert err.count("\n") == 1
+
+    def test_memory_error_is_3(self, tmp_path, capsys, monkeypatch):
+        # an allocation the machine refuses below the cap still exits 3
+        def exhausted(cfg):
+            raise MemoryError("Unable to allocate 8.00 GiB")
+
+        monkeypatch.setattr(cli, "generate_dataset", exhausted)
+        assert main(["fit-rff", "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: MemoryError: Unable to allocate 8.00 GiB\n"
 
     def test_singular_exact_system_is_2_after_logged_jitter(
         self, tmp_path, capsys, caplog, monkeypatch

@@ -209,6 +209,31 @@ class TestExactPosterior:
         assert post.mean[0] == pytest.approx((y[i] + y[j]) / 2, abs=1e-8)
         assert post.variance[0] == pytest.approx(0.0, abs=1e-8)
 
+    def test_stacked_points_are_refused_before_they_are_built(self, paper_hyper, monkeypatch):
+        # cap 16 * 2^4 = 256 bytes: N = 2 inputs and G = 2 queries in d = 8
+        # stack to 4 rows of 64 bytes, the cap, and one more query is refused
+        # before np.vstack; the dense factor, 8 * 2 * 6 bytes, fits either way
+        rng = np.random.default_rng(5)
+        ds = Dataset(rng.uniform(size=(2, 8)), np.array([0.3, -0.2]))
+        queries = rng.uniform(size=(3, 8))
+        default = exact_posterior(ds, paper_hyper, queries[:2])
+        monkeypatch.setattr(errors, "MAX_QUBITS", 4)
+        stacked, vstack = [], np.vstack
+
+        def spy(arrays, *args, **kwargs):
+            out = vstack(arrays, *args, **kwargs)
+            stacked.append(out.shape)
+            return out
+
+        monkeypatch.setattr(np, "vstack", spy)
+        with pytest.raises(errors.CapacityError, match=r"stacked points: 320 x 2\^0 bytes"):
+            exact_posterior(ds, paper_hyper, queries)
+        assert stacked == []
+        post = exact_posterior(ds, paper_hyper, queries[:2])
+        assert stacked == [(4, 8)]
+        assert np.array_equal(post.mean, default.mean)
+        assert np.array_equal(post.variance, default.variance)
+
     def test_answer_is_built_in_the_one_factor_array(self):
         # the (N + G + 1) x N factor array is 34 MiB here; a separate right-hand
         # side (G + 1) x N and a G x N cross kernel took the peak to 70.3 MiB.

@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qrff import errors
 from qrff.cli import RunConfig, generate_dataset
-from qrff.errors import ConfigError
+from qrff.errors import CapacityError, ConfigError
 from qrff.kernel import Dataset, KernelHyper
 from qrff.rff import (
     RANK_CUTOFF,
@@ -121,6 +122,34 @@ class TestFeatureModel:
         assert peak <= 66 * 2**20
         s = np.linalg.svd(design_matrix(fm), compute_uv=False)
         assert fm.rank == int(np.sum(s > RANK_CUTOFF * s[0]))
+
+    def test_stacked_design_is_refused_before_it_is_built(self, paper_hyper, monkeypatch):
+        # cap 16 * 2^4 = 256 bytes: [X y] at M = 2 takes 8 * 5 = 40 bytes a row,
+        # so 6 rows fit and 7 are refused before the features or [X y] exist
+        freq = sample_frequencies(2, paper_hyper, 1, seed=21)
+        x = np.linspace(0.0, 2.0 * np.pi, 7)
+        fits, over = Dataset(x[:6, None], np.sin(x[:6])), Dataset(x[:, None], np.sin(x))
+        default = build_feature_model(fits, freq, paper_hyper)
+        monkeypatch.setattr(errors, "MAX_QUBITS", 4)
+        built, empty, column_stack = [], np.empty, np.column_stack
+
+        def spy(make):
+            def call(*args, **kwargs):
+                out = make(*args, **kwargs)
+                built.append(out.shape)
+                return out
+
+            return call
+
+        monkeypatch.setattr(np, "empty", spy(empty))
+        monkeypatch.setattr(np, "column_stack", spy(column_stack))
+        with pytest.raises(CapacityError, match=r"\[X y\] at N = 7, M = 2: 280 x 2\^0 bytes"):
+            build_feature_model(over, freq, paper_hyper)
+        assert built == []
+        fm = build_feature_model(fits, freq, paper_hyper)
+        assert (6, 5) in built
+        assert np.array_equal(fm.singular_values, default.singular_values)
+        assert np.array_equal(fm.projected_targets, default.projected_targets)
 
     def test_interleaved_cos_sin_layout(self, paper_hyper):
         # column 2r holds cos, 2r+1 holds sin of the same phase
