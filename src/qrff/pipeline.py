@@ -15,10 +15,12 @@ is the feature model's SVD, and everything after the encoding is
 block-diagonal in it. This module evaluates those steps exactly there, from
 the QPE outcome distribution per eigenvalue (``phase_table``), and builds no
 state or gate; ``spectral_setup`` is that evaluation, one pure function of
-the spectrum. ``qsim.prepare_data_state`` and ``qsim.dense_oracle``, on
-``spectral_setup``'s rotation profiles, run the same steps as circuits for
-the tests. This module's one capacity check is ``spectral_setup``'s
-``errors.check_bytes`` call; the dense circuits count their own states.
+the spectrum, which reduces the inversion's rotation profiles
+(``rotation_profiles``, their one home) against the phase table.
+``qsim.prepare_data_state`` and ``qsim.dense_oracle``, on those profiles,
+run the same steps as circuits for the tests. This module's one capacity
+check is ``spectral_setup``'s ``errors.check_bytes`` call; the dense
+circuits count their own states.
 
 The recovered posterior is the classical spectral-sum posterior with
 bin-discretized eigenvalues: both read ``rff.spectral_sums`` with
@@ -77,6 +79,24 @@ def phase_table(theta: np.ndarray, tau: int) -> np.ndarray:
     return table
 
 
+def rotation_profiles(
+    c1: float, c2: float, sigma_tilde_sq: float, delta_r: float, tau: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The mean and variance branches' flag-qubit |1> amplitude per phase-register
+    value b, at lam^2 = b delta_r / 2^tau: min(1, c1 / (lam^2 + sigma~^2)) and
+    min(1, c2 / (lam sqrt(lam^2 + sigma~^2))), both 0 at bin 0."""
+    lam2 = np.arange(1 << tau) * delta_r / (1 << tau)
+    # inf at bin 0 (zeroed below) and where a tiny sigma~^2 overflows it: min(1, inf) = 1
+    with np.errstate(divide="ignore", over="ignore"):
+        profiles = (
+            np.minimum(1.0, c1 / (lam2 + sigma_tilde_sq)),
+            np.minimum(1.0, c2 / np.sqrt(lam2 * (lam2 + sigma_tilde_sq))),
+        )
+    for prof in profiles:
+        prof[0] = 0.0  # below-resolution bins are excluded from the inversion
+    return profiles
+
+
 def spectral_setup(s: np.ndarray, sigma_tilde_sq: float, delta_r: float, tau: int) -> dict:
     """Phase estimation and both inversion branches in closed form, for the
     normalized singular values ``s`` (descending); ``PreparedPipeline`` gives
@@ -90,16 +110,15 @@ def spectral_setup(s: np.ndarray, sigma_tilde_sq: float, delta_r: float, tau: in
     is filtered, ``kept`` False: the circuit's profiles drop it, and the
     bounds skip it. With lam_hat^2 the kept components' decoded eigenvalues,
     c1 = min(lam_hat^2 + sigma~^2) and c2 =
-    min(lam_hat sqrt(lam_hat^2 + sigma~^2)) keep both ``profiles``, the flag
-    qubit's |1> amplitude per phase-register value, within [0, 1]: min(1, c1 /
-    (lam^2 + sigma~^2)) for the mean and min(1, c2 / (lam sqrt(lam^2 +
-    sigma~^2))) for the variance, 0 at bin 0. Both constants cancel out of the
-    recovered posterior. Returns them with ``kept``, p1 and p2 (clamped to
-    1), the two un-compute leakages and the per-component coefficients per
-    unit Frobenius norm, ``mean_coefficients`` s c / c1 and
-    ``variance_coefficients`` s^2 g / c2^2, for every component as the
-    circuit gives them, a filtered one's from its QPE mass outside bin 0,
-    keyed by the names of ``PreparedPipeline``'s attributes.
+    min(lam_hat sqrt(lam_hat^2 + sigma~^2)) keep both ``rotation_profiles``
+    within [0, 1]; both constants cancel out of the recovered posterior. The
+    profiles are reduced against the phase table here and not returned.
+    Returns c1, c2, ``kept``, p1 and p2 (clamped to 1), the two un-compute
+    leakages and the per-component coefficients per unit Frobenius norm,
+    ``mean_coefficients`` s c / c1 and ``variance_coefficients`` s^2 g /
+    c2^2, for every component as the circuit gives them, a filtered one's
+    from its QPE mass outside bin 0, keyed by the names of
+    ``PreparedPipeline``'s attributes.
     """
     if tau < 1:
         raise ConfigError(f"tau must be >= 1, got {tau}")
@@ -128,16 +147,7 @@ def spectral_setup(s: np.ndarray, sigma_tilde_sq: float, delta_r: float, tau: in
     lam_hat2 = bins[kept] * delta_r / (1 << tau)
     c1 = float(np.min(lam_hat2 + sigma_tilde_sq))
     c2 = float(np.min(np.sqrt(lam_hat2) * np.sqrt(lam_hat2 + sigma_tilde_sq)))
-    lam2 = np.arange(1 << tau) * delta_r / (1 << tau)
-    # inf at bin 0 (zeroed below) and where a tiny sigma~^2 overflows it: min(1, inf) = 1
-    with np.errstate(divide="ignore", over="ignore"):
-        profiles = (
-            np.minimum(1.0, c1 / (lam2 + sigma_tilde_sq)),
-            np.minimum(1.0, c2 / np.sqrt(lam2 * (lam2 + sigma_tilde_sq))),
-        )
-    del lam2  # 2^tau doubles that would otherwise sit next to the table built below
-    for prof in profiles:
-        prof[0] = 0.0  # below-resolution bins are excluded from the inversion
+    profiles = rotation_profiles(c1, c2, sigma_tilde_sq, delta_r, tau)
     table = phase_table(s2 / delta_r, tau)
     (c_mean, g_mean), (c_var, g_var) = ((table @ prof, table @ prof**2) for prof in profiles)
     p1, p2 = float(s2 @ g_mean), float(s2 @ g_var)
@@ -145,7 +155,6 @@ def spectral_setup(s: np.ndarray, sigma_tilde_sq: float, delta_r: float, tau: in
         "c1": c1,
         "c2": c2,
         "kept": kept,
-        "profiles": profiles,
         "p1": min(p1, 1.0),
         "p2": min(p2, 1.0),
         "mean_coefficients": s * c_mean / c1,
@@ -196,18 +205,18 @@ class PreparedPipeline:
     in all. Hence p = sum_k s_k^2 g_k, the mean branch's phase-0 slice
     W diag(s c / sqrt(p1)) Vh, the variance branch's rho_col
     W diag(s^2 g / p2) W^T, and the leakage 1 - sum_k s_k^2 c_k^2 / p.
-    ``spectral_setup`` computes these, and the pipeline keeps its outputs
-    but the profiles (2^tau doubles each, which ``posterior`` never reads)
+    ``spectral_setup`` computes these, and the pipeline keeps all its outputs
     as attributes of the same names, with ``sigma_tilde_sq``: scalars, the
-    ``kept`` mask and two length-rank coefficient vectors, put in design units as
-    ``rff.rff_posterior``'s: ``mean_coefficients`` s c / (c1 |X|_F) ~ lam /
+    ``kept`` mask and two length-rank coefficient vectors, put in design
+    units as ``rff.rff_posterior``'s: ``mean_coefficients`` s c / (c1 |X|_F) ~ lam /
     (lam^2 + noise^2) and ``variance_coefficients`` s^2 g / (c2^2 |X|_F^2)
     ~ 1 / (lam^2 + noise^2), for the design X's singular values lam.
-    ``qsim.pipeline_oracle`` gets the profiles back and runs the dense
-    circuits these are tested against. The setup refuses its inputs and its
-    own peak; after it the pipeline refuses a branch accepted with
-    probability below 1e-12, then the fit's targets if all zero or if their
-    norm, kept as ``target_norm``, overflows.
+    ``qsim.pipeline_oracle`` builds the profiles from the kept c1 and c2
+    (``rotation_profiles``) and runs the dense circuits these are tested
+    against. The setup refuses its inputs and its own peak; after it the
+    pipeline refuses a branch accepted with probability below 1e-12, then
+    the fit's targets if all zero or if their norm, kept as ``target_norm``,
+    overflows.
 
     ``posterior`` answers a whole grid of query points as
     ``rff.rff_posterior`` does, from ``rff.spectral_sums`` on these
@@ -232,7 +241,6 @@ class PreparedPipeline:
                     f"post-selection of the {branch} branch has probability {prob:.3e}"
                 )
         # c1, c2, kept, p1, p2, both leakages and both coefficient vectors, put in design units
-        del setup["profiles"]
         setup["mean_coefficients"] /= fm.frobenius_norm
         setup["variance_coefficients"] /= fm.frobenius_norm**2
         vars(self).update(setup, sigma_tilde_sq=sigma_tilde_sq)

@@ -4,11 +4,11 @@ Every gate is one uniformly controlled ``GateOp``, a stack of unitaries
 indexed by the control value, and ``apply_circuit`` applies a list of them,
 each by one batched matmul. The paper's encoding circuit
 (``prepare_data_state``) and its phase estimation, post-selection and
-un-compute (``dense_oracle``, on the rotation profiles of
-``pipeline.spectral_setup``) are composed from these gates, and the Hadamard
-and SWAP tests read overlaps off one measured test qubit. ``closed_form_gaps``
-and ``encoding_gap`` hold ``pipeline.PreparedPipeline``'s closed form to them
-for the tests and ``qrff selftest``; the run path never imports this module.
+un-compute (``dense_oracle``, on ``pipeline.rotation_profiles``) are
+composed from these gates, and the Hadamard and SWAP tests read overlaps
+off one measured test qubit. ``closed_form_gaps`` and ``encoding_gap`` hold
+``pipeline.PreparedPipeline``'s closed form to them for the tests and
+``qrff selftest``; the run path never imports this module.
 Every state and ``realized_matrix``'s dense matrix pass ``errors.check_bytes``
 before they are allocated.
 
@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import PostSelectionError, check_bytes
-from .pipeline import PreparedPipeline, spectral_setup
+from .pipeline import PreparedPipeline, rotation_profiles
 from .rff import FeatureModel, scaled_feature_vector
 
 _UNITARY_TOL = 1e-10
@@ -502,7 +502,7 @@ def dense_oracle(
     (``qpe_circuit``, ``qpe``); then per branch post-selects on its rotation
     profile (``postselect``, the flag qubit folded into per-bin weights) and
     un-computes the phase register (``inverse_qpe``). ``profiles`` are the
-    mean and variance branches' ``pipeline.spectral_setup(...)["profiles"]``.
+    mean and variance branches' ``pipeline.rotation_profiles``.
     Returns the post-QPE state, the QPE ops, and
     ``[(mean_state, p1), (variance_state, p2)]``.
 
@@ -527,10 +527,9 @@ def dense_oracle(
 
 
 def pipeline_oracle(pipe: PreparedPipeline):
-    """``dense_oracle`` on ``pipe``'s encoded fit, with the profiles ``spectral_setup`` returns."""
-    s, delta_r, tau = pipe.fm.normalized_singular_values, pipe.delta_r, pipe.tau
-    profiles = spectral_setup(s, pipe.sigma_tilde_sq, delta_r, tau)["profiles"]
-    return dense_oracle(prepare_data_state(pipe.fm), delta_r, tau, profiles)
+    """``dense_oracle`` on ``pipe``'s encoded fit, with the rotation profiles of its c1 and c2."""
+    profiles = rotation_profiles(pipe.c1, pipe.c2, pipe.sigma_tilde_sq, pipe.delta_r, pipe.tau)
+    return dense_oracle(prepare_data_state(pipe.fm), pipe.delta_r, pipe.tau, profiles)
 
 
 def _padded_gap(dense: np.ndarray, closed: np.ndarray) -> float:

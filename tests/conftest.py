@@ -46,9 +46,9 @@ def paper_pipeline(paper_feature_model, paper_config):
 
 @pytest.fixture(scope="session")
 def paper_oracle(paper_pipeline):
-    """``dense_oracle`` on the paper pipeline's encoded state, with the profiles
-    ``spectral_setup`` gives back for it: the post-QPE state, the QPE ops, and
-    each branch's un-computed state with its p."""
+    """``dense_oracle`` on the paper pipeline's encoded state, with the rotation
+    profiles of the pipeline's own c1 and c2: the post-QPE state, the QPE ops,
+    and each branch's un-computed state with its p."""
     return pipeline_oracle(paper_pipeline)
 
 

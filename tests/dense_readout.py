@@ -2,11 +2,11 @@
 
 ``dense_oracle`` runs phase estimation, post-selection and un-compute as
 circuits on the encoded state; ``qsim.pipeline_oracle`` runs it on a
-pipeline's fit with the rotation profiles ``spectral_setup`` gives back for
-it, since the pipeline keeps none. ``dense_twin`` reads the factors the closed
-form's posterior uses (the per-component coefficients, from the mean branch's
-phase-0 slice and the variance branch's rho_col, and p1 and p2) off those
-states, so the twin's posterior is the dense-path readout.
+pipeline's fit with the rotation profiles ``pipeline.rotation_profiles``
+builds from the pipeline's c1 and c2. ``dense_twin`` reads the factors the
+closed form's posterior uses (the per-component coefficients, from the mean
+branch's phase-0 slice and the variance branch's rho_col, and p1 and p2) off
+those states, so the twin's posterior is the dense-path readout.
 ``assert_matches_dense`` holds a pipeline to the oracle through
 ``qsim.closed_form_gaps`` and its posterior to the twin's, at 1e-12, and,
 since the twin shares the pipeline's inversion bounds c1 and c2, its

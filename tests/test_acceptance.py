@@ -18,7 +18,7 @@ import pytest
 from qrff import qsim
 from qrff.cli import RunConfig, _run_stages, emit_outputs
 from qrff.kernel import Dataset, KernelHyper, exact_posterior
-from qrff.pipeline import PreparedPipeline, spectral_setup
+from qrff.pipeline import PreparedPipeline, rotation_profiles, spectral_setup
 from qrff.qsim import GateOp, Statevector, dense_oracle, prepare_data_state
 from qrff.rff import (
     build_feature_model,
@@ -152,7 +152,8 @@ def test_criterion_5_qpe_spectral_accuracy(
     assert worst_13 >= 0.90
     st2 = paper_hyper.noise_std**2 / fm.frobenius_norm**2
     setup8 = spectral_setup(fm.normalized_singular_values, st2, delta_r, 8)
-    dense_8 = dense_oracle(prepare_data_state(fm), delta_r, 8, setup8["profiles"])
+    profiles8 = rotation_profiles(setup8["c1"], setup8["c2"], st2, delta_r, 8)
+    dense_8 = dense_oracle(prepare_data_state(fm), delta_r, 8, profiles8)
     worst_8 = _worst_windowed_mass(dense_8[0], fm, delta_r)
     assert worst_13 >= worst_8
     print(

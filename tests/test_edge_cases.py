@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 
 from qrff.errors import ConfigError, PostSelectionError, QrffError
 from qrff.kernel import Dataset, KernelHyper, Posterior, _as_points
-from qrff.pipeline import DELTA_R_HEADROOM, PreparedPipeline, spectral_setup
+from qrff.pipeline import DELTA_R_HEADROOM, PreparedPipeline, rotation_profiles, spectral_setup
 from qrff.qsim import dense_oracle, prepare_data_state
 from qrff.rff import build_feature_model, feature_map, rff_posterior, sample_frequencies
 
@@ -72,16 +72,15 @@ def test_pipeline_refuses_or_matches_binned_oracle(
     state = prepare_data_state(fm)
     assert_encodes_design(fm)
     pipe, refused = outcome(lambda: PreparedPipeline(fm, tau, delta_r))
-    oracle, dense_refused = outcome(
-        lambda: dense_oracle(
-            state,
-            delta_r,
-            tau,
-            spectral_setup(
-                fm.normalized_singular_values, noise**2 / fm.frobenius_norm**2, delta_r, tau
-            )["profiles"],
-        )
-    )
+
+    def dense_path():
+        # the bounds from a setup of its own, so the pipeline's refusals are not shared
+        st2 = noise**2 / fm.frobenius_norm**2
+        setup = spectral_setup(fm.normalized_singular_values, st2, delta_r, tau)
+        profiles = rotation_profiles(setup["c1"], setup["c2"], st2, delta_r, tau)
+        return dense_oracle(state, delta_r, tau, profiles)
+
+    oracle, dense_refused = outcome(dense_path)
     assert refused is dense_refused
     if refused:
         event(f"refused: {refused.__name__}")

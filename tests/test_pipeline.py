@@ -12,7 +12,13 @@ from qrff import errors, pipeline, qsim
 from qrff.cli import RunConfig, generate_dataset
 from qrff.errors import CapacityError, ConfigError, PostSelectionError
 from qrff.kernel import Dataset, KernelHyper
-from qrff.pipeline import PreparedPipeline, default_delta_r, phase_table, spectral_setup
+from qrff.pipeline import (
+    PreparedPipeline,
+    default_delta_r,
+    phase_table,
+    rotation_profiles,
+    spectral_setup,
+)
 from qrff.qsim import dense_oracle, prepare_data_state
 from qrff.rff import (
     FeatureModel,
@@ -124,8 +130,9 @@ class TestEncoding:
 
 def dense_spectral_state(fm, tau, delta_r):
     """The encoded design after the dense QPE of exp(i rho 2 pi / delta_r), as in
-    ``dense_oracle`` but without ``spectral_setup``, which refuses unresolved bins:
-    rho's eigenbasis and eigenphases s^2 / delta_r from one SVD of the amplitudes."""
+    ``dense_oracle`` before its rotation profiles, so with no ``spectral_setup``
+    bounds and no refusal of unresolved bins: rho's eigenbasis and eigenphases
+    s^2 / delta_r from one SVD of the amplitudes."""
     sv = prepare_data_state(fm)
     col, row = sv.register("col"), sv.register("row")
     basis, s, _ = np.linalg.svd(sv.amplitudes.reshape(col.dim, row.dim))
@@ -277,10 +284,9 @@ class TestSpectralSetup:
 
     def test_profile_excludes_bin_zero(self, paper_feature_model, paper_hyper):
         fm = paper_feature_model
-        setup = spectral_setup(
-            fm.normalized_singular_values, sigma_tilde_sq(fm, paper_hyper), 0.4, 6
-        )
-        for profile in setup["profiles"]:
+        st2 = sigma_tilde_sq(fm, paper_hyper)
+        setup = spectral_setup(fm.normalized_singular_values, st2, 0.4, 6)
+        for profile in rotation_profiles(setup["c1"], setup["c2"], st2, 0.4, 6):
             assert profile[0] == 0.0
             assert np.all(profile <= 1.0)
 
@@ -293,8 +299,7 @@ class TestSpectralSetup:
             mean = np.minimum(1.0, pipe.c1 / (lam_hat2 + st2))
             variance = np.minimum(1.0, pipe.c2 / np.sqrt(lam_hat2 * (lam_hat2 + st2)))
         mean[0] = variance[0] = 0.0
-        s = pipe.fm.normalized_singular_values
-        profiles = spectral_setup(s, pipe.sigma_tilde_sq, pipe.delta_r, pipe.tau)["profiles"]
+        profiles = rotation_profiles(pipe.c1, pipe.c2, pipe.sigma_tilde_sq, pipe.delta_r, pipe.tau)
         assert np.array_equal(profiles[0], mean)
         assert np.array_equal(profiles[1], variance)
 
@@ -313,19 +318,29 @@ class TestSpectralSetup:
             "mean_coefficients",
             "p1",
             "p2",
-            "profiles",
             "uncompute_leakage_mean",
             "uncompute_leakage_variance",
             "variance_coefficients",
         ]
-        # the pipeline keeps everything but the profiles, which posterior never
-        # reads, and puts the coefficients per unit Frobenius norm in design units
-        assert not hasattr(pipe, "profiles")
-        del setup["profiles"]
+        # the pipeline keeps every key, with the coefficients per unit
+        # Frobenius norm put in design units
         setup["mean_coefficients"] /= fm.frobenius_norm
         setup["variance_coefficients"] /= fm.frobenius_norm**2
         for key, value in setup.items():
             assert np.array_equal(getattr(pipe, key), value), key
+
+    def test_oracle_runs_no_second_setup(self, paper_pipeline, paper_oracle, monkeypatch):
+        # the oracle builds its profiles from the pipeline's own c1 and c2
+        def refuse(*args):
+            raise AssertionError("the oracle reran the setup")
+
+        monkeypatch.setattr(pipeline, "phase_table", refuse)
+        monkeypatch.setattr(pipeline, "spectral_setup", refuse)
+        spectral, _, branches = qsim.pipeline_oracle(paper_pipeline)
+        assert np.array_equal(spectral.amplitudes, paper_oracle[0].amplitudes)
+        for (state, p), (want, p_want) in zip(branches, paper_oracle[2]):
+            assert np.array_equal(state.amplitudes, want.amplitudes)
+            assert p == p_want
 
     def test_setup_peak_counts_the_table_and_three_profiles(self):
         # the rank x 2^tau table, both rotation profiles and one squared profile
@@ -375,22 +390,21 @@ class TestInversionBranches:
     def test_vanishing_acceptance_refused_like_the_dense_path(self, branch, monkeypatch):
         # a profile of 1e-7 keeps about 1e-14 of the state, below the 1e-12 floor
         h, ds, fm = resolved_small_model(6)
-        setup, k = pipeline.spectral_setup, ("mean", "variance").index(branch)
+        k = ("mean", "variance").index(branch)
 
         def faint(*args):
-            # the branch's profile times 1e-7, which scales its p by 1e-14
-            out = setup(*args)
-            profiles = list(out["profiles"])
+            # the branch's profile times 1e-7, which the setup's table @ prof**2
+            # turns into its p times 1e-14
+            profiles = list(rotation_profiles(*args))
             profiles[k] = 1e-7 * profiles[k]
-            out["profiles"] = tuple(profiles)
-            out[f"p{k + 1}"] *= 1e-14
-            return out
+            return tuple(profiles)
 
-        monkeypatch.setattr(pipeline, "spectral_setup", faint)
+        monkeypatch.setattr(pipeline, "rotation_profiles", faint)
         with pytest.raises(PostSelectionError, match=branch):
             PreparedPipeline(fm, 6)
         delta_r, st2 = default_delta_r(fm), sigma_tilde_sq(fm, h)
-        profiles = faint(fm.normalized_singular_values, st2, delta_r, 6)["profiles"]
+        setup = spectral_setup(fm.normalized_singular_values, st2, delta_r, 6)
+        profiles = faint(setup["c1"], setup["c2"], st2, delta_r, 6)
         with pytest.raises(PostSelectionError):
             dense_oracle(prepare_data_state(fm), delta_r, 6, profiles)
 

@@ -6,7 +6,7 @@ import scipy.linalg
 
 from qrff import errors, qsim
 from qrff.errors import CapacityError, PostSelectionError
-from qrff.pipeline import spectral_setup
+from qrff.pipeline import rotation_profiles
 from qrff.qsim import GateOp, Statevector
 
 
@@ -352,17 +352,6 @@ class TestPartialTrace:
         assert np.linalg.eigvalsh(rho).min() >= -1e-10
 
 
-class TestHermitianExponential:
-    """qpe_circuit exponentiates the generator basis diag(2 pi theta) basis^dagger;
-    ``theta`` must hold one phase per basis state (the basis is checked in TestQpe)."""
-
-    def test_non_hermitian_rejected(self):
-        sv = Statevector.zero([("t", 1)])
-        for theta in ([0.25], [0.25, 0.0, 0.5], [[0.25, 0.0]], 0.25):
-            with pytest.raises(ValueError, match="eigenphases do not match"):
-                qsim.qpe_circuit(sv, "t", np.eye(2), theta, 3)
-
-
 def run_qpe(sv, generator, t, target, tau):
     """QPE of exp(i * generator * t), from the Hermitian generator's eigh."""
     evals, basis = np.linalg.eigh(generator)
@@ -426,6 +415,14 @@ class TestQpe:
             with pytest.raises(ValueError, match="not unitary"):
                 qsim.qpe_circuit(sv, "t", basis, [0.25, 0.0], 3)
 
+    def test_eigenphases_not_one_per_basis_state_rejected(self):
+        # qpe_circuit exponentiates basis diag(2 pi theta) basis^dagger, so
+        # ``theta`` must be a flat vector with one phase per basis column
+        sv = Statevector.zero([("t", 1)])
+        for theta in ([0.25], [0.25, 0.0, 0.5], [[0.25, 0.0]], 0.25):
+            with pytest.raises(ValueError, match="eigenphases do not match"):
+                qsim.qpe_circuit(sv, "t", np.eye(2), theta, 3)
+
 
 class TestMeasurement:
     def test_marginal_of_register(self):
@@ -485,8 +482,9 @@ class TestPostselect:
     def test_matches_flag_circuit_on_paper_spectral_state(self, paper_pipeline, paper_oracle):
         sv = paper_oracle[0]
         pipe = paper_pipeline
-        s = pipe.fm.normalized_singular_values
-        weights = spectral_setup(s, pipe.sigma_tilde_sq, pipe.delta_r, pipe.tau)["profiles"][0]
+        weights, _ = rotation_profiles(
+            pipe.c1, pipe.c2, pipe.sigma_tilde_sq, pipe.delta_r, pipe.tau
+        )
         out, p = qsim.postselect(sv, "phase", weights)
         want, p_want = flag_circuit_postselect(sv, "phase", weights)
         assert abs(p - p_want) <= 1e-12
